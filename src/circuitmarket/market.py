@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Callable, Optional
 
 from .rationals import format_rational, parse_rational
@@ -214,15 +215,19 @@ def _greedy_bundle(
     return BundleResult(max_utility, bought, Fraction(budget) - remaining)
 
 
+def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
+    for good, price in prices.items():
+        if price < 0:
+            raise MarketError(f"negative price for good {good!r}")
+
+
 def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     """Canonical optimal bundle of `buyer` at `prices` (greedy by bang-per-buck).
 
     Raises UnboundedDemand if a good with positive remaining marginal
     utility has price zero (the optimal-bundle set is empty or degenerate).
     """
-    for good, price in prices.items():
-        if price < 0:
-            raise MarketError(f"negative price for good {good!r}")
+    _check_prices_non_negative(prices)
     return _greedy_bundle(buyer.id, buyer.utilities, buyer.budget, prices)
 
 
@@ -302,6 +307,7 @@ def _verify(
     missing = [g for g in goods if g not in prices]
     if missing:
         raise MarketError(f"price map is not total; missing {missing}")
+    _check_prices_non_negative(prices)
     known_buyers = {bid for bid, _, _ in entries}
     for bid, row in allocation.items():
         if bid not in known_buyers:
@@ -428,19 +434,45 @@ def _utilities_from_json(obj: dict) -> dict[str, SplcUtility]:
     }
 
 
+def _segments_block(util: SplcUtility) -> str:
+    """A utility's segment list as it appears at its depth in market.json."""
+    if not util.segments:
+        return "[]"
+    segments = ",\n".join(
+        '          {\n            "length": "%(length)s",\n'
+        '            "slope": "%(slope)s"\n          }' % _segment_to_json(seg)
+        for seg in util.segments
+    )
+    return "[\n%s\n        ]" % segments
+
+
 def market_to_json(market: FisherMarket) -> str:
-    doc = {
-        "goods": list(market.goods),
-        "buyers": [
-            {
-                "id": b.id,
-                "budget": format_rational(b.budget),
-                "utilities": _utilities_to_json(b.utilities),
-            }
-            for b in market.buyers
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+
+    Written directly, since with an indent json.dumps falls back to its
+    pure-Python encoder.  Each utility object's segment block is encoded
+    once; compiled buyers share a few utility objects.
+    """
+    blocks: dict[int, str] = {}
+    buyers = []
+    for buyer in market.buyers:
+        entries = []
+        for good, util in sorted(buyer.utilities.items()):
+            block = blocks.get(id(util))
+            if block is None:
+                block = blocks[id(util)] = _segments_block(util)
+            entries.append(f"        {_encode_str(good)}: {block}")
+        utilities = "{\n%s\n      }" % ",\n".join(entries) if entries else "{}"
+        buyers.append(
+            f'    {{\n      "budget": "{format_rational(buyer.budget)}",\n'
+            f'      "id": {_encode_str(buyer.id)},\n'
+            f'      "utilities": {utilities}\n    }}'
+        )
+    goods = [f"    {_encode_str(good)}" for good in market.goods]
+    return '{\n  "buyers": %s,\n  "goods": %s\n}\n' % (
+        "[\n%s\n  ]" % ",\n".join(buyers) if buyers else "[]",
+        "[\n%s\n  ]" % ",\n".join(goods) if goods else "[]",
+    )
 
 
 def market_from_json(text: str) -> FisherMarket:

@@ -28,8 +28,13 @@ def parse_rational(text: str) -> Fraction:
         raise RationalFormatError(
             f"not an exact rational (use 'p/q' or an integer): {text!r}"
         )
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError as exc:  # beyond int()'s digit limit
+        raise RationalFormatError(
+            f"rational too long to parse ({len(text)} characters)"
+        ) from exc
     return Fraction(num, den)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -93,6 +93,27 @@ class ReductionParams:
         }
 
 
+def _scale(
+    epsilon: Fraction, override: Optional[dict]
+) -> tuple[Fraction, int, int, bool]:
+    """Validated (delta, d, k, guarantees_void); none depends on the node count."""
+    if not 0 <= epsilon < EPSILON_LIMIT:
+        raise ReductionError(
+            f"epsilon must lie in [0, 1/11); got {epsilon}"
+        )
+    delta = F(11, 4) * (EPSILON_LIMIT - epsilon)
+    d = 2 * _ceil_log2(3 / delta)
+    k = math.ceil(110 / delta)
+    if not override:
+        return delta, d, k, False
+    if set(override) != {"k", "d"}:
+        raise ReductionError("override must supply exactly {k, d}")
+    k, d = int(override["k"]), int(override["d"])
+    if k < 1 or d < 2 or d % 2 != 0:
+        raise ReductionError("override needs k >= 1 and even d >= 2")
+    return delta, d, k, True
+
+
 def compute_params(
     epsilon: Fraction,
     n_nodes: int,
@@ -105,23 +126,9 @@ def compute_params(
     {k, d} voids the correctness guarantees and is flagged as such.
     """
     epsilon = F(epsilon)
-    if not 0 <= epsilon < EPSILON_LIMIT:
-        raise ReductionError(
-            f"epsilon must lie in [0, 1/11); got {epsilon}"
-        )
+    delta, d, k, guarantees_void = _scale(epsilon, override)
     if n_nodes < 1:
         raise ReductionError("node count must be at least 1")
-    delta = F(11, 4) * (EPSILON_LIMIT - epsilon)
-    d = 2 * _ceil_log2(3 / delta)
-    k = math.ceil(110 / delta)
-    guarantees_void = False
-    if override:
-        if set(override) != {"k", "d"}:
-            raise ReductionError("override must supply exactly {k, d}")
-        k, d = int(override["k"]), int(override["d"])
-        if k < 1 or d < 2 or d % 2 != 0:
-            raise ReductionError("override needs k >= 1 and even d >= 2")
-        guarantees_void = True
     s = F(1, 20 * k * d * n_nodes)
     a = max(F(2), 4 * s / delta)
     h_min, h_max = s / 2, 2 * s
@@ -208,27 +215,60 @@ class ReducedMarket:
         return f"c{copy}/v{node}"
 
 
-def _inverter_utilities(
-    inputs: tuple[str, ...], output: str, params: ReductionParams
-) -> dict[str, SplcUtility]:
-    utils = {
-        good: SplcUtility((SplcSegment(params.t, params.a),))
-        for good in inputs
-    }
-    utils[output] = SplcUtility((SplcSegment(None, params.s),))
-    utils[REF_GOOD] = SplcUtility((SplcSegment(None, F(1)),))
-    return utils
+def _copy_template(
+    circuit: CircuitInstance, params: ReductionParams
+) -> tuple[list[tuple[str, GoodRole]], list[NotGadget], list[tuple[str, int]]]:
+    """One copy's goods, gadgets and top-up slots, with copy-local names
+    ("v0", "g0.1.1"); every copy is this template under its "c{c}/" prefix.
 
+    Goods carry their role without a copy; top-up slots are (good, slot)
+    pairs that pad every good to exactly two consuming gadgets.
+    """
+    goods = [(f"v{v}", GoodRole("variable", node=v)) for v in range(circuit.n)]
+    gadgets: list[NotGadget] = []
+    for gi, gate in enumerate(circuit.gates):
+        if gate.gate_type is GateType.NOT:
+            gadgets.append(
+                NotGadget(f"g{gi}", (f"v{gate.u}",), f"v{gate.v}", params.r_not)
+            )
+        elif gate.gate_type is GateType.NAND:
+            gadgets.append(
+                NotGadget(
+                    f"g{gi}",
+                    (f"v{gate.u}", f"v{gate.v}"),
+                    f"v{gate.w}",
+                    params.r_nand,
+                )
+            )
+        else:  # PURIFY: two chains of d NOT links
+            for chain, (out_node, r_of) in enumerate(
+                [(gate.v, params.r_chain1), (gate.w, params.r_chain2)], start=1
+            ):
+                prev = f"v{gate.u}"
+                for j in range(1, params.d + 1):
+                    if j < params.d:
+                        nxt = f"g{gi}.{chain}.{j}"
+                        goods.append(
+                            (nxt, GoodRole("chain", gate=gi, chain=chain, position=j))
+                        )
+                    else:
+                        nxt = f"v{out_node}"
+                    gadgets.append(
+                        NotGadget(f"g{gi}.{chain}.{j}", (prev,), nxt, r_of(j))
+                    )
+                    prev = nxt
 
-def _aux_buyer(
-    buyer_id: str, good: str, r: Fraction, h_high: Fraction, params: ReductionParams
-) -> Buyer:
-    """aux(good, r): pins exactly r units of `good`, remainder on ref."""
-    utilities = {
-        good: SplcUtility((SplcSegment(r, 2 * params.s),)),
-        REF_GOOD: SplcUtility((SplcSegment(None, F(1)),)),
-    }
-    return Buyer(buyer_id, r * h_high, utilities)
+    # a good's consumers are its out-degree, which compile_circuit caps at 2
+    consumers: dict[str, int] = {}
+    for gadget in gadgets:
+        for good in gadget.inputs:
+            consumers[good] = consumers.get(good, 0) + 1
+    top_ups = [
+        (good, slot)
+        for good, _ in goods
+        for slot in range(2 - consumers.get(good, 0))
+    ]
+    return goods, gadgets, top_ups
 
 
 def compile_circuit(
@@ -244,91 +284,76 @@ def compile_circuit(
             f"nodes with out-degree > 2 cannot be compiled: {over}"
         )
 
-    base = compute_params(epsilon, max(circuit.n, 1), override)
-    n_exp = max(expanded_node_count(circuit, base.d), 1)
-    params = compute_params(epsilon, n_exp, override)
+    d = _scale(F(epsilon), override)[1]
+    params = compute_params(
+        epsilon, max(expanded_node_count(circuit, d), 1), override
+    )
+    template_goods, template_gadgets, top_ups = _copy_template(circuit, params)
+    t = params.t
+
+    # The few distinct utility shapes, built once and shared by every buyer
+    # (both classes are frozen): ref (inf, 1), inverter input (t, a),
+    # inverter output (inf, s), and pin (r, 2s) for each amount r pinned.
+    ref_shape = SplcUtility((SplcSegment(None, F(1)),))
+    input_shape = SplcUtility((SplcSegment(t, params.a),))
+    output_shape = SplcUtility((SplcSegment(None, params.s),))
+    pin_shapes = {
+        r: SplcUtility((SplcSegment(r, 2 * params.s),))
+        for r in {t} | {g.r for g in template_gadgets if g.r > 0}
+    }
 
     goods: list[str] = [REF_GOOD]
     good_roles: dict[str, GoodRole] = {REF_GOOD: GoodRole("reference")}
-    buyers: list[Buyer] = [
-        Buyer(REF_BUYER, F(1), {REF_GOOD: SplcUtility((SplcSegment(None, F(1)),))})
-    ]
+    buyers: list[Buyer] = [Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape})]
     buyer_roles: dict[str, BuyerRole] = {REF_BUYER: BuyerRole("reference")}
     gadgets_by_copy: list[tuple[NotGadget, ...]] = []
 
     for c, (h_low, h_high) in enumerate(params.copy_intervals):
-        var = {v: f"c{c}/v{v}" for v in range(circuit.n)}
-        for v in range(circuit.n):
-            goods.append(var[v])
-            good_roles[var[v]] = GoodRole("variable", copy=c, node=v)
+        prefix = f"c{c}/"
+        for local, role in template_goods:
+            goods.append(prefix + local)
+            good_roles[prefix + local] = replace(role, copy=c)
+        # inverters spend t*h_low per input; aux(good, r) spends r*h_high
+        inverter_budget = {1: t * h_low, 2: 2 * t * h_low}
+        pin_budget = {r: r * h_high for r in pin_shapes}
 
-        gadgets: list[NotGadget] = []
-        for gi, gate in enumerate(circuit.gates):
-            if gate.gate_type is GateType.NOT:
-                gadgets.append(
-                    NotGadget(f"g{gi}", (var[gate.u],), var[gate.v], params.r_not)
-                )
-            elif gate.gate_type is GateType.NAND:
-                gadgets.append(
-                    NotGadget(
-                        f"g{gi}",
-                        (var[gate.u], var[gate.v]),
-                        var[gate.w],
-                        params.r_nand,
-                    )
-                )
-            else:  # PURIFY: two chains of d NOT links
-                for chain, (out_node, r_of) in enumerate(
-                    [(gate.v, params.r_chain1), (gate.w, params.r_chain2)], start=1
-                ):
-                    prev = var[gate.u]
-                    for j in range(1, params.d + 1):
-                        if j < params.d:
-                            nxt = f"c{c}/g{gi}.{chain}.{j}"
-                            goods.append(nxt)
-                            good_roles[nxt] = GoodRole(
-                                "chain", copy=c, gate=gi, chain=chain, position=j
-                            )
-                        else:
-                            nxt = var[out_node]
-                        gadgets.append(
-                            NotGadget(f"g{gi}.{chain}.{j}", (prev,), nxt, r_of(j))
-                        )
-                        prev = nxt
-        gadgets_by_copy.append(tuple(gadgets))
-
-        consumers: dict[str, int] = {}
-        for gadget in gadgets:
-            inv_id = f"c{c}/inv/{gadget.gadget_id}"
-            budget = len(gadget.inputs) * params.t * h_low
+        gadgets = []
+        for tg in template_gadgets:
+            gadget = NotGadget(
+                tg.gadget_id,
+                tuple(prefix + good for good in tg.inputs),
+                prefix + tg.output,
+                tg.r,
+            )
+            gadgets.append(gadget)
+            utilities = {good: input_shape for good in gadget.inputs}
+            utilities[gadget.output] = output_shape
+            utilities[REF_GOOD] = ref_shape
+            inv_id = f"{prefix}inv/{gadget.gadget_id}"
             buyers.append(
-                Buyer(inv_id, budget, _inverter_utilities(gadget.inputs, gadget.output, params))
+                Buyer(inv_id, inverter_budget[len(gadget.inputs)], utilities)
             )
             buyer_roles[inv_id] = BuyerRole("inverter", copy=c, gadget=gadget.gadget_id)
             if gadget.r > 0:
-                aux_id = f"c{c}/aux/{gadget.gadget_id}"
-                buyers.append(_aux_buyer(aux_id, gadget.output, gadget.r, h_high, params))
+                aux_id = f"{prefix}aux/{gadget.gadget_id}"
+                buyers.append(
+                    Buyer(
+                        aux_id,
+                        pin_budget[gadget.r],
+                        {gadget.output: pin_shapes[gadget.r], REF_GOOD: ref_shape},
+                    )
+                )
                 buyer_roles[aux_id] = BuyerRole(
                     "gate_aux", copy=c, gadget=gadget.gadget_id, r=gadget.r
                 )
-            for good in gadget.inputs:
-                consumers[good] = consumers.get(good, 0) + 1
+        gadgets_by_copy.append(tuple(gadgets))
 
-        for good in goods:
-            role = good_roles[good]
-            if role.kind == "reference" or role.copy != c:
-                continue
-            used = consumers.get(good, 0)
-            if used > 2:
-                raise ReductionError(
-                    f"good {good} has {used} consuming gadgets; expected <= 2"
-                )
-            for slot in range(2 - used):
-                top_id = f"c{c}/top/{good.split('/', 1)[1]}/{slot}"
-                buyers.append(_aux_buyer(top_id, good, params.t, h_high, params))
-                buyer_roles[top_id] = BuyerRole(
-                    "top_up", copy=c, good=good, r=params.t
-                )
+        for local, slot in top_ups:
+            good = prefix + local
+            top_id = f"{prefix}top/{local}/{slot}"
+            utilities = {good: pin_shapes[t], REF_GOOD: ref_shape}
+            buyers.append(Buyer(top_id, pin_budget[t], utilities))
+            buyer_roles[top_id] = BuyerRole("top_up", copy=c, good=good, r=t)
 
     market = FisherMarket(tuple(goods), tuple(buyers))
     return ReducedMarket(

@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from circuitmarket import cli
 from circuitmarket import (
+    Buyer,
+    FisherMarket,
+    SplcSegment,
+    SplcUtility,
     allocation_to_json,
     canonical_demand,
     compile_circuit,
@@ -253,3 +261,47 @@ def test_circuit_check_rejects_bad_value(circuit_file, tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert cli.run(["frobnicate"]) == 2
+
+
+def test_compile_rejects_eps_beyond_int_digit_limit(circuit_file, tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    code = cli.run(
+        ["compile", str(circuit_file), "--eps", "1" * (limit + 1),
+         "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    assert "too long" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_verify_rejects_negative_price(tmp_path, capsys):
+    market = FisherMarket(
+        ("x",), (Buyer("a", F(1), {"x": SplcUtility((SplcSegment(None, F(1)),))}),)
+    )
+    (tmp_path / "market.json").write_text(market_to_json(market))
+    (tmp_path / "prices.json").write_text(prices_to_json({"x": F(-1)}))
+    (tmp_path / "alloc.json").write_text("{}\n")
+    code = cli.run(
+        [
+            "verify", "--market", str(tmp_path / "market.json"),
+            "--prices", str(tmp_path / "prices.json"),
+            "--allocation", str(tmp_path / "alloc.json"), "--eps", "1",
+        ]
+    )
+    assert code == 3
+    assert "negative price" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    for module in ("circuitmarket", "circuitmarket.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: circuitmarket")

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from circuitmarket import (
     allocation_to_json,
     exchange_from_json,
     exchange_to_json,
+    format_rational,
     is_optimal,
     market_from_json,
     market_to_json,
@@ -153,6 +155,12 @@ def test_verify_requires_total_prices_and_known_names():
         verify_fisher(market, {"x": F(1), "y": F(1)}, {"zz": {}}, F(0))
 
 
+def test_verify_rejects_negative_prices():
+    market = FisherMarket(("x",), (Buyer("a", F(1), {"x": linear(1)}),))
+    with pytest.raises(MarketError, match="negative price"):
+        verify_fisher(market, {"x": F(-1)}, {}, F(1))
+
+
 def test_sufficient_condition():
     assert _two_buyer_market().satisfies_sufficient_condition()
     capped = FisherMarket(
@@ -195,6 +203,86 @@ def test_market_json_round_trip():
     again = market_from_json(market_to_json(market))
     assert again == market
     assert market_to_json(again) == market_to_json(market)
+
+
+NAMES = ["x", "y/z", 'q"uote', "back\\slash", "caf\u00e9", "snow\u2603",
+         "clef\U0001d11e", "tab\there", "ref", "c0/v1"]
+
+
+def _random_utility(rng):
+    slopes = sorted(
+        (F(rng.randint(0, 20), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))),
+        reverse=True,
+    )
+    segments = [SplcSegment(F(rng.randint(1, 9), rng.randint(1, 4)), s) for s in slopes]
+    if segments and rng.random() < 0.5:
+        segments[-1] = SplcSegment(None, segments[-1].slope)
+    return SplcUtility(tuple(segments))
+
+
+def _random_market(rng):
+    goods = rng.sample(NAMES, rng.randint(0, len(NAMES)))
+    shared = _random_utility(rng)
+    buyers = []
+    for i in range(rng.randint(0, 4)):
+        utilities = {
+            good: shared if rng.random() < 0.3 else _random_utility(rng)
+            for good in rng.sample(goods, rng.randint(0, len(goods)))
+        }
+        budget = F(rng.randint(1, 50), rng.randint(1, 7))
+        buyers.append(Buyer(f"b{i}{rng.choice(NAMES)}", budget, utilities))
+    return FisherMarket(tuple(goods), tuple(buyers))
+
+
+def _reference_market_json(market):
+    doc = {
+        "goods": list(market.goods),
+        "buyers": [
+            {
+                "id": b.id,
+                "budget": format_rational(b.budget),
+                "utilities": {
+                    good: [
+                        {
+                            "length": (
+                                "inf" if s.unbounded else format_rational(s.length)
+                            ),
+                            "slope": format_rational(s.slope),
+                        }
+                        for s in u.segments
+                    ]
+                    for good, u in b.utilities.items()
+                },
+            }
+            for b in market.buyers
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_market_json_writer_matches_json_dumps():
+    edge_cases = [
+        FisherMarket((), ()),
+        FisherMarket(("x", "y"), ()),
+        FisherMarket((), (Buyer("no utilities", F(1)),)),
+        FisherMarket(("x",), (Buyer("a", F(1), {"x": SplcUtility(())}),)),
+        FisherMarket(
+            ('q"uote', "y/z", "caf\u00e9"),
+            (
+                Buyer(
+                    "clef\U0001d11e",
+                    F(2, 3),
+                    {'q"uote': linear(1), "caf\u00e9": linear(2)},
+                ),
+            ),
+        ),
+    ]
+    rng = random.Random(20261018)
+    markets = edge_cases + [_random_market(rng) for _ in range(300)]
+    for market in markets:
+        text = market_to_json(market)
+        assert text == _reference_market_json(market)
+        assert market_to_json(market_from_json(text)) == text
 
 
 def test_exchange_prices_allocation_json_round_trips():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,3 +29,13 @@ def test_rejects_non_exact_forms(bad):
 def test_rejects_non_strings():
     with pytest.raises(RationalFormatError):
         parse_rational(0.5)
+
+
+def test_rejects_numbers_beyond_int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    digits = "1" * (limit + 1)
+    for text in (digits, f"1/{digits}"):
+        with pytest.raises(RationalFormatError, match="too long"):
+            parse_rational(text)

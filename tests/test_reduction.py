@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,14 @@ from circuitmarket import (
     decode,
     describe,
     expanded_node_count,
+    market_to_json,
     metadata_to_json,
     parse_circuit,
     structural_violations,
     thresholds,
     Value,
 )
+from circuitmarket import solver
 
 F = Fraction
 
@@ -209,3 +212,54 @@ def test_metadata_json_is_deterministic_and_complete():
     assert doc["circuit"]["gates"][0] == {"type": "PURIFY", "nodes": [0, 1, 2]}
     assert doc["good_roles"]["ref"] == {"kind": "reference"}
     assert doc["buyer_roles"]["c0/inv/g1"]["kind"] == "inverter"
+
+
+# sha256 of (market.json, meta.json) at eps = 1/12 with override k = 3, d = 4,
+# pinned so that a change to the compiler or the writers cannot silently
+# change the bytes on disk
+GOLDEN_DIGESTS = {
+    "NOT_CYCLE": (
+        solver.NOT_CYCLE,
+        "e73cd5030a533330a72120a36cfbd16b4042f811514149ab783d889332a4a54d",
+        "4dcf2e5a771baff5d07f9e8376cb5fc96b536651edfafc181cf744ac2c617d55",
+    ),
+    "NOT_FIXTURE": (
+        solver.NOT_FIXTURE,
+        "66b4bbf5319cb8ad85c328209f267c8d335b5317301d6be7d5a0911a2c5604dd",
+        "93ddcd2e5fe7d7e8642f60022bd9b7b93caf1f7201447d10eed050695da0d0aa",
+    ),
+    "NAND_FIXTURE": (
+        solver.NAND_FIXTURE,
+        "e616c6eb1a066f1985b3000e7bb35f69c7ec72affdfe5a4b43eb68f4befa1508",
+        "d377910d9365dc3dee0b18aede888889ca3041f004ea8c4d4b4b76b4a0dcb411",
+    ),
+    "PURIFY_FIXTURE": (
+        solver.PURIFY_FIXTURE,
+        "50bfaed14c0a6502c93384ec72ad1f0aa70c557570f75b80a7b8946cdc22a5ea",
+        "c07c4106cd6a878d2dc74431dd740e2465a7fa874a44c708b2dacdc5df5d7ed6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_compiled_artifacts_match_golden_bytes(name):
+    text, market_digest, meta_digest = GOLDEN_DIGESTS[name]
+    reduced = compile_circuit(parse_circuit(text), F(1, 12), {"k": 3, "d": 4})
+    sha = lambda doc: hashlib.sha256(doc.encode()).hexdigest()
+    assert sha(market_to_json(reduced.market)) == market_digest
+    assert sha(metadata_to_json(reduced)) == meta_digest
+
+
+def test_compiled_buyers_share_utility_shapes():
+    reduced = compile_circuit(
+        parse_circuit(solver.NAND_FIXTURE), F(1, 12), {"k": 3, "d": 4}
+    )
+    by_id = {b.id: b for b in reduced.market.buyers}
+    inputs = [
+        by_id[f"c{c}/inv/{gadget.gadget_id}"].utilities[good]
+        for c, gadgets in enumerate(reduced.gadgets_by_copy)
+        for gadget in gadgets
+        for good in gadget.inputs
+    ]
+    assert len(inputs) > 3
+    assert all(util is inputs[0] for util in inputs)

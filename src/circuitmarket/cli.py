@@ -174,23 +174,20 @@ def _load_meta(path: str):
     doc = _load_json(path, json.loads, "metadata")
     try:
         params = doc["params"]
-        gates = []
-        for g in doc["circuit"]["gates"]:
-            nodes = g["nodes"]
-            if g["type"] == "NOT":
-                gates.append(pc.Gate(pc.GateType.NOT, nodes[0], nodes[1]))
-            else:
-                gates.append(
-                    pc.Gate(pc.GateType[g["type"]], nodes[0], nodes[1], nodes[2])
-                )
-        circuit = pc.CircuitInstance(doc["circuit"]["n"], tuple(gates))
+        gates = tuple(
+            pc.Gate(pc.GateType[g["type"]], *g["nodes"])
+            for g in doc["circuit"]["gates"]
+        )
+        circuit = pc.CircuitInstance(doc["circuit"]["n"], gates)
         eps = parse_rational(params["epsilon"])
         override = None
         if params["guarantees_void"]:
             override = {"k": params["k"], "d": params["d"]}
         return reduction.compile_circuit(circuit, eps, override)
-    except (KeyError, TypeError, pc.CircuitError) as exc:
+    except (KeyError, TypeError, pc.CircuitError, RationalFormatError) as exc:
         raise _fail(f"{path}: bad metadata: {exc}", EXIT_USAGE) from exc
+    except reduction.ReductionError as exc:
+        raise _fail(f"{path}: {exc}", EXIT_PRECONDITION) from exc
 
 
 def _cmd_decode(args) -> int:
@@ -261,12 +258,16 @@ def _cmd_circuit_check(args) -> int:
     circuit = _load_circuit(args.circuit)
     doc = _load_json(args.assignment, json.loads, "assignment")
     values = {"0": pc.Value.ZERO, "1": pc.Value.ONE, "bot": pc.Value.BOT}
-    raw = doc.get("assignment", doc)
+    raw = doc.get("assignment", doc) if isinstance(doc, dict) else doc
+    if not isinstance(raw, dict):
+        raise _fail(
+            f"{args.assignment}: assignment must be a JSON object", EXIT_USAGE
+        )
     try:
         assignment = pc.Assignment(
             {int(node): values[val] for node, val in raw.items()}
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _fail(f"bad assignment value: {exc}", EXIT_USAGE) from exc
     try:
         verdicts = pc.check_assignment(circuit, assignment)
@@ -326,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="run the lemma suite on an equilibrium")
     p.add_argument("--meta", required=True)
-    p.add_argument("--market")
     p.add_argument("--prices", required=True)
     p.add_argument("--allocation", required=True)
     p.add_argument("--eps", required=True)

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
-from .rationals import format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -172,47 +172,61 @@ class BundleResult:
     spend: Fraction
 
 
-def _greedy_bundle(
+def _greedy_walk(
     buyer_id: str,
     utilities: dict[str, SplcUtility],
     budget: Fraction,
     prices: dict[str, Fraction],
-    tie_pref: Optional[Callable[[str], int]] = None,
-) -> BundleResult:
-    """Bang-per-buck greedy.  Ties break by (tie_pref, good id, segment index);
-    the default (no tie_pref) is the canonical bundle.
+    favor: Optional[str] = None,
+    first: bool = True,
+) -> Iterator[tuple[str, Fraction, Fraction, bool]]:
+    """Bang-per-buck greedy: yield (good, amount, cost, capped) per purchase.
+
+    Segments are taken by decreasing bang-per-buck; ties break by good id,
+    then segment index, except that the segments of `favor` go first
+    (first=True) or last among equal bang-per-buck.  `cost` is amount times
+    price; `capped` means the segment's length, not the budget, limited the
+    purchase.  Raises
+    UnboundedDemand if a good with positive slope has price zero.
     """
+    favored = -1 if first else 1
     items = []
     for good, util in sorted(utilities.items()):
         price = prices[good]
+        pref = favored if good == favor else 0
         for seg_idx, seg in enumerate(util.segments):
             if seg.slope == 0:
                 continue
             if price == 0:
                 raise UnboundedDemand(buyer_id, good)
-            bang = seg.slope / price
-            pref = tie_pref(good) if tie_pref is not None else 0
-            items.append((-bang, pref, good, seg_idx, seg))
+            items.append((-(seg.slope / price), pref, good, seg_idx, seg))
     items.sort(key=lambda it: it[:4])
 
     remaining = Fraction(budget)
-    bought: dict[str, Fraction] = {}
     for _, _, good, _, seg in items:
         if remaining == 0:
-            break
+            return
         price = prices[good]
-        if seg.unbounded:
-            amount = remaining / price
+        affordable = remaining / price
+        if seg.unbounded or affordable <= seg.length:
+            amount, capped = affordable, False
         else:
-            amount = min(seg.length, remaining / price)
+            amount, capped = seg.length, True
         if amount > 0:
-            bought[good] = bought.get(good, ZERO) + amount
-            remaining -= amount * price
+            cost = amount * price
+            remaining -= cost
+            yield good, amount, cost, capped
 
-    max_utility = sum(
-        (utilities[g].value(amt) for g, amt in bought.items()), ZERO
-    )
-    return BundleResult(max_utility, bought, Fraction(budget) - remaining)
+
+def _greedy_bundle(buyer_id, utilities, budget, prices) -> BundleResult:
+    """The canonical optimal bundle: the greedy walk with no favored good."""
+    bought: dict[str, Fraction] = {}
+    spend = ZERO
+    for good, amount, cost, _ in _greedy_walk(buyer_id, utilities, budget, prices):
+        bought[good] = bought.get(good, ZERO) + amount
+        spend += cost
+    max_utility = sum((utilities[g].value(a) for g, a in bought.items()), ZERO)
+    return BundleResult(max_utility, bought, spend)
 
 
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
@@ -316,12 +330,11 @@ def _verify(
             if good not in prices:
                 raise MarketError(f"allocation references unknown good {good!r}")
 
-    slacks: dict[str, Fraction] = {}
-    for good in goods:
-        total = sum(
-            (allocation.get(bid, {}).get(good, ZERO) for bid, _, _ in entries), ZERO
-        )
-        slacks[good] = total - 1
+    slacks = dict.fromkeys(goods, -ONE)
+    for row in allocation.values():
+        for good, amount in row.items():
+            if good in slacks:
+                slacks[good] += amount
 
     verdicts: dict[str, BuyerVerdict] = {}
     for bid, utilities, budget in entries:
@@ -487,7 +500,7 @@ def market_from_json(text: str) -> FisherMarket:
             for b in doc["buyers"]
         )
         return FisherMarket(tuple(doc["goods"]), buyers)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RationalFormatError) as exc:
         raise MarketError(f"bad market document: {exc}") from exc
 
 
@@ -520,7 +533,7 @@ def exchange_from_json(text: str) -> ExchangeMarket:
             for t in doc["buyers"]
         )
         return ExchangeMarket(tuple(doc["goods"]), traders)
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RationalFormatError) as exc:
         raise MarketError(f"bad exchange document: {exc}") from exc
 
 
@@ -529,8 +542,14 @@ def prices_to_json(prices: dict[str, Fraction]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MarketError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def prices_from_json(text: str) -> dict[str, Fraction]:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "price document")
     return {g: parse_rational(p) for g, p in doc.items()}
 
 
@@ -543,7 +562,11 @@ def allocation_to_json(allocation: dict[str, dict[str, Fraction]]) -> str:
 
 
 def allocation_from_json(text: str) -> dict[str, dict[str, Fraction]]:
-    doc = json.loads(text)
+    doc = _json_object(json.loads(text), "allocation document")
     return {
-        b: {g: parse_rational(a) for g, a in row.items()} for b, row in doc.items()
+        b: {
+            g: parse_rational(a)
+            for g, a in _json_object(row, f"allocation row {b!r}").items()
+        }
+        for b, row in doc.items()
     }

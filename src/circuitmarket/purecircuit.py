@@ -110,13 +110,6 @@ class CircuitInstance:
         if missing:
             raise CircuitError(f"nodes without a producing gate: {missing}")
 
-    def producer_of(self, node: int) -> int:
-        """Index of the gate that outputs `node`."""
-        for idx, gate in enumerate(self.gates):
-            if node in gate.outputs:
-                return idx
-        raise CircuitError(f"node {node} has no producer")
-
     def interaction_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
         """(in-degree, out-degree) per node in the interaction graph.
 

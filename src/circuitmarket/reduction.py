@@ -108,7 +108,9 @@ def _scale(
         return delta, d, k, False
     if set(override) != {"k", "d"}:
         raise ReductionError("override must supply exactly {k, d}")
-    k, d = int(override["k"]), int(override["d"])
+    k, d = override["k"], override["d"]
+    if not (isinstance(k, int) and isinstance(d, int)):
+        raise ReductionError(f"override k and d must be integers; got {k!r}, {d!r}")
     if k < 1 or d < 2 or d % 2 != 0:
         raise ReductionError("override needs k >= 1 and even d >= 2")
     return delta, d, k, True

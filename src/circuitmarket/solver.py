@@ -31,6 +31,7 @@ from .market import (
     MarketError,
     SplcUtility,
     _greedy_bundle,
+    _greedy_walk,
     verify_fisher,
 )
 from .rationals import format_rational
@@ -95,7 +96,6 @@ class SolverConfig:
     max_iters: int = 200
     epsilon: Fraction = F(1, 12)
     floor: Fraction = F(1, 10**9)
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -185,6 +185,28 @@ def _interested_buyers(market: FisherMarket, good: str) -> list[Buyer]:
     return out
 
 
+def _free_good_fold(
+    buyers: list[Buyer], good: str, prices: dict[str, Fraction], first: bool
+) -> tuple[Fraction, Fraction, Fraction]:
+    """(demand, C, M) for `good` at `prices`, greedy ties broken towards the
+    good (first) or away from it.
+
+    Away from tie prices demand = C + M/p locally: C collects cap-limited
+    purchases of the good (constant in p), M the money spent on
+    budget-limited ones (demand scales as M/p).
+    """
+    const = money = ZERO
+    for buyer in buyers:
+        for g, amount, cost, capped in _greedy_walk(
+            buyer.id, buyer.utilities, buyer.budget, prices, good, first
+        ):
+            if g == good and capped:
+                const += amount
+            elif g == good:
+                money += cost
+    return const + money / prices[good], const, money
+
+
 def _demand_interval(
     buyers: list[Buyer], good: str, prices: dict[str, Fraction], p: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -192,62 +214,11 @@ def _demand_interval(
 
     Extremes are reached by breaking greedy ties against/towards the good.
     """
-    pr = dict(prices)
-    pr[good] = p
-    lo = hi = ZERO
-    for buyer in buyers:
-        last = _greedy_bundle(
-            buyer.id, buyer.utilities, buyer.budget, pr,
-            tie_pref=lambda g: 1 if g == good else 0,
-        )
-        first = _greedy_bundle(
-            buyer.id, buyer.utilities, buyer.budget, pr,
-            tie_pref=lambda g: -1 if g == good else 0,
-        )
-        lo += last.bundle.get(good, ZERO)
-        hi += first.bundle.get(good, ZERO)
-    return lo, hi
-
-
-def _local_model(
-    buyers: list[Buyer], good: str, prices: dict[str, Fraction], p: Fraction
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(demand, C, M) with demand = C + M/p locally around a tie-free p.
-
-    C collects cap-limited purchases of the free good (constant in p), M the
-    money spent on budget-limited purchases (demand scales as M/p).
-    """
-    pr = dict(prices)
-    pr[good] = p
-    demand = const = money = ZERO
-    for buyer in buyers:
-        items = []
-        for g, util in sorted(buyer.utilities.items()):
-            price = pr[g]
-            for seg_idx, seg in enumerate(util.segments):
-                if seg.slope == 0:
-                    continue
-                items.append((-(seg.slope / price), g, seg_idx, seg))
-        items.sort(key=lambda it: it[:3])
-        remaining = buyer.budget
-        for _, g, _, seg in items:
-            if remaining == 0:
-                break
-            price = pr[g]
-            affordable = remaining / price
-            if seg.unbounded or affordable <= seg.length:
-                amount, capped = affordable, False
-            else:
-                amount, capped = seg.length, True
-            if amount > 0:
-                remaining -= amount * price
-                if g == good:
-                    demand += amount
-                    if capped:
-                        const += amount
-                    else:
-                        money += amount * price
-    return demand, const, money
+    pr = {**prices, good: p}
+    return (
+        _free_good_fold(buyers, good, pr, first=False)[0],
+        _free_good_fold(buyers, good, pr, first=True)[0],
+    )
 
 
 def _tie_candidates(
@@ -294,11 +265,12 @@ def _region_crossing(
     Bisection accelerated by solving the local C + M/p model; returns
     (exact price or None, best within-epsilon fallback or None).
     """
+    pr = dict(prices)
     lo, hi = x, y
     best = None
     for _ in range(max_iters):
-        p = (lo + hi) / 2
-        demand, const, money = _local_model(buyers, good, prices, p)
+        p = pr[good] = (lo + hi) / 2
+        demand, const, money = _free_good_fold(buyers, good, pr, first=True)
         if demand == 1:
             return p, best
         if abs(demand - 1) <= epsilon and best is None:
@@ -306,7 +278,8 @@ def _region_crossing(
         if money > 0 and const < 1:
             cand = money / (1 - const)
             if x < cand < y:
-                d_cand, _, _ = _local_model(buyers, good, prices, cand)
+                pr[good] = cand
+                d_cand, _, _ = _free_good_fold(buyers, good, pr, first=True)
                 if d_cand == 1:
                     return cand, best
         if demand > 1:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -305,3 +306,74 @@ def test_python_dash_m_runs_the_cli():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: circuitmarket")
+
+
+def _assert_json_error(capsys, code):
+    err = json.loads(capsys.readouterr().err)
+    assert err["code"] == code
+    return err["error"]
+
+
+@pytest.mark.parametrize("command", ["to-exchange", "verify", "solve"])
+def test_decimal_rational_in_market_file_is_usage_error(
+    command, equilibrium, tmp_path, capsys
+):
+    market_path, prices_path, alloc_path = equilibrium
+    bad = tmp_path / "bad-market.json"
+    text, count = re.subn(
+        r'"budget": "[^"]*"', '"budget": "0.5"', market_path.read_text(), count=1
+    )
+    assert count == 1
+    bad.write_text(text)
+    argv = {
+        "to-exchange": ["to-exchange", "--market", str(bad)],
+        "verify": [
+            "verify", "--market", str(bad), "--prices", str(prices_path),
+            "--allocation", str(alloc_path), "--eps", "1/12",
+        ],
+        "solve": [
+            "solve", "--market", str(bad), "--eps", "1/12",
+            "--out", str(tmp_path / "run"),
+        ],
+    }[command]
+    assert cli.run(argv) == 2
+    assert "bad market document" in _assert_json_error(capsys, 2)
+
+
+@pytest.mark.parametrize(
+    "param, value, code",
+    [("epsilon", "0.5", 2), ("epsilon", "1/2", 3), ("k", "abc", 3), ("k", 1.5, 3)],
+)
+def test_decode_meta_with_bad_params(
+    param, value, code, compiled, equilibrium, tmp_path, capsys
+):
+    _, prices_path, _ = equilibrium
+    doc = json.loads((compiled / "meta.json").read_text())
+    doc["params"][param] = value
+    meta = tmp_path / "bad-meta.json"
+    meta.write_text(json.dumps(doc))
+    assert cli.run(
+        ["decode", "--meta", str(meta), "--prices", str(prices_path)]
+    ) == code
+    _assert_json_error(capsys, code)
+
+
+def test_decode_rejects_non_object_prices(compiled, tmp_path, capsys):
+    prices = tmp_path / "prices.json"
+    prices.write_text("[1, 2]\n")
+    assert cli.run(
+        ["decode", "--meta", str(compiled / "meta.json"), "--prices", str(prices)]
+    ) == 2
+    assert "price document" in _assert_json_error(capsys, 2)
+
+
+@pytest.mark.parametrize("doc", [[], {"assignment": ["0", "1"]}])
+def test_circuit_check_rejects_non_object_assignment(
+    doc, circuit_file, tmp_path, capsys
+):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(
+        ["circuit-check", str(circuit_file), "--assignment", str(path)]
+    ) == 2
+    assert "JSON object" in _assert_json_error(capsys, 2)

@@ -321,3 +321,31 @@ def test_greedy_matches_oracle_on_fixed_cases():
         assert optimal_bundle(buyer, prices).max_utility == oracle_max_utility(
             utilities, buyer.budget, prices
         )
+
+
+def test_json_readers_reject_decimal_rationals():
+    market = _two_buyer_market()
+    text = market_to_json(market).replace('"budget": "1"', '"budget": "0.5"', 1)
+    with pytest.raises(MarketError, match="bad market document"):
+        market_from_json(text)
+    text = exchange_to_json(to_exchange(market)).replace('"1/2"', '"0.5"', 1)
+    with pytest.raises(MarketError, match="bad exchange document"):
+        exchange_from_json(text)
+
+
+def test_price_and_allocation_readers_reject_non_objects():
+    with pytest.raises(MarketError, match="price document"):
+        prices_from_json("[1, 2]")
+    with pytest.raises(MarketError, match="allocation document"):
+        allocation_from_json("[]")
+    with pytest.raises(MarketError, match="allocation row 'a'"):
+        allocation_from_json('{"a": ["x"]}')
+
+
+def test_verify_ignores_allocated_goods_outside_the_market():
+    market = _two_buyer_market()
+    prices = {"x": F(1), "y": F(1), "z": F(0)}
+    allocation = {"a": {"x": F(1), "z": F(5)}, "b": {"y": F(1)}}
+    report = verify_fisher(market, prices, allocation, F(0))
+    assert report.slacks == {"x": F(0), "y": F(0)}
+    assert report.passed

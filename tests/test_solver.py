@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,7 +31,16 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
-from circuitmarket.solver import NAND_FIXTURE, NOT_CYCLE, NOT_FIXTURE, PURIFY_FIXTURE
+from circuitmarket.solver import (
+    NAND_FIXTURE,
+    NOT_CYCLE,
+    NOT_FIXTURE,
+    PURIFY_FIXTURE,
+    _demand_interval,
+    _free_good_fold,
+    _interested_buyers,
+    _tie_candidates,
+)
 
 F = Fraction
 
@@ -114,6 +126,58 @@ def test_pinned_bisection_no_interested_buyer():
     )
     with pytest.raises(BracketError, match="interested"):
         pinned_bisection(market, {"ref": F(1)}, "x", (F(1), F(2)), F(0))
+
+
+def _random_clearing_case(rng):
+    """A small market with free good "x" and positive pinned prices drawn
+    from a coarse grid, so greedy ties with "x" are common."""
+    goods = ["x", "y", "z"]
+    buyers = []
+    for i in range(rng.randint(1, 3)):
+        utilities = {}
+        for good in goods:
+            if good != "x" and rng.random() < 0.3:
+                continue
+            least = 1 if good == "x" else 0
+            slopes = sorted(
+                (F(rng.randint(least, 4)) for _ in range(rng.randint(1, 3))),
+                reverse=True,
+            )
+            segments = [seg(F(rng.randint(1, 3), rng.randint(1, 2)), s) for s in slopes]
+            if rng.random() < 0.5:
+                segments[-1] = seg(None, slopes[-1])
+            utilities[good] = SplcUtility(tuple(segments))
+        buyers.append(Buyer(f"b{i}", F(rng.randint(1, 4)), utilities))
+    market = FisherMarket(tuple(goods), tuple(buyers))
+    prices = {g: F(rng.randint(1, 4), rng.randint(1, 2)) for g in ("y", "z")}
+    return market, prices
+
+
+def test_demand_interval_is_consistent_with_the_greedy_walk():
+    rng = random.Random(2024)
+    lo, hi = F(1, 8), F(8)
+    ties_seen = wide_ties = 0
+    for _ in range(100):
+        market, prices = _random_clearing_case(rng)
+        buyers = _interested_buyers(market, "x")
+        ties = _tie_candidates(buyers, "x", prices, lo, hi)
+        points = [lo] + ties + [hi]
+        off_ties = [(a + b) / 2 for a, b in zip(points, points[1:])]
+        off_ties += [F(rng.randint(2, 63), 8) for _ in range(4)]
+        for p in off_ties:
+            if p in ties:
+                continue
+            pr = {**prices, "x": p}
+            assert _free_good_fold(buyers, "x", pr, first=True) == _free_good_fold(
+                buyers, "x", pr, first=False
+            )
+        for p in ties:
+            dmin, dmax = _demand_interval(buyers, "x", prices, p)
+            canonical = canonical_demand(market, {**prices, "x": p}).aggregate["x"]
+            assert dmin <= canonical <= dmax
+            ties_seen += 1
+            wide_ties += dmin < dmax
+    assert ties_seen > 100 and wide_ties > 50
 
 
 # --- grid search ------------------------------------------------------------
@@ -259,11 +323,18 @@ def test_purify_sweep_trichotomy_small_mesh():
     assert points[-1].out1 >= fix.h and points[-1].out2 >= fix.h
 
 
+# sha256 of the gadget-lab summary below: every clearing price it reports
+# must stay bit-identical when the greedy walk behind them is refactored.
+GADGET_LAB_DIGEST = "5c7c467a9881b1a6d07aecfaca840f120128f4a164b0b01285795af5ff9ea298"
+
+
 def test_gadget_lab_report_passes():
     summary = gadget_lab_report(F(1, 12), mesh=8)
     assert summary["pass"]
     assert len(summary["checks"]) == 6
     assert summary["purify_sweep"]["violations"] == []
+    text = json.dumps(summary, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GADGET_LAB_DIGEST
 
 
 # --- lemma suite ------------------------------------------------------------

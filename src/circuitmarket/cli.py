@@ -6,7 +6,9 @@ gadget-lab, circuit-check.  Exit codes: 0 success / verified pass,
 3 precondition error (for example epsilon outside [0, 1/11)).
 
 All rationals cross the boundary as exact "p/q" strings; decimal epsilon
-is rejected rather than rounded.  Output files are written atomically.
+is rejected rather than rounded.  Output files are written atomically
+(to a temporary file in the same directory, then renamed) and get the mode
+a plain open() would give them, 0o666 minus the process umask.
 """
 
 from __future__ import annotations
@@ -40,12 +42,19 @@ def _fail(message: str, code: int) -> CliError:
     return CliError(message, code)
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())  # mkstemp made it 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterator, Optional
@@ -142,6 +143,19 @@ class FisherMarket:
             any(u.strictly_increasing for u in b.utilities.values())
             for b in self.buyers
         )
+
+    @cached_property
+    def interested_buyers(self) -> dict[str, tuple[Buyer, ...]]:
+        """good -> buyers with some positive-slope segment of it, in buyer
+        order.  Built on first use, not with the market, so compiling or
+        reading a market does not pay for it; goods nobody wants are absent.
+        """
+        index: dict[str, list[Buyer]] = {}
+        for buyer in self.buyers:
+            for good, util in buyer.utilities.items():
+                if any(seg.slope > 0 for seg in util.segments):
+                    index.setdefault(good, []).append(buyer)
+        return {good: tuple(buyers) for good, buyers in index.items()}
 
 
 @dataclass(frozen=True)

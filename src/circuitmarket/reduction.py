@@ -469,12 +469,8 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
             )
 
     # at most four buyers with non-zero utility per non-reference good
-    interest: dict[str, int] = {g: 0 for g in market.goods}
-    for buyer in market.buyers:
-        for good, util in buyer.utilities.items():
-            if any(seg.slope > 0 for seg in util.segments):
-                interest[good] += 1
-    for good, n in interest.items():
+    for good in market.goods:
+        n = len(market.interested_buyers.get(good, ()))
         if good != REF_GOOD and n > 4:
             violations.append(f"good {good} has {n} interested buyers > 4")
 

@@ -6,9 +6,10 @@ Three complementary oracles:
   is recorded, never guaranteed.
 * ``pinned_bisection`` — finds the clearing price of a single free good with
   all other prices pinned.  Aggregate demand for the free good is piecewise
-  of the form C + M/p between greedy tie prices, so the search enumerates
-  the tie candidates (where the optimal-bundle set is set-valued and demand
-  jumps) and solves the hyperbolic pieces exactly; results are exact
+  of the form C + M/p between greedy tie prices and does not increase with
+  the price, so the search scans the tie candidates (where the
+  optimal-bundle set is set-valued and demand jumps) in increasing order
+  and solves only the hyperbolic piece that can cross 1; results are exact
   rationals whenever an exact clearing exists in the bracket.
 * ``grid_search`` — exhaustive lexicographic scan over a small price grid.
 
@@ -138,7 +139,7 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     for iteration in range(config.max_iters + 1):
         profile = canonical_demand(market, prices)
         slacks = {g: profile.aggregate[g] - 1 for g in market.goods}
-        max_abs = max(abs(s) for s in slacks.values())
+        max_abs = max((abs(s) for s in slacks.values()), default=ZERO)
         violating = sum(1 for s in slacks.values() if abs(s) > config.epsilon)
         trace.append(TraceRow(iteration, max_abs, violating))
         if best_slack is None or max_abs < best_slack:
@@ -176,17 +177,12 @@ def trace_to_csv(trace: tuple[TraceRow, ...]) -> str:
 # pinned-price bisection
 
 
-def _interested_buyers(market: FisherMarket, good: str) -> list[Buyer]:
-    out = []
-    for buyer in market.buyers:
-        util = buyer.utilities.get(good)
-        if util is not None and any(seg.slope > 0 for seg in util.segments):
-            out.append(buyer)
-    return out
+def _interested_buyers(market: FisherMarket, good: str) -> tuple[Buyer, ...]:
+    return market.interested_buyers.get(good, ())
 
 
 def _free_good_fold(
-    buyers: list[Buyer], good: str, prices: dict[str, Fraction], first: bool
+    buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction], first: bool
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(demand, C, M) for `good` at `prices`, greedy ties broken towards the
     good (first) or away from it.
@@ -208,7 +204,7 @@ def _free_good_fold(
 
 
 def _demand_interval(
-    buyers: list[Buyer], good: str, prices: dict[str, Fraction], p: Fraction
+    buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction], p: Fraction
 ) -> tuple[Fraction, Fraction]:
     """[min, max] demand for `good` at price p over all optimal bundles.
 
@@ -222,7 +218,7 @@ def _demand_interval(
 
 
 def _tie_candidates(
-    buyers: list[Buyer], good: str, prices: dict[str, Fraction],
+    buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction],
     lo: Fraction, hi: Fraction,
 ) -> list[Fraction]:
     """Prices in (lo, hi) where some buyer's bang-per-buck on the free good
@@ -299,11 +295,16 @@ def pinned_bisection(
 ) -> BisectionResult:
     """Clearing price of `free_good` with every other price pinned.
 
-    Scans the bracket in increasing price order: tie-free regions are solved
-    through their local hyperbolic demand model, and at each greedy tie price
-    the set-valued demand interval [min, max] is checked for containing 1
-    (an exact clearing, realizable by splitting the indifferent buyers).
-    Falls back to any point whose demand is within epsilon of 1.
+    Scans the greedy tie prices of the bracket in increasing order: at each
+    one the set-valued demand interval [min, max] is checked for containing
+    1 (an exact clearing, realizable by splitting the indifferent buyers),
+    and the tie-free region before it is solved through its local
+    hyperbolic demand model.  With the other prices fixed, demand for the
+    good does not increase with its price, so a region (x, y) is searched
+    only if min demand at x > 1 >= max demand at y, and the scan stops once
+    max demand falls below 1.  Without an exact clearing, the same scan with
+    tolerance epsilon returns the first point whose demand is within epsilon
+    of 1.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -327,33 +328,42 @@ def pinned_bisection(
         )
 
     points = [lo] + _tie_candidates(buyers, free_good, pinned, lo, hi) + [hi]
-    approx: Optional[tuple[Fraction, Fraction, Fraction]] = None
+    intervals = {0: d_lo, len(points) - 1: d_hi}
+    crossings: dict[int, tuple] = {}
 
-    def note_approx(price, dmin, dmax):
-        nonlocal approx
-        if approx is None and dmin <= 1 + epsilon and dmax >= 1 - epsilon:
-            approx = (price, dmin, dmax)
+    def interval(i: int) -> tuple[Fraction, Fraction]:
+        if i not in intervals:
+            intervals[i] = _demand_interval(buyers, free_good, pinned, points[i])
+        return intervals[i]
 
-    for idx, point in enumerate(points):
-        dmin, dmax = _demand_interval(buyers, free_good, pinned, point)
-        if dmin <= 1 <= dmax:
-            return BisectionResult(point, dmin, dmax, True)
-        note_approx(point, dmin, dmax)
-        if idx + 1 < len(points):
-            exact, fallback = _region_crossing(
-                buyers, free_good, pinned, point, points[idx + 1], epsilon,
-                max_iters,
-            )
-            if exact is not None:
-                return BisectionResult(exact, ONE, ONE, True)
-            if fallback is not None:
-                note_approx(fallback[0], fallback[1], fallback[1])
+    def scan(tol: Fraction, exact: bool) -> Optional[BisectionResult]:
+        """First point, in increasing price order, whose demand is within
+        tol of 1; region searches are shared between the two scans."""
+        for i, point in enumerate(points):
+            dmin, dmax = interval(i)
+            if i and interval(i - 1)[0] > 1 + tol >= dmax:
+                if i - 1 not in crossings:
+                    crossings[i - 1] = _region_crossing(
+                        buyers, free_good, pinned, points[i - 1], point,
+                        epsilon, max_iters,
+                    )
+                found, near = crossings[i - 1]
+                if exact and found is not None:
+                    return BisectionResult(found, ONE, ONE, True)
+                if not exact and near is not None:
+                    return BisectionResult(near[0], near[1], near[1], False)
+            if dmin <= 1 + tol and dmax >= 1 - tol:
+                return BisectionResult(point, dmin, dmax, exact)
+            if dmax < 1 - tol:
+                return None
+        return None
 
-    if approx is not None:
-        return BisectionResult(approx[0], approx[1], approx[2], False)
-    raise BracketError(
-        f"no clearing price for {free_good!r} in [{lo}, {hi}] at epsilon={epsilon}"
-    )
+    result = scan(ZERO, True) or scan(epsilon, False)
+    if result is None:
+        raise BracketError(
+            f"no clearing price for {free_good!r} in [{lo}, {hi}] at epsilon={epsilon}"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +741,13 @@ def lemma_suite(
             LemmaRecord("price-band", good, 0 < p <= h, {"price": p, "H": h})
         )
 
+    # total allocation of each good, so a gadget's outside demand is its
+    # output's column minus the gadget's own inverter and aux buyers
+    column: dict[str, Fraction] = {}
+    for row in allocation.values():
+        for good, amount in row.items():
+            column[good] = column.get(good, ZERO) + amount
+
     gadgets = reduced.gadgets_by_copy[c]
     for gadget in gadgets:
         inv_id = f"c{c}/inv/{gadget.gadget_id}"
@@ -765,14 +782,10 @@ def lemma_suite(
                 )
             )
 
-        member_ids = {inv_id, aux_id}
-        outside = sum(
-            (
-                row.get(out, ZERO)
-                for bid, row in allocation.items()
-                if bid not in member_ids
-            ),
-            ZERO,
+        outside = (
+            column.get(out, ZERO)
+            - _alloc_of(allocation, inv_id, out)
+            - _alloc_of(allocation, aux_id, out)
         )
         records.append(
             LemmaRecord(

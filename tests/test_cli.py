@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -377,3 +378,36 @@ def test_circuit_check_rejects_non_object_assignment(
         ["circuit-check", str(circuit_file), "--assignment", str(path)]
     ) == 2
     assert "JSON object" in _assert_json_error(capsys, 2)
+
+
+def test_solve_on_empty_market_converges_at_once(tmp_path, capsys):
+    market = tmp_path / "market.json"
+    market.write_text(market_to_json(FisherMarket((), ())))
+    out = tmp_path / "run"
+    code = cli.run(["solve", "--market", str(market), "--eps", "1/12", "--out", str(out)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"converged": True, "iterations": 0}
+    assert json.loads((out / "prices.json").read_text()) == {}
+
+
+def test_solve_on_market_with_buyers_but_no_goods_is_precondition_error(tmp_path):
+    market = tmp_path / "market.json"
+    market.write_text(market_to_json(FisherMarket((), (Buyer("b", F(1)),))))
+    code = cli.run(["solve", "--market", str(market), "--eps", "1/12",
+                    "--out", str(tmp_path / "run")])
+    assert code == 3
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
+def test_compile_outputs_get_the_umask_mode(circuit_file, tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        code = cli.run(
+            ["compile", str(circuit_file), "--eps", "0", "--out", str(tmp_path / "b")]
+            + OVERRIDE_ARGS
+        )
+    finally:
+        os.umask(old)
+    assert code == 0
+    for name in ("market.json", "meta.json"):
+        assert stat.S_IMODE((tmp_path / "b" / name).stat().st_mode) == mode

@@ -1,10 +1,15 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import pytest
 
 from circuitmarket import (
+    Buyer,
+    FisherMarket,
     ReductionError,
+    SplcSegment,
+    SplcUtility,
     census,
     compile_circuit,
     compute_params,
@@ -167,6 +172,31 @@ def test_compiled_markets_have_no_structural_violations():
     for text, override in corpus:
         reduced = compile_circuit(parse_circuit(text), F(1, 12), override)
         assert structural_violations(reduced) == []
+
+
+def test_interest_cap_counts_the_buyers_clearing_uses():
+    """The at-most-four rule counts buyers with a positive-slope segment of
+    the good, as the single-good clearing does; zero-slope buyers do not."""
+    reduced = compile_circuit(NOT_CYCLE, F(0), {"k": 1, "d": 2})
+    market = reduced.market
+    good = "c0/v0"
+    wanting = len(solver._interested_buyers(market, good))
+    assert 0 < wanting <= 4
+
+    def extra(i, slope):
+        util = SplcUtility((SplcSegment(None, F(slope)),))
+        return Buyer(f"extra{i}", F(1, 10**6), {good: util})
+
+    crowded = FisherMarket(
+        market.goods,
+        market.buyers
+        + tuple(extra(i, 1) for i in range(5 - wanting))
+        + (extra(9, 0),),
+    )
+    assert len(solver._interested_buyers(crowded, good)) == 5
+    violations = structural_violations(dataclasses.replace(reduced, market=crowded))
+    assert f"good {good} has 5 interested buyers > 4" in violations
+    assert not any("interested" in v and good not in v for v in violations)
 
 
 def test_decode_thresholds_and_boundaries():

@@ -21,6 +21,7 @@ from circuitmarket import (
     compile_circuit,
     compute_params,
     decode,
+    format_rational,
     gadget_lab_report,
     grid_search,
     lemma_suite,
@@ -31,6 +32,7 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
+from circuitmarket import solver
 from circuitmarket.solver import (
     NAND_FIXTURE,
     NOT_CYCLE,
@@ -178,6 +180,86 @@ def test_demand_interval_is_consistent_with_the_greedy_walk():
             ties_seen += 1
             wide_ties += dmin < dmax
     assert ties_seen > 100 and wide_ties > 50
+
+
+CLEARING_EPSILONS = (F(0), F(1, 12), F(1, 4), F(1, 2))
+
+
+def _random_clearing_queries(n, seed):
+    """n seeded (market, pinned prices, bracket, epsilon) queries for "x"
+    with random brackets inside [1/8, 10]."""
+    rng = random.Random(seed)
+    for i in range(n):
+        market, prices = _random_clearing_case(rng)
+        lo = F(rng.randint(1, 16), 8)
+        yield market, prices, (lo, lo + F(rng.randint(1, 64), 8)), CLEARING_EPSILONS[i % 4]
+
+
+def _clearing_outcome(market, prices, bracket, eps):
+    try:
+        result = pinned_bisection(market, prices, "x", bracket, eps)
+    except BracketError as exc:
+        return ["BracketError", str(exc)]
+    return [
+        format_rational(result.price),
+        format_rational(result.demand_low),
+        format_rational(result.demand_high),
+        result.exact,
+    ]
+
+
+# sha256 of the JSON list of outcomes below, taken before the scan learned to
+# skip regions that cannot hold the clearing price: every price, demand
+# interval, exactness flag and error message must stay as they were.
+CLEARING_DIGEST = "3a109c303bf70d5124d0594aa24cbba160f31a17181850fb27578d298688c647"
+
+
+def test_pinned_bisection_outcomes_are_pinned():
+    outcomes = [_clearing_outcome(*q) for q in _random_clearing_queries(3000, 4)]
+    kinds = {"exact": 0, "approx": 0, "error": 0}
+    for outcome in outcomes:
+        if outcome[0] == "BracketError":
+            kinds["error"] += 1
+        else:
+            kinds["exact" if outcome[3] else "approx"] += 1
+    assert kinds["exact"] > 1000 and kinds["approx"] > 100 and kinds["error"] > 100
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == CLEARING_DIGEST
+
+
+def test_region_search_only_where_demand_can_cross(monkeypatch):
+    """Demand for the free good does not increase with its price, so only a
+    tie-free region (x, y) with dmin(x) > 1 >= dmax(y) can hold an exact
+    clearing; the epsilon fallback widens that to dmin(x) > 1 + eps >= dmax(y).
+    """
+    entered = []
+    real = solver._region_crossing
+
+    def spy(buyers, good, prices, x, y, epsilon, max_iters):
+        entered.append((x, y))
+        return real(buyers, good, prices, x, y, epsilon, max_iters)
+
+    monkeypatch.setattr(solver, "_region_crossing", spy)
+    exact_calls = fallback_calls = regions = 0
+    for market, prices, (lo, hi), eps in _random_clearing_queries(400, 11):
+        entered.clear()
+        outcome = _clearing_outcome(market, prices, (lo, hi), eps)
+        buyers = _interested_buyers(market, "x")
+        regions += len(_tie_candidates(buyers, "x", prices, lo, hi)) + 1
+        assert len(set(entered)) == len(entered)
+        for x, y in entered:
+            dmin_x = _demand_interval(buyers, "x", prices, x)[0]
+            dmax_y = _demand_interval(buyers, "x", prices, y)[1]
+            if outcome[0] != "BracketError" and outcome[3]:
+                assert dmin_x > 1 >= dmax_y
+                exact_calls += 1
+            elif dmin_x > 1 >= dmax_y:
+                exact_calls += 1  # the exact search ran first and found nothing
+            else:
+                assert dmin_x > 1 + eps >= dmax_y
+                fallback_calls += 1
+    assert exact_calls > 50 and fallback_calls > 5
+    assert exact_calls + fallback_calls < regions / 4
 
 
 # --- grid search ------------------------------------------------------------
@@ -374,6 +456,24 @@ def test_lemma_suite_passes_on_equilibrium(hand_equilibrium):
                   "outside-gate-band", "external-demand-cap"):
         assert len(by_check[check]) == 2
     assert all(r.witness["allocated"] == F(2, 11) for r in by_check["aux-exact"])
+
+
+# sha256 of the CLI-formatted lemma report on the hand equilibrium, taken
+# before the outside-gate-band sum read per-good allocation columns.
+LEMMA_REPORT_DIGEST = "4b03b658a54220d902a5444b31a056ddcc9ae949681ea8bca193d75b0ef2cf12"
+
+
+def test_lemma_report_on_hand_equilibrium_is_pinned(hand_equilibrium):
+    reduced, prices, allocation = hand_equilibrium
+    report = lemma_suite(reduced, prices, allocation, F(0)).to_json_dict()
+    outside = [
+        r["witness"]["outside"]
+        for r in report["records"]
+        if r["check"] == "outside-gate-band"
+    ]
+    assert outside == ["8/11", "8/11"]  # 1 minus the inverter's and aux's share
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMA_REPORT_DIGEST
 
 
 def test_lemma_suite_aborts_off_equilibrium(hand_equilibrium):

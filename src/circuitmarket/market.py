@@ -103,6 +103,23 @@ def utility_value(u: SplcUtility, amount: Fraction) -> Fraction:
     return u.value(amount)
 
 
+def _check_agents(goods: tuple[str, ...], agents: tuple, kind: str) -> None:
+    """Distinct good ids, distinct agent ids, utilities only on market goods."""
+    known = set(goods)
+    if len(known) != len(goods):
+        raise MarketError("duplicate good ids")
+    ids = set()
+    for agent in agents:
+        if agent.id in ids:
+            raise MarketError(f"duplicate {kind} id {agent.id!r}")
+        ids.add(agent.id)
+        for good in agent.utilities:
+            if good not in known:
+                raise MarketError(
+                    f"{kind} {agent.id!r} references unknown good {good!r}"
+                )
+
+
 @dataclass(frozen=True)
 class Buyer:
     id: str
@@ -123,19 +140,7 @@ class FisherMarket:
     def __post_init__(self):
         object.__setattr__(self, "goods", tuple(self.goods))
         object.__setattr__(self, "buyers", tuple(self.buyers))
-        known = set(self.goods)
-        if len(known) != len(self.goods):
-            raise MarketError("duplicate good ids")
-        ids = set()
-        for buyer in self.buyers:
-            if buyer.id in ids:
-                raise MarketError(f"duplicate buyer id {buyer.id!r}")
-            ids.add(buyer.id)
-            for good in buyer.utilities:
-                if good not in known:
-                    raise MarketError(
-                        f"buyer {buyer.id!r} references unknown good {good!r}"
-                    )
+        _check_agents(self.goods, self.buyers, "buyer")
 
     def satisfies_sufficient_condition(self) -> bool:
         """Every buyer is unsatiated with at least one good."""
@@ -160,23 +165,37 @@ class FisherMarket:
 
 @dataclass(frozen=True)
 class Trader:
+    """An exchange-market trader endowed with `share` of every good."""
+
     id: str
-    endowments: dict[str, Fraction]
+    share: Fraction
     utilities: dict[str, SplcUtility] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "share", Fraction(self.share))
+        if self.share < 0:
+            raise MarketError(f"trader {self.id!r} share must be non-negative")
 
 
 @dataclass(frozen=True)
 class ExchangeMarket:
+    """Unit supply of every good, split among the traders by their shares.
+
+    The shares must sum to 1.  A market with no goods has nothing to split,
+    so its shares are not checked.
+    """
+
     goods: tuple[str, ...]
     traders: tuple[Trader, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "goods", tuple(self.goods))
         object.__setattr__(self, "traders", tuple(self.traders))
-        for good in self.goods:
-            total = sum((t.endowments.get(good, ZERO) for t in self.traders), ZERO)
+        _check_agents(self.goods, self.traders, "trader")
+        if self.goods:
+            total = sum((t.share for t in self.traders), ZERO)
             if total != 1:
-                raise MarketError(f"endowments of good {good!r} sum to {total}, not 1")
+                raise MarketError(f"trader shares sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -389,20 +408,15 @@ def verify_exchange(
     allocation: dict[str, dict[str, Fraction]],
     epsilon: Fraction,
 ) -> EquilibriumReport:
-    """As verify_fisher, with each budget the value of the trader's endowment.
+    """As verify_fisher, with each budget the value of the trader's
+    endowment: its share times the sum of the market's prices.
 
     Prices are used as given; scaling invariance is a testable property,
-    not an internal normalization.
+    not an internal normalization.  A missing price counts as 0 in the sum,
+    so that _verify reports it.
     """
-    missing = [g for g in exchange.goods if g not in prices]
-    if missing:
-        raise MarketError(f"price map is not total; missing {missing}")
-    entries = []
-    for trader in exchange.traders:
-        budget = sum(
-            (prices[g] * w for g, w in trader.endowments.items()), ZERO
-        )
-        entries.append((trader.id, trader.utilities, budget))
+    value = sum((prices.get(g, ZERO) for g in exchange.goods), ZERO)
+    entries = [(t.id, t.utilities, t.share * value) for t in exchange.traders]
     return _verify(exchange.goods, entries, prices, allocation, epsilon)
 
 
@@ -410,12 +424,7 @@ def to_exchange(fisher: FisherMarket) -> ExchangeMarket:
     """Fisher -> exchange transform: trader i owns e_i / sum(e) of every good."""
     total = sum((b.budget for b in fisher.buyers), ZERO)
     traders = tuple(
-        Trader(
-            b.id,
-            {g: b.budget / total for g in fisher.goods},
-            dict(b.utilities),
-        )
-        for b in fisher.buyers
+        Trader(b.id, b.budget / total, dict(b.utilities)) for b in fisher.buyers
     )
     return ExchangeMarket(fisher.goods, traders)
 
@@ -447,17 +456,10 @@ def _segment_from_json(obj: dict) -> SplcSegment:
     return SplcSegment(length, parse_rational(obj["slope"]))
 
 
-def _utilities_to_json(utilities: dict[str, SplcUtility]) -> dict:
-    return {
-        good: [_segment_to_json(s) for s in util.segments]
-        for good, util in sorted(utilities.items())
-    }
-
-
 def _utilities_from_json(obj: dict) -> dict[str, SplcUtility]:
     return {
         good: SplcUtility(tuple(_segment_from_json(s) for s in segs))
-        for good, segs in obj.items()
+        for good, segs in _json_object(obj, "utilities").items()
     }
 
 
@@ -473,6 +475,31 @@ def _segments_block(util: SplcUtility) -> str:
     return "[\n%s\n        ]" % segments
 
 
+def _utilities_block(
+    utilities: dict[str, SplcUtility], blocks: dict[int, str]
+) -> str:
+    """A buyer's utilities object at its depth in market.json (and in the
+    exchange document); `blocks` caches each utility object's segment block
+    by id."""
+    entries = []
+    for good, util in sorted(utilities.items()):
+        block = blocks.get(id(util))
+        if block is None:
+            block = blocks[id(util)] = _segments_block(util)
+        entries.append(f"        {_encode_str(good)}: {block}")
+    return "{\n%s\n      }" % ",\n".join(entries) if entries else "{}"
+
+
+def _document(buyers: list[str], goods: tuple[str, ...]) -> str:
+    """The top-level {"buyers": [...], "goods": [...]} object, given each
+    buyer's already-encoded block."""
+    goods_lines = [f"    {_encode_str(good)}" for good in goods]
+    return '{\n  "buyers": %s,\n  "goods": %s\n}\n' % (
+        "[\n%s\n  ]" % ",\n".join(buyers) if buyers else "[]",
+        "[\n%s\n  ]" % ",\n".join(goods_lines) if goods_lines else "[]",
+    )
+
+
 def market_to_json(market: FisherMarket) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
@@ -481,25 +508,13 @@ def market_to_json(market: FisherMarket) -> str:
     once; compiled buyers share a few utility objects.
     """
     blocks: dict[int, str] = {}
-    buyers = []
-    for buyer in market.buyers:
-        entries = []
-        for good, util in sorted(buyer.utilities.items()):
-            block = blocks.get(id(util))
-            if block is None:
-                block = blocks[id(util)] = _segments_block(util)
-            entries.append(f"        {_encode_str(good)}: {block}")
-        utilities = "{\n%s\n      }" % ",\n".join(entries) if entries else "{}"
-        buyers.append(
-            f'    {{\n      "budget": "{format_rational(buyer.budget)}",\n'
-            f'      "id": {_encode_str(buyer.id)},\n'
-            f'      "utilities": {utilities}\n    }}'
-        )
-    goods = [f"    {_encode_str(good)}" for good in market.goods]
-    return '{\n  "buyers": %s,\n  "goods": %s\n}\n' % (
-        "[\n%s\n  ]" % ",\n".join(buyers) if buyers else "[]",
-        "[\n%s\n  ]" % ",\n".join(goods) if goods else "[]",
-    )
+    buyers = [
+        f'    {{\n      "budget": "{format_rational(buyer.budget)}",\n'
+        f'      "id": {_encode_str(buyer.id)},\n'
+        f'      "utilities": {_utilities_block(buyer.utilities, blocks)}\n    }}'
+        for buyer in market.buyers
+    ]
+    return _document(buyers, market.goods)
 
 
 def market_from_json(text: str) -> FisherMarket:
@@ -519,35 +534,61 @@ def market_from_json(text: str) -> FisherMarket:
 
 
 def exchange_to_json(exchange: ExchangeMarket) -> str:
-    doc = {
-        "goods": list(exchange.goods),
-        "buyers": [
-            {
-                "id": t.id,
-                "endowments": {
-                    g: format_rational(w) for g, w in sorted(t.endowments.items())
-                },
-                "utilities": _utilities_to_json(t.utilities),
-            }
-            for t in exchange.traders
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The dense exchange document, as ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` would write it: every trader lists its share
+    under every good, so the document has |traders| * |goods| endowments.
+
+    Written directly like market_to_json.  The sorted, encoded good keys
+    are built once, and each trader's endowment block is one join over them.
+    """
+    keys = [f'        {_encode_str(good)}: "' for good in sorted(exchange.goods)]
+    blocks: dict[int, str] = {}
+    buyers = []
+    for trader in exchange.traders:
+        share = format_rational(trader.share)
+        endowments = (
+            '{\n%s%s"\n      }' % (f'{share}",\n'.join(keys), share) if keys else "{}"
+        )
+        buyers.append(
+            f'    {{\n      "endowments": {endowments},\n'
+            f'      "id": {_encode_str(trader.id)},\n'
+            f'      "utilities": {_utilities_block(trader.utilities, blocks)}\n    }}'
+        )
+    return _document(buyers, exchange.goods)
+
+
+def _share_from_json(row, known: set[str]) -> Fraction:
+    """The share of a dense endowment row, which must name exactly the
+    market's goods, all with one rational.  A row of a market with no goods
+    is empty and carries no share: it reads as 0."""
+    row = _json_object(row, "endowment row")
+    if row.keys() != known:
+        raise MarketError("endowments must name exactly the market's goods")
+    shares = {parse_rational(w) for w in set(row.values())}
+    if len(shares) > 1:
+        raise MarketError("endowments must give one share of every good")
+    return shares.pop() if shares else ZERO
 
 
 def exchange_from_json(text: str) -> ExchangeMarket:
+    """Read an exchange document; only the dense form exchange_to_json
+    writes is accepted."""
     try:
         doc = json.loads(text)
+        goods = tuple(doc["goods"])
+        known = set(goods)
         traders = tuple(
             Trader(
                 t["id"],
-                {g: parse_rational(w) for g, w in t["endowments"].items()},
+                _share_from_json(t["endowments"], known),
                 _utilities_from_json(t.get("utilities", {})),
             )
             for t in doc["buyers"]
         )
-        return ExchangeMarket(tuple(doc["goods"]), traders)
-    except (KeyError, TypeError, json.JSONDecodeError, RationalFormatError) as exc:
+        return ExchangeMarket(goods, traders)
+    except (
+        KeyError, TypeError, json.JSONDecodeError, RationalFormatError, MarketError
+    ) as exc:
         raise MarketError(f"bad exchange document: {exc}") from exc
 
 

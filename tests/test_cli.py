@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from circuitmarket import cli
+from circuitmarket import cli, solver
 from circuitmarket import (
     Buyer,
     FisherMarket,
@@ -220,6 +221,31 @@ def test_to_exchange_writes_document(equilibrium, tmp_path, capsys):
     assert set(endow) == {"ref", "c0/v0", "c0/v1"}
 
 
+# sha256 of `to-exchange` output for markets compiled at eps = 1/12 with
+# override k = 3, d = 4; stdout and exchange.json carry the same bytes
+EXCHANGE_DIGESTS = {
+    "NOT_FIXTURE": "6cf72a542ff71fa108514209ab1879e232f5e484bc9dbf90039df5a3e24af4ec",
+    "NAND_FIXTURE": "3d2b569f1059720d38432e9b7909a53c532540631b1d2926ebecdbc3ec8300c2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGE_DIGESTS))
+def test_to_exchange_output_matches_golden_bytes(name, tmp_path, capsys):
+    circuit = tmp_path / "circuit.pc"
+    circuit.write_text(getattr(solver, name))
+    build = tmp_path / "build"
+    args = ["--eps", "1/12", "--override-k", "3", "--override-d", "4"]
+    assert cli.run(["compile", str(circuit), "--out", str(build)] + args) == 0
+    capsys.readouterr()
+    code = cli.run(
+        ["to-exchange", "--market", str(build / "market.json"), "--out", str(tmp_path)]
+    )
+    assert code == 0
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    assert sha(capsys.readouterr().out.encode()) == EXCHANGE_DIGESTS[name]
+    assert sha((tmp_path / "exchange.json").read_bytes()) == EXCHANGE_DIGESTS[name]
+
+
 def test_gadget_lab_small(tmp_path, capsys):
     code = cli.run(
         [
@@ -339,6 +365,15 @@ def test_decimal_rational_in_market_file_is_usage_error(
     }[command]
     assert cli.run(argv) == 2
     assert "bad market document" in _assert_json_error(capsys, 2)
+
+
+def test_non_object_utilities_in_market_file_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad-market.json"
+    bad.write_text(
+        '{"goods": ["x"], "buyers": [{"id": "a", "budget": "1", "utilities": []}]}'
+    )
+    assert cli.run(["to-exchange", "--market", str(bad)]) == 2
+    assert "utilities must be a JSON object" in _assert_json_error(capsys, 2)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from circuitmarket import (
     Buyer,
+    ExchangeMarket,
     FisherMarket,
     MarketError,
     SplcSegment,
@@ -21,6 +22,7 @@ from circuitmarket import (
     market_from_json,
     market_to_json,
     optimal_bundle,
+    parse_rational,
     prices_from_json,
     prices_to_json,
     scale_prices,
@@ -173,10 +175,10 @@ def test_to_exchange_splits_endowments_by_budget():
     market = _two_buyer_market()
     exchange = to_exchange(market)
     for trader in exchange.traders:
-        assert trader.endowments == {"x": F(1, 2), "y": F(1, 2)}
-    # column sums are validated to 1 on construction
+        assert trader.share == F(1, 2)
+    # shares are validated to sum to 1 on construction
     with pytest.raises(MarketError, match="sum"):
-        type(exchange)(("x",), (Trader("t", {"x": F(1, 2)}, {}),))
+        type(exchange)(("x",), (Trader("t", F(1, 2), {}),))
 
 
 def test_verify_exchange_and_scaling_invariance():
@@ -190,6 +192,110 @@ def test_verify_exchange_and_scaling_invariance():
     bad = {"a": {"y": F(1)}, "b": {"x": F(1)}}
     assert not verify_exchange(exchange, prices, bad, F(0)).passed
     assert not verify_exchange(exchange, scaled, bad, F(0)).passed
+
+
+def test_verify_exchange_reports_missing_and_negative_prices():
+    exchange = to_exchange(_two_buyer_market())
+    with pytest.raises(MarketError, match=r"price map is not total; missing \['y'\]"):
+        verify_exchange(exchange, {"x": F(1)}, {}, F(0))
+    with pytest.raises(MarketError, match="negative price for good 'x'"):
+        verify_exchange(exchange, {"x": F(-1), "y": F(3)}, {}, F(0))
+
+
+def test_exchange_market_rejects_inputs_outside_the_model():
+    # message -> (goods, traders as (id, share, goods with a utility))
+    cases = {
+        "duplicate trader id": (("x",), [("t", "1", ["x"]), ("t", "0", [])]),
+        "references unknown good 'y'": (("x",), [("t", "1", ["y"])]),
+        "share must be non-negative": (("x",), [("a", "-1/2", []), ("b", "3/2", [])]),
+        "duplicate good ids": (("x", "x"), [("t", "1", [])]),
+    }
+    for message, (goods, traders) in cases.items():
+        with pytest.raises(MarketError, match=message):
+            ExchangeMarket(
+                goods,
+                tuple(
+                    Trader(i, parse_rational(w), {g: linear(1) for g in us})
+                    for i, w, us in traders
+                ),
+            )
+        doc = {
+            "goods": list(goods),
+            "buyers": [
+                {
+                    "id": i,
+                    "endowments": dict.fromkeys(goods, w),
+                    "utilities": {g: [] for g in us},
+                }
+                for i, w, us in traders
+            ],
+        }
+        with pytest.raises(MarketError, match="bad exchange document: .*" + message):
+            exchange_from_json(json.dumps(doc))
+
+
+def test_exchange_reader_takes_one_share_per_dense_row():
+    text = exchange_to_json(to_exchange(_two_buyer_market()))
+    doc = json.loads(text)
+    assert [t.share for t in exchange_from_json(text).traders] == [F(1, 2)] * 2
+    rows = {
+        "exactly the market's goods": [{"x": "1/2"}, {"x": "1/2", "y": "1/2", "z": "0"}],
+        "one share of every good": [{"x": "1/2", "y": "1/3"}],
+        "endowment row must be a JSON object": [["1/2", "1/2"]],
+    }
+    for message, bad_rows in rows.items():
+        for row in bad_rows:
+            bad = json.loads(text)
+            bad["buyers"][0]["endowments"] = row
+            with pytest.raises(MarketError, match="bad exchange document: .*" + message):
+                exchange_from_json(json.dumps(bad))
+    # equal values written differently are one share
+    doc["buyers"][0]["endowments"] = {"x": "1/2", "y": "2/4"}
+    assert exchange_from_json(json.dumps(doc)).traders[0].share == F(1, 2)
+
+
+def test_exchange_document_without_goods_carries_no_share():
+    fisher = FisherMarket((), (Buyer("a", F(1)), Buyer("b", F(3))))
+    exchange = to_exchange(fisher)
+    assert [t.share for t in exchange.traders] == [F(1, 4), F(3, 4)]
+    text = exchange_to_json(exchange)
+    assert json.loads(text)["buyers"][0]["endowments"] == {}
+    again = exchange_from_json(text)
+    assert [t.share for t in again.traders] == [F(0), F(0)]
+    assert exchange_to_json(again) == text
+
+
+def test_exchange_verifier_matches_fisher_under_price_scaling():
+    """verify_exchange at c*p agrees with verify_fisher at p rescaled to the
+    budget sum, on random markets, prices and allocations."""
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 200:
+        market = _random_market(rng)
+        if not market.goods or not market.buyers:
+            continue
+        exchange = to_exchange(market)
+        assert exchange_from_json(exchange_to_json(exchange)) == exchange
+        prices = {g: F(rng.randint(0, 9), rng.randint(1, 5)) for g in market.goods}
+        if not any(prices.values()):
+            continue
+        allocation = {
+            b.id: {
+                g: F(rng.randint(0, 6), rng.randint(1, 4))
+                for g in rng.sample(market.goods, rng.randint(0, len(market.goods)))
+            }
+            for b in market.buyers
+            if rng.random() < 0.8
+        }
+        epsilon = F(rng.randint(0, 4), 4)
+        budgets = sum((b.budget for b in market.buyers), F(0))
+        fisher = verify_fisher(
+            market, scale_prices(prices, budgets), allocation, epsilon
+        )
+        for c in (F(1), F(1, 3), F(7), F(22, 7)):
+            scaled = {g: c * p for g, p in prices.items()}
+            assert verify_exchange(exchange, scaled, allocation, epsilon) == fisher
+        checked += 1
 
 
 def test_market_json_round_trip():
@@ -234,6 +340,19 @@ def _random_market(rng):
     return FisherMarket(tuple(goods), tuple(buyers))
 
 
+def _reference_utilities(utilities):
+    return {
+        good: [
+            {
+                "length": "inf" if s.unbounded else format_rational(s.length),
+                "slope": format_rational(s.slope),
+            }
+            for s in u.segments
+        ]
+        for good, u in utilities.items()
+    }
+
+
 def _reference_market_json(market):
     doc = {
         "goods": list(market.goods),
@@ -241,18 +360,7 @@ def _reference_market_json(market):
             {
                 "id": b.id,
                 "budget": format_rational(b.budget),
-                "utilities": {
-                    good: [
-                        {
-                            "length": (
-                                "inf" if s.unbounded else format_rational(s.length)
-                            ),
-                            "slope": format_rational(s.slope),
-                        }
-                        for s in u.segments
-                    ]
-                    for good, u in b.utilities.items()
-                },
+                "utilities": _reference_utilities(b.utilities),
             }
             for b in market.buyers
         ],
@@ -283,6 +391,48 @@ def test_market_json_writer_matches_json_dumps():
         text = market_to_json(market)
         assert text == _reference_market_json(market)
         assert market_to_json(market_from_json(text)) == text
+
+
+def _reference_exchange_json(exchange):
+    """The dense document, built as a dict with an endowment of every good
+    per trader and encoded by json.dumps."""
+    doc = {
+        "goods": list(exchange.goods),
+        "buyers": [
+            {
+                "id": t.id,
+                "endowments": {g: format_rational(t.share) for g in exchange.goods},
+                "utilities": _reference_utilities(t.utilities),
+            }
+            for t in exchange.traders
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_exchange_json_writer_matches_json_dumps():
+    u = linear(2)
+    edge_cases = [
+        ExchangeMarket((), ()),
+        ExchangeMarket((), (Trader("a", F(1, 3)), Trader("b", F(0)))),
+        ExchangeMarket(("x", "y"), (Trader("no utilities", F(1)),)),
+        ExchangeMarket(("x",), (Trader("a", F(1), {"x": SplcUtility(())}),)),
+        ExchangeMarket(
+            ('q"uote', "back\\slash", "y/z", "tab\there", "caf\u00e9"),
+            (
+                Trader("clef\U0001d11e", F(2, 3), {'q"uote': u, "caf\u00e9": u}),
+                Trader("snow\u2603", F(1, 3), {"tab\there": linear(1)}),
+            ),
+        ),
+    ]
+    rng = random.Random(20261020)
+    fishers = [_random_market(rng) for _ in range(400)]
+    markets = [to_exchange(m) for m in fishers if m.buyers or not m.goods][:300]
+    assert len(markets) == 300
+    for exchange in edge_cases + markets:
+        text = exchange_to_json(exchange)
+        assert text == _reference_exchange_json(exchange)
+        assert exchange_to_json(exchange_from_json(text)) == text
 
 
 def test_exchange_prices_allocation_json_round_trips():
@@ -331,6 +481,17 @@ def test_json_readers_reject_decimal_rationals():
     text = exchange_to_json(to_exchange(market)).replace('"1/2"', '"0.5"', 1)
     with pytest.raises(MarketError, match="bad exchange document"):
         exchange_from_json(text)
+
+
+def test_market_readers_reject_non_object_utilities():
+    market = json.loads(market_to_json(_two_buyer_market()))
+    market["buyers"][0]["utilities"] = []
+    with pytest.raises(MarketError, match="utilities must be a JSON object"):
+        market_from_json(json.dumps(market))
+    exchange = json.loads(exchange_to_json(to_exchange(_two_buyer_market())))
+    exchange["buyers"][0]["utilities"] = "x"
+    with pytest.raises(MarketError, match="bad exchange document: utilities"):
+        exchange_from_json(json.dumps(exchange))
 
 
 def test_price_and_allocation_readers_reject_non_objects():

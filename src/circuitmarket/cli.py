@@ -2,8 +2,9 @@
 
 Subcommands: compile, verify, solve, decode, lemmas, to-exchange,
 gadget-lab, circuit-check.  Exit codes: 0 success / verified pass,
-1 verified fail (a report was still produced), 2 usage or I/O error,
-3 precondition error (for example epsilon outside [0, 1/11)).
+1 verified fail (a report was still produced), 2 usage or I/O error (or
+out of memory), 3 precondition error (for example epsilon outside
+[0, 1/11)).
 
 All rationals cross the boundary as exact "p/q" strings; decimal epsilon
 is rejected rather than rounded.  Output files are written atomically
@@ -38,10 +39,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(message: str, code: int) -> CliError:
-    return CliError(message, code)
-
-
 def _umask() -> int:
     mask = os.umask(0)
     os.umask(mask)
@@ -66,22 +63,22 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
 
 
 def _parse_eps(text: str) -> Fraction:
     try:
         eps = parse_rational(text)
     except RationalFormatError as exc:
-        raise _fail(str(exc), EXIT_USAGE) from exc
+        raise CliError(str(exc), EXIT_USAGE) from exc
     if eps < 0:
-        raise _fail(f"epsilon must be non-negative, got {eps}", EXIT_PRECONDITION)
+        raise CliError(f"epsilon must be non-negative, got {eps}", EXIT_PRECONDITION)
     return eps
 
 def _compile_eps(text: str) -> Fraction:
     eps = _parse_eps(text)
     if eps >= Fraction(1, 11):
-        raise _fail(
+        raise CliError(
             f"epsilon must be below 1/11 for compilation, got {eps}",
             EXIT_PRECONDITION,
         )
@@ -90,7 +87,7 @@ def _compile_eps(text: str) -> Fraction:
 
 def _override(args) -> dict | None:
     if (args.override_k is None) != (args.override_d is None):
-        raise _fail("--override-k and --override-d must be given together", EXIT_USAGE)
+        raise CliError("--override-k and --override-d must be given together", EXIT_USAGE)
     if args.override_k is None:
         return None
     return {"k": args.override_k, "d": args.override_d}
@@ -100,23 +97,23 @@ def _load_circuit(path: str) -> pc.CircuitInstance:
     try:
         return pc.parse_circuit(_read(path))
     except pc.ParseError as exc:
-        raise _fail(f"{path}: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"{path}: {exc}", EXIT_USAGE) from exc
     except pc.CircuitError as exc:
-        raise _fail(f"{path}: {exc}", EXIT_PRECONDITION) from exc
+        raise CliError(f"{path}: {exc}", EXIT_PRECONDITION) from exc
 
 
 def _load_market(path: str) -> mkt.FisherMarket:
     try:
         return mkt.market_from_json(_read(path))
     except mkt.MarketError as exc:
-        raise _fail(f"{path}: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"{path}: {exc}", EXIT_USAGE) from exc
 
 
 def _load_json(path: str, loader, kind: str):
     try:
         return loader(_read(path))
     except (ValueError, KeyError, TypeError) as exc:
-        raise _fail(f"{path}: bad {kind} document: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"{path}: bad {kind} document: {exc}", EXIT_USAGE) from exc
 
 
 def _compile_reduced(args) -> reduction.ReducedMarket:
@@ -125,7 +122,7 @@ def _compile_reduced(args) -> reduction.ReducedMarket:
     try:
         return reduction.compile_circuit(circuit, eps, _override(args))
     except reduction.ReductionError as exc:
-        raise _fail(str(exc), EXIT_PRECONDITION) from exc
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
 
 
 def _cmd_compile(args) -> int:
@@ -146,7 +143,7 @@ def _cmd_verify(args) -> int:
     try:
         report = mkt.verify_fisher(market, prices, allocation, eps)
     except mkt.MarketError as exc:
-        raise _fail(str(exc), EXIT_PRECONDITION) from exc
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         _write_atomic(Path(args.out) / "report.json", text)
@@ -160,12 +157,12 @@ def _cmd_solve(args) -> int:
     try:
         lam = parse_rational(args.lam)
     except RationalFormatError as exc:
-        raise _fail(str(exc), EXIT_USAGE) from exc
+        raise CliError(str(exc), EXIT_USAGE) from exc
     config = solver.SolverConfig(lam=lam, max_iters=args.max_iters, epsilon=eps)
     try:
         result = solver.tatonnement(market, config)
     except mkt.MarketError as exc:
-        raise _fail(str(exc), EXIT_PRECONDITION) from exc
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
     out = Path(args.out)
     _write_atomic(out / "prices.json", mkt.prices_to_json(result.prices))
     _write_atomic(out / "trace.csv", solver.trace_to_csv(result.trace))
@@ -178,8 +175,10 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def _load_meta(path: str):
-    """Reconstruct the compiled market from its metadata sidecar."""
+def _load_meta(path: str, compile_market: bool) -> reduction.ReducedMarket:
+    """The reduction a metadata sidecar describes, its parameters derived
+    and checked again from the circuit; its market is compiled only if
+    compile_market is set."""
     doc = _load_json(path, json.loads, "metadata")
     try:
         params = doc["params"]
@@ -192,20 +191,23 @@ def _load_meta(path: str):
         override = None
         if params["guarantees_void"]:
             override = {"k": params["k"], "d": params["d"]}
-        return reduction.compile_circuit(circuit, eps, override)
+        if compile_market:
+            return reduction.compile_circuit(circuit, eps, override)
+        params = reduction.validated_params(circuit, eps, override)
+        return reduction.ReducedMarket(params, circuit)
     except (KeyError, TypeError, pc.CircuitError, RationalFormatError) as exc:
-        raise _fail(f"{path}: bad metadata: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"{path}: bad metadata: {exc}", EXIT_USAGE) from exc
     except reduction.ReductionError as exc:
-        raise _fail(f"{path}: {exc}", EXIT_PRECONDITION) from exc
+        raise CliError(f"{path}: {exc}", EXIT_PRECONDITION) from exc
 
 
 def _cmd_decode(args) -> int:
-    reduced = _load_meta(args.meta)
+    reduced = _load_meta(args.meta, compile_market=False)
     prices = _load_json(args.prices, mkt.prices_from_json, "price")
     try:
         result = reduction.decode(reduced, prices)
     except (reduction.ReductionError, KeyError) as exc:
-        raise _fail(f"decode failed: {exc}", EXIT_PRECONDITION) from exc
+        raise CliError(f"decode failed: {exc}", EXIT_PRECONDITION) from exc
     names = {pc.Value.ZERO: "0", pc.Value.ONE: "1", pc.Value.BOT: "bot"}
     doc = {
         "assignment": {
@@ -224,14 +226,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    reduced = _load_meta(args.meta)
+    reduced = _load_meta(args.meta, compile_market=True)
     prices = _load_json(args.prices, mkt.prices_from_json, "price")
     allocation = _load_json(args.allocation, mkt.allocation_from_json, "allocation")
     eps = _parse_eps(args.eps)
     try:
         report = solver.lemma_suite(reduced, prices, allocation, eps)
     except solver.SuitePreconditionError as exc:
-        raise _fail(str(exc), EXIT_PRECONDITION) from exc
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         _write_atomic(Path(args.out) / "lemmas.json", text)
@@ -255,7 +257,7 @@ def _cmd_gadget_lab(args) -> int:
     try:
         summary = solver.gadget_lab_report(eps, mesh=args.mesh, override=override)
     except (solver.BracketError, reduction.ReductionError) as exc:
-        raise _fail(str(exc), EXIT_PRECONDITION) from exc
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     if args.out:
         _write_atomic(Path(args.out) / "gadget-lab.json", text)
@@ -269,7 +271,7 @@ def _cmd_circuit_check(args) -> int:
     values = {"0": pc.Value.ZERO, "1": pc.Value.ONE, "bot": pc.Value.BOT}
     raw = doc.get("assignment", doc) if isinstance(doc, dict) else doc
     if not isinstance(raw, dict):
-        raise _fail(
+        raise CliError(
             f"{args.assignment}: assignment must be a JSON object", EXIT_USAGE
         )
     try:
@@ -277,11 +279,11 @@ def _cmd_circuit_check(args) -> int:
             {int(node): values[val] for node, val in raw.items()}
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"bad assignment value: {exc}", EXIT_USAGE) from exc
+        raise CliError(f"bad assignment value: {exc}", EXIT_USAGE) from exc
     try:
         verdicts = pc.check_assignment(circuit, assignment)
     except pc.CircuitError as exc:
-        raise _fail(str(exc), EXIT_PRECONDITION) from exc
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
     out = {
         "satisfied": all(v.satisfied for v in verdicts),
         "gates": [
@@ -373,8 +375,9 @@ def run(argv=None) -> int:
     except CliError as exc:
         print(json.dumps({"error": str(exc), "code": exc.code}), file=sys.stderr)
         return exc.code
-    except OSError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_USAGE}), file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        message = str(exc) or type(exc).__name__
+        print(json.dumps({"error": message, "code": EXIT_USAGE}), file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -98,11 +98,6 @@ class SplcUtility:
         )
 
 
-def utility_value(u: SplcUtility, amount: Fraction) -> Fraction:
-    """Exact piecewise-linear evaluation of u at `amount`."""
-    return u.value(amount)
-
-
 def _check_agents(goods: tuple[str, ...], agents: tuple, kind: str) -> None:
     """Distinct good ids, distinct agent ids, utilities only on market goods."""
     known = set(goods)
@@ -291,20 +286,6 @@ def _bundle_utility(
     return total
 
 
-def is_optimal(
-    buyer: Buyer, prices: dict[str, Fraction], x_row: dict[str, Fraction]
-) -> bool:
-    """True iff x_row is affordable and attains the optimal utility value.
-
-    Membership in the optimal-bundle set is by value: tied greedy orders
-    admit many maximizers beyond the canonical one.
-    """
-    spend = sum((prices[g] * amt for g, amt in x_row.items()), ZERO)
-    if spend > buyer.budget:
-        return False
-    return _bundle_utility(buyer.utilities, x_row) == optimal_bundle(buyer, prices).max_utility
-
-
 @dataclass(frozen=True)
 class BuyerVerdict:
     status: str  # "optimal" | "suboptimal" | "unbounded-demand"
@@ -456,11 +437,19 @@ def _segment_from_json(obj: dict) -> SplcSegment:
     return SplcSegment(length, parse_rational(obj["slope"]))
 
 
-def _utilities_from_json(obj: dict) -> dict[str, SplcUtility]:
-    return {
-        good: SplcUtility(tuple(_segment_from_json(s) for s in segs))
-        for good, segs in _json_object(obj, "utilities").items()
-    }
+def _utilities_from_json(
+    obj: dict, shapes: dict[tuple[SplcSegment, ...], SplcUtility]
+) -> dict[str, SplcUtility]:
+    """A utilities object; `shapes` interns each utility by its parsed
+    segments, so buyers that share a shape share one object."""
+    utilities = {}
+    for good, segs in _json_object(obj, "utilities").items():
+        segments = tuple(_segment_from_json(s) for s in segs)
+        util = shapes.get(segments)
+        if util is None:
+            util = shapes[segments] = SplcUtility(segments)
+        utilities[good] = util
+    return utilities
 
 
 def _segments_block(util: SplcUtility) -> str:
@@ -518,13 +507,14 @@ def market_to_json(market: FisherMarket) -> str:
 
 
 def market_from_json(text: str) -> FisherMarket:
+    shapes: dict[tuple[SplcSegment, ...], SplcUtility] = {}
     try:
         doc = json.loads(text)
         buyers = tuple(
             Buyer(
                 b["id"],
                 parse_rational(b["budget"]),
-                _utilities_from_json(b.get("utilities", {})),
+                _utilities_from_json(b.get("utilities", {}), shapes),
             )
             for b in doc["buyers"]
         )
@@ -573,6 +563,7 @@ def _share_from_json(row, known: set[str]) -> Fraction:
 def exchange_from_json(text: str) -> ExchangeMarket:
     """Read an exchange document; only the dense form exchange_to_json
     writes is accepted."""
+    shapes: dict[tuple[SplcSegment, ...], SplcUtility] = {}
     try:
         doc = json.loads(text)
         goods = tuple(doc["goods"])
@@ -581,7 +572,7 @@ def exchange_from_json(text: str) -> ExchangeMarket:
             Trader(
                 t["id"],
                 _share_from_json(t["endowments"], known),
-                _utilities_from_json(t.get("utilities", {})),
+                _utilities_from_json(t.get("utilities", {}), shapes),
             )
             for t in doc["buyers"]
         )

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -162,35 +163,24 @@ def expanded_node_count(circuit: CircuitInstance, d: int) -> int:
     return circuit.n + purify * 2 * (d - 1)
 
 
-# --- roles -----------------------------------------------------------------
+# --- roles and the copy template -------------------------------------------
 
 
 @dataclass(frozen=True)
 class GoodRole:
-    kind: str  # "reference" | "variable" | "chain"
-    copy: Optional[int] = None
+    kind: str  # "variable" | "chain"; the reference good is not in the template
     node: Optional[int] = None
     gate: Optional[int] = None
     chain: Optional[int] = None
     position: Optional[int] = None
 
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
 
 @dataclass(frozen=True)
 class BuyerRole:
-    kind: str  # "reference" | "inverter" | "gate_aux" | "top_up"
-    copy: Optional[int] = None
+    kind: str  # "inverter" | "gate_aux" | "top_up"; nor is the reference buyer
     gadget: Optional[str] = None
-    good: Optional[str] = None
+    good: Optional[str] = None  # a top-up's good, by its copy-local name
     r: Optional[Fraction] = None
-
-    def to_json_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if v is not None}
-        if self.r is not None:
-            out["r"] = format_rational(self.r)
-        return out
 
 
 @dataclass(frozen=True)
@@ -205,27 +195,51 @@ class NotGadget:
 
 
 @dataclass(frozen=True)
+class CopyTemplate:
+    """One copy under copy-local names ("v0", "g0.1.1", "inv/g0"); copy c is
+    this template under the "c{c}/" prefix.
+
+    Goods and buyers come with their roles, in market order.  Top-up
+    buyers pad every good to exactly two consuming gadgets.
+    """
+
+    goods: tuple[tuple[str, GoodRole], ...]
+    buyers: tuple[tuple[str, BuyerRole], ...]
+    gadgets: tuple[NotGadget, ...]
+
+
+@dataclass(frozen=True)
 class ReducedMarket:
-    market: FisherMarket
+    """A compiled circuit: its parameters and the circuit, from which the
+    copy template and the market are built on first use.  Nothing is held
+    per copy but the market; compile_circuit builds it before returning."""
+
     params: ReductionParams
     circuit: CircuitInstance
-    good_roles: dict[str, GoodRole]
-    buyer_roles: dict[str, BuyerRole]
-    gadgets_by_copy: tuple[tuple[NotGadget, ...], ...] = field(repr=False)
+
+    @cached_property
+    def template(self) -> CopyTemplate:
+        return _copy_template(self.circuit, self.params)
+
+    @cached_property
+    def market(self) -> FisherMarket:
+        return _stamp_market(self.params, self.template)
+
+    def gadgets(self, copy: int) -> tuple[NotGadget, ...]:
+        """The gadgets of one copy, stamped from the template."""
+        if not 0 <= copy < self.params.k:
+            raise IndexError(f"copy {copy} outside [0, {self.params.k})")
+        p = f"c{copy}/"
+        return tuple(
+            NotGadget(g.gadget_id, tuple(p + i for i in g.inputs), p + g.output, g.r)
+            for g in self.template.gadgets
+        )
 
     def variable_good(self, copy: int, node: int) -> str:
         return f"c{copy}/v{node}"
 
 
-def _copy_template(
-    circuit: CircuitInstance, params: ReductionParams
-) -> tuple[list[tuple[str, GoodRole]], list[NotGadget], list[tuple[str, int]]]:
-    """One copy's goods, gadgets and top-up slots, with copy-local names
-    ("v0", "g0.1.1"); every copy is this template under its "c{c}/" prefix.
-
-    Goods carry their role without a copy; top-up slots are (good, slot)
-    pairs that pad every good to exactly two consuming gadgets.
-    """
+def _copy_template(circuit: CircuitInstance, params: ReductionParams) -> CopyTemplate:
     goods = [(f"v{v}", GoodRole("variable", node=v)) for v in range(circuit.n)]
     gadgets: list[NotGadget] = []
     for gi, gate in enumerate(circuit.gates):
@@ -260,17 +274,42 @@ def _copy_template(
                     )
                     prev = nxt
 
-    # a good's consumers are its out-degree, which compile_circuit caps at 2
+    # a good's consumers are its out-degree, which validated_params caps at 2
     consumers: dict[str, int] = {}
     for gadget in gadgets:
         for good in gadget.inputs:
             consumers[good] = consumers.get(good, 0) + 1
-    top_ups = [
-        (good, slot)
+    buyers: list[tuple[str, BuyerRole]] = []
+    for g in gadgets:
+        buyers.append((f"inv/{g.gadget_id}", BuyerRole("inverter", g.gadget_id)))
+        if g.r > 0:
+            buyers.append((f"aux/{g.gadget_id}", BuyerRole("gate_aux", g.gadget_id, r=g.r)))
+    buyers += [
+        (f"top/{good}/{slot}", BuyerRole("top_up", good=good, r=params.t))
         for good, _ in goods
         for slot in range(2 - consumers.get(good, 0))
     ]
-    return goods, gadgets, top_ups
+    return CopyTemplate(tuple(goods), tuple(buyers), tuple(gadgets))
+
+
+def validated_params(
+    circuit: CircuitInstance,
+    epsilon: Fraction,
+    override: Optional[dict] = None,
+) -> ReductionParams:
+    """The parameter table of `circuit`'s market, after the checks that need
+    no market: out-degree at most 2, epsilon in [0, 1/11) and a well-formed
+    override."""
+    _, outdeg = circuit.interaction_degrees()
+    over = [v for v, dgr in outdeg.items() if dgr > 2]
+    if over:
+        raise ReductionError(
+            f"nodes with out-degree > 2 cannot be compiled: {over}"
+        )
+    d = _scale(F(epsilon), override)[1]
+    return compute_params(
+        epsilon, max(expanded_node_count(circuit, d), 1), override
+    )
 
 
 def compile_circuit(
@@ -278,19 +317,15 @@ def compile_circuit(
     epsilon: Fraction,
     override: Optional[dict] = None,
 ) -> ReducedMarket:
-    """Compile a Pure-Circuit instance into its Fisher market."""
-    _, outdeg = circuit.interaction_degrees()
-    over = [v for v, dgr in outdeg.items() if dgr > 2]
-    if over:
-        raise ReductionError(
-            f"nodes with out-degree > 2 cannot be compiled: {over}"
-        )
+    """Compile a Pure-Circuit instance into its Fisher market, which is
+    built before this returns."""
+    reduced = ReducedMarket(validated_params(circuit, epsilon, override), circuit)
+    reduced.market  # built now, not on first use
+    return reduced
 
-    d = _scale(F(epsilon), override)[1]
-    params = compute_params(
-        epsilon, max(expanded_node_count(circuit, d), 1), override
-    )
-    template_goods, template_gadgets, top_ups = _copy_template(circuit, params)
+
+def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMarket:
+    """The reference good and buyer, then the template once per copy."""
     t = params.t
 
     # The few distinct utility shapes, built once and shared by every buyer
@@ -301,66 +336,38 @@ def compile_circuit(
     output_shape = SplcUtility((SplcSegment(None, params.s),))
     pin_shapes = {
         r: SplcUtility((SplcSegment(r, 2 * params.s),))
-        for r in {t} | {g.r for g in template_gadgets if g.r > 0}
+        for r in {t} | {g.r for g in template.gadgets if g.r > 0}
     }
 
-    goods: list[str] = [REF_GOOD]
-    good_roles: dict[str, GoodRole] = {REF_GOOD: GoodRole("reference")}
-    buyers: list[Buyer] = [Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape})]
-    buyer_roles: dict[str, BuyerRole] = {REF_BUYER: BuyerRole("reference")}
-    gadgets_by_copy: list[tuple[NotGadget, ...]] = []
+    # each template buyer as (local id, budget key, its goods and shapes);
+    # inverters spend t*h_low per input, aux(good, r) and top-ups r*h_high
+    recipes = []
+    for gadget in template.gadgets:
+        wants = [(good, input_shape) for good in gadget.inputs]
+        wants.append((gadget.output, output_shape))
+        recipes.append((f"inv/{gadget.gadget_id}", f"inv{len(gadget.inputs)}", wants))
+        if gadget.r > 0:
+            wants = [(gadget.output, pin_shapes[gadget.r])]
+            recipes.append((f"aux/{gadget.gadget_id}", gadget.r, wants))
+    recipes += [
+        (local, t, [(role.good, pin_shapes[t])])
+        for local, role in template.buyers
+        if role.kind == "top_up"
+    ]
 
+    goods: list[str] = [REF_GOOD]
+    buyers: list[Buyer] = [Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape})]
     for c, (h_low, h_high) in enumerate(params.copy_intervals):
         prefix = f"c{c}/"
-        for local, role in template_goods:
-            goods.append(prefix + local)
-            good_roles[prefix + local] = replace(role, copy=c)
-        # inverters spend t*h_low per input; aux(good, r) spends r*h_high
-        inverter_budget = {1: t * h_low, 2: 2 * t * h_low}
-        pin_budget = {r: r * h_high for r in pin_shapes}
-
-        gadgets = []
-        for tg in template_gadgets:
-            gadget = NotGadget(
-                tg.gadget_id,
-                tuple(prefix + good for good in tg.inputs),
-                prefix + tg.output,
-                tg.r,
-            )
-            gadgets.append(gadget)
-            utilities = {good: input_shape for good in gadget.inputs}
-            utilities[gadget.output] = output_shape
+        goods.extend(prefix + local for local, _ in template.goods)
+        budget = {r: r * h_high for r in pin_shapes}
+        budget.update(inv1=t * h_low, inv2=2 * t * h_low)
+        for local, key, wants in recipes:
+            utilities = {prefix + good: shape for good, shape in wants}
             utilities[REF_GOOD] = ref_shape
-            inv_id = f"{prefix}inv/{gadget.gadget_id}"
-            buyers.append(
-                Buyer(inv_id, inverter_budget[len(gadget.inputs)], utilities)
-            )
-            buyer_roles[inv_id] = BuyerRole("inverter", copy=c, gadget=gadget.gadget_id)
-            if gadget.r > 0:
-                aux_id = f"{prefix}aux/{gadget.gadget_id}"
-                buyers.append(
-                    Buyer(
-                        aux_id,
-                        pin_budget[gadget.r],
-                        {gadget.output: pin_shapes[gadget.r], REF_GOOD: ref_shape},
-                    )
-                )
-                buyer_roles[aux_id] = BuyerRole(
-                    "gate_aux", copy=c, gadget=gadget.gadget_id, r=gadget.r
-                )
-        gadgets_by_copy.append(tuple(gadgets))
+            buyers.append(Buyer(prefix + local, budget[key], utilities))
 
-        for local, slot in top_ups:
-            good = prefix + local
-            top_id = f"{prefix}top/{local}/{slot}"
-            utilities = {good: pin_shapes[t], REF_GOOD: ref_shape}
-            buyers.append(Buyer(top_id, pin_budget[t], utilities))
-            buyer_roles[top_id] = BuyerRole("top_up", copy=c, good=good, r=t)
-
-    market = FisherMarket(tuple(goods), tuple(buyers))
-    return ReducedMarket(
-        market, params, circuit, good_roles, buyer_roles, tuple(gadgets_by_copy)
-    )
+    return FisherMarket(tuple(goods), tuple(buyers))
 
 
 # --- decoding ---------------------------------------------------------------
@@ -410,59 +417,51 @@ def decode(reduced: ReducedMarket, prices: dict[str, Fraction]) -> DecodeResult:
 
 def census(reduced: ReducedMarket) -> dict:
     """Counts of goods and buyers by role, per copy and total."""
-    good_counts: dict[str, int] = {}
-    for role in reduced.good_roles.values():
-        good_counts[role.kind] = good_counts.get(role.kind, 0) + 1
-    buyer_counts: dict[str, int] = {}
-    for role in reduced.buyer_roles.values():
-        buyer_counts[role.kind] = buyer_counts.get(role.kind, 0) + 1
+    k = reduced.params.k
+
+    def by_kind(roles) -> dict[str, int]:
+        counts = {"reference": 1}
+        for _, role in roles:
+            counts[role.kind] = counts.get(role.kind, 0) + k
+        return counts
+
     return {
-        "copies": reduced.params.k,
+        "copies": k,
         "goods_total": len(reduced.market.goods),
         "buyers_total": len(reduced.market.buyers),
-        "goods_by_role": good_counts,
-        "buyers_by_role": buyer_counts,
+        "goods_by_role": by_kind(reduced.template.goods),
+        "buyers_by_role": by_kind(reduced.template.buyers),
     }
 
 
-def describe(reduced: ReducedMarket) -> str:
-    info = census(reduced)
-    lines = [
-        f"copies: {info['copies']}",
-        f"goods: {info['goods_total']}",
-    ]
-    for kind, count in sorted(info["goods_by_role"].items()):
-        lines.append(f"  {kind}: {count}")
-    lines.append(f"buyers: {info['buyers_total']}")
-    for kind, count in sorted(info["buyers_by_role"].items()):
-        lines.append(f"  {kind}: {count}")
-    return "\n".join(lines) + "\n"
-
-
 def structural_violations(reduced: ReducedMarket) -> list[str]:
-    """Check the construction invariants; returns human-readable violations."""
+    """Check the construction invariants; returns human-readable violations.
+
+    The per-copy structure is checked once, on the template, and the market
+    is checked to be the reference good and buyer plus the template stamped
+    once per copy.
+    """
     violations: list[str] = []
     params = reduced.params
     market = reduced.market
+    template = reduced.template
 
-    ref_goods = [g for g, r in reduced.good_roles.items() if r.kind == "reference"]
-    ref_buyers = [b for b, r in reduced.buyer_roles.items() if r.kind == "reference"]
-    if ref_goods != [REF_GOOD] or ref_buyers != [REF_BUYER]:
-        violations.append("expected exactly one reference good and buyer")
+    for kind, ids, ref, roles in (
+        ("goods", list(market.goods), REF_GOOD, template.goods),
+        ("buyers", [b.id for b in market.buyers], REF_BUYER, template.buyers),
+    ):
+        if ids != [ref] + [f"c{c}/{local}" for c in range(params.k) for local, _ in roles]:
+            violations.append(f"{kind} are not {ref} plus the template's per copy")
 
-    by_id = {b.id: b for b in market.buyers}
-    ref_buyer = by_id.get(REF_BUYER)
+    ref_buyer = next((b for b in market.buyers if b.id == REF_BUYER), None)
     if ref_buyer is None or ref_buyer.budget != 1 or set(ref_buyer.utilities) != {REF_GOOD}:
         violations.append("reference buyer must have budget 1 and want only ref")
 
-    # every non-reference good is the output of exactly one inverter
+    # every template good is the output of exactly one inverter
     producers: dict[str, int] = {}
-    for c, gadgets in enumerate(reduced.gadgets_by_copy):
-        for gadget in gadgets:
-            producers[gadget.output] = producers.get(gadget.output, 0) + 1
-    for good in market.goods:
-        if good == REF_GOOD:
-            continue
+    for gadget in template.gadgets:
+        producers[gadget.output] = producers.get(gadget.output, 0) + 1
+    for good, _ in template.goods:
         if producers.get(good, 0) != 1:
             violations.append(
                 f"good {good} produced by {producers.get(good, 0)} inverters, not 1"
@@ -485,17 +484,14 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
     # chain r-patterns alternate with even length
     if params.d % 2 != 0:
         violations.append(f"chain length d={params.d} is odd")
-    for c, gadgets in enumerate(reduced.gadgets_by_copy):
-        for gadget in gadgets:
-            parts = gadget.gadget_id.split(".")
-            if len(parts) != 3:
-                continue
-            chain, j = int(parts[1]), int(parts[2])
-            expected = params.r_chain1(j) if chain == 1 else params.r_chain2(j)
-            if gadget.r != expected:
-                violations.append(
-                    f"copy {c} gadget {gadget.gadget_id}: r={gadget.r} != {expected}"
-                )
+    for gadget in template.gadgets:
+        parts = gadget.gadget_id.split(".")
+        if len(parts) != 3:
+            continue
+        chain, j = int(parts[1]), int(parts[2])
+        expected = params.r_chain1(j) if chain == 1 else params.r_chain2(j)
+        if gadget.r != expected:
+            violations.append(f"gadget {gadget.gadget_id}: r={gadget.r} != {expected}")
 
     # total non-reference budget within the 4*k*d*|V|*H_max bound
     total = sum(
@@ -508,24 +504,65 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
     return violations
 
 
+# --- meta.json ----------------------------------------------------------------
+
+_COPY = "\x00"  # stands for the copy number in a rendered template entry
+
+
+def _copy_entries(roles) -> str:
+    """One copy's role entries at their depth in meta.json, sorted by local
+    id, with _COPY in place of the copy number."""
+    entries = []
+    for local, role in sorted(roles, key=lambda item: item[0]):
+        fields = {
+            name: json.dumps(format_rational(v) if name == "r" else v)
+            for name, v in vars(role).items()
+            if v is not None
+        }
+        fields["copy"] = _COPY
+        if "good" in fields:
+            fields["good"] = f'"c{_COPY}/{fields["good"][1:]}'
+        body = ",\n".join(f'      "{name}": {fields[name]}' for name in sorted(fields))
+        entries.append(f'    "c{_COPY}/{json.dumps(local)[1:]}: {{\n{body}\n    }}')
+    return ",\n".join(entries)
+
+
 def metadata_to_json(reduced: ReducedMarket) -> str:
-    doc = {
-        "params": reduced.params.to_json_dict(),
-        "good_roles": {
-            g: r.to_json_dict() for g, r in sorted(reduced.good_roles.items())
-        },
-        "buyer_roles": {
-            b: r.to_json_dict() for b, r in sorted(reduced.buyer_roles.items())
-        },
-        "circuit": {
-            "n": reduced.circuit.n,
-            "gates": [
-                {
-                    "type": g.gate_type.value,
-                    "nodes": [g.u, g.v] + ([] if g.w is None else [g.w]),
-                }
-                for g in reduced.circuit.gates
-            ],
-        },
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for
+    the params, the circuit and the role of every good and buyer.
+
+    Written directly: one copy's role entries are rendered once from the
+    template, sorted by local id, and stamped once per copy in the string
+    order of the "c{c}/" prefixes.  "/" sorts before every digit, so one
+    copy's ids are contiguous and "c10/" comes before "c2/"; "b_ref" sorts
+    before every copy's buyers and "ref" after every copy's goods.
+    """
+    order = [str(c) for c in sorted(range(reduced.params.k), key=lambda c: f"c{c}/")]
+
+    def stamped(roles) -> list[str]:
+        parts = _copy_entries(roles).split(_COPY)
+        return [c.join(parts) for c in order] if roles else []
+
+    def nested(obj) -> str:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+    reference = '    "%s": {\n      "kind": "reference"\n    }'
+    circuit = {
+        "n": reduced.circuit.n,
+        "gates": [
+            {
+                "type": g.gate_type.value,
+                "nodes": [g.u, g.v] + ([] if g.w is None else [g.w]),
+            }
+            for g in reduced.circuit.gates
+        ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return (
+        '{\n  "buyer_roles": {\n%s\n  },\n  "circuit": %s,\n'
+        '  "good_roles": {\n%s\n  },\n  "params": %s\n}\n'
+    ) % (
+        ",\n".join([reference % REF_BUYER] + stamped(reduced.template.buyers)),
+        nested(circuit),
+        ",\n".join(stamped(reduced.template.goods) + [reference % REF_GOOD]),
+        nested(reduced.params.to_json_dict()),
+    )

@@ -1,6 +1,6 @@
 """Desk-scale equilibrium search and the executable gadget-lemma suite.
 
-Three complementary oracles:
+Two complementary oracles:
 
 * ``tatonnement`` — best-effort multiplicative price adjustment; convergence
   is recorded, never guaranteed.
@@ -11,7 +11,6 @@ Three complementary oracles:
   optimal-bundle set is set-valued and demand jumps) in increasing order
   and solves only the hyperbolic piece that can cross 1; results are exact
   rationals whenever an exact clearing exists in the bracket.
-* ``grid_search`` — exhaustive lexicographic scan over a small price grid.
 
 On top of these sit the gadget fixtures (NOT / NAND / PURIFY truth-table
 sweeps on compiled markets) and ``lemma_suite``, which re-checks every
@@ -305,16 +304,22 @@ def pinned_bisection(
     max demand falls below 1.  Without an exact clearing, the same scan with
     tolerance epsilon returns the first point whose demand is within epsilon
     of 1.
+
+    The clearing reads only the prices of the goods that the buyers
+    interested in `free_good` value, so only those must be pinned; a missing
+    one raises BracketError("pinned prices missing goods ...").
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
         raise BracketError(f"bad bracket [{lo}, {hi}]")
-    missing = [g for g in market.goods if g != free_good and g not in pinned]
-    if missing:
-        raise BracketError(f"pinned prices missing goods {missing}")
     buyers = _interested_buyers(market, free_good)
     if not buyers:
         raise BracketError(f"no buyer is interested in {free_good!r}")
+    read = {g for buyer in buyers for g in buyer.utilities if g != free_good}
+    missing = sorted(read - pinned.keys())
+    if missing:
+        raise BracketError(f"pinned prices missing goods {missing}")
+    pinned = {g: pinned[g] for g in read}
 
     d_lo = _demand_interval(buyers, free_good, pinned, lo)
     d_hi = _demand_interval(buyers, free_good, pinned, hi)
@@ -364,40 +369,6 @@ def pinned_bisection(
             f"no clearing price for {free_good!r} in [{lo}, {hi}] at epsilon={epsilon}"
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# grid search
-
-
-@dataclass(frozen=True)
-class GridResult:
-    prices: dict[str, Fraction]
-    allocation: dict[str, dict[str, Fraction]]
-
-
-def grid_search(
-    market: FisherMarket,
-    epsilon: Fraction,
-    free_goods: list[str],
-    grid: list[Fraction],
-    pinned: Optional[dict[str, Fraction]] = None,
-) -> Optional[GridResult]:
-    """First grid point (lexicographic over free_goods) whose canonical
-    demand clears every free good to within epsilon; None if no point does.
-    """
-    if len(free_goods) > 3:
-        raise MarketError("grid search is capped at 3 free goods")
-    pinned = dict(pinned or {})
-    import itertools
-
-    for combo in itertools.product(grid, repeat=len(free_goods)):
-        prices = dict(pinned)
-        prices.update(zip(free_goods, combo))
-        profile = canonical_demand(market, prices)
-        if all(abs(profile.aggregate[g] - 1) <= epsilon for g in free_goods):
-            return GridResult(prices, profile.bundles)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +449,7 @@ class GadgetFixture:
     h_high: Fraction
 
     def gadget(self, gadget_id: str) -> NotGadget:
-        for g in self.reduced.gadgets_by_copy[self.copy]:
+        for g in self.reduced.gadgets(self.copy):
             if g.gadget_id == gadget_id:
                 return g
         raise KeyError(gadget_id)
@@ -526,7 +497,7 @@ def clear_chain(
     prefix = f"g{gate_index}.{chain}."
     links = [
         g
-        for g in fixture.reduced.gadgets_by_copy[fixture.copy]
+        for g in fixture.reduced.gadgets(fixture.copy)
         if g.gadget_id.startswith(prefix)
     ]
     links.sort(key=lambda g: int(g.gadget_id.rsplit(".", 1)[1]))
@@ -733,9 +704,8 @@ def lemma_suite(
         )
     )
 
-    for good, role in reduced.good_roles.items():
-        if role.kind == "reference" or role.copy != c:
-            continue
+    for local, _ in reduced.template.goods:
+        good = f"c{c}/{local}"
         p = prices[good]
         records.append(
             LemmaRecord("price-band", good, 0 < p <= h, {"price": p, "H": h})
@@ -748,8 +718,7 @@ def lemma_suite(
         for good, amount in row.items():
             column[good] = column.get(good, ZERO) + amount
 
-    gadgets = reduced.gadgets_by_copy[c]
-    for gadget in gadgets:
+    for gadget in reduced.gadgets(c):
         inv_id = f"c{c}/inv/{gadget.gadget_id}"
         aux_id = f"c{c}/aux/{gadget.gadget_id}"
         scope = gadget.gadget_id

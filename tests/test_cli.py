@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from circuitmarket import cli, solver
+from circuitmarket import cli, reduction, solver
 from circuitmarket import (
     Buyer,
     FisherMarket,
@@ -19,6 +19,7 @@ from circuitmarket import (
     allocation_to_json,
     canonical_demand,
     compile_circuit,
+    compute_params,
     market_to_json,
     parse_circuit,
     prices_to_json,
@@ -446,3 +447,71 @@ def test_compile_outputs_get_the_umask_mode(circuit_file, tmp_path, umask, mode)
     assert code == 0
     for name in ("market.json", "meta.json"):
         assert stat.S_IMODE((tmp_path / "b" / name).stat().st_mode) == mode
+
+
+def _decode_prices(params, n):
+    """Prices that put H in copy 10 of 12 (a two-digit copy) and every
+    variable good of every copy in one of the bands, or on a band edge."""
+    p_ref = F(29, 16)
+    h = params.s * p_ref
+    low = params.s * h / params.a
+    band = [h * 2, h, (h + low) / 2, low, low / 3]
+    prices = {"ref": p_ref}
+    for c in range(params.k):
+        for node in range(n):
+            prices[f"c{c}/v{node}"] = band[(c + node) % len(band)]
+    return prices
+
+
+# sha256 of assignment.json for NAND_FIXTURE compiled at eps = 1/12 with
+# override k = 12, d = 4 and decoded at _decode_prices, taken while decode
+# still rebuilt the whole market
+DECODE_DIGEST = "fe07d81514551bacc2b7b00abd64d013add43149ad9b7689089f4268f0c6fd37"
+
+
+def test_decode_builds_no_market(tmp_path, capsys, monkeypatch):
+    circuit = tmp_path / "nand.pc"
+    circuit.write_text(solver.NAND_FIXTURE)
+    build = tmp_path / "build"
+    args = ["--eps", "1/12", "--override-k", "12", "--override-d", "4"]
+    assert cli.run(["compile", str(circuit), "--out", str(build)] + args) == 0
+    params = compute_params(F(1, 12), 5, {"k": 12, "d": 4})
+    prices = tmp_path / "prices.json"
+    prices.write_text(prices_to_json(_decode_prices(params, 5)))
+    capsys.readouterr()
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("decode compiled the market")
+
+    monkeypatch.setattr(reduction, "compile_circuit", no_compile)
+    decode = ["decode", "--meta", str(build / "meta.json"), "--prices", str(prices)]
+    assert cli.run(decode + ["--out", str(build)]) == 0
+    text = (build / "assignment.json").read_text()
+    assert capsys.readouterr().out == text
+    assert json.loads(text)["copy"] == 10
+    assert hashlib.sha256(text.encode()).hexdigest() == DECODE_DIGEST
+
+
+def test_decode_meta_with_out_degree_over_two(compiled, equilibrium, tmp_path, capsys):
+    _, prices_path, _ = equilibrium
+    doc = json.loads((compiled / "meta.json").read_text())
+    doc["circuit"] = {
+        "n": 4,
+        "gates": [{"type": "NOT", "nodes": nodes} for nodes in ([0, 1], [0, 2], [0, 3], [1, 0])],
+    }
+    meta = tmp_path / "fan-out-meta.json"
+    meta.write_text(json.dumps(doc))
+    assert cli.run(["decode", "--meta", str(meta), "--prices", str(prices_path)]) == 3
+    assert "out-degree" in _assert_json_error(capsys, 3)
+
+
+def test_out_of_memory_is_usage_error(equilibrium, monkeypatch, capsys):
+    market_path, _, _ = equilibrium
+
+    def exhausted(market):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.mkt, "to_exchange", exhausted)
+    assert cli.run(["to-exchange", "--market", str(market_path)]) == 2
+    assert _assert_json_error(capsys, 2) == "MemoryError"
+    assert capsys.readouterr().out == ""

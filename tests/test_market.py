@@ -15,22 +15,23 @@ from circuitmarket import (
     UnboundedDemand,
     allocation_from_json,
     allocation_to_json,
+    compile_circuit,
     exchange_from_json,
     exchange_to_json,
     format_rational,
-    is_optimal,
     market_from_json,
     market_to_json,
     optimal_bundle,
+    parse_circuit,
     parse_rational,
     prices_from_json,
     prices_to_json,
     scale_prices,
     to_exchange,
-    utility_value,
     verify_exchange,
     verify_fisher,
 )
+from circuitmarket import solver
 from oracle import oracle_max_utility
 
 F = Fraction
@@ -61,10 +62,10 @@ def test_segment_validation():
 
 def test_utility_value_piecewise():
     u = util((2, 3), (1, 1))
-    assert utility_value(u, F(0)) == 0
-    assert utility_value(u, F(1)) == 3
-    assert utility_value(u, F(5, 2)) == F(13, 2)
-    assert utility_value(u, F(10)) == 7  # saturates past the last segment
+    assert u.value(F(0)) == 0
+    assert u.value(F(1)) == 3
+    assert u.value(F(5, 2)) == F(13, 2)
+    assert u.value(F(10)) == 7  # saturates past the last segment
     assert util((1, 2), (None, 1)).value(F(4)) == 5
 
 
@@ -97,14 +98,19 @@ def test_unbounded_demand_on_free_good():
 
 def test_is_optimal_accepts_tied_alternatives():
     buyer = Buyer("b", F(2), {"x": linear(1), "y": linear(1)})
+    market = FisherMarket(("x", "y"), (buyer,))
     prices = {"x": F(1), "y": F(1)}
     # canonical bundle is all-x (lexicographic tie-break), but any split
     # achieving utility 2 is optimal
     assert optimal_bundle(buyer, prices).bundle == {"x": F(2)}
-    assert is_optimal(buyer, prices, {"x": F(1), "y": F(1)})
-    assert is_optimal(buyer, prices, {"y": F(2)})
-    assert not is_optimal(buyer, prices, {"x": F(1)})
-    assert not is_optimal(buyer, prices, {"x": F(3)})  # unaffordable
+
+    def status(row):
+        return verify_fisher(market, prices, {"b": row}, F(2)).buyer_verdicts["b"].status
+
+    assert status({"x": F(1), "y": F(1)}) == "optimal"
+    assert status({"y": F(2)}) == "optimal"
+    assert status({"x": F(1)}) == "suboptimal"
+    assert status({"x": F(3)}) == "suboptimal"  # unaffordable
 
 
 def _two_buyer_market():
@@ -510,3 +516,25 @@ def test_verify_ignores_allocated_goods_outside_the_market():
     report = verify_fisher(market, prices, allocation, F(0))
     assert report.slacks == {"x": F(0), "y": F(0)}
     assert report.passed
+
+
+def test_market_reader_interns_utility_shapes():
+    reduced = compile_circuit(
+        parse_circuit(solver.NAND_FIXTURE), F(1, 12), {"k": 50, "d": 16}
+    )
+    text = market_to_json(reduced.market)
+    market = market_from_json(text)
+    shapes = {id(u) for b in market.buyers for u in b.utilities.values()}
+    entries = sum(len(b.utilities) for b in market.buyers)
+    assert (len(shapes), entries) == (5, 1701)
+    assert market == reduced.market
+    assert market_to_json(market) == text
+    exchange = exchange_from_json(exchange_to_json(to_exchange(market)))
+    assert len({id(u) for t in exchange.traders for u in t.utilities.values()}) == 5
+    # equal segments written differently are one shape
+    doc = json.loads(market_to_json(FisherMarket(
+        ("x",), (Buyer("a", F(1), {"x": util((1, 2))}), Buyer("b", F(1), {"x": util((1, 2))}))
+    )))
+    doc["buyers"][1]["utilities"]["x"][0]["slope"] = "4/2"
+    a, b = market_from_json(json.dumps(doc)).buyers
+    assert a.utilities["x"] is b.utilities["x"]

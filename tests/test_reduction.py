@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from circuitmarket import (
     Buyer,
     FisherMarket,
+    ReducedMarket,
     ReductionError,
     SplcSegment,
     SplcUtility,
@@ -14,7 +15,6 @@ from circuitmarket import (
     compile_circuit,
     compute_params,
     decode,
-    describe,
     expanded_node_count,
     market_to_json,
     metadata_to_json,
@@ -116,7 +116,6 @@ def test_not_cycle_compile_census():
         "gate_aux": 880,
         "top_up": 880,
     }
-    assert "copies: 440" in describe(reduced)
 
 
 def test_out_degree_over_two_is_rejected():
@@ -134,13 +133,13 @@ def test_s_accounts_for_chain_intermediate_goods():
 
 def test_purify_expands_to_two_chains():
     reduced = compile_circuit(PURIFY_LOOP, F(0), {"k": 1, "d": 4})
-    ids = [g.gadget_id for g in reduced.gadgets_by_copy[0]]
+    ids = [g.gadget_id for g in reduced.gadgets(0)]
     assert ids == [
         "g0.1.1", "g0.1.2", "g0.1.3", "g0.1.4",
         "g0.2.1", "g0.2.2", "g0.2.3", "g0.2.4",
         "g1",
     ]
-    by_id = {g.gadget_id: g for g in reduced.gadgets_by_copy[0]}
+    by_id = {g.gadget_id: g for g in reduced.gadgets(0)}
     # both chains start at the PURIFY input and end at the respective outputs
     assert by_id["g0.1.1"].inputs == ("c0/v0",)
     assert by_id["g0.1.4"].output == "c0/v1"
@@ -153,12 +152,14 @@ def test_purify_expands_to_two_chains():
 def test_top_ups_pad_every_good_to_two_consumers():
     reduced = compile_circuit(NOT_CYCLE, F(0), {"k": 1, "d": 2})
     consumers = {g: 0 for g in reduced.market.goods}
-    for gadget in reduced.gadgets_by_copy[0]:
+    for gadget in reduced.gadgets(0):
         for good in gadget.inputs:
             consumers[good] += 1
-    for b, role in reduced.buyer_roles.items():
-        if role.kind == "top_up":
-            consumers[role.good] += 1
+    top_ups = [b for b in reduced.market.buyers if b.id.startswith("c0/top/")]
+    assert top_ups
+    for buyer in top_ups:
+        for good in buyer.utilities.keys() - {"ref"}:
+            consumers[good] += 1
     assert all(consumers[g] == 2 for g in reduced.market.goods if g != "ref")
 
 
@@ -194,8 +195,13 @@ def test_interest_cap_counts_the_buyers_clearing_uses():
         + (extra(9, 0),),
     )
     assert len(solver._interested_buyers(crowded, good)) == 5
-    violations = structural_violations(dataclasses.replace(reduced, market=crowded))
+
+    class Crowded(ReducedMarket):
+        market = crowded  # stands in for the market the template stamps
+
+    violations = structural_violations(Crowded(reduced.params, reduced.circuit))
     assert f"good {good} has 5 interested buyers > 4" in violations
+    assert "buyers are not b_ref plus the template's per copy" in violations
     assert not any("interested" in v and good not in v for v in violations)
 
 
@@ -233,8 +239,6 @@ def test_metadata_json_is_deterministic_and_complete():
     reduced = compile_circuit(PURIFY_LOOP, F(1, 12), {"k": 1, "d": 2})
     text = metadata_to_json(reduced)
     assert text == metadata_to_json(reduced)
-    import json
-
     doc = json.loads(text)
     assert doc["params"]["epsilon"] == "1/12"
     assert doc["params"]["guarantees_void"] is True
@@ -244,37 +248,60 @@ def test_metadata_json_is_deterministic_and_complete():
     assert doc["buyer_roles"]["c0/inv/g1"]["kind"] == "inverter"
 
 
-# sha256 of (market.json, meta.json) at eps = 1/12 with override k = 3, d = 4,
-# pinned so that a change to the compiler or the writers cannot silently
-# change the bytes on disk
+# sha256 of (market.json, meta.json) at eps = 1/12 with override d = 4 and
+# k = 3, or k = 12, whose two-digit copies sort "c10/" and "c11/" between
+# "c1/" and "c2/"; pinned so that a change to the compiler or the writers
+# cannot silently change the bytes on disk
 GOLDEN_DIGESTS = {
     "NOT_CYCLE": (
         solver.NOT_CYCLE,
+        3,
         "e73cd5030a533330a72120a36cfbd16b4042f811514149ab783d889332a4a54d",
         "4dcf2e5a771baff5d07f9e8376cb5fc96b536651edfafc181cf744ac2c617d55",
     ),
     "NOT_FIXTURE": (
         solver.NOT_FIXTURE,
+        3,
         "66b4bbf5319cb8ad85c328209f267c8d335b5317301d6be7d5a0911a2c5604dd",
         "93ddcd2e5fe7d7e8642f60022bd9b7b93caf1f7201447d10eed050695da0d0aa",
     ),
     "NAND_FIXTURE": (
         solver.NAND_FIXTURE,
+        3,
         "e616c6eb1a066f1985b3000e7bb35f69c7ec72affdfe5a4b43eb68f4befa1508",
         "d377910d9365dc3dee0b18aede888889ca3041f004ea8c4d4b4b76b4a0dcb411",
     ),
     "PURIFY_FIXTURE": (
         solver.PURIFY_FIXTURE,
+        3,
         "50bfaed14c0a6502c93384ec72ad1f0aa70c557570f75b80a7b8946cdc22a5ea",
         "c07c4106cd6a878d2dc74431dd740e2465a7fa874a44c708b2dacdc5df5d7ed6",
+    ),
+    "NOT_CYCLE-k12": (
+        solver.NOT_CYCLE,
+        12,
+        "8ff69b5dc48d4b42b0120d89c9920cbe3c4517aff5c700a9ea1b75a1b6442088",
+        "ee8d16f8f681b0ee4c79a7042137b3d50d1f7ac952d41355dfa53c50d7af9699",
+    ),
+    "NAND_FIXTURE-k12": (
+        solver.NAND_FIXTURE,
+        12,
+        "fc1f32b0f07bb1a128b1c1934175d09768f7c5f5f2530ac654f3a28a0becf241",
+        "8b894465424669200344a55fb4c996e83eacafa6c6240cebfff04b7da518a97c",
+    ),
+    "PURIFY_FIXTURE-k12": (
+        solver.PURIFY_FIXTURE,
+        12,
+        "b5dd5a822bb94dc9473aa80d6fc1dd50e4fe949c389222d062e72a64ec096df7",
+        "a2cc3701860c52a9cc5223bf8d691a0ba55c00bdcdc311ed3c01af9187468047",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_compiled_artifacts_match_golden_bytes(name):
-    text, market_digest, meta_digest = GOLDEN_DIGESTS[name]
-    reduced = compile_circuit(parse_circuit(text), F(1, 12), {"k": 3, "d": 4})
+    text, k, market_digest, meta_digest = GOLDEN_DIGESTS[name]
+    reduced = compile_circuit(parse_circuit(text), F(1, 12), {"k": k, "d": 4})
     sha = lambda doc: hashlib.sha256(doc.encode()).hexdigest()
     assert sha(market_to_json(reduced.market)) == market_digest
     assert sha(metadata_to_json(reduced)) == meta_digest
@@ -287,9 +314,28 @@ def test_compiled_buyers_share_utility_shapes():
     by_id = {b.id: b for b in reduced.market.buyers}
     inputs = [
         by_id[f"c{c}/inv/{gadget.gadget_id}"].utilities[good]
-        for c, gadgets in enumerate(reduced.gadgets_by_copy)
-        for gadget in gadgets
+        for c in range(3)
+        for gadget in reduced.gadgets(c)
         for good in gadget.inputs
     ]
     assert len(inputs) > 3
     assert all(util is inputs[0] for util in inputs)
+
+
+def test_template_stamps_every_copy_of_the_market():
+    reduced = compile_circuit(PURIFY_LOOP, F(1, 12), {"k": 11, "d": 4})
+    template = reduced.template
+    assert len(reduced.market.goods) == 1 + 11 * len(template.goods)
+    assert len(reduced.market.buyers) == 1 + 11 * len(template.buyers)
+    doc = json.loads(metadata_to_json(reduced))
+    for c in (0, 10):
+        gadgets = reduced.gadgets(c)
+        assert [g.gadget_id for g in gadgets] == [g.gadget_id for g in template.gadgets]
+        assert all(
+            good.startswith(f"c{c}/") for g in gadgets for good in g.inputs + (g.output,)
+        )
+        assert doc["buyer_roles"][f"c{c}/top/v2/1"] == {
+            "copy": c, "good": f"c{c}/v2", "kind": "top_up", "r": "4/11"
+        }
+    with pytest.raises(IndexError):
+        reduced.gadgets(11)

@@ -23,7 +23,6 @@ from circuitmarket import (
     decode,
     format_rational,
     gadget_lab_report,
-    grid_search,
     lemma_suite,
     parse_circuit,
     pinned_bisection,
@@ -120,6 +119,25 @@ def test_pinned_bisection_bracket_errors():
         pinned_bisection(market, {}, "x", (F(1), F(10)), F(0))
     with pytest.raises(BracketError, match="bad bracket"):
         pinned_bisection(market, {"ref": F(1)}, "x", (F(10), F(1)), F(0))
+
+
+def test_pinned_bisection_needs_only_the_goods_it_reads():
+    """Only the goods valued by a buyer interested in the free good must be
+    pinned, a zero-slope one included; a missing one raises BracketError."""
+    market = FisherMarket(
+        ("x", "ref", "w", "z"),
+        (
+            Buyer("a", F(1), {"x": linear(1), "ref": linear(1), "w": linear(0)}),
+            Buyer("b", F(1), {"z": linear(1), "ref": linear(1)}),
+        ),
+    )
+    full = {"ref": F(1), "w": F(1), "z": F(1)}
+    expected = pinned_bisection(market, full, "x", (F(1, 2), F(2)), F(0))
+    assert pinned_bisection(market, {"ref": F(1), "w": F(1)}, "x", (F(1, 2), F(2)), F(0)) == expected
+    for missing in ("ref", "w"):
+        pinned = {g: p for g, p in full.items() if g != missing}
+        with pytest.raises(BracketError, match=rf"pinned prices missing goods \['{missing}'\]"):
+            pinned_bisection(market, pinned, "x", (F(1, 2), F(2)), F(0))
 
 
 def test_pinned_bisection_no_interested_buyer():
@@ -260,33 +278,6 @@ def test_region_search_only_where_demand_can_cross(monkeypatch):
                 fallback_calls += 1
     assert exact_calls > 50 and fallback_calls > 5
     assert exact_calls + fallback_calls < regions / 4
-
-
-# --- grid search ------------------------------------------------------------
-
-
-def test_grid_search_picks_first_clearing_point():
-    market = FisherMarket(("x",), (Buyer("b", F(1), {"x": linear(1)}),))
-    result = grid_search(market, F(0), ["x"], [F(1, 2), F(1), F(2)])
-    assert result is not None
-    assert result.prices == {"x": F(1)}
-    assert result.allocation == {"b": {"x": F(1)}}
-    assert grid_search(market, F(0), ["x"], [F(1, 3), F(3)]) is None
-
-
-def test_grid_search_agrees_with_bisection():
-    market = _pinning_market(F(1, 4), 3)
-    grid = [F(n, 2) for n in range(1, 21)]
-    result = grid_search(market, F(1, 12), ["x"], grid, pinned={"ref": F(1)})
-    assert result is not None
-    exact = pinned_bisection(market, {"ref": F(1)}, "x", (F(1, 10), F(10)), F(0))
-    assert abs(result.prices["x"] - exact.price) <= F(1, 2)
-
-
-def test_grid_search_caps_free_goods():
-    market = FisherMarket(("w", "x", "y", "z"), ())
-    with pytest.raises(Exception, match="capped"):
-        grid_search(market, F(0), ["w", "x", "y", "z"], [F(1)])
 
 
 # --- tatonnement ------------------------------------------------------------

@@ -158,8 +158,8 @@ def _cmd_solve(args) -> int:
         lam = parse_rational(args.lam)
     except RationalFormatError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
-    config = solver.SolverConfig(lam=lam, max_iters=args.max_iters, epsilon=eps)
     try:
+        config = solver.SolverConfig(lam=lam, max_iters=args.max_iters, epsilon=eps)
         result = solver.tatonnement(market, config)
     except mkt.MarketError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc

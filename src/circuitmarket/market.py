@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
@@ -98,6 +99,21 @@ class SplcUtility:
         )
 
 
+class _Walked:
+    """What the greedy walk reads of a buyer or trader, beyond its id."""
+
+    @cached_property
+    def walk_order(self) -> tuple[tuple[str, tuple], ...]:
+        """(good, ((slope, length), ...)) per valued good in good-id order,
+        listing the good's positive-slope segments in segment order.  Built
+        on the agent's first walk and kept, so a walk re-sorts nothing by
+        good and skips no zero-slope segment."""
+        return tuple(
+            (good, tuple((s.slope, s.length) for s in util.segments if s.slope > 0))
+            for good, util in sorted(self.utilities.items())
+        )
+
+
 def _check_agents(goods: tuple[str, ...], agents: tuple, kind: str) -> None:
     """Distinct good ids, distinct agent ids, utilities only on market goods."""
     known = set(goods)
@@ -116,7 +132,7 @@ def _check_agents(goods: tuple[str, ...], agents: tuple, kind: str) -> None:
 
 
 @dataclass(frozen=True)
-class Buyer:
+class Buyer(_Walked):
     id: str
     budget: Fraction
     utilities: dict[str, SplcUtility] = field(default_factory=dict)
@@ -159,7 +175,7 @@ class FisherMarket:
 
 
 @dataclass(frozen=True)
-class Trader:
+class Trader(_Walked):
     """An exchange-market trader endowed with `share` of every good."""
 
     id: str
@@ -200,9 +216,12 @@ class BundleResult:
     spend: Fraction
 
 
+_BANG = itemgetter(0)
+_BANG_PREF = itemgetter(0, 1)
+
+
 def _greedy_walk(
-    buyer_id: str,
-    utilities: dict[str, SplcUtility],
+    agent: _Walked,
     budget: Fraction,
     prices: dict[str, Fraction],
     favor: Optional[str] = None,
@@ -214,46 +233,48 @@ def _greedy_walk(
     then segment index, except that the segments of `favor` go first
     (first=True) or last among equal bang-per-buck.  `cost` is amount times
     price; `capped` means the segment's length, not the budget, limited the
-    purchase.  Raises
-    UnboundedDemand if a good with positive slope has price zero.
+    purchase, and the one purchase that is not capped spends what is left.
+    Raises KeyError if a valued good has no price, and UnboundedDemand if a
+    good with positive slope has price zero.
     """
-    favored = -1 if first else 1
+    lead = 1 if first else -1
     items = []
-    for good, util in sorted(utilities.items()):
+    for good, segments in agent.walk_order:
         price = prices[good]
-        pref = favored if good == favor else 0
-        for seg_idx, seg in enumerate(util.segments):
-            if seg.slope == 0:
+        if not segments:
+            continue
+        if price == 0:
+            raise UnboundedDemand(agent.id, good)
+        pref = lead if good == favor else 0
+        for slope, length in segments:
+            items.append((slope / price, pref, good, price, length))
+    # walk_order lists the segments by (good, segment index), so a stable
+    # sort on (bang-per-buck, preference) alone breaks ties by good and index
+    # (a reversed sort keeps equal keys in list order too)
+    items.sort(key=_BANG if favor is None else _BANG_PREF, reverse=True)
+
+    if budget == 0:
+        return
+    remaining = budget
+    for _, _, good, price, length in items:
+        if length is not None:
+            cost = length * price
+            if cost < remaining:
+                remaining -= cost
+                yield good, length, cost, True
                 continue
-            if price == 0:
-                raise UnboundedDemand(buyer_id, good)
-            items.append((-(seg.slope / price), pref, good, seg_idx, seg))
-    items.sort(key=lambda it: it[:4])
-
-    remaining = Fraction(budget)
-    for _, _, good, _, seg in items:
-        if remaining == 0:
-            return
-        price = prices[good]
-        affordable = remaining / price
-        if seg.unbounded or affordable <= seg.length:
-            amount, capped = affordable, False
-        else:
-            amount, capped = seg.length, True
-        if amount > 0:
-            cost = amount * price
-            remaining -= cost
-            yield good, amount, cost, capped
+        yield good, remaining / price, remaining, False
+        return
 
 
-def _greedy_bundle(buyer_id, utilities, budget, prices) -> BundleResult:
+def _greedy_bundle(agent: _Walked, budget: Fraction, prices) -> BundleResult:
     """The canonical optimal bundle: the greedy walk with no favored good."""
     bought: dict[str, Fraction] = {}
     spend = ZERO
-    for good, amount, cost, _ in _greedy_walk(buyer_id, utilities, budget, prices):
+    for good, amount, cost, _ in _greedy_walk(agent, budget, prices):
         bought[good] = bought.get(good, ZERO) + amount
         spend += cost
-    max_utility = sum((utilities[g].value(a) for g, a in bought.items()), ZERO)
+    max_utility = sum((agent.utilities[g].value(a) for g, a in bought.items()), ZERO)
     return BundleResult(max_utility, bought, spend)
 
 
@@ -270,7 +291,7 @@ def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     utility has price zero (the optimal-bundle set is empty or degenerate).
     """
     _check_prices_non_negative(prices)
-    return _greedy_bundle(buyer.id, buyer.utilities, buyer.budget, prices)
+    return _greedy_bundle(buyer, buyer.budget, prices)
 
 
 def _bundle_utility(
@@ -324,7 +345,7 @@ class EquilibriumReport:
 
 def _verify(
     goods: tuple[str, ...],
-    entries: list[tuple[str, dict[str, SplcUtility], Fraction]],
+    entries: list[tuple[_Walked, Fraction]],
     prices: dict[str, Fraction],
     allocation: dict[str, dict[str, Fraction]],
     epsilon: Fraction,
@@ -336,7 +357,7 @@ def _verify(
     if missing:
         raise MarketError(f"price map is not total; missing {missing}")
     _check_prices_non_negative(prices)
-    known_buyers = {bid for bid, _, _ in entries}
+    known_buyers = {agent.id for agent, _ in entries}
     for bid, row in allocation.items():
         if bid not in known_buyers:
             raise MarketError(f"allocation references unknown buyer {bid!r}")
@@ -351,15 +372,16 @@ def _verify(
                 slacks[good] += amount
 
     verdicts: dict[str, BuyerVerdict] = {}
-    for bid, utilities, budget in entries:
+    for agent, budget in entries:
+        bid = agent.id
         row = allocation.get(bid, {})
         try:
-            best = _greedy_bundle(bid, utilities, budget, prices)
+            best = _greedy_bundle(agent, budget, prices)
         except UnboundedDemand:
             verdicts[bid] = BuyerVerdict("unbounded-demand")
             continue
         spend = sum((prices[g] * amt for g, amt in row.items()), ZERO)
-        achieved = _bundle_utility(utilities, row)
+        achieved = _bundle_utility(agent.utilities, row)
         if spend <= budget and achieved == best.max_utility:
             verdicts[bid] = BuyerVerdict("optimal")
         else:
@@ -379,7 +401,7 @@ def verify_fisher(
 ) -> EquilibriumReport:
     """Check the two equilibrium conditions exactly: every buyer optimal,
     every good's demand within epsilon of its unit supply."""
-    entries = [(b.id, b.utilities, b.budget) for b in market.buyers]
+    entries = [(b, b.budget) for b in market.buyers]
     return _verify(market.goods, entries, prices, allocation, epsilon)
 
 
@@ -397,7 +419,7 @@ def verify_exchange(
     so that _verify reports it.
     """
     value = sum((prices.get(g, ZERO) for g in exchange.goods), ZERO)
-    entries = [(t.id, t.utilities, t.share * value) for t in exchange.traders]
+    entries = [(t, t.share * value) for t in exchange.traders]
     return _verify(exchange.goods, entries, prices, allocation, epsilon)
 
 
@@ -437,17 +459,38 @@ def _segment_from_json(obj: dict) -> SplcSegment:
     return SplcSegment(length, parse_rational(obj["slope"]))
 
 
+def _segments_key(segs) -> Optional[tuple]:
+    """The raw (length, slope) strings of a segment list, or None when the
+    list is not plain enough to key a parsed utility by."""
+    try:
+        key = tuple((s["length"], s["slope"]) for s in segs)
+    except (KeyError, TypeError):
+        return None
+    if all(type(length) is str and type(slope) is str for length, slope in key):
+        return key
+    return None
+
+
 def _utilities_from_json(
-    obj: dict, shapes: dict[tuple[SplcSegment, ...], SplcUtility]
+    obj: dict,
+    texts: dict[tuple, SplcUtility],
+    shapes: dict[tuple[SplcSegment, ...], SplcUtility],
 ) -> dict[str, SplcUtility]:
     """A utilities object; `shapes` interns each utility by its parsed
-    segments, so buyers that share a shape share one object."""
+    segments, so buyers that share a shape share one object, and `texts`
+    keeps the utility of each raw segment list already parsed, so a list
+    seen before is neither parsed nor validated again."""
     utilities = {}
     for good, segs in _json_object(obj, "utilities").items():
-        segments = tuple(_segment_from_json(s) for s in segs)
-        util = shapes.get(segments)
+        key = _segments_key(segs)
+        util = texts.get(key) if key is not None else None
         if util is None:
-            util = shapes[segments] = SplcUtility(segments)
+            segments = tuple(_segment_from_json(s) for s in segs)
+            util = shapes.get(segments)
+            if util is None:
+                util = shapes[segments] = SplcUtility(segments)
+            if key is not None:
+                texts[key] = util
         utilities[good] = util
     return utilities
 
@@ -507,6 +550,7 @@ def market_to_json(market: FisherMarket) -> str:
 
 
 def market_from_json(text: str) -> FisherMarket:
+    texts: dict[tuple, SplcUtility] = {}
     shapes: dict[tuple[SplcSegment, ...], SplcUtility] = {}
     try:
         doc = json.loads(text)
@@ -514,7 +558,7 @@ def market_from_json(text: str) -> FisherMarket:
             Buyer(
                 b["id"],
                 parse_rational(b["budget"]),
-                _utilities_from_json(b.get("utilities", {}), shapes),
+                _utilities_from_json(b.get("utilities", {}), texts, shapes),
             )
             for b in doc["buyers"]
         )
@@ -563,6 +607,7 @@ def _share_from_json(row, known: set[str]) -> Fraction:
 def exchange_from_json(text: str) -> ExchangeMarket:
     """Read an exchange document; only the dense form exchange_to_json
     writes is accepted."""
+    texts: dict[tuple, SplcUtility] = {}
     shapes: dict[tuple[SplcSegment, ...], SplcUtility] = {}
     try:
         doc = json.loads(text)
@@ -572,7 +617,7 @@ def exchange_from_json(text: str) -> ExchangeMarket:
             Trader(
                 t["id"],
                 _share_from_json(t["endowments"], known),
-                _utilities_from_json(t.get("utilities", {}), shapes),
+                _utilities_from_json(t.get("utilities", {}), texts, shapes),
             )
             for t in doc["buyers"]
         )

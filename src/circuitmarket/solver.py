@@ -30,7 +30,6 @@ from .market import (
     FisherMarket,
     MarketError,
     SplcUtility,
-    _greedy_bundle,
     _greedy_walk,
     verify_fisher,
 )
@@ -71,18 +70,22 @@ class DemandProfile:
 def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> DemandProfile:
     """Aggregate of the canonical (greedy) optimal bundles at `prices`.
 
-    Propagates UnboundedDemand if any buyer faces a free desired good.
+    Folds the greedy walks directly and evaluates no utility.  Propagates
+    UnboundedDemand if any buyer faces a free desired good.
     """
     for good in market.goods:
         if prices[good] <= 0:
             raise MarketError(f"price of {good!r} must be positive")
-    aggregate = {g: ZERO for g in market.goods}
+    # a sum starts at its first amount: ZERO + amount is a Fraction addition
+    bought: dict[str, Fraction] = {}
     bundles: dict[str, dict[str, Fraction]] = {}
     for buyer in market.buyers:
-        result = _greedy_bundle(buyer.id, buyer.utilities, buyer.budget, prices)
-        bundles[buyer.id] = result.bundle
-        for good, amount in result.bundle.items():
-            aggregate[good] += amount
+        bundle = bundles[buyer.id] = {}
+        for good, amount, _, _ in _greedy_walk(buyer, buyer.budget, prices):
+            bundle[good] = bundle[good] + amount if good in bundle else amount
+        for good, amount in bundle.items():
+            bought[good] = bought[good] + amount if good in bought else amount
+    aggregate = {g: bought.get(g, ZERO) for g in market.goods}
     return DemandProfile(aggregate, bundles)
 
 
@@ -100,6 +103,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.lam <= 0:
             raise MarketError("step factor must be positive")
+        if self.max_iters < 0:
+            raise MarketError("iteration limit must be non-negative")
         if self.floor <= 0:
             raise MarketError("price floor must be positive")
 
@@ -193,7 +198,7 @@ def _free_good_fold(
     const = money = ZERO
     for buyer in buyers:
         for g, amount, cost, capped in _greedy_walk(
-            buyer.id, buyer.utilities, buyer.budget, prices, good, first
+            buyer, buyer.budget, prices, good, first
         ):
             if g == good and capped:
                 const += amount
@@ -348,9 +353,13 @@ def pinned_bisection(
             dmin, dmax = interval(i)
             if i and interval(i - 1)[0] > 1 + tol >= dmax:
                 if i - 1 not in crossings:
+                    # With max demand exactly 1 at y, demand C + M/p reaches 1
+                    # inside (x, y) only if it is flat there, which the first
+                    # midpoint shows; otherwise this scan returns y itself and
+                    # never reads the region's epsilon fallback.
                     crossings[i - 1] = _region_crossing(
                         buyers, free_good, pinned, points[i - 1], point,
-                        epsilon, max_iters,
+                        epsilon, 1 if dmax == 1 else max_iters,
                     )
                 found, near = crossings[i - 1]
                 if exact and found is not None:

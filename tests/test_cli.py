@@ -434,6 +434,27 @@ def test_solve_on_market_with_buyers_but_no_goods_is_precondition_error(tmp_path
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda", "0"], "step factor must be positive"),
+        (["--lambda=-1/2"], "step factor must be positive"),
+        (["--max-iters", "-1"], "iteration limit must be non-negative"),
+    ],
+)
+def test_solve_rejects_bad_step_and_iteration_limit(flags, message, tmp_path, capsys):
+    market = tmp_path / "market.json"
+    linear = SplcUtility((SplcSegment(None, F(1)),))
+    market.write_text(market_to_json(FisherMarket(("x",), (Buyer("b", F(1), {"x": linear}),))))
+    out = tmp_path / "run"
+    code = cli.run(["solve", "--market", str(market), "--eps", "1/12", "--out", str(out), *flags])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": message, "code": 3}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)])
 def test_compile_outputs_get_the_umask_mode(circuit_file, tmp_path, umask, mode):
     old = os.umask(umask)

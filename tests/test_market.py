@@ -31,7 +31,7 @@ from circuitmarket import (
     verify_exchange,
     verify_fisher,
 )
-from circuitmarket import solver
+from circuitmarket import market as market_module, solver
 from oracle import oracle_max_utility
 
 F = Fraction
@@ -538,3 +538,51 @@ def test_market_reader_interns_utility_shapes():
     doc["buyers"][1]["utilities"]["x"][0]["slope"] = "4/2"
     a, b = market_from_json(json.dumps(doc)).buyers
     assert a.utilities["x"] is b.utilities["x"]
+
+
+def test_market_reader_parses_each_raw_segment_list_once(monkeypatch):
+    reduced = compile_circuit(
+        parse_circuit(solver.NAND_FIXTURE), F(1, 12), {"k": 12, "d": 4}
+    )
+    text = market_to_json(reduced.market)
+    raw = {
+        json.dumps(segs)
+        for b in json.loads(text)["buyers"] for segs in b["utilities"].values()
+    }
+    parsed = []
+    real = market_module._segment_from_json
+    monkeypatch.setattr(
+        market_module, "_segment_from_json", lambda obj: parsed.append(obj) or real(obj)
+    )
+    assert market_from_json(text) == reduced.market
+    assert len(parsed) == sum(len(json.loads(segs)) for segs in raw) < len(reduced.market.buyers)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"length": "1", "slope": "0.5"},
+         "bad market document: not an exact rational (use 'p/q' or an integer): '0.5'"),
+        ({"length": "1", "slope": 1}, "bad market document: expected rational string, got 1"),
+        ({"length": "1/0", "slope": "1"},
+         "bad market document: not an exact rational (use 'p/q' or an integer): '1/0'"),
+        ({"length": "-1", "slope": "1"}, "segment length must be positive"),
+        ({"length": "1"}, "bad market document: 'slope'"),
+        ({"length": "1", "slope": "3"}, "slopes must be non-increasing (concavity)"),
+        ("1", "bad market document: string indices must be integers, not 'str'"),
+    ],
+)
+def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
+    """A segment list that differs from one already read is parsed and
+    checked in full, with the message of a first read."""
+    good = {"length": "1", "slope": "2"}
+    doc = {
+        "goods": ["x"],
+        "buyers": [
+            {"id": "a", "budget": "1", "utilities": {"x": [good, good]}},
+            {"id": "b", "budget": "1", "utilities": {"x": [good, bad]}},
+        ],
+    }
+    with pytest.raises(MarketError) as info:
+        market_from_json(json.dumps(doc))
+    assert str(info.value) == message

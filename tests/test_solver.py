@@ -13,6 +13,7 @@ from circuitmarket import (
     SplcSegment,
     SplcUtility,
     SuitePreconditionError,
+    UnboundedDemand,
     build_fixture,
     canonical_demand,
     chain_bounds,
@@ -31,7 +32,8 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
-from circuitmarket import solver
+from circuitmarket import optimal_bundle, prices_to_json, solver
+from circuitmarket.market import _greedy_walk
 from circuitmarket.solver import (
     NAND_FIXTURE,
     NOT_CYCLE,
@@ -42,6 +44,7 @@ from circuitmarket.solver import (
     _interested_buyers,
     _tie_candidates,
 )
+from oracle import oracle_max_utility
 
 F = Fraction
 
@@ -67,6 +70,117 @@ def test_canonical_demand_single_linear_buyer():
     assert canonical_demand(market, {"ref": F(1, 2)}).aggregate == {"ref": F(2)}
     with pytest.raises(Exception):
         canonical_demand(market, {"ref": F(0)})
+
+
+def _random_splc_market(rng):
+    """Goods, slopes and prices on coarse grids, so bang-per-buck ties across
+    goods are common; zero-slope segments, several segments per good and
+    unbounded last segments all occur."""
+    goods = ("a", "b", "c", "d")
+    buyers = []
+    for i in range(rng.randint(1, 4)):
+        utilities = {}
+        for good in rng.sample(goods, rng.randint(1, 3)):
+            slopes = sorted((F(rng.randint(0, 4)) for _ in range(rng.randint(1, 3))), reverse=True)
+            segments = [seg(F(rng.randint(1, 3), rng.randint(1, 2)), s) for s in slopes]
+            if rng.random() < 0.5:
+                segments[-1] = seg(None, slopes[-1])
+            utilities[good] = SplcUtility(tuple(segments))
+        buyers.append(Buyer(f"b{i}", F(rng.randint(1, 12), rng.randint(1, 3)), utilities))
+    prices = {g: F(rng.randint(1, 4), rng.randint(1, 2)) for g in goods}
+    return FisherMarket(goods, tuple(buyers)), prices
+
+
+def _full_key_walk(buyer, prices, favor, first):
+    """The greedy walk as a sort on the full key (-bang, pref, good, index)
+    over all positive-slope segments, built afresh from the utilities."""
+    pref_of = -1 if first else 1
+    items = []
+    for good, util in sorted(buyer.utilities.items()):
+        pref = pref_of if good == favor else 0
+        for index, s in enumerate(util.segments):
+            if s.slope > 0:
+                items.append((-(s.slope / prices[good]), pref, good, index, s))
+    items.sort(key=lambda it: it[:4])
+    remaining, walk = buyer.budget, []
+    for _, _, good, _, s in items:
+        if remaining == 0:
+            break
+        affordable = remaining / prices[good]
+        capped = not s.unbounded and affordable > s.length
+        amount = s.length if capped else affordable
+        walk.append((good, amount, amount * prices[good], capped))
+        remaining -= amount * prices[good]
+    return walk
+
+
+def test_canonical_demand_is_the_optimal_bundle_of_every_buyer():
+    rng = random.Random(77)
+    ties = 0
+    for _ in range(300):
+        market, prices = _random_splc_market(rng)
+        profile = canonical_demand(market, prices)
+        total = {g: F(0) for g in market.goods}
+        for buyer in market.buyers:
+            best = optimal_bundle(buyer, prices)
+            bundle = profile.bundles[buyer.id]
+            assert bundle == best.bundle
+            assert best.max_utility == oracle_max_utility(buyer.utilities, buyer.budget, prices)
+            assert sum(buyer.utilities[g].value(x) for g, x in bundle.items()) == best.max_utility
+            for good, amount in bundle.items():
+                total[good] += amount
+            bangs = [
+                {s.slope / prices[g] for s in u.segments if s.slope > 0}
+                for g, u in buyer.utilities.items()
+            ]
+            ties += sum(len(a & b) for i, a in enumerate(bangs) for b in bangs[:i])
+        assert profile.aggregate == total
+    assert ties > 150
+
+
+def test_greedy_walk_takes_segments_in_full_key_order():
+    rng = random.Random(78)
+    for _ in range(300):
+        market, prices = _random_splc_market(rng)
+        for buyer in market.buyers:
+            for favor in (None, *market.goods):
+                for first in (True, False):
+                    assert list(
+                        _greedy_walk(buyer, buyer.budget, prices, favor, first)
+                    ) == _full_key_walk(buyer, prices, favor, first)
+
+
+def test_greedy_walk_reads_the_price_of_every_valued_good():
+    buyer = Buyer("b", F(1), {"x": linear(1), "z": capped(1, 0)})
+    with pytest.raises(KeyError):
+        list(_greedy_walk(buyer, buyer.budget, {"x": F(1)}))
+    with pytest.raises(UnboundedDemand):
+        list(_greedy_walk(buyer, buyer.budget, {"x": F(0), "z": F(1)}))
+    walk = list(_greedy_walk(buyer, buyer.budget, {"x": F(1), "z": F(0)}))
+    assert walk == [("x", F(1), F(1), False)]
+
+
+# sha256 of prices_to_json(prices) + trace_to_csv(trace) of tatonnement with
+# the default SolverConfig, taken before canonical demand walked a
+# precomputed per-buyer segment order: prices and trace must not move.
+TATONNEMENT_DIGESTS = {
+    ("NOT_CYCLE", 1, 2): "5fe54b2023cfadb5e650a030f6aa3dd4766303c89823c74a141e6d17f63ca752",
+    ("NOT_CYCLE", 2, 4): "e5294048b86121310c80efaa21777874cc06890fe15391b042475ba5f28d18d8",
+    ("NAND_FIXTURE", 1, 2): "aacc56566557fb712d317bad2a8409a8b459567f0dea939def17f0ba04f9590b",
+    ("NAND_FIXTURE", 2, 4): "80f8cf258003495d2e25737785400ab737e0acfee68dc5e96abe0d9b27b31f7e",
+    ("PURIFY_FIXTURE", 1, 2): "581e00c83d788628236dce3b5f03bd964306ec4fc07f4015d93a9360c7cabf00",
+    ("PURIFY_FIXTURE", 2, 4): "aa6db4bc430ba0f21d316ebfe79a295aa7ae9d26bccec9cf596573057f4b2855",
+}
+
+
+@pytest.mark.parametrize("name, k, d", sorted(TATONNEMENT_DIGESTS))
+def test_tatonnement_prices_and_trace_are_pinned(name, k, d):
+    text = {"NOT_CYCLE": NOT_CYCLE, "NAND_FIXTURE": NAND_FIXTURE,
+            "PURIFY_FIXTURE": PURIFY_FIXTURE}[name]
+    market = compile_circuit(parse_circuit(text), F(1, 12), {"k": k, "d": d}).market
+    result = tatonnement(market, SolverConfig())
+    pinned = prices_to_json(result.prices) + trace_to_csv(result.trace)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == TATONNEMENT_DIGESTS[name, k, d]
 
 
 # --- pinned bisection -------------------------------------------------------

@@ -232,7 +232,7 @@ def _cmd_lemmas(args) -> int:
     eps = _parse_eps(args.eps)
     try:
         report = solver.lemma_suite(reduced, prices, allocation, eps)
-    except solver.SuitePreconditionError as exc:
+    except (solver.SuitePreconditionError, mkt.MarketError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -254,6 +254,11 @@ def _cmd_to_exchange(args) -> int:
 def _cmd_gadget_lab(args) -> int:
     eps = _parse_eps(args.eps)
     override = _override(args)
+    if args.mesh < 2:
+        raise CliError(
+            f"mesh needs at least the two endpoints, got {args.mesh}",
+            EXIT_PRECONDITION,
+        )
     try:
         summary = solver.gadget_lab_report(eps, mesh=args.mesh, override=override)
     except (solver.BracketError, reduction.ReductionError) as exc:

@@ -5,11 +5,23 @@ ordered list of segments with non-increasing slopes, where only the final
 segment may be unbounded.  Supply of every good is one unit.  The optimal
 bundle at given prices is computed by the classic bang-per-buck greedy,
 which is exact for SPLC utilities.
+
+The walk orders segments by bang-per-buck slope/price without dividing
+Fractions: it sorts on the float quotient of the two correctly rounded
+floats, which is within a relative 2**-51 of the exact quotient, and
+settles every run of consecutive float keys within a relative 2**-30 of
+each other on the exact key.  Two keys that differ by more than that
+cannot have exact values in the other order, so the walk order is the exact
+one, ties included.  A price or slope whose float is not a normal number
+(such as a price of 10**-400), or a quotient that is not, sends the whole
+walk to the exact keys.  Amounts and costs are exact; no float reaches a
+result.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -104,14 +116,37 @@ class _Walked:
 
     @cached_property
     def walk_order(self) -> tuple[tuple[str, tuple], ...]:
-        """(good, ((slope, length), ...)) per valued good in good-id order,
-        listing the good's positive-slope segments in segment order.  Built
-        on the agent's first walk and kept, so a walk re-sorts nothing by
-        good and skips no zero-slope segment."""
+        """(good, ((slope, length, float slope), ...)) per valued good in
+        good-id order, listing the good's positive-slope segments in segment
+        order.  Built on the agent's first walk and kept, so a walk re-sorts
+        nothing by good and skips no zero-slope segment.  A slope whose float
+        is not a normal number gets the float 0.0, which sends every walk
+        that reads it to the exact keys."""
         return tuple(
-            (good, tuple((s.slope, s.length) for s in util.segments if s.slope > 0))
+            (good, tuple(
+                (s.slope, s.length, _normal_float(s.slope, 0.0))
+                for s in util.segments if s.slope > 0
+            ))
             for good, util in sorted(self.utilities.items())
         )
+
+
+_FLOAT_MIN = sys.float_info.min
+_FLOAT_MAX = sys.float_info.max
+# keys closer than this ratio are settled exactly; float rounding moves a
+# key by less than a relative 2**-51
+_NEAR = 1 - 2.0**-30
+_INF = float("inf")
+
+
+def _normal_float(x: Fraction, bad: float) -> float:
+    """x correctly rounded to a float if that is a positive normal number,
+    else `bad`."""
+    try:
+        f = x.numerator / x.denominator
+    except OverflowError:
+        return bad
+    return f if _FLOAT_MIN <= f <= _FLOAT_MAX else bad
 
 
 def _check_agents(goods: tuple[str, ...], agents: tuple, kind: str) -> None:
@@ -216,8 +251,13 @@ class BundleResult:
     spend: Fraction
 
 
-_BANG = itemgetter(0)
-_BANG_PREF = itemgetter(0, 1)
+_FKEY = itemgetter(0)
+
+
+def _exact_key(item) -> tuple:
+    """(bang-per-buck, preference, -position) of a walk item."""
+    _, position, pref, _, price, _, slope = item
+    return slope / price, pref, -position
 
 
 def _greedy_walk(
@@ -236,6 +276,17 @@ def _greedy_walk(
     purchase, and the one purchase that is not capped spends what is left.
     Raises KeyError if a valued good has no price, and UnboundedDemand if a
     good with positive slope has price zero.
+
+    The order is that of the exact key, found by a sort on float keys (see
+    the module docstring): each segment's float slope over its good's float
+    price, both correctly rounded, so the key is within a relative 2**-51
+    of slope/price.  After the sort, every run of consecutive keys each
+    within a relative 2**-30 of the one before is re-sorted on the exact
+    key (slope/price, preference, -position).  Keys further apart than that
+    are in exact order, so only such runs can be out of it.  If a slope,
+    price or key float is not a positive normal number (a price of
+    10**-400, say), the float keys carry no such bound and the whole walk
+    is sorted on the exact key.
     """
     lead = 1 if first else -1
     items = []
@@ -246,17 +297,35 @@ def _greedy_walk(
         if price == 0:
             raise UnboundedDemand(agent.id, good)
         pref = lead if good == favor else 0
-        for slope, length in segments:
-            items.append((slope / price, pref, good, price, length))
-    # walk_order lists the segments by (good, segment index), so a stable
-    # sort on (bang-per-buck, preference) alone breaks ties by good and index
-    # (a reversed sort keeps equal keys in list order too)
-    items.sort(key=_BANG if favor is None else _BANG_PREF, reverse=True)
-
-    if budget == 0:
+        # a price whose float is not a positive normal number gives the good
+        # keys of 0.0, which send the walk to the exact keys (a float
+        # quotient of ints raises rather than overflow)
+        try:
+            fprice = price.numerator / price.denominator
+        except OverflowError:
+            fprice = _INF
+        if fprice < _FLOAT_MIN:
+            fprice = _INF
+        for slope, length, fslope in segments:
+            items.append((fslope / fprice, len(items), pref, good, price, length, slope))
+    if budget == 0 or not items:
         return
+
+    # keys are sorted in decreasing order, so the first and last bound them
+    items.sort(key=_FKEY, reverse=True)
+    if items[0][0] > _FLOAT_MAX or items[-1][0] < _FLOAT_MIN:
+        items.sort(key=_exact_key, reverse=True)
+    else:
+        start = 0
+        for i in range(1, len(items) + 1):
+            if i < len(items) and items[i][0] >= items[i - 1][0] * _NEAR:
+                continue
+            if i - start > 1:
+                items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
+            start = i
+
     remaining = budget
-    for _, _, good, price, length in items:
+    for _, _, _, good, price, length, _ in items:
         if length is not None:
             cost = length * price
             if cost < remaining:
@@ -268,14 +337,26 @@ def _greedy_walk(
 
 
 def _greedy_bundle(agent: _Walked, budget: Fraction, prices) -> BundleResult:
-    """The canonical optimal bundle: the greedy walk with no favored good."""
+    """The canonical optimal bundle: the greedy walk with no favored good.
+
+    The walk buys each good's segments in segment order, so the k-th
+    purchase of a good is its k-th positive-slope segment, and the optimum's
+    utility is the sum of slope times amount over the purchases."""
+    segments = {good: iter(segs) for good, segs in agent.walk_order}
     bought: dict[str, Fraction] = {}
-    spend = ZERO
+    spend = utility = None
+    # a sum starts at its first term: ZERO + term is a Fraction addition
     for good, amount, cost, _ in _greedy_walk(agent, budget, prices):
-        bought[good] = bought.get(good, ZERO) + amount
-        spend += cost
-    max_utility = sum((agent.utilities[g].value(a) for g, a in bought.items()), ZERO)
-    return BundleResult(max_utility, bought, spend)
+        term = next(segments[good])[0] * amount
+        if spend is None:
+            spend, utility = cost, term
+        else:
+            spend += cost
+            utility += term
+        bought[good] = bought[good] + amount if good in bought else amount
+    if spend is None:
+        spend = utility = ZERO
+    return BundleResult(utility, bought, spend)
 
 
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:

@@ -23,6 +23,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .market import (
@@ -95,6 +96,12 @@ def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> Deman
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Tâtonnement settings: step factor `lam`, iteration limit, the epsilon
+    of convergence, and the price floor.  Every step's raw price is rounded
+    to the nearest rational with denominator at most 2**40
+    (Fraction.limit_denominator, computed in integers), then raised to the
+    floor."""
+
     lam: Fraction = F(1, 2)
     max_iters: int = 200
     epsilon: Fraction = F(1, 12)
@@ -127,41 +134,101 @@ class TatonnementResult:
 _PRICE_DENOMINATOR_LIMIT = 2**40
 
 
+def _step_price(n: int, d: int, floor: Fraction) -> Fraction:
+    """max(floor, Fraction(n, d).limit_denominator(2**40)) for ints n and
+    d > 0.
+
+    One gcd reduces n/d; the continued-fraction loop of limit_denominator
+    then runs on ints, picks between its two bounds with the integer test
+    of Python 3.12, and only the result becomes a Fraction.
+    """
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    limit = _PRICE_DENOMINATOR_LIMIT
+    if d <= limit:
+        p, q = n, d
+    else:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        num, den = n, d
+        while True:
+            a = num // den
+            q2 = q0 + a * q1
+            if q2 > limit:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            num, den = den, num - a * den
+        k = (limit - q0) // q1
+        # p1/q1 lies den/(q1 d) from n/d, and the bounds 1/(q1 (q0 + k q1))
+        # apart on either side of it
+        if 2 * den * (q0 + k * q1) <= d:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    if p * floor.denominator <= floor.numerator * q:
+        return floor
+    return F(p, q)
+
+
 def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult:
     """Multiplicative price adjustment p <- p * (1 + lam * (demand - 1)).
 
-    Starts from all-ones prices.  Converged means verify_fisher passes at
+    Starts from all-ones prices.  Each step rounds the new price with
+    limit_denominator(2**40) and raises it to config.floor, computed in
+    integers (_step_price).  Converged means verify_fisher passes at
     config.epsilon with the canonical allocation; the best-seen prices are
     returned either way.
+
+    An iteration folds every buyer's greedy walk into the aggregate demand
+    alone; the canonical bundles are built only on iterations with no good
+    outside epsilon, which are the ones verified.
     """
     if not market.satisfies_sufficient_condition():
         raise MarketError("tatonnement requires every buyer to be unsatiated")
-    prices = {g: ONE for g in market.goods}
+    goods = market.goods
+    prices = {g: ONE for g in goods}
+    eps_n, eps_d = config.epsilon.numerator, config.epsilon.denominator
+    lam_n, lam_d = config.lam.numerator, config.lam.denominator
     trace: list[TraceRow] = []
     best_prices, best_slack = dict(prices), None
     converged = False
     for iteration in range(config.max_iters + 1):
-        profile = canonical_demand(market, prices)
-        slacks = {g: profile.aggregate[g] - 1 for g in market.goods}
-        max_abs = max((abs(s) for s in slacks.values()), default=ZERO)
-        violating = sum(1 for s in slacks.values() if abs(s) > config.epsilon)
+        # a sum starts at its first amount: ZERO + amount is a Fraction addition
+        bought: dict[str, Fraction] = {}
+        for buyer in market.buyers:
+            for good, amount, _, _ in _greedy_walk(buyer, buyer.budget, prices):
+                bought[good] = bought[good] + amount if good in bought else amount
+        # the slack of good g is excess/den, with demand (excess + den)/den
+        slacks = []
+        max_num, max_den, violating = 0, 1, 0
+        for g in goods:
+            demand = bought.get(g, ZERO)
+            den = demand.denominator
+            excess = demand.numerator - den
+            slacks.append((excess, den))
+            size = abs(excess)
+            if size * eps_d > eps_n * den:
+                violating += 1
+            if size * max_den > max_num * den:
+                max_num, max_den = size, den
+        max_abs = F(max_num, max_den)
         trace.append(TraceRow(iteration, max_abs, violating))
         if best_slack is None or max_abs < best_slack:
             best_prices, best_slack = dict(prices), max_abs
         if violating == 0:
-            report = verify_fisher(market, prices, profile.bundles, config.epsilon)
+            bundles = canonical_demand(market, prices).bundles
+            report = verify_fisher(market, prices, bundles, config.epsilon)
             if report.passed:
                 best_prices = dict(prices)
                 converged = True
                 break
+        # p (1 + lam excess/den) = p.num (lam_d den + lam_n excess) / (p.den lam_d den)
         prices = {
-            g: max(
+            g: _step_price(
+                p.numerator * (lam_d * den + lam_n * excess),
+                p.denominator * lam_d * den,
                 config.floor,
-                (p * (1 + config.lam * slacks[g])).limit_denominator(
-                    _PRICE_DENOMINATOR_LIMIT
-                ),
             )
-            for g, p in prices.items()
+            for (g, p), (excess, den) in zip(prices.items(), slacks)
         }
     return TatonnementResult(best_prices, converged, tuple(trace))
 

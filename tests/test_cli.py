@@ -536,3 +536,51 @@ def test_out_of_memory_is_usage_error(equilibrium, monkeypatch, capsys):
     assert cli.run(["to-exchange", "--market", str(market_path)]) == 2
     assert _assert_json_error(capsys, 2) == "MemoryError"
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "prices, allocation, message",
+    [
+        ({"ref": "281/275", "c0/v0": "1/200"}, None, "price map is not total"),
+        ({"ref": "-1", "c0/v0": "1/200", "c0/v1": "1/200"}, None,
+         "negative price for good 'ref'"),
+        (None, {"nobody": {"ref": "1"}}, "allocation references unknown buyer 'nobody'"),
+    ],
+)
+def test_lemmas_maps_bad_prices_and_allocation_to_precondition(
+    compiled, equilibrium, prices, allocation, message, tmp_path, capsys
+):
+    _, prices_path, alloc_path = equilibrium
+    if prices is not None:
+        prices_path = tmp_path / "bad-prices.json"
+        prices_path.write_text(json.dumps(prices))
+    if allocation is not None:
+        alloc_path = tmp_path / "bad-alloc.json"
+        alloc_path.write_text(json.dumps(allocation))
+    out = tmp_path / "lem"
+    code = cli.run(
+        [
+            "lemmas", "--meta", str(compiled / "meta.json"),
+            "--prices", str(prices_path), "--allocation", str(alloc_path),
+            "--eps", "1/12", "--out", str(out),
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["code"] == 3 and message in error["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mesh", ["0", "1", "-3"])
+def test_gadget_lab_rejects_mesh_below_two(mesh, tmp_path, capsys):
+    out = tmp_path / "lab"
+    code = cli.run(["gadget-lab", f"--mesh={mesh}", "--out", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"mesh needs at least the two endpoints, got {mesh}", "code": 3
+    }
+    assert not out.exists()

@@ -586,3 +586,91 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
     with pytest.raises(MarketError) as info:
         market_from_json(json.dumps(doc))
     assert str(info.value) == message
+
+
+# --- float-screened walk order ----------------------------------------------
+
+
+def _walked_goods(buyer, prices, favor=None, first=True):
+    return [g for g, *_ in market_module._greedy_walk(buyer, buyer.budget, prices, favor, first)]
+
+
+def test_greedy_walk_settles_float_near_ties_exactly():
+    one = F(1)
+    # (1/10)/(3/10) equals 1/3 exactly, but the float quotient 0.1/0.3
+    # rounds above 1/3: the tie must still break by good id
+    assert 0.1 / 0.3 > 1 / 3
+    buyer = Buyer("b", F(10), {"a": util((1, 1)), "b": util((1, F(1, 10)))})
+    assert _walked_goods(buyer, {"a": F(3), "b": F(3, 10)}) == ["a", "b"]
+    assert _walked_goods(buyer, {"a": F(3), "b": F(3, 10)}, "b") == ["b", "a"]
+    assert _walked_goods(buyer, {"a": F(3), "b": F(3, 10)}, "a", False) == ["b", "a"]
+    # bang-per-buck 1 part in 10**30 apart: the floats are equal, the exact
+    # keys are not, and the higher one goes first whatever the favor
+    buyer = Buyer("b", F(10), {"a": util((1, 1)), "b": util((1, 1))})
+    near = {"a": one + F(1, 10**30), "b": one}
+    assert (near["a"].numerator / near["a"].denominator) == 1.0
+    for favor in (None, "a", "b"):
+        for first in (True, False):
+            assert _walked_goods(buyer, near, favor, first) == ["b", "a"]
+
+
+@pytest.mark.parametrize(
+    "prices, slopes, order",
+    [
+        # a price whose float underflows or overflows
+        ({"a": F(1, 10**400), "b": F(1)}, (1, 10**6), ["a", "b"]),
+        ({"a": F(10**400), "b": F(1)}, (10**401, 1), ["a", "b"]),
+        # normal floats whose quotient overflows or underflows
+        ({"a": F(1, 10**300), "b": F(1)}, (10**300, 10**300), ["a", "b"]),
+        ({"a": F(10**300), "b": F(1)}, (F(1, 10**300), F(1, 10**300)), ["b", "a"]),
+        # a slope whose float underflows
+        ({"a": F(1, 10**401), "b": F(1)}, (F(1, 10**400), F(1, 10**300)), ["a", "b"]),
+    ],
+)
+def test_greedy_walk_falls_back_to_exact_keys_out_of_float_range(prices, slopes, order):
+    buyer = Buyer("b", F(10**500), {g: util((1, s)) for g, s in zip("ab", slopes)})
+    assert _walked_goods(buyer, prices) == order
+
+
+def test_walk_order_keeps_a_float_of_each_normal_slope():
+    buyer = Buyer("b", F(1), {
+        "a": util((1, F(1, 3)), (1, 0)),
+        "b": util((1, 10**400), (1, F(1, 10**300)), (None, F(1, 10**400))),
+        "c": util((1, 0)),
+    })
+    assert buyer.walk_order == (
+        ("a", ((F(1, 3), F(1), 1 / 3),)),
+        ("b", (
+            (F(10**400), F(1), 0.0),
+            (F(1, 10**300), F(1), 1e-300),
+            (F(1, 10**400), None, 0.0),
+        )),
+        ("c", ()),
+    )
+
+
+def test_optimal_bundle_utility_is_its_segments_slope_times_amount():
+    """Seeded buyers with near-tied and out-of-float-range bang-per-buck:
+    the walked utility equals the utility of the bundle and the oracle."""
+    rng = random.Random(91)
+    for _ in range(200):
+        prices, utilities = {}, {}
+        for good in "abc":
+            scale = rng.choice((F(1), F(1, 10**400), F(10**400), F(3, 10)))
+            prices[good] = scale * (1 + F(rng.randint(-1, 1), 10**30))
+            slopes = sorted((F(rng.randint(1, 4), 3) * scale for _ in range(rng.randint(1, 3))), reverse=True)
+            segments = [(F(rng.randint(1, 3), 2), s) for s in slopes]
+            if rng.random() < 0.3:
+                segments[-1] = (None, slopes[-1])
+            utilities[good] = util(*segments)
+        budget = rng.choice((F(1), F(1, 10**400), F(10**400))) * rng.randint(1, 9)
+        buyer = Buyer("b", budget, utilities)
+        best = optimal_bundle(buyer, prices)
+        assert best.max_utility == sum(
+            (utilities[g].value(x) for g, x in best.bundle.items()), F(0)
+        )
+        assert best.max_utility == oracle_max_utility(utilities, budget, prices)
+        assert best.spend == sum((prices[g] * x for g, x in best.bundle.items()), F(0))
+    assert optimal_bundle(Buyer("b", F(1), {"a": util((1, 0))}), {"a": F(1)}) == (
+        market_module.BundleResult(F(0), {}, F(0))
+    )

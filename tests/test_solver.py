@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -160,6 +161,80 @@ def test_greedy_walk_reads_the_price_of_every_valued_good():
     assert walk == [("x", F(1), F(1), False)]
 
 
+def _float_key(slope, price):
+    """The walk's float key, or None where it falls back to exact keys."""
+    try:
+        key = (slope.numerator / slope.denominator) / (price.numerator / price.denominator)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return key if 2.2250738585072014e-308 <= key <= 1.7976931348623157e308 else None
+
+
+def _near_tie_market(rng):
+    """Buyers whose bang-per-buck values are equal rationals reached through
+    different prices (so float quotients may differ by double rounding),
+    1 part in 10**30 apart, or out of float range (prices of 10**-400 and
+    10**400, quotients of 10**600 and 10**-600)."""
+    goods = ("a", "b", "c", "d")
+    kinds = ("plain", "decimal", "tiny", "huge", "wide", "narrow")
+    if rng.random() < 0.6:
+        kinds = ("plain", "decimal", "decimal")
+    prices, shift = {}, {}
+    for good in goods:
+        kind = rng.choice(kinds)
+        prices[good] = {
+            "plain": F(rng.randint(1, 4)),
+            "decimal": F(rng.randint(1, 999), 10 ** rng.randint(1, 4)),
+            "tiny": F(rng.randint(1, 9), 10**400),
+            "huge": F(rng.randint(1, 9) * 10**400),
+            "wide": F(rng.randint(1, 9), 10**300),
+            "narrow": F(rng.randint(1, 9) * 10**300),
+        }[kind]
+        # bang = slope/price is a small rational times this factor
+        shift[good] = {"wide": F(10**600), "narrow": F(1, 10**600)}.get(kind, F(1))
+    buyers = []
+    for i in range(rng.randint(1, 3)):
+        utilities = {}
+        for good in rng.sample(goods, rng.randint(2, 4)):
+            near = 1 + F(rng.choice((-1, 0, 0, 1)), 10**30)
+            bangs = sorted(rng.sample((F(1, 3), F(2, 7), F(1, 10), F(5, 3)), rng.randint(1, 3)), reverse=True)
+            segments = [seg(F(rng.randint(1, 3), 2), b * near * shift[good] * prices[good]) for b in bangs]
+            if rng.random() < 0.3:
+                segments[-1] = seg(None, segments[-1].slope)
+            utilities[good] = SplcUtility(tuple(segments))
+        # mostly a budget that buys every bounded segment, so the whole order shows
+        total = sum((s.length * prices[g] for g, u in utilities.items() for s in u.segments if s.length), F(0))
+        budget = (total + 1) * (1 if rng.random() < 0.8 else F(rng.randint(1, 9), 10))
+        buyers.append(Buyer(f"b{i}", budget, utilities))
+    return FisherMarket(goods, tuple(buyers)), prices
+
+
+def test_greedy_walk_takes_segments_in_full_key_order_on_float_near_ties():
+    """Every favor and first setting, against the sort on the full exact key;
+    the seeded markets make the float order differ from the exact order, and
+    make walks fall back to exact keys, many times."""
+    rng = random.Random(79)
+    reordered = fallbacks = 0
+    for _ in range(400):
+        market, prices = _near_tie_market(rng)
+        for buyer in market.buyers:
+            items = [
+                (s.slope / prices[g], g, i, _float_key(s.slope, prices[g]))
+                for g, u in sorted(buyer.utilities.items())
+                for i, s in enumerate(u.segments)
+            ]
+            if any(key is None for *_, key in items):
+                fallbacks += 1
+            elif sorted(items, key=lambda it: -it[3]) != sorted(items, key=lambda it: -it[0]):
+                reordered += 1
+            for favor in (None, *market.goods):
+                for first in (True, False):
+                    assert list(
+                        _greedy_walk(buyer, buyer.budget, prices, favor, first)
+                    ) == _full_key_walk(buyer, prices, favor, first)
+    assert reordered > 150 and fallbacks > 150
+
+
 # sha256 of prices_to_json(prices) + trace_to_csv(trace) of tatonnement with
 # the default SolverConfig, taken before canonical demand walked a
 # precomputed per-buyer segment order: prices and trace must not move.
@@ -181,6 +256,92 @@ def test_tatonnement_prices_and_trace_are_pinned(name, k, d):
     result = tatonnement(market, SolverConfig())
     pinned = prices_to_json(result.prices) + trace_to_csv(result.trace)
     assert hashlib.sha256(pinned.encode()).hexdigest() == TATONNEMENT_DIGESTS[name, k, d]
+
+
+# the same, with step factor 3: raw prices go negative and hit the floor
+# (taken before the price step was computed in integers)
+TATONNEMENT_LAM3_DIGESTS = {
+    ("NOT_CYCLE", 1, 2): "e0910f70e0873cfa5b0e5229cfb3d75c1404069469b736e603fa6d6b9277e0ce",
+    ("NOT_CYCLE", 2, 4): "5372bf75a1e2a3219c305a8c609b53138bc86e6bac8776a791acd7a0863bfe8e",
+    ("NAND_FIXTURE", 1, 2): "ddf96c9ee4050054342e71d48ac4e2a444ccced39d4ea895d0578c2bdebb517b",
+    ("NAND_FIXTURE", 2, 4): "75225bc797c5e2c2b2ffc78a42614aba380cfc0f23905a77d06283f051e67f49",
+    ("PURIFY_FIXTURE", 1, 2): "7d8d3c686d2713532761147459f8865e0d3aaa50cea78c4169e7ddf1f56cf43a",
+    ("PURIFY_FIXTURE", 2, 4): "205d9e546612db665162f8188acdc6e12958efb873fad13d998d82b280b95846",
+}
+
+
+@pytest.mark.parametrize("name, k, d", sorted(TATONNEMENT_LAM3_DIGESTS))
+def test_tatonnement_with_step_three_is_pinned(name, k, d):
+    text = {"NOT_CYCLE": NOT_CYCLE, "NAND_FIXTURE": NAND_FIXTURE,
+            "PURIFY_FIXTURE": PURIFY_FIXTURE}[name]
+    market = compile_circuit(parse_circuit(text), F(1, 12), {"k": k, "d": d}).market
+    result = tatonnement(market, SolverConfig(lam=F(3)))
+    pinned = prices_to_json(result.prices) + trace_to_csv(result.trace)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == TATONNEMENT_LAM3_DIGESTS[name, k, d]
+
+
+LIMIT = 2**40
+FLOOR = SolverConfig().floor
+
+
+def _reference_step(n, d, floor=FLOOR):
+    return max(floor, F(n, d).limit_denominator(LIMIT))
+
+
+def test_price_step_is_limit_denominator_on_seeded_inputs():
+    rng = random.Random(80)
+    for _ in range(20000):
+        bits = rng.choice((4, 20, 39, 40, 41, 64, 160, 400))
+        n, d = rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits)
+        g = rng.choice((1, 1, 2, 3**20, 2**45))  # unreduced inputs too
+        floor = rng.choice((FLOOR, F(1, 3), F(1, 2**41 + 1)))
+        assert solver._step_price(n * g, d * g, floor) == _reference_step(n, d, floor)
+
+
+def test_price_step_at_the_denominator_limit():
+    for n in (1, 2**40 - 1, 3 * 2**40 + 1, 2**80 + 1):
+        # 2**40 is within the limit and kept; 2**40 + 1 is not
+        assert solver._step_price(n, LIMIT, FLOOR) == max(FLOOR, F(n, LIMIT))
+        assert solver._step_price(n, LIMIT + 1, FLOOR) == _reference_step(n, LIMIT + 1)
+        assert solver._step_price(n, LIMIT + 1, FLOOR).denominator <= LIMIT
+        assert solver._step_price(2 * n, 2 * LIMIT, FLOOR) == max(FLOOR, F(n, LIMIT))
+
+
+def _farey_neighbour(a, b):
+    """The fraction c/d just above a/b among those with denominator at most
+    2**40, for coprime a, b with b <= 2**40: b c - a d = 1 with the largest d."""
+    d = -pow(a, -1, b) % b
+    d += (LIMIT - d) // b * b
+    return (1 + a * d) // b, d
+
+
+def test_price_step_at_midpoints_between_the_two_bounds():
+    rng = random.Random(81)
+    for _ in range(300):
+        b = rng.randint(LIMIT // 2, LIMIT)
+        a = rng.randint(1, 4 * b)
+        while gcd(a, b) != 1:
+            a += 1
+        c, d = _farey_neighbour(a, b)
+        mid = (F(a, b) + F(c, d)) / 2
+        assert mid - F(a, b) == F(c, d) - mid and mid.denominator > LIMIT
+        got = solver._step_price(mid.numerator, mid.denominator, FLOOR)
+        assert got == _reference_step(mid.numerator, mid.denominator)
+        assert got in (F(a, b), F(c, d))
+
+
+def test_price_step_raises_negative_and_tiny_prices_to_the_floor():
+    # with step factor 3, a good nobody buys has slack -1 and its raw price
+    # p (1 + 3 * -1) = -2 p is negative
+    for p in (F(1), F(7, 2**40), FLOOR):
+        raw = p * (1 + 3 * F(-1))
+        assert solver._step_price(raw.numerator, raw.denominator, FLOOR) is FLOOR
+    # raw prices just around the floor, rounded first and raised after
+    for raw in (FLOOR * (1 - F(1, 10**20)), FLOOR, FLOOR * (1 + F(1, 10**20)), FLOOR * 2):
+        assert solver._step_price(raw.numerator, raw.denominator, FLOOR) == _reference_step(
+            raw.numerator, raw.denominator
+        )
+    assert solver._step_price(0, 5, FLOOR) is FLOOR
 
 
 # --- pinned bisection -------------------------------------------------------

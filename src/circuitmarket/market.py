@@ -14,8 +14,18 @@ each other on the exact key.  Two keys that differ by more than that
 cannot have exact values in the other order, so the walk order is the exact
 one, ties included.  A price or slope whose float is not a normal number
 (such as a price of 10**-400), or a quotient that is not, sends the whole
-walk to the exact keys.  Amounts and costs are exact; no float reaches a
-result.
+walk to the exact keys.  No float reaches a result.
+
+_walk_items is that one sort.  Two walks read its order.  _greedy_walk
+yields each purchase with exact Fraction amounts and costs, for bundles,
+verification and the lemma suite.  _split_demand folds the purchases of
+many buyers in integers, for tâtonnement and single-good clearing: a
+good's aggregate demand is C + M/p at its price p, where C sums the
+segment lengths bought in full and M the money of the purchases the
+budget limits.  Each walk keeps its remaining budget as an unreduced
+integer pair and reduces it once; sums over buyers combine denominators by
+their lcm.  C + M/p equals the sum of the Fraction walk's amounts
+exactly, so what the solvers return is what a Fraction fold returns.
 """
 
 from __future__ import annotations
@@ -26,8 +36,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -260,22 +271,18 @@ def _exact_key(item) -> tuple:
     return slope / price, pref, -position
 
 
-def _greedy_walk(
-    agent: _Walked,
-    budget: Fraction,
-    prices: dict[str, Fraction],
-    favor: Optional[str] = None,
-    first: bool = True,
-) -> Iterator[tuple[str, Fraction, Fraction, bool]]:
-    """Bang-per-buck greedy: yield (good, amount, cost, capped) per purchase.
+def _walk_items(
+    agent: _Walked, prices: dict[str, Fraction], favor: Optional[str], first: bool
+) -> list[tuple]:
+    """The agent's positive-slope segments in greedy walk order, as items
+    (float key, position, preference, good, price, length, slope).
 
     Segments are taken by decreasing bang-per-buck; ties break by good id,
     then segment index, except that the segments of `favor` go first
-    (first=True) or last among equal bang-per-buck.  `cost` is amount times
-    price; `capped` means the segment's length, not the budget, limited the
-    purchase, and the one purchase that is not capped spends what is left.
-    Raises KeyError if a valued good has no price, and UnboundedDemand if a
-    good with positive slope has price zero.
+    (first=True) or last among equal bang-per-buck.  Raises KeyError if a
+    valued good has no price, and UnboundedDemand if a good with positive
+    slope has price zero.  This is the only sort of segments; the greedy
+    walk and the integer demand fold both read its order.
 
     The order is that of the exact key, found by a sort on float keys (see
     the module docstring): each segment's float slope over its good's float
@@ -294,9 +301,6 @@ def _greedy_walk(
         price = prices[good]
         if not segments:
             continue
-        if price == 0:
-            raise UnboundedDemand(agent.id, good)
-        pref = lead if good == favor else 0
         # a price whose float is not a positive normal number gives the good
         # keys of 0.0, which send the walk to the exact keys (a float
         # quotient of ints raises rather than overflow)
@@ -305,11 +309,14 @@ def _greedy_walk(
         except OverflowError:
             fprice = _INF
         if fprice < _FLOAT_MIN:
+            if not price:
+                raise UnboundedDemand(agent.id, good)
             fprice = _INF
+        pref = lead if good == favor else 0
         for slope, length, fslope in segments:
             items.append((fslope / fprice, len(items), pref, good, price, length, slope))
-    if budget == 0 or not items:
-        return
+    if not items:
+        return items
 
     # keys are sorted in decreasing order, so the first and last bound them
     items.sort(key=_FKEY, reverse=True)
@@ -323,7 +330,26 @@ def _greedy_walk(
             if i - start > 1:
                 items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
             start = i
+    return items
 
+
+def _greedy_walk(
+    agent: _Walked,
+    budget: Fraction,
+    prices: dict[str, Fraction],
+    favor: Optional[str] = None,
+    first: bool = True,
+) -> Iterator[tuple[str, Fraction, Fraction, bool]]:
+    """Bang-per-buck greedy: yield (good, amount, cost, capped) per purchase,
+    in the order of _walk_items, which raises what it raises.
+
+    `cost` is amount times price; `capped` means the segment's length, not
+    the budget, limited the purchase, and the one purchase that is not
+    capped spends what is left.  Amounts and costs are exact Fractions.
+    """
+    items = _walk_items(agent, prices, favor, first)
+    if budget == 0:
+        return
     remaining = budget
     for _, _, _, good, price, length, _ in items:
         if length is not None:
@@ -334,6 +360,58 @@ def _greedy_walk(
                 continue
         yield good, remaining / price, remaining, False
         return
+
+
+def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int]:
+    """pair + n/d as an unreduced (numerator, denominator) over the lcm of
+    the two denominators; a missing pair is 0."""
+    if pair is None:
+        return n, d
+    m, e = pair
+    if e == d:
+        return m + n, d
+    g = gcd(e, d)
+    return m * (d // g) + n * (e // g), e // g * d
+
+
+def _split_demand(
+    buyers: Iterable[Buyer],
+    prices: dict[str, Fraction],
+    favor: Optional[str] = None,
+    first: bool = True,
+) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
+    """Aggregate greedy demand of `buyers` at `prices`, split per good as
+    C + M/p: C sums the lengths of the capped purchases of the good, M the
+    money of the budget-limited ones, and p is the good's price.
+
+    Returns the C and M maps, good -> unreduced (numerator, denominator)
+    with positive denominators; a good with no such purchase is absent.  The
+    walks are those of _greedy_walk (same order, favor and first), folded in
+    integers: each keeps its remaining budget as an unreduced pair, tests a
+    purchase as capped by one cross-multiplication, and reduces once, at its
+    one budget-limited purchase.  Sums over buyers combine denominators by
+    their lcm.  C + M/p equals the sum of _greedy_walk's amounts exactly.
+    """
+    pairs = {good: (p.numerator, p.denominator) for good, p in prices.items()}
+    const: dict[str, tuple[int, int]] = {}
+    money: dict[str, tuple[int, int]] = {}
+    for buyer in buyers:
+        budget = buyer.budget
+        rn, rd = budget.numerator, budget.denominator
+        for _, _, _, good, _, length, _ in _walk_items(buyer, prices, favor, first):
+            pn, pd = pairs[good]
+            if length is not None:
+                ln, ld = length.numerator, length.denominator
+                # the purchase costs cn/cd; capped iff that is below rn/rd
+                cn, cd = ln * pn, ld * pd
+                if cn * rd < rn * cd:
+                    rn, rd = rn * cd - cn * rd, rd * cd
+                    const[good] = _add_pair(const.get(good), ln, ld)
+                    continue
+            g = gcd(rn, rd)
+            money[good] = _add_pair(money.get(good), rn // g, rd // g)
+            break
+    return const, money
 
 
 def _greedy_bundle(agent: _Walked, budget: Fraction, prices) -> BundleResult:

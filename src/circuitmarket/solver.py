@@ -32,6 +32,7 @@ from .market import (
     MarketError,
     SplcUtility,
     _greedy_walk,
+    _split_demand,
     verify_fisher,
 )
 from .rationals import format_rational
@@ -90,6 +91,21 @@ def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> Deman
     return DemandProfile(aggregate, bundles)
 
 
+# C or M of a good that no purchase reaches
+_NO_PAIR = (0, 1)
+
+
+def _demand_pair(
+    const: tuple[int, int], money: tuple[int, int], price: Fraction
+) -> tuple[int, int]:
+    """Demand C + M/p of a good at price p > 0, from the (numerator,
+    denominator) pairs C and M of _split_demand, as an unreduced pair with a
+    positive denominator."""
+    (cn, cd), (mn, md) = const, money
+    pn, pd = price.numerator, price.denominator
+    return cn * md * pn + mn * pd * cd, cd * md * pn
+
+
 # ---------------------------------------------------------------------------
 # tatonnement
 
@@ -112,6 +128,8 @@ class SolverConfig:
             raise MarketError("step factor must be positive")
         if self.max_iters < 0:
             raise MarketError("iteration limit must be non-negative")
+        if self.epsilon < 0:
+            raise MarketError("epsilon must be non-negative")
         if self.floor <= 0:
             raise MarketError("price floor must be positive")
 
@@ -179,8 +197,11 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     returned either way.
 
     An iteration folds every buyer's greedy walk into the aggregate demand
-    alone; the canonical bundles are built only on iterations with no good
-    outside epsilon, which are the ones verified.
+    alone, in integers: _split_demand gives each good's C and M, and its
+    slack is read from C + M/p with one division per good, not one per
+    buyer.  The demand is exact, so the prices and the trace are those of a
+    Fraction sum over the walks.  The canonical bundles are built only on
+    iterations with no good outside epsilon, which are the ones verified.
     """
     if not market.satisfies_sufficient_condition():
         raise MarketError("tatonnement requires every buyer to be unsatiated")
@@ -192,18 +213,15 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     best_prices, best_slack = dict(prices), None
     converged = False
     for iteration in range(config.max_iters + 1):
-        # a sum starts at its first amount: ZERO + amount is a Fraction addition
-        bought: dict[str, Fraction] = {}
-        for buyer in market.buyers:
-            for good, amount, _, _ in _greedy_walk(buyer, buyer.budget, prices):
-                bought[good] = bought[good] + amount if good in bought else amount
+        const, money = _split_demand(market.buyers, prices)
         # the slack of good g is excess/den, with demand (excess + den)/den
         slacks = []
         max_num, max_den, violating = 0, 1, 0
         for g in goods:
-            demand = bought.get(g, ZERO)
-            den = demand.denominator
-            excess = demand.numerator - den
+            num, den = _demand_pair(
+                const.get(g, _NO_PAIR), money.get(g, _NO_PAIR), prices[g]
+            )
+            excess = num - den
             slacks.append((excess, den))
             size = abs(excess)
             if size * eps_d > eps_n * den:
@@ -260,18 +278,13 @@ def _free_good_fold(
 
     Away from tie prices demand = C + M/p locally: C collects cap-limited
     purchases of the good (constant in p), M the money spent on
-    budget-limited ones (demand scales as M/p).
+    budget-limited ones (demand scales as M/p).  Both come from the integer
+    fold _split_demand, exactly as a Fraction sum over the greedy walks
+    would give them.
     """
-    const = money = ZERO
-    for buyer in buyers:
-        for g, amount, cost, capped in _greedy_walk(
-            buyer, buyer.budget, prices, good, first
-        ):
-            if g == good and capped:
-                const += amount
-            elif g == good:
-                money += cost
-    return const + money / prices[good], const, money
+    const, money = _split_demand(buyers, prices, good, first)
+    c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
+    return F(*_demand_pair(c, m, prices[good])), F(*c), F(*m)
 
 
 def _demand_interval(

@@ -34,7 +34,7 @@ from circuitmarket import (
     verify_fisher,
 )
 from circuitmarket import optimal_bundle, prices_to_json, solver
-from circuitmarket.market import _greedy_walk
+from circuitmarket.market import MarketError, _greedy_walk, _split_demand
 from circuitmarket.solver import (
     NAND_FIXTURE,
     NOT_CYCLE,
@@ -233,6 +233,103 @@ def test_greedy_walk_takes_segments_in_full_key_order_on_float_near_ties():
                         _greedy_walk(buyer, buyer.budget, prices, favor, first)
                     ) == _full_key_walk(buyer, prices, favor, first)
     assert reordered > 150 and fallbacks > 150
+
+
+def _fold_market(rng):
+    """Buyers over four goods with slopes on a coarse grid, zero-slope and
+    unbounded last segments; each price is on a coarse grid (so
+    bang-per-buck ties across goods are common), has a denominator up to
+    2**40, or is 10**-400 or 10**400 times a digit (so the walk sorts on
+    exact keys)."""
+    goods = ("a", "b", "c", "d")
+    prices = {}
+    for good in goods:
+        kind = rng.choice(("grid", "grid", "grid", "wide", "tiny", "huge"))
+        prices[good] = {
+            "grid": lambda: F(rng.randint(1, 4), rng.randint(1, 2)),
+            "wide": lambda: F(rng.randint(1, 2**41), rng.randint(1, 2**40)),
+            "tiny": lambda: F(rng.randint(1, 9), 10**400),
+            "huge": lambda: F(rng.randint(1, 9) * 10**400),
+        }[kind]()
+    buyers = []
+    for i in range(rng.randint(1, 5)):
+        utilities = {}
+        for good in rng.sample(goods, rng.randint(1, 4)):
+            slopes = sorted((F(rng.randint(0, 4)) for _ in range(rng.randint(1, 3))), reverse=True)
+            segments = [seg(F(rng.randint(1, 3), rng.randint(1, 3)), s) for s in slopes]
+            if rng.random() < 0.5:
+                segments[-1] = seg(None, slopes[-1])
+            utilities[good] = SplcUtility(tuple(segments))
+        buyers.append(Buyer(f"b{i}", F(rng.randint(1, 12), rng.randint(1, 3)), utilities))
+    return FisherMarket(goods, tuple(buyers)), prices
+
+
+def _walk_split(buyers, prices, favor, first):
+    """C and M of every good as Fractions, summed over _greedy_walk."""
+    const, money = {}, {}
+    for buyer in buyers:
+        for good, amount, cost, capped in _greedy_walk(buyer, buyer.budget, prices, favor, first):
+            if capped:
+                const[good] = const.get(good, F(0)) + amount
+            else:
+                money[good] = money.get(good, F(0)) + cost
+    return const, money
+
+
+def test_integer_demand_fold_matches_the_fraction_walk():
+    """_split_demand against canonical_demand and the Fraction walk, and
+    _free_good_fold against the (demand, C, M) fold of the walk, for every
+    favored good and both tie breaks."""
+    rng = random.Random(80)
+    ties = wide = exact_keys = zero_slopes = unbounded = 0
+    for _ in range(300):
+        market, prices = _fold_market(rng)
+        const, money = _split_demand(market.buyers, prices)
+        aggregate = canonical_demand(market, prices).aggregate
+        for good in market.goods:
+            cn, cd = const.get(good, (0, 1))
+            mn, md = money.get(good, (0, 1))
+            assert cd > 0 and md > 0
+            assert F(cn, cd) + F(mn, md) / prices[good] == aggregate[good]
+        for favor in (None, *market.goods):
+            for first in (True, False):
+                ref_const, ref_money = _walk_split(market.buyers, prices, favor, first)
+                const, money = _split_demand(market.buyers, prices, favor, first)
+                assert {g: F(*c) for g, c in const.items()} == ref_const
+                assert {g: F(*m) for g, m in money.items()} == ref_money
+                if favor is None:
+                    continue
+                c = ref_const.get(favor, F(0))
+                m = ref_money.get(favor, F(0))
+                expected = (c + m / prices[favor], c, m)
+                assert _free_good_fold(market.buyers, favor, prices, first) == expected
+        wide += any(1 << 30 < p.denominator <= 1 << 40 for p in prices.values())
+        for buyer in market.buyers:
+            exact_keys += any(
+                s.slope > 0 and max(prices[g].numerator, prices[g].denominator) > 10**300
+                for g, u in buyer.utilities.items() for s in u.segments
+            )
+            bangs = [
+                {s.slope / prices[g] for s in u.segments if s.slope > 0}
+                for g, u in buyer.utilities.items()
+            ]
+            ties += sum(len(a & b) for i, a in enumerate(bangs) for b in bangs[:i])
+            segments = [s for u in buyer.utilities.values() for s in u.segments]
+            zero_slopes += any(s.slope == 0 for s in segments)
+            unbounded += any(s.unbounded for s in segments)
+    assert min(ties, wide, exact_keys, zero_slopes, unbounded) > 100
+
+
+def test_integer_demand_fold_sums_over_the_lcm_of_denominators():
+    """1,000 buyers each spend their budget, 1/2 ... 1/11 in turn, on one
+    good at price 1: M's denominator divides lcm(2, ..., 11) = 27720, where
+    a sum over the product of the denominators would not."""
+    buyers = [Buyer(f"b{i}", F(1, 2 + i % 10), {"x": linear(1)}) for i in range(1000)]
+    const, money = _split_demand(buyers, {"x": F(1)})
+    mn, md = money["x"]
+    assert "x" not in const
+    assert 27720 % md == 0
+    assert F(mn, md) == sum((b.budget for b in buyers), F(0))
 
 
 # sha256 of prices_to_json(prices) + trace_to_csv(trace) of tatonnement with
@@ -580,6 +677,12 @@ def test_tatonnement_two_goods():
     assert result.trace[-1].max_abs_slack <= F(1, 12)
     assert abs(result.prices["x"] - F(3, 2)) < F(1, 10)
     assert abs(result.prices["y"] - F(1, 2)) < F(1, 10)
+
+
+@pytest.mark.parametrize("epsilon", [F(-1, 12), F(-1, 10**30)])
+def test_solver_config_rejects_negative_epsilon(epsilon):
+    with pytest.raises(MarketError, match="epsilon must be non-negative"):
+        SolverConfig(epsilon=epsilon)
 
 
 def test_tatonnement_requires_unsatiated_buyers():

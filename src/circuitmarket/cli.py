@@ -116,19 +116,16 @@ def _load_json(path: str, loader, kind: str):
         raise CliError(f"{path}: bad {kind} document: {exc}", EXIT_USAGE) from exc
 
 
-def _compile_reduced(args) -> reduction.ReducedMarket:
+def _cmd_compile(args) -> int:
     circuit = _load_circuit(args.circuit)
     eps = _compile_eps(args.eps)
     try:
-        return reduction.compile_circuit(circuit, eps, _override(args))
+        params = reduction.validated_params(circuit, eps, _override(args))
     except reduction.ReductionError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-
-
-def _cmd_compile(args) -> int:
-    reduced = _compile_reduced(args)
+    reduced = reduction.ReducedMarket(params, circuit)
     out = Path(args.out)
-    _write_atomic(out / "market.json", mkt.market_to_json(reduced.market))
+    _write_atomic(out / "market.json", reduction.reduced_market_to_json(reduced))
     _write_atomic(out / "meta.json", reduction.metadata_to_json(reduced))
     info = reduction.census(reduced)
     print(json.dumps(info, indent=2, sort_keys=True))

@@ -691,6 +691,16 @@ def _document(buyers: list[str], goods: tuple[str, ...]) -> str:
     )
 
 
+def _buyer_block(budget_text: str, id_text: str, utilities_text: str) -> str:
+    """One buyer's object in market.json, given its budget as a rational's
+    text, its encoded id and its utilities block."""
+    return (
+        f'    {{\n      "budget": "{budget_text}",\n'
+        f'      "id": {id_text},\n'
+        f'      "utilities": {utilities_text}\n    }}'
+    )
+
+
 def market_to_json(market: FisherMarket) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
@@ -700,9 +710,11 @@ def market_to_json(market: FisherMarket) -> str:
     """
     blocks: dict[int, str] = {}
     buyers = [
-        f'    {{\n      "budget": "{format_rational(buyer.budget)}",\n'
-        f'      "id": {_encode_str(buyer.id)},\n'
-        f'      "utilities": {_utilities_block(buyer.utilities, blocks)}\n    }}'
+        _buyer_block(
+            format_rational(buyer.budget),
+            _encode_str(buyer.id),
+            _utilities_block(buyer.utilities, blocks),
+        )
         for buyer in market.buyers
     ]
     return _document(buyers, market.goods)

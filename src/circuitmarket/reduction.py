@@ -18,7 +18,17 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .market import Buyer, FisherMarket, SplcSegment, SplcUtility
+from .market import (
+    Buyer,
+    FisherMarket,
+    MarketError,
+    SplcSegment,
+    SplcUtility,
+    _buyer_block,
+    _document,
+    _encode_str,
+    _utilities_block,
+)
 from .purecircuit import CircuitInstance, GateType
 from .rationals import format_rational
 
@@ -212,7 +222,10 @@ class CopyTemplate:
 class ReducedMarket:
     """A compiled circuit: its parameters and the circuit, from which the
     copy template and the market are built on first use.  Nothing is held
-    per copy but the market; compile_circuit builds it before returning."""
+    per copy but the market, which compile_circuit builds before returning.
+    The documents need no market: reduced_market_to_json and
+    metadata_to_json stamp market.json and meta.json per copy from the
+    template, and census counts from it."""
 
     params: ReductionParams
     circuit: CircuitInstance
@@ -318,14 +331,36 @@ def compile_circuit(
     override: Optional[dict] = None,
 ) -> ReducedMarket:
     """Compile a Pure-Circuit instance into its Fisher market, which is
-    built before this returns."""
+    built before this returns.  To write the documents alone, build
+    ``ReducedMarket(validated_params(...), circuit)`` instead, as CLI
+    compile does: reduced_market_to_json writes the same market.json
+    without the market."""
     reduced = ReducedMarket(validated_params(circuit, epsilon, override), circuit)
     reduced.market  # built now, not on first use
     return reduced
 
 
-def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMarket:
-    """The reference good and buyer, then the template once per copy."""
+@dataclass(frozen=True)
+class _Recipes:
+    """How the market's buyers are built from the template, shared by
+    _stamp_market, reduced_market_to_json and structural_violations.
+
+    `ref_buyer` is the reference buyer.  `buyers` holds each template
+    buyer, in template order, as (local id, budget key, its wanted local
+    goods with their shapes); every one of them also wants ref with
+    `ref_shape`.  `budgets[c]` maps each budget key to its value in copy
+    c, whose interval is [h_low, h_high]: "inv1" and "inv2" are t*h_low
+    per inverter input, and "r=<r>" is r*h_high, spent by the aux buyers
+    pinning amount r and, with r = t, by the top-ups.
+    """
+
+    ref_buyer: Buyer
+    ref_shape: SplcUtility
+    buyers: tuple[tuple[str, str, tuple[tuple[str, SplcUtility], ...]], ...]
+    budgets: tuple[dict[str, Fraction], ...]
+
+
+def _recipes(params: ReductionParams, template: CopyTemplate) -> _Recipes:
     t = params.t
 
     # The few distinct utility shapes, built once and shared by every buyer
@@ -339,35 +374,106 @@ def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMark
         for r in {t} | {g.r for g in template.gadgets if g.r > 0}
     }
 
-    # each template buyer as (local id, budget key, its goods and shapes);
-    # inverters spend t*h_low per input, aux(good, r) and top-ups r*h_high
-    recipes = []
+    buyers = []
     for gadget in template.gadgets:
-        wants = [(good, input_shape) for good in gadget.inputs]
-        wants.append((gadget.output, output_shape))
-        recipes.append((f"inv/{gadget.gadget_id}", f"inv{len(gadget.inputs)}", wants))
+        wants = tuple((good, input_shape) for good in gadget.inputs)
+        wants += ((gadget.output, output_shape),)
+        buyers.append((f"inv/{gadget.gadget_id}", f"inv{len(gadget.inputs)}", wants))
         if gadget.r > 0:
-            wants = [(gadget.output, pin_shapes[gadget.r])]
-            recipes.append((f"aux/{gadget.gadget_id}", gadget.r, wants))
-    recipes += [
-        (local, t, [(role.good, pin_shapes[t])])
+            wants = ((gadget.output, pin_shapes[gadget.r]),)
+            buyers.append((f"aux/{gadget.gadget_id}", f"r={gadget.r}", wants))
+    buyers += [
+        (local, f"r={t}", ((role.good, pin_shapes[t]),))
         for local, role in template.buyers
         if role.kind == "top_up"
     ]
 
-    goods: list[str] = [REF_GOOD]
-    buyers: list[Buyer] = [Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape})]
-    for c, (h_low, h_high) in enumerate(params.copy_intervals):
-        prefix = f"c{c}/"
-        goods.extend(prefix + local for local, _ in template.goods)
-        budget = {r: r * h_high for r in pin_shapes}
+    budgets = []
+    for h_low, h_high in params.copy_intervals:
+        budget = {f"r={r}": r * h_high for r in pin_shapes}
         budget.update(inv1=t * h_low, inv2=2 * t * h_low)
-        for local, key, wants in recipes:
-            utilities = {prefix + good: shape for good, shape in wants}
-            utilities[REF_GOOD] = ref_shape
-            buyers.append(Buyer(prefix + local, budget[key], utilities))
+        budgets.append(budget)
+    ref_buyer = Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape})
+    return _Recipes(ref_buyer, ref_shape, tuple(buyers), tuple(budgets))
 
+
+def _stamp_copy(
+    template: CopyTemplate, recipes: _Recipes, copy: int
+) -> tuple[list[str], list[Buyer]]:
+    """The goods and buyers of one copy."""
+    prefix = f"c{copy}/"
+    budget = recipes.budgets[copy]
+    buyers = []
+    for local, key, wants in recipes.buyers:
+        utilities = {prefix + good: shape for good, shape in wants}
+        utilities[REF_GOOD] = recipes.ref_shape
+        buyers.append(Buyer(prefix + local, budget[key], utilities))
+    return [prefix + local for local, _ in template.goods], buyers
+
+
+def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMarket:
+    """The reference good and buyer, then the template once per copy."""
+    recipes = _recipes(params, template)
+    goods: list[str] = [REF_GOOD]
+    buyers: list[Buyer] = [recipes.ref_buyer]
+    for c in range(params.k):
+        copy_goods, copy_buyers = _stamp_copy(template, recipes, c)
+        goods += copy_goods
+        buyers += copy_buyers
     return FisherMarket(tuple(goods), tuple(buyers))
+
+
+def reduced_market_to_json(reduced: ReducedMarket) -> str:
+    """The bytes of ``market_to_json(reduced.market)``, stamped from the
+    copy template without building the market.
+
+    One copy's buyer blocks are rendered once, with "%(p)s" for the
+    "c{c}/" prefix and a named slot per budget key, and filled in per copy
+    in numeric order, which is market order.  Within a buyer the goods sort
+    by local name with ref last in every copy, since "c..." < "ref".
+
+    What building the market checks is still checked: the reference buyer
+    and copy 0 are built as a market (distinct ids, utilities only on its
+    goods, positive budgets), the other copies differ from copy 0 only by
+    their prefix, and every copy's budgets must be positive.
+    """
+    k, template = reduced.params.k, reduced.template
+    recipes = _recipes(reduced.params, template)
+    ref_buyer = recipes.ref_buyer
+    copy_goods, copy_buyers = _stamp_copy(template, recipes, 0)
+    FisherMarket((REF_GOOD, *copy_goods), (ref_buyer, *copy_buyers))
+    for c, budget in enumerate(recipes.budgets):
+        if min(budget.values()) <= 0:
+            raise MarketError(f"copy {c} has a budget that is not positive")
+
+    blocks: dict[int, str] = {}
+
+    def escaped(text: str) -> str:
+        return text.replace("%", "%%")
+
+    copy_text = ",\n".join(
+        _buyer_block(
+            f"%({key})s",
+            escaped(_encode_str(buyer.id)),
+            escaped(_utilities_block(buyer.utilities, blocks)),
+        )
+        for buyer, (_, key, _) in zip(copy_buyers, recipes.buyers)
+    ).replace('"c0/', '"%(p)s')
+    buyers = [
+        _buyer_block(
+            format_rational(ref_buyer.budget),
+            _encode_str(ref_buyer.id),
+            _utilities_block(ref_buyer.utilities, blocks),
+        )
+    ]
+    if copy_text:
+        for c, budget in enumerate(recipes.budgets):
+            fill = {key: format_rational(value) for key, value in budget.items()}
+            fill["p"] = f"c{c}/"
+            buyers.append(copy_text % fill)
+    goods = [REF_GOOD]
+    goods += [f"c{c}/{local}" for c in range(k) for local, _ in template.goods]
+    return _document(buyers, goods)
 
 
 # --- decoding ---------------------------------------------------------------
@@ -416,7 +522,8 @@ def decode(reduced: ReducedMarket, prices: dict[str, Fraction]) -> DecodeResult:
 
 
 def census(reduced: ReducedMarket) -> dict:
-    """Counts of goods and buyers by role, per copy and total."""
+    """Counts of goods and buyers by role, per copy and total, read off the
+    template: the market is never built for them."""
     k = reduced.params.k
 
     def by_kind(roles) -> dict[str, int]:
@@ -427,8 +534,8 @@ def census(reduced: ReducedMarket) -> dict:
 
     return {
         "copies": k,
-        "goods_total": len(reduced.market.goods),
-        "buyers_total": len(reduced.market.buyers),
+        "goods_total": 1 + k * len(reduced.template.goods),
+        "buyers_total": 1 + k * len(reduced.template.buyers),
         "goods_by_role": by_kind(reduced.template.goods),
         "buyers_by_role": by_kind(reduced.template.buyers),
     }
@@ -439,7 +546,8 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
 
     The per-copy structure is checked once, on the template, and the market
     is checked to be the reference good and buyer plus the template stamped
-    once per copy.
+    once per copy, every buyer with its recipe's budget at its copy's
+    interval.
     """
     violations: list[str] = []
     params = reduced.params
@@ -473,10 +581,23 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
         if good != REF_GOOD and n > 4:
             violations.append(f"good {good} has {n} interested buyers > 4")
 
-    # non-reference budgets bounded by h_max
+    # non-reference budgets bounded by h_max, and each the budget of its
+    # recipe at its copy's interval
+    recipes = _recipes(params, template)
+    expected = {
+        f"c{c}/{local}": budget[key]
+        for c, budget in enumerate(recipes.budgets)
+        for local, key, _ in recipes.buyers
+    }
     for buyer in market.buyers:
         if buyer.id != REF_BUYER and buyer.budget > params.h_max:
             violations.append(f"buyer {buyer.id} budget {buyer.budget} > H_max")
+        want = expected.get(buyer.id)
+        if want is not None and buyer.budget != want:
+            violations.append(
+                f"buyer {buyer.id} budget {buyer.budget} != {want}, "
+                "its recipe's at its copy's interval"
+            )
 
     if not market.satisfies_sufficient_condition():
         violations.append("sufficient condition fails for some buyer")

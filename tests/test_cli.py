@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from circuitmarket import cli, reduction, solver
+from test_reduction import GOLDEN_DIGESTS
 from circuitmarket import (
     Buyer,
     FisherMarket,
@@ -583,4 +584,60 @@ def test_gadget_lab_rejects_mesh_below_two(mesh, tmp_path, capsys):
     assert json.loads(captured.err) == {
         "error": f"mesh needs at least the two endpoints, got {mesh}", "code": 3
     }
+    assert not out.exists()
+
+
+def test_compile_builds_no_market(tmp_path, capsys, monkeypatch):
+    """CLI compile stamps both documents from the template: the only buyers
+    it builds are the reference buyer and copy 0, built once to check them."""
+
+    def no_market(*args, **kwargs):
+        raise AssertionError("compile built the market")
+
+    built = []
+
+    def counted_buyer(*args, **kwargs):
+        built.append(args[0])
+        return Buyer(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_stamp_market", no_market)
+    monkeypatch.setattr(reduction, "Buyer", counted_buyer)
+    for name, (text, k, market_digest, meta_digest) in sorted(GOLDEN_DIGESTS.items()):
+        circuit = tmp_path / f"{name}.pc"
+        circuit.write_text(text)
+        out = tmp_path / name
+        built.clear()
+        args = ["--eps", "1/12", "--override-k", str(k), "--override-d", "4"]
+        assert cli.run(["compile", str(circuit), "--out", str(out)] + args) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert len(built) == 1 + (info["buyers_total"] - 1) // k
+        assert all(buyer == "b_ref" or buyer.startswith("c0/") for buyer in built)
+        sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sha(out / "market.json") == market_digest
+        assert sha(out / "meta.json") == meta_digest
+
+
+@pytest.mark.parametrize(
+    "text, args, code, message",
+    [
+        (
+            "nodes 4\nNOT 0 1\nNOT 0 2\nNOT 0 3\nNOT 1 0\n",
+            ["--eps", "1/12"],
+            3,
+            "out-degree",
+        ),
+        (NOT_CYCLE, ["--eps", "1/12", "--override-k", "0", "--override-d", "2"], 3, "override"),
+        (NOT_CYCLE, ["--eps", "1/11"], 3, "below 1/11"),
+        ("nodes 2\nNOT 0 1\n", ["--eps", "1/12"], 3, "without a producing gate"),
+        ("nodes 2\nNOT 0\n", ["--eps", "1/12"], 2, "takes 2 node ids"),
+    ],
+)
+def test_compile_maps_bad_circuits_and_parameters_to_exit_codes(
+    text, args, code, message, tmp_path, capsys
+):
+    circuit = tmp_path / "bad.pc"
+    circuit.write_text(text)
+    out = tmp_path / "out"
+    assert cli.run(["compile", str(circuit), "--out", str(out)] + args) == code
+    assert message in _assert_json_error(capsys, code)
     assert not out.exists()

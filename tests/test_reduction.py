@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from circuitmarket import (
     Buyer,
     FisherMarket,
+    MarketError,
     ReducedMarket,
     ReductionError,
     SplcSegment,
@@ -19,11 +21,14 @@ from circuitmarket import (
     market_to_json,
     metadata_to_json,
     parse_circuit,
+    reduced_market_to_json,
     structural_violations,
     thresholds,
     Value,
 )
 from circuitmarket import solver
+from circuitmarket.reduction import validated_params
+from test_acceptance import CORPUS
 
 F = Fraction
 
@@ -305,6 +310,86 @@ def test_compiled_artifacts_match_golden_bytes(name):
     sha = lambda doc: hashlib.sha256(doc.encode()).hexdigest()
     assert sha(market_to_json(reduced.market)) == market_digest
     assert sha(metadata_to_json(reduced)) == meta_digest
+
+
+def _template_writer_cases():
+    """The criterion-3 corpus, every golden case, NAND and PURIFY at d = 16
+    and k = 41, and a circuit with no nodes, whose copies are empty."""
+    yield from CORPUS
+    for text, k, _, _ in GOLDEN_DIGESTS.values():
+        yield text, {"k": k, "d": 4}
+    yield solver.NAND_FIXTURE, {"k": 41, "d": 16}
+    yield solver.PURIFY_FIXTURE, {"k": 41, "d": 16}
+    yield "nodes 0\n", {"k": 2, "d": 2}
+
+
+def test_template_writer_matches_market_to_json():
+    for text, override in _template_writer_cases():
+        reduced = compile_circuit(parse_circuit(text), F(1, 12), override)
+        unbuilt = ReducedMarket(reduced.params, reduced.circuit)
+        assert reduced_market_to_json(unbuilt) == market_to_json(reduced.market), text
+        info = census(unbuilt)
+        assert "market" not in vars(unbuilt)  # neither built the market
+        assert info["goods_total"] == len(reduced.market.goods)
+        assert info["buyers_total"] == len(reduced.market.buyers)
+
+
+def _duplicate_gadget(reduced):
+    template = reduced.template
+    gadgets = template.gadgets + template.gadgets[:1]
+    return {"template": dataclasses.replace(template, gadgets=gadgets)}
+
+
+def _top_up_of_unknown_good(reduced):
+    template = reduced.template
+    local, role = next(b for b in template.buyers if b[1].kind == "top_up")
+    buyers = template.buyers + ((local + "x", dataclasses.replace(role, good="nowhere")),)
+    return {"template": dataclasses.replace(template, buyers=buyers)}
+
+
+def _zero_budget_in_copy_1(reduced):
+    params = reduced.params
+    (lo, hi), *rest = params.copy_intervals[1:]
+    intervals = (params.copy_intervals[0], (F(0), hi), *rest)
+    return {"params": dataclasses.replace(params, copy_intervals=intervals)}
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_duplicate_gadget, "duplicate buyer id"),
+        (_top_up_of_unknown_good, "unknown good 'c0/nowhere'"),
+        (_zero_budget_in_copy_1, "copy 1 has a budget that is not positive"),
+    ],
+)
+def test_template_writer_checks_what_building_the_market_checks(tamper, message):
+    reduced = ReducedMarket(
+        validated_params(NOT_CYCLE, F(1, 12), {"k": 3, "d": 2}), NOT_CYCLE
+    )
+    fields = tamper(reduced)
+    tampered = ReducedMarket(fields.pop("params", reduced.params), NOT_CYCLE)
+    vars(tampered).update(fields)  # a tampered template, planted as built
+    with pytest.raises(MarketError, match=message):
+        reduced_market_to_json(tampered)
+
+
+def test_structural_violations_flag_a_budget_off_its_copy_interval():
+    reduced = compile_circuit(parse_circuit(solver.NAND_FIXTURE), F(1, 12), {"k": 3, "d": 4})
+    aux = next(b for b in reduced.market.buyers if b.id.startswith("c1/aux/"))
+    budget = aux.budget + F(1, 10**9)
+    assert budget < reduced.params.h_max  # the H_max check cannot see it
+    tampered = ReducedMarket(reduced.params, reduced.circuit)
+    vars(tampered)["market"] = FisherMarket(
+        reduced.market.goods,
+        tuple(
+            Buyer(b.id, budget, b.utilities) if b is aux else b
+            for b in reduced.market.buyers
+        ),
+    )
+    assert structural_violations(tampered) == [
+        f"buyer {aux.id} budget {budget} != {aux.budget}, "
+        "its recipe's at its copy's interval"
+    ]
 
 
 def test_compiled_buyers_share_utility_shapes():

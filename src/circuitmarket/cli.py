@@ -172,10 +172,9 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def _load_meta(path: str, compile_market: bool) -> reduction.ReducedMarket:
+def _load_meta(path: str) -> reduction.ReducedMarket:
     """The reduction a metadata sidecar describes, its parameters derived
-    and checked again from the circuit; its market is compiled only if
-    compile_market is set."""
+    and checked again from the circuit; its market is built on first use."""
     doc = _load_json(path, json.loads, "metadata")
     try:
         params = doc["params"]
@@ -188,8 +187,6 @@ def _load_meta(path: str, compile_market: bool) -> reduction.ReducedMarket:
         override = None
         if params["guarantees_void"]:
             override = {"k": params["k"], "d": params["d"]}
-        if compile_market:
-            return reduction.compile_circuit(circuit, eps, override)
         params = reduction.validated_params(circuit, eps, override)
         return reduction.ReducedMarket(params, circuit)
     except (KeyError, TypeError, pc.CircuitError, RationalFormatError) as exc:
@@ -199,7 +196,7 @@ def _load_meta(path: str, compile_market: bool) -> reduction.ReducedMarket:
 
 
 def _cmd_decode(args) -> int:
-    reduced = _load_meta(args.meta, compile_market=False)
+    reduced = _load_meta(args.meta)
     prices = _load_json(args.prices, mkt.prices_from_json, "price")
     try:
         result = reduction.decode(reduced, prices)
@@ -223,7 +220,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    reduced = _load_meta(args.meta, compile_market=True)
+    reduced = _load_meta(args.meta)
     prices = _load_json(args.prices, mkt.prices_from_json, "price")
     allocation = _load_json(args.allocation, mkt.allocation_from_json, "allocation")
     eps = _parse_eps(args.eps)

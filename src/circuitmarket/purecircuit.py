@@ -59,15 +59,17 @@ class Gate:
         if self.gate_type is GateType.NOT:
             if self.w is not None:
                 raise CircuitError("NOT gate takes exactly two nodes")
-            nodes = (self.u, self.v)
-        else:
-            if self.w is None:
-                raise CircuitError(f"{self.gate_type.value} gate takes three nodes")
-            nodes = (self.u, self.v, self.w)
+        elif self.w is None:
+            raise CircuitError(f"{self.gate_type.value} gate takes three nodes")
+        nodes = self.nodes
         if len(set(nodes)) != len(nodes):
             raise CircuitError(f"gate nodes must be pairwise distinct: {nodes}")
         if any(x < 0 for x in nodes):
             raise CircuitError(f"negative node id in gate: {nodes}")
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        return (self.u, self.v) if self.w is None else (self.u, self.v, self.w)
 
     @property
     def inputs(self) -> tuple[int, ...]:
@@ -95,7 +97,7 @@ class CircuitInstance:
         object.__setattr__(self, "gates", tuple(self.gates))
         producers: dict[int, int] = {}
         for idx, gate in enumerate(self.gates):
-            for node in (gate.u, gate.v) + (() if gate.w is None else (gate.w,)):
+            for node in gate.nodes:
                 if node >= self.n:
                     raise CircuitError(
                         f"gate {idx} references node {node} outside [0, {self.n})"
@@ -192,8 +194,7 @@ def parse_circuit(text: str) -> CircuitInstance:
 def serialize_circuit(circuit: CircuitInstance) -> str:
     lines = [f"nodes {circuit.n}"]
     for gate in circuit.gates:
-        nodes = [gate.u, gate.v] + ([] if gate.w is None else [gate.w])
-        lines.append(" ".join([gate.gate_type.value] + [str(x) for x in nodes]))
+        lines.append(" ".join([gate.gate_type.value] + [str(x) for x in gate.nodes]))
     return "\n".join(lines) + "\n"
 
 

@@ -209,8 +209,9 @@ class CopyTemplate:
     """One copy under copy-local names ("v0", "g0.1.1", "inv/g0"); copy c is
     this template under the "c{c}/" prefix.
 
-    Goods and buyers come with their roles, in market order.  Top-up
-    buyers pad every good to exactly two consuming gadgets.
+    Goods and buyers come with their roles, in market order; `buyers` is
+    the only list of a copy's buyers.  Top-up buyers pad every good to
+    exactly two consuming gadgets.
     """
 
     goods: tuple[tuple[str, GoodRole], ...]
@@ -225,7 +226,8 @@ class ReducedMarket:
     per copy but the market, which compile_circuit builds before returning.
     The documents need no market: reduced_market_to_json and
     metadata_to_json stamp market.json and meta.json per copy from the
-    template, and census counts from it."""
+    template, and census counts from it.  Both documents and the market
+    make their buyers from the template's buyer roles (see _recipes)."""
 
     params: ReductionParams
     circuit: CircuitInstance
@@ -340,73 +342,63 @@ def compile_circuit(
     return reduced
 
 
-@dataclass(frozen=True)
-class _Recipes:
-    """How the market's buyers are built from the template, shared by
-    _stamp_market, reduced_market_to_json and structural_violations.
+def _recipes(
+    params: ReductionParams, template: CopyTemplate
+) -> tuple[Buyer, list[tuple], list[dict[str, Fraction]]]:
+    """How the market's buyers are built from the template's buyer roles,
+    shared by _stamp_market, reduced_market_to_json and structural_violations.
 
-    `ref_buyer` is the reference buyer.  `buyers` holds each template
-    buyer, in template order, as (local id, budget key, its wanted local
-    goods with their shapes); every one of them also wants ref with
-    `ref_shape`.  `budgets[c]` maps each budget key to its value in copy
-    c, whose interval is [h_low, h_high]: "inv1" and "inv2" are t*h_low
-    per inverter input, and "r=<r>" is r*h_high, spent by the aux buyers
-    pinning amount r and, with r = t, by the top-ups.
+    Returns the reference buyer; each template buyer, in template order, as
+    (local id, budget key, its wanted local goods with their shapes), every
+    one of them also wanting ref with the reference buyer's shape; and, per
+    copy c with interval [h_low, h_high], each budget key's value.  An
+    inverter wants its gadget's inputs and output and spends t*h_low per
+    input ("inv1", "inv2"); an aux buyer wants its gadget's output and a
+    top-up its good, pinned at amount r, and spends r*h_high ("r=<r>").
     """
-
-    ref_buyer: Buyer
-    ref_shape: SplcUtility
-    buyers: tuple[tuple[str, str, tuple[tuple[str, SplcUtility], ...]], ...]
-    budgets: tuple[dict[str, Fraction], ...]
-
-
-def _recipes(params: ReductionParams, template: CopyTemplate) -> _Recipes:
-    t = params.t
+    t, s = params.t, params.s
 
     # The few distinct utility shapes, built once and shared by every buyer
     # (both classes are frozen): ref (inf, 1), inverter input (t, a),
     # inverter output (inf, s), and pin (r, 2s) for each amount r pinned.
     ref_shape = SplcUtility((SplcSegment(None, F(1)),))
     input_shape = SplcUtility((SplcSegment(t, params.a),))
-    output_shape = SplcUtility((SplcSegment(None, params.s),))
-    pin_shapes = {
-        r: SplcUtility((SplcSegment(r, 2 * params.s),))
-        for r in {t} | {g.r for g in template.gadgets if g.r > 0}
-    }
+    output_shape = SplcUtility((SplcSegment(None, s),))
+    pin_shapes: dict[Fraction, SplcUtility] = {}
 
+    gadgets = {g.gadget_id: g for g in template.gadgets}
     buyers = []
-    for gadget in template.gadgets:
-        wants = tuple((good, input_shape) for good in gadget.inputs)
-        wants += ((gadget.output, output_shape),)
-        buyers.append((f"inv/{gadget.gadget_id}", f"inv{len(gadget.inputs)}", wants))
-        if gadget.r > 0:
-            wants = ((gadget.output, pin_shapes[gadget.r]),)
-            buyers.append((f"aux/{gadget.gadget_id}", f"r={gadget.r}", wants))
-    buyers += [
-        (local, f"r={t}", ((role.good, pin_shapes[t]),))
-        for local, role in template.buyers
-        if role.kind == "top_up"
-    ]
+    for local, role in template.buyers:
+        if role.kind == "inverter":
+            gadget = gadgets[role.gadget]
+            wants = tuple((good, input_shape) for good in gadget.inputs)
+            wants += ((gadget.output, output_shape),)
+            buyers.append((local, f"inv{len(gadget.inputs)}", wants))
+        else:
+            good = role.good if role.kind == "top_up" else gadgets[role.gadget].output
+            if role.r not in pin_shapes:
+                pin_shapes[role.r] = SplcUtility((SplcSegment(role.r, 2 * s),))
+            buyers.append((local, f"r={role.r}", ((good, pin_shapes[role.r]),)))
 
     budgets = []
     for h_low, h_high in params.copy_intervals:
         budget = {f"r={r}": r * h_high for r in pin_shapes}
         budget.update(inv1=t * h_low, inv2=2 * t * h_low)
         budgets.append(budget)
-    ref_buyer = Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape})
-    return _Recipes(ref_buyer, ref_shape, tuple(buyers), tuple(budgets))
+    return Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape}), buyers, budgets
 
 
 def _stamp_copy(
-    template: CopyTemplate, recipes: _Recipes, copy: int
+    template: CopyTemplate, recipes: tuple, copy: int
 ) -> tuple[list[str], list[Buyer]]:
-    """The goods and buyers of one copy."""
+    """The goods and buyers of one copy, given the template's _recipes."""
+    ref_buyer, recipe_buyers, budgets = recipes
     prefix = f"c{copy}/"
-    budget = recipes.budgets[copy]
+    budget = budgets[copy]
     buyers = []
-    for local, key, wants in recipes.buyers:
+    for local, key, wants in recipe_buyers:
         utilities = {prefix + good: shape for good, shape in wants}
-        utilities[REF_GOOD] = recipes.ref_shape
+        utilities[REF_GOOD] = ref_buyer.utilities[REF_GOOD]
         buyers.append(Buyer(prefix + local, budget[key], utilities))
     return [prefix + local for local, _ in template.goods], buyers
 
@@ -415,7 +407,7 @@ def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMark
     """The reference good and buyer, then the template once per copy."""
     recipes = _recipes(params, template)
     goods: list[str] = [REF_GOOD]
-    buyers: list[Buyer] = [recipes.ref_buyer]
+    buyers: list[Buyer] = [recipes[0]]  # the reference buyer
     for c in range(params.k):
         copy_goods, copy_buyers = _stamp_copy(template, recipes, c)
         goods += copy_goods
@@ -439,10 +431,10 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
     """
     k, template = reduced.params.k, reduced.template
     recipes = _recipes(reduced.params, template)
-    ref_buyer = recipes.ref_buyer
+    ref_buyer, recipe_buyers, budgets = recipes
     copy_goods, copy_buyers = _stamp_copy(template, recipes, 0)
     FisherMarket((REF_GOOD, *copy_goods), (ref_buyer, *copy_buyers))
-    for c, budget in enumerate(recipes.budgets):
+    for c, budget in enumerate(budgets):
         if min(budget.values()) <= 0:
             raise MarketError(f"copy {c} has a budget that is not positive")
 
@@ -457,7 +449,7 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
             escaped(_encode_str(buyer.id)),
             escaped(_utilities_block(buyer.utilities, blocks)),
         )
-        for buyer, (_, key, _) in zip(copy_buyers, recipes.buyers)
+        for buyer, (_, key, _) in zip(copy_buyers, recipe_buyers)
     ).replace('"c0/', '"%(p)s')
     buyers = [
         _buyer_block(
@@ -467,7 +459,7 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
         )
     ]
     if copy_text:
-        for c, budget in enumerate(recipes.budgets):
+        for c, budget in enumerate(budgets):
             fill = {key: format_rational(value) for key, value in budget.items()}
             fill["p"] = f"c{c}/"
             buyers.append(copy_text % fill)
@@ -583,11 +575,11 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
 
     # non-reference budgets bounded by h_max, and each the budget of its
     # recipe at its copy's interval
-    recipes = _recipes(params, template)
+    _, recipe_buyers, budgets = _recipes(params, template)
     expected = {
         f"c{c}/{local}": budget[key]
-        for c, budget in enumerate(recipes.budgets)
-        for local, key, _ in recipes.buyers
+        for c, budget in enumerate(budgets)
+        for local, key, _ in recipe_buyers
     }
     for buyer in market.buyers:
         if buyer.id != REF_BUYER and buyer.budget > params.h_max:
@@ -671,10 +663,7 @@ def metadata_to_json(reduced: ReducedMarket) -> str:
     circuit = {
         "n": reduced.circuit.n,
         "gates": [
-            {
-                "type": g.gate_type.value,
-                "nodes": [g.u, g.v] + ([] if g.w is None else [g.w]),
-            }
+            {"type": g.gate_type.value, "nodes": g.nodes}
             for g in reduced.circuit.gates
         ],
     }

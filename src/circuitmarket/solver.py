@@ -43,12 +43,14 @@ from .reduction import (
     ReductionParams,
     compile_circuit,
     decode,
+    thresholds,
 )
 from .purecircuit import GateType, parse_circuit
 
 F = Fraction
 ZERO = F(0)
 ONE = F(1)
+_BISECTION_STEPS = 60  # pinned_bisection's steps per tie-free region searched
 
 
 class BracketError(ValueError):
@@ -375,7 +377,6 @@ def pinned_bisection(
     free_good: str,
     bracket: tuple[Fraction, Fraction],
     epsilon: Fraction,
-    max_iters: int = 60,
 ) -> BisectionResult:
     """Clearing price of `free_good` with every other price pinned.
 
@@ -439,7 +440,7 @@ def pinned_bisection(
                     # never reads the region's epsilon fallback.
                     crossings[i - 1] = _region_crossing(
                         buyers, free_good, pinned, points[i - 1], point,
-                        epsilon, 1 if dmax == 1 else max_iters,
+                        epsilon, 1 if dmax == 1 else _BISECTION_STEPS,
                     )
                 found, near = crossings[i - 1]
                 if exact and found is not None:
@@ -493,8 +494,7 @@ def chain_bounds(
     b = (1 - 2 * t_bar - r + eps) / t
     b_prime = (1 - 2 * t_bar - r_prime + eps) / t
 
-    h = params.s * p_ref
-    low = params.s * h / params.a
+    h, low = thresholds(params, p_ref)
     h_low, _ = params.copy_intervals[params.copy_for(h)]
     half = params.d // 2
 
@@ -543,6 +543,12 @@ class GadgetFixture:
                 return g
         raise KeyError(gadget_id)
 
+    @property
+    def bracket(self) -> tuple[Fraction, Fraction]:
+        """The price bracket every gadget output of this copy clears in."""
+        params = self.reduced.params
+        return (self.l * params.s / (8 * params.a), 3 * self.h)
+
 
 def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetFixture:
     params = reduced.params
@@ -552,8 +558,8 @@ def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetF
     p_ref = h_high / params.s
     prices = {g: h_high for g in reduced.market.goods}
     prices[REF_GOOD] = p_ref
-    low = params.s * h_high / params.a
-    return GadgetFixture(reduced, copy, prices, h_high, low, h_low, h_high)
+    h, low = thresholds(params, p_ref)
+    return GadgetFixture(reduced, copy, prices, h, low, h_low, h_high)
 
 
 def clear_gate_output(
@@ -566,10 +572,8 @@ def clear_gate_output(
     gadget = fixture.gadget(gadget_id)
     prices = dict(fixture.prices)
     prices.update(input_prices)
-    params = fixture.reduced.params
-    bracket = (fixture.l * params.s / (8 * params.a), 3 * fixture.h)
     result = pinned_bisection(
-        fixture.reduced.market, prices, gadget.output, bracket, epsilon
+        fixture.reduced.market, prices, gadget.output, fixture.bracket, epsilon
     )
     return result.price
 
@@ -582,21 +586,19 @@ def clear_chain(
     epsilon: Fraction,
 ) -> dict[str, Fraction]:
     """Clear a PURIFY chain link by link; returns the cleared prices in
-    gadget order (the final entry is the chain output good)."""
+    chain order, which is template order (the last is the chain output)."""
     prefix = f"g{gate_index}.{chain}."
     links = [
         g
         for g in fixture.reduced.gadgets(fixture.copy)
         if g.gadget_id.startswith(prefix)
     ]
-    links.sort(key=lambda g: int(g.gadget_id.rsplit(".", 1)[1]))
     if not links:
         raise KeyError(f"no chain {chain} for gate {gate_index}")
     prices = dict(fixture.prices)
     prices[links[0].inputs[0]] = F(p_in)
     cleared: dict[str, Fraction] = {}
-    params = fixture.reduced.params
-    bracket = (fixture.l * params.s / (8 * params.a), 3 * fixture.h)
+    bracket = fixture.bracket
     for link in links:
         result = pinned_bisection(
             fixture.reduced.market, prices, link.output, bracket, epsilon

@@ -587,6 +587,34 @@ def test_gadget_lab_rejects_mesh_below_two(mesh, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lemmas_reads_its_inputs_before_building_the_market(
+    compiled, equilibrium, tmp_path, capsys, monkeypatch
+):
+    """lemmas builds the market only for its verify precondition, after
+    reading its inputs; a market that cannot be built exits 3."""
+
+    def bad_market(*args, **kwargs):
+        raise cli.mkt.MarketError("market could not be built")
+
+    monkeypatch.setattr(reduction, "_stamp_market", bad_market)
+    _, prices_path, alloc_path = equilibrium
+    for prices, code, message in (
+        (tmp_path / "missing.json", 2, "cannot read"),
+        (prices_path, 3, "market could not be built"),
+    ):
+        assert cli.run(
+            [
+                "lemmas", "--meta", str(compiled / "meta.json"),
+                "--prices", str(prices), "--allocation", str(alloc_path),
+                "--eps", "0",
+            ]
+        ) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["code"] == code and message in error["error"]
+
+
 def test_compile_builds_no_market(tmp_path, capsys, monkeypatch):
     """CLI compile stamps both documents from the template: the only buyers
     it builds are the reference buyer and copy 0, built once to check them."""

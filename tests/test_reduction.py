@@ -27,7 +27,7 @@ from circuitmarket import (
     Value,
 )
 from circuitmarket import solver
-from circuitmarket.reduction import validated_params
+from circuitmarket.reduction import NotGadget, validated_params
 from test_acceptance import CORPUS
 
 F = Fraction
@@ -336,8 +336,8 @@ def test_template_writer_matches_market_to_json():
 
 def _duplicate_gadget(reduced):
     template = reduced.template
-    gadgets = template.gadgets + template.gadgets[:1]
-    return {"template": dataclasses.replace(template, gadgets=gadgets)}
+    buyers = template.buyers + template.buyers[:1]
+    return {"template": dataclasses.replace(template, buyers=buyers)}
 
 
 def _top_up_of_unknown_good(reduced):
@@ -371,6 +371,24 @@ def test_template_writer_checks_what_building_the_market_checks(tamper, message)
     vars(tampered).update(fields)  # a tampered template, planted as built
     with pytest.raises(MarketError, match=message):
         reduced_market_to_json(tampered)
+
+
+def test_buyers_come_only_from_the_template_buyer_roles():
+    """A gadget with no buyer role makes no buyer: market.json, the market
+    and meta.json name the same buyers."""
+    reduced = ReducedMarket(
+        validated_params(NOT_CYCLE, F(1, 12), {"k": 3, "d": 2}), NOT_CYCLE
+    )
+    template = reduced.template
+    extra = NotGadget("gX", ("v0",), "v1", reduced.params.r_not)
+    planted = ReducedMarket(reduced.params, NOT_CYCLE)
+    vars(planted)["template"] = dataclasses.replace(
+        template, gadgets=template.gadgets + (extra,)
+    )
+    market_ids = [b["id"] for b in json.loads(reduced_market_to_json(planted))["buyers"]]
+    assert sorted(market_ids) == sorted(json.loads(metadata_to_json(planted))["buyer_roles"])
+    assert market_ids == [b.id for b in planted.market.buyers]
+    assert not any("gX" in buyer for buyer in market_ids)
 
 
 def test_structural_violations_flag_a_budget_off_its_copy_interval():

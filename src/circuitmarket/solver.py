@@ -21,18 +21,23 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd
-from typing import Optional
+from typing import Mapping, Optional
 
 from .market import (
     Buyer,
     FisherMarket,
     MarketError,
     SplcUtility,
+    _add_pair,
     _greedy_walk,
     _split_demand,
+    _walk_items,
     verify_fisher,
 )
 from .rationals import format_rational
@@ -50,6 +55,7 @@ from .purecircuit import GateType, parse_circuit
 F = Fraction
 ZERO = F(0)
 ONE = F(1)
+_INF = float("inf")
 _BISECTION_STEPS = 60  # pinned_bisection's steps per tie-free region searched
 
 
@@ -283,6 +289,12 @@ def _free_good_fold(
     budget-limited ones (demand scales as M/p).  Both come from the integer
     fold _split_demand, exactly as a Fraction sum over the greedy walks
     would give them.
+
+    Cost: one walk (_walk_items, a sort of the buyer's segments) per buyer
+    per call.  This is the one-shot fold; pinned_bisection evaluates many
+    prices of one good and uses _IncrementalFold, which returns the same
+    triple at every price and re-walks only the buyers whose part of C and
+    M can have changed.
     """
     const, money = _split_demand(buyers, prices, good, first)
     c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
@@ -303,30 +315,207 @@ def _demand_interval(
     )
 
 
+def _float(n: int, d: int) -> float:
+    """n/d rounded to a float, inf if too large: a rounding that keeps
+    order, so a float test decides every comparison but equal floats."""
+    try:
+        return n / d
+    except OverflowError:
+        return _INF
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+class _IncrementalFold:
+    """The (demand, C, M) triple of _free_good_fold for one free good, over
+    many prices of it, with every other price pinned.
+
+    A buyer's greedy walk at price p of the good fixes its part of the
+    aggregate on an open interval of prices around p: C_b, the lengths of
+    the good's segments it buys in full, and, if its budget runs out on the
+    good, money M_b = A_b - C_b p, where A_b is its budget less what it
+    spends on other goods.  The interval ends at the buyer's own ties
+    between the good and another good (where the walk order changes) and at
+    its budget breakpoints (where a purchase flips between capped and
+    budget-limited).  With the walk order fixed, both kinds are affine in p,
+    so one walk gives the interval.  A call re-walks only the buyers whose
+    interval does not hold the price; two heaps of interval ends find them.
+    At a price where a buyer is tied, its walk depends on `first`, and the
+    interval of that walk ends at the price, so the next call re-walks it.
+
+    Cost of a call: its re-walks, each with O(log) heap work, and O(1)
+    besides; only the first call walks every buyer.  A fold serves one
+    clearing: every call passes the same prices for every good but `good`.
+    """
+
+    def __init__(self, buyers: tuple[Buyer, ...], good: str):
+        self.buyers = buyers
+        self.good = good
+        n = len(buyers)
+        # per buyer (C_b, A_b, C_b) if its budget runs out on the good,
+        # else (C_b, 0, 0): the sums of the three give C, and M = A - Cx p
+        self.parts = [(_NO_PAIR, _NO_PAIR, _NO_PAIR)] * n
+        self.sums = [_NO_PAIR, _NO_PAIR, _NO_PAIR]
+        self.serial = [0] * n
+        self.stale = list(range(n))
+        # interval ends as (float, serial, buyer, numerator, denominator),
+        # the upper ends in a min-heap and the lower ends, negated, in
+        # another; an entry is live while its serial is the buyer's
+        self.above: list[tuple] = []
+        self.below: list[tuple] = []
+        self.serials = count(1)
+
+    def __call__(
+        self, prices: dict[str, Fraction], first: bool
+    ) -> tuple[Fraction, Fraction, Fraction]:
+        p = prices[self.good]
+        pn, pd = p.numerator, p.denominator
+        fp = _float(pn, pd)
+        stale, self.stale = self.stale, []
+        serial = self.serial
+        for heap, key, side in ((self.above, fp, 1), (self.below, -fp, -1)):
+            kept = []
+            # an end whose float passes the price may still be beyond it
+            while heap and heap[0][0] <= key:
+                entry = heappop(heap)
+                _, s, i, n, d = entry
+                if serial[i] != s:
+                    continue
+                if side * (n * pd - pn * d) <= 0:
+                    serial[i] = -1
+                    stale.append(i)
+                else:
+                    kept.append(entry)
+            for entry in kept:
+                heappush(heap, entry)
+        sums = self.sums
+        for i in stale:
+            old = self.parts[i]
+            new = self.parts[i] = self._walk(i, prices, first)
+            for j in range(3):
+                if old[j] != new[j]:
+                    sums[j] = _add_pair(_add_pair(sums[j], -old[j][0], old[j][1]), *new[j])
+        (cn, cd), (an, ad), (xn, xd) = sums
+        money = (an * xd * pd - xn * pn * ad, ad * xd * pd)
+        return F(*_demand_pair((cn, cd), money, p)), F(cn, cd), F(*money)
+
+    def interval(self, prices: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
+        """[min, max] demand at prices[good], as _demand_interval.
+
+        The tie break towards the good goes first: the walk that breaks
+        ties away from it holds above the price, where the scan goes next.
+        """
+        high = self(prices, first=True)[0]
+        return self(prices, first=False)[0], high
+
+    def _walk(self, i: int, prices: dict[str, Fraction], first: bool):
+        """Buyer i's part at prices[good], from the walk of _split_demand,
+        with its interval pushed onto the heaps."""
+        buyer, good = self.buyers[i], self.good
+        # the interval (lo, hi) as integer pairs; hi = 1/0 has no end
+        lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
+        # (rn, rd) the remaining budget; (sn, sd) the spare, the budget less
+        # the capped purchases of other goods; (cn, cd) C_b
+        rn, rd = buyer.budget.numerator, buyer.budget.denominator
+        sn, sd = rn, rd
+        cn, cd = _NO_PAIR
+        runs_out, walking = False, True
+        # ties: a segment of the good with slope f meets a segment of slope
+        # t of another good priced q at f q / t; the nearest are those of
+        # the other goods' segments next to it in the walk order, the one
+        # before at a lower price and the one after at a higher one.
+        # last: (q, t) of the latest other good; run: the slope of the
+        # good's latest segment since then.
+        last = run = None
+        for _, _, _, g, price, length, slope in _walk_items(buyer, prices, good, first):
+            if g == good:
+                if run is None and last is not None:
+                    q, t = last
+                    tn = slope.numerator * q.numerator * t.denominator
+                    td = slope.denominator * q.denominator * t.numerator
+                    if lo_n * td < tn * lo_d:
+                        lo_n, lo_d = tn, td
+                run = slope
+            else:
+                if run is not None:
+                    tn = run.numerator * price.numerator * slope.denominator
+                    td = run.denominator * price.denominator * slope.numerator
+                    if tn * hi_d < hi_n * td:
+                        hi_n, hi_d = tn, td
+                    run = None
+                last = price, slope
+            if not walking:
+                continue
+            on_good = g == good
+            if length is None:
+                # an unbounded segment takes the rest of the budget
+                runs_out, walking = on_good, False
+                continue
+            ln, ld = length.numerator, length.denominator
+            # the purchase costs un/ud; capped iff that is below the rest
+            un, ud = ln * price.numerator, ld * price.denominator
+            if un * rd < rn * ud:
+                rn, rd = rn * ud - un * rd, rd * ud
+                if on_good:
+                    cn, cd = _add_pair((cn, cd), ln, ld)
+                else:
+                    sn, sd = sn * ud - un * sd, sd * ud
+                continue
+            runs_out, walking = on_good, False
+            # budget-limited from p up: spare <= (C_b + length) p on the
+            # good, spare - cost <= C_b p on another good
+            if on_good:
+                tn, td = _add_pair((cn, cd), ln, ld)
+                tn, td = sn * td, sd * tn
+            elif cn:
+                tn, td = (sn * ud - un * sd) * cd, sd * ud * cn
+            else:
+                continue
+            if lo_n * td < tn * lo_d:
+                lo_n, lo_d = tn, td
+        # every capped purchase stays capped below spare / C_b
+        if cn and sn * cd * hi_d < hi_n * sd * cn:
+            hi_n, hi_d = sn * cd, sd * cn
+        s = self.serial[i] = next(self.serials)
+        if hi_d:
+            heappush(self.above, (_float(hi_n, hi_d), s, i, hi_n, hi_d))
+        if lo_n > 0:
+            heappush(self.below, (-_float(lo_n, lo_d), s, i, lo_n, lo_d))
+        const = _reduced(cn, cd)
+        if not runs_out:
+            return const, _NO_PAIR, _NO_PAIR
+        return const, _reduced(sn, sd), const
+
+
 def _tie_candidates(
     buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction],
     lo: Fraction, hi: Fraction,
 ) -> list[Fraction]:
     """Prices in (lo, hi) where some buyer's bang-per-buck on the free good
-    ties with one of their other goods (demand is set-valued there)."""
+    ties with one of their other goods (demand is set-valued there).
+
+    A slope sf of the good meets a segment of slope s of a good priced q at
+    sf * q / s; it is tested against the bracket in integers, and only the
+    candidates inside it become Fractions."""
+    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     out = set()
     for buyer in buyers:
-        free_slopes = {
-            seg.slope for seg in buyer.utilities[good].segments if seg.slope > 0
-        }
-        for other, util in buyer.utilities.items():
-            if other == good:
+        order = buyer.walk_order
+        free = {slope for g, segments in order if g == good for slope, _, _ in segments}
+        for other, segments in order:
+            if other == good or not segments:
                 continue
-            p_other = prices[other]
-            if p_other <= 0:
-                continue
-            for seg in util.segments:
-                if seg.slope <= 0:
-                    continue
-                for sf in free_slopes:
-                    cand = sf * p_other / seg.slope
-                    if lo < cand < hi:
-                        out.add(cand)
+            price = prices[other]
+            qn, qd = price.numerator, price.denominator
+            for slope, _, _ in segments:
+                bn, bd = qn * slope.denominator, qd * slope.numerator
+                for sf in free:
+                    n, d = sf.numerator * bn, sf.denominator * bd
+                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                        out.add(F(n, d))
     return sorted(out)
 
 
@@ -339,20 +528,21 @@ class BisectionResult:
 
 
 def _region_crossing(
-    buyers, good, prices, x: Fraction, y: Fraction, epsilon: Fraction,
-    max_iters: int,
+    fold: _IncrementalFold, good, prices, x: Fraction, y: Fraction,
+    epsilon: Fraction, max_iters: int,
 ):
     """Search the tie-free open region (x, y) for a demand-1 crossing.
 
     Bisection accelerated by solving the local C + M/p model; returns
-    (exact price or None, best within-epsilon fallback or None).
+    (exact price or None, best within-epsilon fallback or None).  `fold`
+    evaluates the demand for `good` at `prices` with the good's price set.
     """
     pr = dict(prices)
     lo, hi = x, y
     best = None
     for _ in range(max_iters):
         p = pr[good] = (lo + hi) / 2
-        demand, const, money = _free_good_fold(buyers, good, pr, first=True)
+        demand, const, money = fold(pr, first=True)
         if demand == 1:
             return p, best
         if abs(demand - 1) <= epsilon and best is None:
@@ -361,7 +551,7 @@ def _region_crossing(
             cand = money / (1 - const)
             if x < cand < y:
                 pr[good] = cand
-                d_cand, _, _ = _free_good_fold(buyers, good, pr, first=True)
+                d_cand, _, _ = fold(pr, first=True)
                 if d_cand == 1:
                     return cand, best
         if demand > 1:
@@ -373,7 +563,7 @@ def _region_crossing(
 
 def pinned_bisection(
     market: FisherMarket,
-    pinned: dict[str, Fraction],
+    pinned: Mapping[str, Fraction],
     free_good: str,
     bracket: tuple[Fraction, Fraction],
     epsilon: Fraction,
@@ -392,8 +582,18 @@ def pinned_bisection(
     of 1.
 
     The clearing reads only the prices of the goods that the buyers
-    interested in `free_good` value, so only those must be pinned; a missing
-    one raises BracketError("pinned prices missing goods ...").
+    interested in `free_good` value, so only those must be pinned, each at
+    a positive price; a missing one raises BracketError("pinned prices
+    missing goods ..."), one at zero or below BracketError("pinned prices
+    not positive ...").  `pinned` is read one good at a time, never
+    iterated or copied whole, so it may be a large shared map.
+
+    Cost: O((interested buyers + ties) log) for the clearing, with nothing
+    proportional to the market's goods.  Every evaluated price goes through
+    an _IncrementalFold, so a buyer is walked at the two ends of the
+    bracket and again only where a price leaves the interval on which its
+    part of C + M/p holds: at its own ties, where both tie breaks walk only
+    the buyers tied there, and at its budget breakpoints.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -402,13 +602,23 @@ def pinned_bisection(
     if not buyers:
         raise BracketError(f"no buyer is interested in {free_good!r}")
     read = {g for buyer in buyers for g in buyer.utilities if g != free_good}
-    missing = sorted(read - pinned.keys())
+    missing = sorted(g for g in read if g not in pinned)
     if missing:
         raise BracketError(f"pinned prices missing goods {missing}")
-    pinned = {g: pinned[g] for g in read}
+    prices = {g: pinned[g] for g in read}
+    not_positive = sorted(g for g, p in prices.items() if p <= 0)
+    if not_positive:
+        raise BracketError(f"pinned prices not positive for goods {not_positive}")
+    fold = _IncrementalFold(buyers, free_good)
 
-    d_lo = _demand_interval(buyers, free_good, pinned, lo)
-    d_hi = _demand_interval(buyers, free_good, pinned, hi)
+    def demand_at(p: Fraction, fold=fold) -> tuple[Fraction, Fraction]:
+        prices[free_good] = p
+        return fold.interval(prices)
+
+    d_lo = demand_at(lo)
+    # a fold of its own for the high end, so that the scan up from the low
+    # end finds the buyers' intervals where it left them
+    d_hi = demand_at(hi, _IncrementalFold(buyers, free_good))
     if d_lo[1] < 1 - epsilon:
         raise BracketError(
             f"demand at the low end is {d_lo[1]}, below 1 - epsilon"
@@ -418,13 +628,13 @@ def pinned_bisection(
             f"demand at the high end is {d_hi[0]}, above 1 + epsilon"
         )
 
-    points = [lo] + _tie_candidates(buyers, free_good, pinned, lo, hi) + [hi]
+    points = [lo] + _tie_candidates(buyers, free_good, prices, lo, hi) + [hi]
     intervals = {0: d_lo, len(points) - 1: d_hi}
     crossings: dict[int, tuple] = {}
 
     def interval(i: int) -> tuple[Fraction, Fraction]:
         if i not in intervals:
-            intervals[i] = _demand_interval(buyers, free_good, pinned, points[i])
+            intervals[i] = demand_at(points[i])
         return intervals[i]
 
     def scan(tol: Fraction, exact: bool) -> Optional[BisectionResult]:
@@ -439,7 +649,7 @@ def pinned_bisection(
                     # midpoint shows; otherwise this scan returns y itself and
                     # never reads the region's epsilon fallback.
                     crossings[i - 1] = _region_crossing(
-                        buyers, free_good, pinned, points[i - 1], point,
+                        fold, free_good, prices, points[i - 1], point,
                         epsilon, 1 if dmax == 1 else _BISECTION_STEPS,
                     )
                 found, near = crossings[i - 1]
@@ -570,8 +780,7 @@ def clear_gate_output(
 ) -> Fraction:
     """Clearing price of a gadget's output good with its inputs pinned."""
     gadget = fixture.gadget(gadget_id)
-    prices = dict(fixture.prices)
-    prices.update(input_prices)
+    prices = ChainMap(input_prices, fixture.prices)
     result = pinned_bisection(
         fixture.reduced.market, prices, gadget.output, fixture.bracket, epsilon
     )
@@ -595,16 +804,14 @@ def clear_chain(
     ]
     if not links:
         raise KeyError(f"no chain {chain} for gate {gate_index}")
-    prices = dict(fixture.prices)
-    prices[links[0].inputs[0]] = F(p_in)
+    # the cleared links and the chain input, over the fixture's prices
     cleared: dict[str, Fraction] = {}
+    prices = ChainMap(cleared, {links[0].inputs[0]: F(p_in)}, fixture.prices)
     bracket = fixture.bracket
     for link in links:
-        result = pinned_bisection(
+        cleared[link.output] = pinned_bisection(
             fixture.reduced.market, prices, link.output, bracket, epsilon
-        )
-        prices[link.output] = result.price
-        cleared[link.output] = result.price
+        ).price
     return cleared
 
 

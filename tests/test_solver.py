@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -19,6 +20,7 @@ from circuitmarket import (
     canonical_demand,
     chain_bounds,
     chain_threshold_ordering,
+    clear_chain,
     clear_gate_output,
     compile_circuit,
     compute_params,
@@ -33,15 +35,18 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
+from circuitmarket import market as market_module
 from circuitmarket import optimal_bundle, prices_to_json, solver
 from circuitmarket.market import MarketError, _greedy_walk, _split_demand
 from circuitmarket.solver import (
+    BisectionResult,
     NAND_FIXTURE,
     NOT_CYCLE,
     NOT_FIXTURE,
     PURIFY_FIXTURE,
     _demand_interval,
     _free_good_fold,
+    _IncrementalFold,
     _interested_buyers,
     _tie_candidates,
 )
@@ -512,6 +517,21 @@ def test_pinned_bisection_needs_only_the_goods_it_reads():
             pinned_bisection(market, pinned, "x", (F(1, 2), F(2)), F(0))
 
 
+@pytest.mark.parametrize("price", [F(0), F(-1)])
+def test_pinned_bisection_rejects_a_read_price_at_or_below_zero(price):
+    """a values x and ref, b only x: ref at 0 escaped as UnboundedDemand,
+    and ref at -1 gave an exact clearing at price 2."""
+    market = FisherMarket(
+        ("x", "ref"),
+        (
+            Buyer("a", F(1), {"x": linear(1), "ref": linear(1)}),
+            Buyer("b", F(1), {"x": linear(1)}),
+        ),
+    )
+    with pytest.raises(BracketError, match=r"pinned prices not positive for goods \['ref'\]"):
+        pinned_bisection(market, {"ref": price}, "x", (F(1, 2), F(4)), F(0))
+
+
 def test_pinned_bisection_no_interested_buyer():
     market = FisherMarket(
         ("x", "ref"), (Buyer("b", F(1), {"ref": linear(1)}),)
@@ -650,6 +670,158 @@ def test_region_search_only_where_demand_can_cross(monkeypatch):
                 fallback_calls += 1
     assert exact_calls > 50 and fallback_calls > 5
     assert exact_calls + fallback_calls < regions / 4
+
+
+def _budget_breakpoints(buyer, prices, p):
+    """Prices of x at which a bounded segment, in the walk order at x price
+    p, costs exactly the budget left before it: the purchase flips between
+    capped and budget-limited there."""
+    pr = {**prices, "x": p}
+    segments = sorted(
+        (-(s.slope / pr[g]), g, i, s)
+        for g, u in sorted(buyer.utilities.items())
+        for i, s in enumerate(u.segments)
+        if s.slope > 0
+    )
+    spent = lengths = F(0)
+    points = []
+    for _, good, _, s in segments:
+        if s.unbounded:
+            break
+        if good == "x":
+            lengths += s.length
+        else:
+            spent += s.length * pr[good]
+        if lengths and buyer.budget > spent:
+            points.append((buyer.budget - spent) / lengths)
+    return points
+
+
+def test_incremental_fold_matches_the_one_shot_fold():
+    """_IncrementalFold against _free_good_fold, triple for triple, at tie
+    points with both tie breaks, at region midpoints and exactly on budget
+    breakpoints, in a seeded order, so that one fold moves back and forth
+    over the intervals it keeps."""
+    rng = random.Random(2026)
+    lo, hi = F(1, 8), F(8)
+    seen = {"tie": 0, "mid": 0, "breakpoint": 0}
+    flips = 0
+    for _ in range(150):
+        market, prices = _random_clearing_case(rng)
+        buyers = _interested_buyers(market, "x")
+        ties = _tie_candidates(buyers, "x", prices, lo, hi)
+        points = [lo] + ties + [hi]
+        mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
+        breaks = {bp for m in mids for b in buyers for bp in _budget_breakpoints(b, prices, m)}
+        queries = [(p, first, "tie") for p in ties for first in (True, False)]
+        queries += [(p, rng.random() < 0.5, "mid") for p in mids]
+        queries += [(p, first, "breakpoint") for p in breaks for first in (True, False)]
+        queries *= 2
+        rng.shuffle(queries)
+        fold = _IncrementalFold(buyers, "x")
+        pr = dict(prices)
+        for p, first, kind in queries:
+            pr["x"] = p
+            assert fold(pr, first) == _free_good_fold(buyers, "x", pr, first)
+            seen[kind] += 1
+        for p in ties:
+            pr["x"] = p
+            assert fold.interval(pr) == _demand_interval(buyers, "x", prices, p)
+        for p in breaks:
+            # C jumps at a breakpoint, whether or not demand does
+            below = _free_good_fold(buyers, "x", {**prices, "x": p * (1 - F(1, 10**9))}, True)
+            flips += below[1] != _free_good_fold(buyers, "x", {**prices, "x": p}, True)[1]
+    assert min(seen.values()) > 500 and flips > 100
+
+
+def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
+    """Ties 10**-30 below and above x's price 1 round to the float 1.0: the
+    heaps pop those ends at price 1 and must keep them, since the buyers
+    are walked again only once the price passes them."""
+    tiny = F(1, 10**30)
+    market = FisherMarket(
+        ("x", "y", "z"),
+        (
+            Buyer("below", F(1), {"x": linear(1), "y": linear(1 + tiny)}),
+            Buyer("above", F(1), {"x": linear(1), "z": linear(1 - tiny)}),
+            Buyer("plain", F(1), {"x": linear(1)}),
+        ),
+    )
+    buyers = _interested_buyers(market, "x")
+    fold = _IncrementalFold(buyers, "x")
+    prices = {"y": F(1), "z": F(1)}
+    for p in (F(1), F(1), 1 - 10 * tiny, F(1), 1 + 10 * tiny, F(1)):
+        prices["x"] = p
+        assert fold(prices, True) == _free_good_fold(buyers, "x", prices, True)
+
+
+def _clear_ref(k):
+    """Clear "ref" on the NOT cycle at d = 16 with each copy's goods at
+    that copy's h_high and ref pinned at 1 before the clearing."""
+    reduced = compile_circuit(parse_circuit(NOT_CYCLE), F(1, 12), {"k": k, "d": 16})
+    prices = {"ref": F(1)}
+    for c in range(k):
+        h_high = reduced.params.copy_intervals[c][1]
+        prices.update((f"c{c}/{local}", h_high) for local, _ in reduced.template.goods)
+    market = reduced.market
+    market.interested_buyers
+    return lambda: pinned_bisection(market, prices, "ref", (F(1, 64), F(64)), F(1, 12))
+
+
+def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
+    """Every buyer wants ref, so a fold of every buyer at every evaluated
+    price grew four-fold per doubling of k; the incremental fold walks each
+    buyer a bounded number of times."""
+    walks = []
+    real = market_module._walk_items
+
+    def counted(*args):
+        walks[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(market_module, "_walk_items", counted)
+    monkeypatch.setattr(solver, "_walk_items", counted)
+    for k in (10, 20, 40):
+        clear = _clear_ref(k)
+        walks.append(0)
+        # the outcome of the scan that refolded every buyer
+        assert clear() == BisectionResult(F(1), F(1), 1 + F(3, 880 * k), True)
+    assert walks[1] <= 2.2 * walks[0] and walks[2] <= 2.2 * walks[1]
+
+
+class _WholeMapRead(dict):
+    """A price map that can only be read one good at a time."""
+
+    def _whole(self, *args):
+        raise AssertionError("the whole price map was read")
+
+    __iter__ = keys = items = values = __len__ = copy = _whole
+
+
+def test_clearings_never_read_the_whole_price_map():
+    """pinned_bisection, clear_gate_output and clear_chain neither iterate,
+    size nor copy the fixture's prices, and give what the plain map gives."""
+    eps = F(1, 12)
+    nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), F(0), LAB_OVERRIDE))
+    pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), F(0), LAB_OVERRIDE))
+    guarded_nand = dataclasses.replace(nand, prices=_WholeMapRead(nand.prices))
+    guarded_pure = dataclasses.replace(pure, prices=_WholeMapRead(pure.prices))
+    with pytest.raises(AssertionError):
+        dict(guarded_nand.prices)
+    u, v = nand.gadget("g0").inputs
+    for inputs in ({u: nand.h, v: nand.h}, {u: nand.l / 2, v: nand.h}):
+        assert clear_gate_output(guarded_nand, "g0", inputs, eps) == clear_gate_output(
+            nand, "g0", inputs, eps
+        )
+    out = nand.gadget("g0").output
+    market = nand.reduced.market
+    assert pinned_bisection(market, guarded_nand.prices, out, nand.bracket, eps) == pinned_bisection(
+        market, nand.prices, out, nand.bracket, eps
+    )
+    for chain, p_in in ((1, pure.l), (2, (pure.l + pure.h) / 2)):
+        assert clear_chain(guarded_pure, 0, chain, p_in, eps) == clear_chain(
+            pure, 0, chain, p_in, eps
+        )
 
 
 # --- tatonnement ------------------------------------------------------------

@@ -15,6 +15,7 @@ a plain open() would give them, 0o666 minus the process umask.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -295,7 +296,10 @@ def _cmd_circuit_check(args) -> int:
     return EXIT_PASS if out["satisfied"] else EXIT_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves no state
+    in it, since every call parses into a new namespace."""
     parser = argparse.ArgumentParser(
         prog="circuitmarket",
         description="Pure-Circuit to Fisher-market compiler and verifier",

@@ -16,13 +16,19 @@ one, ties included.  A price or slope whose float is not a normal number
 (such as a price of 10**-400), or a quotient that is not, sends the whole
 walk to the exact keys.  No float reaches a result.
 
-_walk_items is that one sort.  Two walks read its order.  _greedy_walk
-yields each purchase with exact Fraction amounts and costs, for bundles,
-verification and the lemma suite.  _split_demand folds the purchases of
-many buyers in integers, for tâtonnement and single-good clearing: a
-good's aggregate demand is C + M/p at its price p, where C sums the
-segment lengths bought in full and M the money of the purchases the
-budget limits.  Each walk keeps its remaining budget as an unreduced
+The walks read prices from a quote table (quote_table), built once per
+set of prices: good -> (numerator, denominator, screened float), where the
+float is that of a positive normal price, 0.0 marks a zero price and inf
+any other, so no walk reads a Fraction's numerator or rounds a price again.
+
+_walk_items is that one sort; a walk of one segment is not sorted, and
+one of two makes a single float comparison.  Two walks read its order.
+_greedy_walk yields each purchase with exact Fraction amounts and costs,
+for bundles, verification and the lemma suite.  _split_demand folds the
+purchases of many buyers in integers, for tâtonnement and single-good
+clearing: a good's aggregate demand is C + M/p at its price p, where C
+sums the segment lengths bought in full and M the money of the purchases
+the budget limits.  Each walk keeps its remaining budget as an unreduced
 integer pair and reduces it once; sums over buyers combine denominators by
 their lcm.  C + M/p equals the sum of the Fraction walk's amounts
 exactly, so what the solvers return is what a Fraction fold returns.
@@ -38,7 +44,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -135,7 +141,7 @@ class _Walked:
         that reads it to the exact keys."""
         return tuple(
             (good, tuple(
-                (s.slope, s.length, _normal_float(s.slope, 0.0))
+                (s.slope, s.length, _normal_float(*s.slope.as_integer_ratio(), 0.0))
                 for s in util.segments if s.slope > 0
             ))
             for good, util in sorted(self.utilities.items())
@@ -150,11 +156,11 @@ _NEAR = 1 - 2.0**-30
 _INF = float("inf")
 
 
-def _normal_float(x: Fraction, bad: float) -> float:
-    """x correctly rounded to a float if that is a positive normal number,
+def _normal_float(n: int, d: int, bad: float) -> float:
+    """n/d correctly rounded to a float if that is a positive normal number,
     else `bad`."""
     try:
-        f = x.numerator / x.denominator
+        f = n / d
     except OverflowError:
         return bad
     return f if _FLOAT_MIN <= f <= _FLOAT_MAX else bad
@@ -264,63 +270,90 @@ class BundleResult:
 
 _FKEY = itemgetter(0)
 
+# a price as the walks read it: (numerator, denominator, screened float)
+Quote = tuple[int, int, float]
+
+
+def _quote(n: int, d: int) -> Quote:
+    """The price n/d, d > 0, as the walks read it: (n, d, f), where f is its
+    correctly rounded float if that is a positive normal number, 0.0 if the
+    price is zero, and inf otherwise (a price of 10**-400, say), which sends
+    every walk that reads it to the exact keys."""
+    return n, d, _normal_float(n, d, _INF if n else 0.0)
+
+
+def quote_table(prices: Mapping[str, Fraction]) -> dict[str, Quote]:
+    """good -> _quote of its price, for every good of `prices`: what the
+    walks read instead of the Fractions.  One table serves every walk at the
+    same prices."""
+    return {good: _quote(p.numerator, p.denominator) for good, p in prices.items()}
+
 
 def _exact_key(item) -> tuple:
     """(bang-per-buck, preference, -position) of a walk item."""
-    _, position, pref, _, price, _, slope = item
-    return slope / price, pref, -position
+    _, position, pref, _, (n, d, _), _, slope = item
+    return Fraction(slope.numerator * d, slope.denominator * n), pref, -position
 
 
 def _walk_items(
-    agent: _Walked, prices: dict[str, Fraction], favor: Optional[str], first: bool
+    agent: _Walked, quotes: Mapping[str, Quote], favor: Optional[str], first: bool
 ) -> list[tuple]:
     """The agent's positive-slope segments in greedy walk order, as items
-    (float key, position, preference, good, price, length, slope).
+    (float key, position, preference, good, quote, length, slope), where
+    quote is the good's entry of the quote table `quotes`.
 
     Segments are taken by decreasing bang-per-buck; ties break by good id,
     then segment index, except that the segments of `favor` go first
     (first=True) or last among equal bang-per-buck.  Raises KeyError if a
-    valued good has no price, and UnboundedDemand if a good with positive
+    valued good has no quote, and UnboundedDemand if a good with positive
     slope has price zero.  This is the only sort of segments; the greedy
     walk and the integer demand fold both read its order.
 
     The order is that of the exact key, found by a sort on float keys (see
-    the module docstring): each segment's float slope over its good's float
-    price, both correctly rounded, so the key is within a relative 2**-51
-    of slope/price.  After the sort, every run of consecutive keys each
-    within a relative 2**-30 of the one before is re-sorted on the exact
-    key (slope/price, preference, -position).  Keys further apart than that
-    are in exact order, so only such runs can be out of it.  If a slope,
-    price or key float is not a positive normal number (a price of
-    10**-400, say), the float keys carry no such bound and the whole walk
-    is sorted on the exact key.
+    the module docstring): each segment's float slope over its good's
+    screened float price, both correctly rounded, so the key is within a
+    relative 2**-51 of slope/price.  After the sort, every run of
+    consecutive keys each within a relative 2**-30 of the one before is
+    re-sorted on the exact key (slope/price, preference, -position).  Keys
+    further apart than that are in exact order, so only such runs can be
+    out of it.  If a slope, price or key float is not a positive normal
+    number, the float keys carry no such bound and the whole walk is sorted
+    on the exact key.
+
+    Short walks skip the sort: a walk of one segment is its own order, and
+    one of two segments takes one float comparison, or the exact key when
+    the two float keys are within a relative 2**-30 or not normal.
     """
     lead = 1 if first else -1
     items = []
+    position = 0
     for good, segments in agent.walk_order:
-        price = prices[good]
+        quote = quotes[good]
         if not segments:
             continue
-        # a price whose float is not a positive normal number gives the good
-        # keys of 0.0, which send the walk to the exact keys (a float
-        # quotient of ints raises rather than overflow)
-        try:
-            fprice = price.numerator / price.denominator
-        except OverflowError:
-            fprice = _INF
-        if fprice < _FLOAT_MIN:
-            if not price:
-                raise UnboundedDemand(agent.id, good)
-            fprice = _INF
+        fprice = quote[2]
+        if not fprice:
+            raise UnboundedDemand(agent.id, good)
         pref = lead if good == favor else 0
         for slope, length, fslope in segments:
-            items.append((fslope / fprice, len(items), pref, good, price, length, slope))
-    if not items:
+            items.append((fslope / fprice, position, pref, good, quote, length, slope))
+            position += 1
+    if position < 3:
+        if position == 2:
+            a, b = items
+            ka, kb = a[0], b[0]
+            if _FLOAT_MIN <= ka <= _FLOAT_MAX and _FLOAT_MIN <= kb <= _FLOAT_MAX:
+                if kb < ka * _NEAR:
+                    return items
+                if ka < kb * _NEAR:
+                    return [b, a]
+            if _exact_key(b) > _exact_key(a):
+                return [b, a]
         return items
 
     # keys are sorted in decreasing order, so the first and last bound them
     items.sort(key=_FKEY, reverse=True)
-    if items[0][0] > _FLOAT_MAX or items[-1][0] < _FLOAT_MIN:
+    if not (_FLOAT_MIN <= items[-1][0] and items[0][0] <= _FLOAT_MAX):
         items.sort(key=_exact_key, reverse=True)
     else:
         start = 0
@@ -336,7 +369,7 @@ def _walk_items(
 def _greedy_walk(
     agent: _Walked,
     budget: Fraction,
-    prices: dict[str, Fraction],
+    quotes: Mapping[str, Quote],
     favor: Optional[str] = None,
     first: bool = True,
 ) -> Iterator[tuple[str, Fraction, Fraction, bool]]:
@@ -345,20 +378,22 @@ def _greedy_walk(
 
     `cost` is amount times price; `capped` means the segment's length, not
     the budget, limited the purchase, and the one purchase that is not
-    capped spends what is left.  Amounts and costs are exact Fractions.
+    capped spends what is left.  The walk runs on integer pairs like
+    _split_demand; amounts and costs are yielded as exact Fractions.
     """
-    items = _walk_items(agent, prices, favor, first)
+    items = _walk_items(agent, quotes, favor, first)
     if budget == 0:
         return
-    remaining = budget
-    for _, _, _, good, price, length, _ in items:
+    rn, rd = budget.numerator, budget.denominator
+    for _, _, _, good, (pn, pd, _), length, _ in items:
         if length is not None:
-            cost = length * price
-            if cost < remaining:
-                remaining -= cost
-                yield good, length, cost, True
+            # the purchase costs cn/cd; capped iff that is below rn/rd
+            cn, cd = length.numerator * pn, length.denominator * pd
+            if cn * rd < rn * cd:
+                rn, rd = rn * cd - cn * rd, rd * cd
+                yield good, length, Fraction(cn, cd), True
                 continue
-        yield good, remaining / price, remaining, False
+        yield good, Fraction(rn * pd, rd * pn), Fraction(rn, rd), False
         return
 
 
@@ -376,13 +411,14 @@ def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int
 
 def _split_demand(
     buyers: Iterable[Buyer],
-    prices: dict[str, Fraction],
+    quotes: Mapping[str, Quote],
     favor: Optional[str] = None,
     first: bool = True,
 ) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
-    """Aggregate greedy demand of `buyers` at `prices`, split per good as
-    C + M/p: C sums the lengths of the capped purchases of the good, M the
-    money of the budget-limited ones, and p is the good's price.
+    """Aggregate greedy demand of `buyers` at the prices of the quote table
+    `quotes`, split per good as C + M/p: C sums the lengths of the capped
+    purchases of the good, M the money of the budget-limited ones, and p is
+    the good's price.
 
     Returns the C and M maps, good -> unreduced (numerator, denominator)
     with positive denominators; a good with no such purchase is absent.  The
@@ -392,14 +428,13 @@ def _split_demand(
     one budget-limited purchase.  Sums over buyers combine denominators by
     their lcm.  C + M/p equals the sum of _greedy_walk's amounts exactly.
     """
-    pairs = {good: (p.numerator, p.denominator) for good, p in prices.items()}
     const: dict[str, tuple[int, int]] = {}
     money: dict[str, tuple[int, int]] = {}
     for buyer in buyers:
         budget = buyer.budget
         rn, rd = budget.numerator, budget.denominator
-        for _, _, _, good, _, length, _ in _walk_items(buyer, prices, favor, first):
-            pn, pd = pairs[good]
+        items = _walk_items(buyer, quotes, favor, first)
+        for _, _, _, good, (pn, pd, _), length, _ in items:
             if length is not None:
                 ln, ld = length.numerator, length.denominator
                 # the purchase costs cn/cd; capped iff that is below rn/rd
@@ -414,7 +449,9 @@ def _split_demand(
     return const, money
 
 
-def _greedy_bundle(agent: _Walked, budget: Fraction, prices) -> BundleResult:
+def _greedy_bundle(
+    agent: _Walked, budget: Fraction, quotes: Mapping[str, Quote]
+) -> BundleResult:
     """The canonical optimal bundle: the greedy walk with no favored good.
 
     The walk buys each good's segments in segment order, so the k-th
@@ -424,7 +461,7 @@ def _greedy_bundle(agent: _Walked, budget: Fraction, prices) -> BundleResult:
     bought: dict[str, Fraction] = {}
     spend = utility = None
     # a sum starts at its first term: ZERO + term is a Fraction addition
-    for good, amount, cost, _ in _greedy_walk(agent, budget, prices):
+    for good, amount, cost, _ in _greedy_walk(agent, budget, quotes):
         term = next(segments[good])[0] * amount
         if spend is None:
             spend, utility = cost, term
@@ -450,7 +487,7 @@ def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     utility has price zero (the optimal-bundle set is empty or degenerate).
     """
     _check_prices_non_negative(prices)
-    return _greedy_bundle(buyer, buyer.budget, prices)
+    return _greedy_bundle(buyer, buyer.budget, quote_table(prices))
 
 
 def _bundle_utility(
@@ -524,6 +561,7 @@ def _verify(
             if good not in prices:
                 raise MarketError(f"allocation references unknown good {good!r}")
 
+    quotes = quote_table(prices)
     slacks = dict.fromkeys(goods, -ONE)
     for row in allocation.values():
         for good, amount in row.items():
@@ -535,7 +573,7 @@ def _verify(
         bid = agent.id
         row = allocation.get(bid, {})
         try:
-            best = _greedy_bundle(agent, budget, prices)
+            best = _greedy_bundle(agent, budget, quotes)
         except UnboundedDemand:
             verdicts[bid] = BuyerVerdict("unbounded-demand")
             continue
@@ -614,6 +652,10 @@ def _segment_to_json(seg: SplcSegment) -> dict:
 
 
 def _segment_from_json(obj: dict) -> SplcSegment:
+    """A segment object; anything else raises a TypeError of its own, so the
+    readers' message does not depend on the interpreter's wording."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"segment must be a JSON object, got {type(obj).__name__}")
     length = None if obj["length"] == "inf" else parse_rational(obj["length"])
     return SplcSegment(length, parse_rational(obj["slope"]))
 

@@ -489,7 +489,9 @@ def decode(reduced: ReducedMarket, prices: dict[str, Fraction]) -> DecodeResult:
     """Read a circuit assignment off the variable-good prices.
 
     Uses the copy whose interval contains H = s * p_ref; prices >= H decode
-    to One, <= L to Zero, in between to Bot.
+    to One, <= L to Zero, in between to Bot.  A negative price of a variable
+    good it reads is outside the market model and raises ReductionError
+    naming the good; a price of 0 decodes to Zero.
     """
     from .purecircuit import Assignment, Value
 
@@ -500,7 +502,10 @@ def decode(reduced: ReducedMarket, prices: dict[str, Fraction]) -> DecodeResult:
     copy = reduced.params.copy_for(h)
     values = {}
     for node in range(reduced.circuit.n):
-        p = prices[reduced.variable_good(copy, node)]
+        good = reduced.variable_good(copy, node)
+        p = prices[good]
+        if p < 0:
+            raise ReductionError(f"negative price for good {good!r}")
         if p >= h:
             values[node] = Value.ONE
         elif p <= low:

@@ -36,8 +36,10 @@ from .market import (
     SplcUtility,
     _add_pair,
     _greedy_walk,
+    _quote,
     _split_demand,
     _walk_items,
+    quote_table,
     verify_fisher,
 )
 from .rationals import format_rational
@@ -83,15 +85,18 @@ def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> Deman
     Folds the greedy walks directly and evaluates no utility.  Propagates
     UnboundedDemand if any buyer faces a free desired good.
     """
+    quotes = {}
     for good in market.goods:
-        if prices[good] <= 0:
+        price = prices[good]
+        if price <= 0:
             raise MarketError(f"price of {good!r} must be positive")
+        quotes[good] = _quote(price.numerator, price.denominator)
     # a sum starts at its first amount: ZERO + amount is a Fraction addition
     bought: dict[str, Fraction] = {}
     bundles: dict[str, dict[str, Fraction]] = {}
     for buyer in market.buyers:
         bundle = bundles[buyer.id] = {}
-        for good, amount, _, _ in _greedy_walk(buyer, buyer.budget, prices):
+        for good, amount, _, _ in _greedy_walk(buyer, buyer.budget, quotes):
             bundle[good] = bundle[good] + amount if good in bundle else amount
         for good, amount in bundle.items():
             bought[good] = bought[good] + amount if good in bought else amount
@@ -104,13 +109,12 @@ _NO_PAIR = (0, 1)
 
 
 def _demand_pair(
-    const: tuple[int, int], money: tuple[int, int], price: Fraction
+    const: tuple[int, int], money: tuple[int, int], pn: int, pd: int
 ) -> tuple[int, int]:
-    """Demand C + M/p of a good at price p > 0, from the (numerator,
-    denominator) pairs C and M of _split_demand, as an unreduced pair with a
-    positive denominator."""
+    """Demand C + M/p of a good at price p = pn/pd > 0, from the
+    (numerator, denominator) pairs C and M of _split_demand, as an unreduced
+    pair with a positive denominator."""
     (cn, cd), (mn, md) = const, money
-    pn, pd = price.numerator, price.denominator
     return cn * md * pn + mn * pd * cd, cd * md * pn
 
 
@@ -160,13 +164,19 @@ class TatonnementResult:
 _PRICE_DENOMINATOR_LIMIT = 2**40
 
 
-def _step_price(n: int, d: int, floor: Fraction) -> Fraction:
+def _step_price(n: int, d: int, floor: Fraction) -> tuple[int, int]:
     """max(floor, Fraction(n, d).limit_denominator(2**40)) for ints n and
-    d > 0.
+    d > 0, as a reduced (numerator, denominator) pair.
 
     One gcd reduces n/d; the continued-fraction loop of limit_denominator
-    then runs on ints, picks between its two bounds with the integer test
-    of Python 3.12, and only the result becomes a Fraction.
+    then runs on ints and picks between its two bounds with the integer test
+    of Python 3.12.  No Fraction is built.
+
+    The loop carries only the convergents' denominators q0, q1 and the
+    remainders num, den of Euclid's algorithm on n/d, which are the scaled
+    errors of the convergents: num = sign (q0 n - p0 d) and
+    den = -sign (q1 n - p1 d), with sign alternating from -1 after the
+    first step.  The numerators p0, p1 are read off these at the end.
     """
     g = gcd(n, d)
     n, d = n // g, d // g
@@ -174,25 +184,30 @@ def _step_price(n: int, d: int, floor: Fraction) -> Fraction:
     if d <= limit:
         p, q = n, d
     else:
-        p0, q0, p1, q1 = 0, 1, 1, 0
-        num, den = n, d
+        # after the first step, n = a0 d + (n % d): convergents 1/0 and a0/1
+        q0, q1 = 0, 1
+        num, den = d, n % d
+        sign = -1
         while True:
             a = num // den
             q2 = q0 + a * q1
             if q2 > limit:
                 break
-            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            q0, q1 = q1, q2
             num, den = den, num - a * den
+            sign = -sign
         k = (limit - q0) // q1
         # p1/q1 lies den/(q1 d) from n/d, and the bounds 1/(q1 (q0 + k q1))
         # apart on either side of it
+        p1 = (q1 * n + sign * den) // d
         if 2 * den * (q0 + k * q1) <= d:
             p, q = p1, q1
         else:
-            p, q = p0 + k * p1, q0 + k * q1
-    if p * floor.denominator <= floor.numerator * q:
-        return floor
-    return F(p, q)
+            p, q = (q0 * n - sign * num) // d + k * p1, q0 + k * q1
+    fn, fd = floor.numerator, floor.denominator
+    if p * fd <= fn * q:
+        return fn, fd
+    return p, q
 
 
 def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult:
@@ -204,30 +219,35 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     config.epsilon with the canonical allocation; the best-seen prices are
     returned either way.
 
-    An iteration folds every buyer's greedy walk into the aggregate demand
-    alone, in integers: _split_demand gives each good's C and M, and its
-    slack is read from C + M/p with one division per good, not one per
-    buyer.  The demand is exact, so the prices and the trace are those of a
-    Fraction sum over the walks.  The canonical bundles are built only on
-    iterations with no good outside epsilon, which are the ones verified.
+    Prices pass between iterations as reduced (numerator, denominator) int
+    pairs.  An iteration builds one quote table from them, and folds every
+    buyer's greedy walk over it into the aggregate demand alone, in
+    integers: _split_demand gives each good's C and M, and its slack is
+    read from C + M/p with one division per good, not one per buyer.  The
+    demand is exact, so the prices and the trace are those of a Fraction
+    sum over the walks.  Fraction prices are built only on iterations with
+    no good outside epsilon, which are the ones verified, and for the
+    prices returned.
     """
     if not market.satisfies_sufficient_condition():
         raise MarketError("tatonnement requires every buyer to be unsatiated")
-    goods = market.goods
-    prices = {g: ONE for g in goods}
+    goods, buyers = market.goods, market.buyers
+    pairs = [(1, 1)] * len(goods)
     eps_n, eps_d = config.epsilon.numerator, config.epsilon.denominator
     lam_n, lam_d = config.lam.numerator, config.lam.denominator
+    floor = config.floor
     trace: list[TraceRow] = []
-    best_prices, best_slack = dict(prices), None
+    best_pairs, best_slack = pairs, None
     converged = False
     for iteration in range(config.max_iters + 1):
-        const, money = _split_demand(market.buyers, prices)
+        quotes = {g: _quote(pn, pd) for g, (pn, pd) in zip(goods, pairs)}
+        const, money = _split_demand(buyers, quotes)
         # the slack of good g is excess/den, with demand (excess + den)/den
         slacks = []
         max_num, max_den, violating = 0, 1, 0
-        for g in goods:
+        for g, (pn, pd) in zip(goods, pairs):
             num, den = _demand_pair(
-                const.get(g, _NO_PAIR), money.get(g, _NO_PAIR), prices[g]
+                const.get(g, _NO_PAIR), money.get(g, _NO_PAIR), pn, pd
             )
             excess = num - den
             slacks.append((excess, den))
@@ -239,24 +259,22 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
         max_abs = F(max_num, max_den)
         trace.append(TraceRow(iteration, max_abs, violating))
         if best_slack is None or max_abs < best_slack:
-            best_prices, best_slack = dict(prices), max_abs
+            best_pairs, best_slack = pairs, max_abs
         if violating == 0:
+            prices = {g: F(pn, pd) for g, (pn, pd) in zip(goods, pairs)}
             bundles = canonical_demand(market, prices).bundles
             report = verify_fisher(market, prices, bundles, config.epsilon)
             if report.passed:
-                best_prices = dict(prices)
+                best_pairs = pairs
                 converged = True
                 break
-        # p (1 + lam excess/den) = p.num (lam_d den + lam_n excess) / (p.den lam_d den)
-        prices = {
-            g: _step_price(
-                p.numerator * (lam_d * den + lam_n * excess),
-                p.denominator * lam_d * den,
-                config.floor,
-            )
-            for (g, p), (excess, den) in zip(prices.items(), slacks)
-        }
-    return TatonnementResult(best_prices, converged, tuple(trace))
+        # p (1 + lam excess/den) = pn (lam_d den + lam_n excess) / (pd lam_d den)
+        pairs = [
+            _step_price(pn * (lam_d * den + lam_n * excess), pd * lam_d * den, floor)
+            for (pn, pd), (excess, den) in zip(pairs, slacks)
+        ]
+    best = {g: F(pn, pd) for g, (pn, pd) in zip(goods, best_pairs)}
+    return TatonnementResult(best, converged, tuple(trace))
 
 
 def trace_to_csv(trace: tuple[TraceRow, ...]) -> str:
@@ -296,9 +314,10 @@ def _free_good_fold(
     triple at every price and re-walks only the buyers whose part of C and
     M can have changed.
     """
-    const, money = _split_demand(buyers, prices, good, first)
+    const, money = _split_demand(buyers, quote_table(prices), good, first)
     c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
-    return F(*_demand_pair(c, m, prices[good])), F(*c), F(*m)
+    p = prices[good]
+    return F(*_demand_pair(c, m, p.numerator, p.denominator)), F(*c), F(*m)
 
 
 def _demand_interval(
@@ -349,6 +368,8 @@ class _IncrementalFold:
     Cost of a call: its re-walks, each with O(log) heap work, and O(1)
     besides; only the first call walks every buyer.  A fold serves one
     clearing: every call passes the same prices for every good but `good`.
+    So the first call builds the fold's quote table from its prices, and a
+    later call only re-quotes the good; every walk reads that one table.
     """
 
     def __init__(self, buyers: tuple[Buyer, ...], good: str):
@@ -367,12 +388,17 @@ class _IncrementalFold:
         self.above: list[tuple] = []
         self.below: list[tuple] = []
         self.serials = count(1)
+        self.quotes: Optional[dict] = None
 
     def __call__(
         self, prices: dict[str, Fraction], first: bool
     ) -> tuple[Fraction, Fraction, Fraction]:
         p = prices[self.good]
         pn, pd = p.numerator, p.denominator
+        if self.quotes is None:
+            self.quotes = quote_table(prices)
+        else:
+            self.quotes[self.good] = _quote(pn, pd)
         fp = _float(pn, pd)
         stale, self.stale = self.stale, []
         serial = self.serial
@@ -394,13 +420,13 @@ class _IncrementalFold:
         sums = self.sums
         for i in stale:
             old = self.parts[i]
-            new = self.parts[i] = self._walk(i, prices, first)
+            new = self.parts[i] = self._walk(i, first)
             for j in range(3):
                 if old[j] != new[j]:
                     sums[j] = _add_pair(_add_pair(sums[j], -old[j][0], old[j][1]), *new[j])
         (cn, cd), (an, ad), (xn, xd) = sums
         money = (an * xd * pd - xn * pn * ad, ad * xd * pd)
-        return F(*_demand_pair((cn, cd), money, p)), F(cn, cd), F(*money)
+        return F(*_demand_pair((cn, cd), money, pn, pd)), F(cn, cd), F(*money)
 
     def interval(self, prices: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
         """[min, max] demand at prices[good], as _demand_interval.
@@ -411,9 +437,9 @@ class _IncrementalFold:
         high = self(prices, first=True)[0]
         return self(prices, first=False)[0], high
 
-    def _walk(self, i: int, prices: dict[str, Fraction], first: bool):
-        """Buyer i's part at prices[good], from the walk of _split_demand,
-        with its interval pushed onto the heaps."""
+    def _walk(self, i: int, first: bool):
+        """Buyer i's part at the prices of the fold's quote table, from the
+        walk of _split_demand, with its interval pushed onto the heaps."""
         buyer, good = self.buyers[i], self.good
         # the interval (lo, hi) as integer pairs; hi = 1/0 has no end
         lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
@@ -427,26 +453,28 @@ class _IncrementalFold:
         # t of another good priced q at f q / t; the nearest are those of
         # the other goods' segments next to it in the walk order, the one
         # before at a lower price and the one after at a higher one.
-        # last: (q, t) of the latest other good; run: the slope of the
+        # last: (qn, qd, t) of the latest other good; run: the slope of the
         # good's latest segment since then.
         last = run = None
-        for _, _, _, g, price, length, slope in _walk_items(buyer, prices, good, first):
+        for _, _, _, g, (pn, pd, _), length, slope in _walk_items(
+            buyer, self.quotes, good, first
+        ):
             if g == good:
                 if run is None and last is not None:
-                    q, t = last
-                    tn = slope.numerator * q.numerator * t.denominator
-                    td = slope.denominator * q.denominator * t.numerator
+                    qn, qd, t = last
+                    tn = slope.numerator * qn * t.denominator
+                    td = slope.denominator * qd * t.numerator
                     if lo_n * td < tn * lo_d:
                         lo_n, lo_d = tn, td
                 run = slope
             else:
                 if run is not None:
-                    tn = run.numerator * price.numerator * slope.denominator
-                    td = run.denominator * price.denominator * slope.numerator
+                    tn = run.numerator * pn * slope.denominator
+                    td = run.denominator * pd * slope.numerator
                     if tn * hi_d < hi_n * td:
                         hi_n, hi_d = tn, td
                     run = None
-                last = price, slope
+                last = pn, pd, slope
             if not walking:
                 continue
             on_good = g == good
@@ -456,7 +484,7 @@ class _IncrementalFold:
                 continue
             ln, ld = length.numerator, length.denominator
             # the purchase costs un/ud; capped iff that is below the rest
-            un, ud = ln * price.numerator, ld * price.denominator
+            un, ud = ln * pn, ld * pd
             if un * rd < rn * ud:
                 rn, rd = rn * ud - un * rd, rd * ud
                 if on_good:

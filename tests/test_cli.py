@@ -167,6 +167,21 @@ def test_decode_reads_bot_bot(compiled, equilibrium, tmp_path, capsys):
     assert doc["copy"] == 0
 
 
+def test_decode_rejects_a_negative_variable_price(compiled, tmp_path, capsys):
+    prices = tmp_path / "prices.json"
+    prices.write_text(prices_to_json({"ref": F(1), "c0/v0": F(-5), "c0/v1": F(1)}))
+    out = tmp_path / "decoded"
+    code = cli.run(
+        ["decode", "--meta", str(compiled / "meta.json"), "--prices", str(prices),
+         "--out", str(out)]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative price for good 'c0/v0'" in json.loads(captured.err)["error"]
+    assert not (out / "assignment.json").exists()
+
+
 def test_lemmas_pass_and_precondition(compiled, equilibrium, tmp_path, capsys):
     _, prices_path, alloc_path = equilibrium
     code = cli.run(
@@ -335,6 +350,46 @@ def test_python_dash_m_runs_the_cli():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: circuitmarket")
+
+
+def test_runs_in_one_process_match_fresh_processes(circuit_file, tmp_path, capsys, monkeypatch):
+    """The parser is built once per process.  Runs in one process, in an
+    order where each could inherit options, defaults or errors from the run
+    before, give the exit code and stdout that a fresh process gives."""
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help at
+    out = tmp_path / "build"
+    market, meta, prices = out / "market.json", out / "meta.json", out / "prices.json"
+    compile_argv = ["compile", str(circuit_file), "--eps", "1/12", *OVERRIDE_ARGS,
+                    "--out", str(out)]
+    runs = [
+        compile_argv,
+        ["solve", "--market", str(market), "--eps", "1/12", "--max-iters", "3",
+         "--lambda", "1/3", "--out", str(tmp_path / "short")],
+        ["solve", "--market", str(market), "--eps", "1/12", "--out", str(out)],
+        ["solve", "--eps", "1/12"],
+        ["--help"],
+        ["decode", "--meta", str(meta), "--prices", str(prices)],
+        ["decode", "--help"],
+        ["no-such-command"],
+        compile_argv,
+    ]
+    in_process = []
+    for argv in runs:
+        code = cli.run(argv)
+        in_process.append((code, capsys.readouterr().out))
+    assert [code for code, _ in in_process] == [0, 0, 0, 2, 0, 0, 0, 2, 0]
+    assert json.loads(in_process[1][1])["iterations"] == 3
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    for argv, (code, stdout) in zip(runs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "circuitmarket", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (code, stdout), argv
 
 
 def _assert_json_error(capsys, code):

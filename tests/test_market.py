@@ -569,7 +569,7 @@ def test_market_reader_parses_each_raw_segment_list_once(monkeypatch):
         ({"length": "-1", "slope": "1"}, "segment length must be positive"),
         ({"length": "1"}, "bad market document: 'slope'"),
         ({"length": "1", "slope": "3"}, "slopes must be non-increasing (concavity)"),
-        ("1", "bad market document: string indices must be integers, not 'str'"),
+        ("1", "bad market document: segment must be a JSON object, got str"),
     ],
 )
 def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
@@ -592,7 +592,8 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
 
 
 def _walked_goods(buyer, prices, favor=None, first=True):
-    return [g for g, *_ in market_module._greedy_walk(buyer, buyer.budget, prices, favor, first)]
+    quotes = market_module.quote_table(prices)
+    return [g for g, *_ in market_module._greedy_walk(buyer, buyer.budget, quotes, favor, first)]
 
 
 def test_greedy_walk_settles_float_near_ties_exactly():

@@ -228,6 +228,18 @@ def test_decode_thresholds_and_boundaries():
         decode(reduced, {**prices, "ref": F(0)})
 
 
+def test_decode_rejects_a_negative_variable_price():
+    """A negative price is outside the market model: decode names the good
+    rather than reading it as Zero; a price of 0 still decodes to Zero."""
+    reduced = compile_circuit(NOT_CYCLE, F(0), {"k": 1, "d": 2})
+    h, _ = thresholds(reduced.params, F(1))
+    prices = {"ref": F(1), "c0/v0": F(-5), "c0/v1": h}
+    with pytest.raises(ReductionError, match="negative price for good 'c0/v0'"):
+        decode(reduced, prices)
+    prices["c0/v0"] = F(0)
+    assert decode(reduced, prices).assignment.values == {0: Value.ZERO, 1: Value.ONE}
+
+
 def test_decode_selects_copy_from_reference_price():
     reduced = compile_circuit(NOT_CYCLE, F(0), {"k": 4, "d": 2})
     params = reduced.params

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -37,7 +38,14 @@ from circuitmarket import (
 )
 from circuitmarket import market as market_module
 from circuitmarket import optimal_bundle, prices_to_json, solver
-from circuitmarket.market import MarketError, _greedy_walk, _split_demand
+from circuitmarket.market import (
+    MarketError,
+    _exact_key,
+    _greedy_walk,
+    _split_demand,
+    _walk_items,
+    quote_table,
+)
 from circuitmarket.solver import (
     BisectionResult,
     NAND_FIXTURE,
@@ -152,17 +160,17 @@ def test_greedy_walk_takes_segments_in_full_key_order():
             for favor in (None, *market.goods):
                 for first in (True, False):
                     assert list(
-                        _greedy_walk(buyer, buyer.budget, prices, favor, first)
+                        _greedy_walk(buyer, buyer.budget, quote_table(prices), favor, first)
                     ) == _full_key_walk(buyer, prices, favor, first)
 
 
 def test_greedy_walk_reads_the_price_of_every_valued_good():
     buyer = Buyer("b", F(1), {"x": linear(1), "z": capped(1, 0)})
     with pytest.raises(KeyError):
-        list(_greedy_walk(buyer, buyer.budget, {"x": F(1)}))
+        list(_greedy_walk(buyer, buyer.budget, quote_table({"x": F(1)})))
     with pytest.raises(UnboundedDemand):
-        list(_greedy_walk(buyer, buyer.budget, {"x": F(0), "z": F(1)}))
-    walk = list(_greedy_walk(buyer, buyer.budget, {"x": F(1), "z": F(0)}))
+        list(_greedy_walk(buyer, buyer.budget, quote_table({"x": F(0), "z": F(1)})))
+    walk = list(_greedy_walk(buyer, buyer.budget, quote_table({"x": F(1), "z": F(0)})))
     assert walk == [("x", F(1), F(1), False)]
 
 
@@ -235,7 +243,7 @@ def test_greedy_walk_takes_segments_in_full_key_order_on_float_near_ties():
             for favor in (None, *market.goods):
                 for first in (True, False):
                     assert list(
-                        _greedy_walk(buyer, buyer.budget, prices, favor, first)
+                        _greedy_walk(buyer, buyer.budget, quote_table(prices), favor, first)
                     ) == _full_key_walk(buyer, prices, favor, first)
     assert reordered > 150 and fallbacks > 150
 
@@ -272,8 +280,9 @@ def _fold_market(rng):
 def _walk_split(buyers, prices, favor, first):
     """C and M of every good as Fractions, summed over _greedy_walk."""
     const, money = {}, {}
+    quotes = quote_table(prices)
     for buyer in buyers:
-        for good, amount, cost, capped in _greedy_walk(buyer, buyer.budget, prices, favor, first):
+        for good, amount, cost, capped in _greedy_walk(buyer, buyer.budget, quotes, favor, first):
             if capped:
                 const[good] = const.get(good, F(0)) + amount
             else:
@@ -289,7 +298,7 @@ def test_integer_demand_fold_matches_the_fraction_walk():
     ties = wide = exact_keys = zero_slopes = unbounded = 0
     for _ in range(300):
         market, prices = _fold_market(rng)
-        const, money = _split_demand(market.buyers, prices)
+        const, money = _split_demand(market.buyers, quote_table(prices))
         aggregate = canonical_demand(market, prices).aggregate
         for good in market.goods:
             cn, cd = const.get(good, (0, 1))
@@ -299,7 +308,7 @@ def test_integer_demand_fold_matches_the_fraction_walk():
         for favor in (None, *market.goods):
             for first in (True, False):
                 ref_const, ref_money = _walk_split(market.buyers, prices, favor, first)
-                const, money = _split_demand(market.buyers, prices, favor, first)
+                const, money = _split_demand(market.buyers, quote_table(prices), favor, first)
                 assert {g: F(*c) for g, c in const.items()} == ref_const
                 assert {g: F(*m) for g, m in money.items()} == ref_money
                 if favor is None:
@@ -330,7 +339,7 @@ def test_integer_demand_fold_sums_over_the_lcm_of_denominators():
     good at price 1: M's denominator divides lcm(2, ..., 11) = 27720, where
     a sum over the product of the denominators would not."""
     buyers = [Buyer(f"b{i}", F(1, 2 + i % 10), {"x": linear(1)}) for i in range(1000)]
-    const, money = _split_demand(buyers, {"x": F(1)})
+    const, money = _split_demand(buyers, quote_table({"x": F(1)}))
     mn, md = money["x"]
     assert "x" not in const
     assert 27720 % md == 0
@@ -397,16 +406,16 @@ def test_price_step_is_limit_denominator_on_seeded_inputs():
         n, d = rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits)
         g = rng.choice((1, 1, 2, 3**20, 2**45))  # unreduced inputs too
         floor = rng.choice((FLOOR, F(1, 3), F(1, 2**41 + 1)))
-        assert solver._step_price(n * g, d * g, floor) == _reference_step(n, d, floor)
+        assert F(*solver._step_price(n * g, d * g, floor)) == _reference_step(n, d, floor)
 
 
 def test_price_step_at_the_denominator_limit():
     for n in (1, 2**40 - 1, 3 * 2**40 + 1, 2**80 + 1):
         # 2**40 is within the limit and kept; 2**40 + 1 is not
-        assert solver._step_price(n, LIMIT, FLOOR) == max(FLOOR, F(n, LIMIT))
-        assert solver._step_price(n, LIMIT + 1, FLOOR) == _reference_step(n, LIMIT + 1)
-        assert solver._step_price(n, LIMIT + 1, FLOOR).denominator <= LIMIT
-        assert solver._step_price(2 * n, 2 * LIMIT, FLOOR) == max(FLOOR, F(n, LIMIT))
+        assert F(*solver._step_price(n, LIMIT, FLOOR)) == max(FLOOR, F(n, LIMIT))
+        assert F(*solver._step_price(n, LIMIT + 1, FLOOR)) == _reference_step(n, LIMIT + 1)
+        assert F(*solver._step_price(n, LIMIT + 1, FLOOR)).denominator <= LIMIT
+        assert F(*solver._step_price(2 * n, 2 * LIMIT, FLOOR)) == max(FLOOR, F(n, LIMIT))
 
 
 def _farey_neighbour(a, b):
@@ -427,7 +436,7 @@ def test_price_step_at_midpoints_between_the_two_bounds():
         c, d = _farey_neighbour(a, b)
         mid = (F(a, b) + F(c, d)) / 2
         assert mid - F(a, b) == F(c, d) - mid and mid.denominator > LIMIT
-        got = solver._step_price(mid.numerator, mid.denominator, FLOOR)
+        got = F(*solver._step_price(mid.numerator, mid.denominator, FLOOR))
         assert got == _reference_step(mid.numerator, mid.denominator)
         assert got in (F(a, b), F(c, d))
 
@@ -437,13 +446,13 @@ def test_price_step_raises_negative_and_tiny_prices_to_the_floor():
     # p (1 + 3 * -1) = -2 p is negative
     for p in (F(1), F(7, 2**40), FLOOR):
         raw = p * (1 + 3 * F(-1))
-        assert solver._step_price(raw.numerator, raw.denominator, FLOOR) is FLOOR
+        assert F(*solver._step_price(raw.numerator, raw.denominator, FLOOR)) == FLOOR
     # raw prices just around the floor, rounded first and raised after
     for raw in (FLOOR * (1 - F(1, 10**20)), FLOOR, FLOOR * (1 + F(1, 10**20)), FLOOR * 2):
-        assert solver._step_price(raw.numerator, raw.denominator, FLOOR) == _reference_step(
+        assert F(*solver._step_price(raw.numerator, raw.denominator, FLOOR)) == _reference_step(
             raw.numerator, raw.denominator
         )
-    assert solver._step_price(0, 5, FLOOR) is FLOOR
+    assert F(*solver._step_price(0, 5, FLOOR)) == FLOOR
 
 
 # --- pinned bisection -------------------------------------------------------
@@ -849,6 +858,90 @@ def test_tatonnement_two_goods():
     assert result.trace[-1].max_abs_slack <= F(1, 12)
     assert abs(result.prices["x"] - F(3, 2)) < F(1, 10)
     assert abs(result.prices["y"] - F(1, 2)) < F(1, 10)
+
+
+def _fold_agrees_with_canonical_demand(market, quotes):
+    """The quote-table fold's C + M/p of every good equals canonical
+    demand's aggregate at the same prices."""
+    prices = {g: F(n, d) for g, (n, d, _) in quotes.items()}
+    const, money = _split_demand(market.buyers, quotes)
+    aggregate = canonical_demand(market, prices).aggregate
+    for good in market.goods:
+        c, m = F(*const.get(good, (0, 1))), F(*money.get(good, (0, 1)))
+        assert c + m / prices[good] == aggregate[good]
+
+
+def _walks_in_exact_key_order(buyer, quotes, goods, seen):
+    """_walk_items against a sort of the same items on the exact key, with
+    no favored good and every good favored first and last; `seen` counts
+    the walks of one and two segments by how their order was decided."""
+    for favor in (None, *goods):
+        for first in (True, False):
+            items = _walk_items(buyer, quotes, favor, first)
+            assert items == sorted(items, key=_exact_key, reverse=True)
+            if len(items) == 1:
+                seen["one"] += 1
+            elif len(items) == 2:
+                keys = sorted(item[0] for item in items)
+                if not 2.2250738585072014e-308 <= keys[0] <= keys[1] <= 1.7976931348623157e308:
+                    seen["two, out of float range"] += 1
+                elif keys[0] >= keys[1] * (1 - 2.0**-30):
+                    seen["two, near tie"] += 1
+                else:
+                    seen["two, float"] += 1
+
+
+def test_quote_table_fold_matches_canonical_demand_on_tatonnement_iterates(monkeypatch):
+    """At every third iterate of tâtonnement on seeded clearing-style
+    markets, the fold over the iteration's own quote table gives canonical
+    demand value for value, and the walks are in exact key order."""
+    tables = []
+    real = solver._split_demand
+
+    def recorded(buyers, quotes, *args):
+        tables.append(dict(quotes))
+        return real(buyers, quotes, *args)
+
+    monkeypatch.setattr(solver, "_split_demand", recorded)
+    rng = random.Random(2027)
+    seen = dict.fromkeys(("one", "two, float", "two, near tie", "two, out of float range"), 0)
+    iterates = 0
+    for _ in range(120):
+        market, _ = _random_clearing_case(rng)
+        if not market.satisfies_sufficient_condition():
+            continue
+        tables.clear()
+        lam = rng.choice((F(1, 2), F(1), F(3)))
+        tatonnement(market, SolverConfig(lam=lam, max_iters=25, epsilon=F(0)))
+        for quotes in tables[::3]:
+            _fold_agrees_with_canonical_demand(market, quotes)
+            for buyer in market.buyers:
+                _walks_in_exact_key_order(buyer, quotes, market.goods, seen)
+        iterates += len(tables)
+    assert iterates > 1000
+    assert seen["one"] > 100 and seen["two, float"] > 100 and seen["two, near tie"] > 10
+
+
+def test_quote_table_fold_matches_canonical_demand_at_near_ties():
+    """Prices with ties 10**-30 apart, equal rationals reached through
+    different prices and prices of 10**-400 and 10**400; the walks are also
+    checked on every pair of a buyer's first segments, so that walks of two
+    segments meet each of these cases."""
+    rng = random.Random(2028)
+    seen = dict.fromkeys(("one", "two, float", "two, near tie", "two, out of float range"), 0)
+    for _ in range(300):
+        market, prices = _near_tie_market(rng)
+        quotes = quote_table(prices)
+        _fold_agrees_with_canonical_demand(market, quotes)
+        for buyer in market.buyers:
+            _walks_in_exact_key_order(buyer, quotes, market.goods, seen)
+            for pair in itertools.combinations(sorted(buyer.utilities), 2):
+                utilities = {g: SplcUtility(buyer.utilities[g].segments[:1]) for g in pair}
+                two = Buyer("pair", buyer.budget, utilities)
+                _walks_in_exact_key_order(two, quotes, pair, seen)
+                one = Buyer("one", buyer.budget, {pair[0]: utilities[pair[0]]})
+                _walks_in_exact_key_order(one, quotes, pair[:1], seen)
+    assert min(seen.values()) > 100
 
 
 @pytest.mark.parametrize("epsilon", [F(-1, 12), F(-1, 10**30)])

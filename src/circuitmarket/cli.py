@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
         report = mkt.verify_fisher(market, prices, allocation, eps)
     except mkt.MarketError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    text = mkt.report_to_json(report)
     if args.out:
         _write_atomic(Path(args.out) / "report.json", text)
     print(text, end="")

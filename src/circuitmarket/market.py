@@ -23,12 +23,13 @@ any other, so no walk reads a Fraction's numerator or rounds a price again.
 
 _walk_items is that one sort; a walk of one segment is not sorted, and
 one of two makes a single float comparison.  Two walks read its order.
-_greedy_walk yields each purchase with exact Fraction amounts and costs,
-for bundles, verification and the lemma suite.  _split_demand folds the
-purchases of many buyers in integers, for tâtonnement and single-good
-clearing: a good's aggregate demand is C + M/p at its price p, where C
-sums the segment lengths bought in full and M the money of the purchases
-the budget limits.  Each walk keeps its remaining budget as an unreduced
+_purchases yields each purchase as integer pairs: verification sums a
+buyer's best utility from them, and _greedy_walk turns them into exact
+Fraction amounts and costs, for bundles and the lemma suite.
+_split_demand folds the purchases of many buyers in integers, for
+tâtonnement and single-good clearing: a good's aggregate demand is C + M/p
+at its price p, where C sums the segment lengths bought in full and M the
+money of the purchases the budget limits.  Each walk keeps its remaining budget as an unreduced
 integer pair and reduces it once; sums over buyers combine denominators by
 their lcm.  C + M/p equals the sum of the Fraction walk's amounts
 exactly, so what the solvers return is what a Fraction fold returns.
@@ -49,7 +50,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 from .rationals import RationalFormatError, format_rational, parse_rational
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class MarketError(ValueError):
@@ -108,15 +108,44 @@ class SplcUtility:
         amount = Fraction(amount)
         if amount < 0:
             raise MarketError("amount must be non-negative")
-        total = ZERO
-        remaining = amount
-        for seg in self.segments:
-            if remaining == 0:
+        return Fraction(*self.value_pair(amount.numerator, amount.denominator))
+
+    def value_pair(self, n: int, d: int) -> tuple[int, int]:
+        """value(n/d) for n >= 0 < d, in integers: an unreduced (numerator,
+        denominator) pair with a positive denominator.  Each segment takes
+        what remains of the amount up to its length; past the last bounded
+        segment the value saturates."""
+        total = (0, 1)
+        for length, slope in self.segment_pairs:
+            if not n:
                 break
-            taken = remaining if seg.unbounded else min(remaining, seg.length)
-            total += seg.slope * taken
-            remaining -= taken
+            sn, sd = slope
+            if length is None or n * length[1] <= length[0] * d:
+                return _add_pair(total, sn * n, sd * d)
+            ln, ld = length
+            total = _add_pair(total, sn * ln, sd * ld)
+            n, d = n * ld - ln * d, d * ld
         return total
+
+    @cached_property
+    def segment_pairs(self) -> tuple:
+        """((length pair or None, slope pair), ...) per segment: the integer
+        form value_pair reads, built once per utility object."""
+        return tuple(
+            (None if s.unbounded else s.length.as_integer_ratio(),
+             s.slope.as_integer_ratio())
+            for s in self.segments
+        )
+
+    @cached_property
+    def walk_segments(self) -> tuple[tuple[Fraction, Optional[Fraction], float], ...]:
+        """(slope, length, float slope) of each positive-slope segment, in
+        segment order, as _Walked.walk_order lists them; buyers that share a
+        utility object share this tuple."""
+        return tuple(
+            (s.slope, s.length, _normal_float(*s.slope.as_integer_ratio(), 0.0))
+            for s in self.segments if s.slope > 0
+        )
 
     @property
     def strictly_increasing(self) -> bool:
@@ -140,11 +169,7 @@ class _Walked:
         is not a normal number gets the float 0.0, which sends every walk
         that reads it to the exact keys."""
         return tuple(
-            (good, tuple(
-                (s.slope, s.length, _normal_float(*s.slope.as_integer_ratio(), 0.0))
-                for s in util.segments if s.slope > 0
-            ))
-            for good, util in sorted(self.utilities.items())
+            (good, util.walk_segments) for good, util in sorted(self.utilities.items())
         )
 
 
@@ -190,7 +215,8 @@ class Buyer(_Walked):
     utilities: dict[str, SplcUtility] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "budget", Fraction(self.budget))
+        if type(self.budget) is not Fraction:
+            object.__setattr__(self, "budget", Fraction(self.budget))
         if self.budget <= 0:
             raise MarketError(f"buyer {self.id!r} budget must be positive")
 
@@ -235,7 +261,8 @@ class Trader(_Walked):
     utilities: dict[str, SplcUtility] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "share", Fraction(self.share))
+        if type(self.share) is not Fraction:
+            object.__setattr__(self, "share", Fraction(self.share))
         if self.share < 0:
             raise MarketError(f"trader {self.id!r} share must be non-negative")
 
@@ -256,7 +283,7 @@ class ExchangeMarket:
         object.__setattr__(self, "traders", tuple(self.traders))
         _check_agents(self.goods, self.traders, "trader")
         if self.goods:
-            total = sum((t.share for t in self.traders), ZERO)
+            total = _fraction_sum(t.share for t in self.traders)
             if total != 1:
                 raise MarketError(f"trader shares sum to {total}, not 1")
 
@@ -366,6 +393,42 @@ def _walk_items(
     return items
 
 
+def _purchases(
+    agent: _Walked,
+    rn: int,
+    rd: int,
+    quotes: Mapping[str, Quote],
+    favor: Optional[str] = None,
+    first: bool = True,
+) -> Iterator[tuple[str, Fraction, int, int, int, int, bool]]:
+    """Bang-per-buck greedy with budget rn/rd (rd > 0), in integers: yield
+    (good, slope, an, ad, cn, cd, capped) per purchase, in the order of
+    _walk_items, which raises what it raises.
+
+    The purchase buys an/ad units of a segment with marginal utility
+    `slope` and costs cn/cd, amount times price; both pairs are unreduced
+    with positive denominators.  `capped` means the segment's length, not
+    the budget, limited the purchase, and the one purchase that is not
+    capped spends what is left.  The remaining budget is kept as an
+    unreduced pair, and a purchase is tested as capped by one
+    cross-multiplication, as in _split_demand.
+    """
+    items = _walk_items(agent, quotes, favor, first)
+    if not rn:
+        return
+    for _, _, _, good, (pn, pd, _), length, slope in items:
+        if length is not None:
+            ln, ld = length.numerator, length.denominator
+            # the purchase costs cn/cd; capped iff that is below rn/rd
+            cn, cd = ln * pn, ld * pd
+            if cn * rd < rn * cd:
+                rn, rd = rn * cd - cn * rd, rd * cd
+                yield good, slope, ln, ld, cn, cd, True
+                continue
+        yield good, slope, rn * pd, rd * pn, rn, rd, False
+        return
+
+
 def _greedy_walk(
     agent: _Walked,
     budget: Fraction,
@@ -373,28 +436,12 @@ def _greedy_walk(
     favor: Optional[str] = None,
     first: bool = True,
 ) -> Iterator[tuple[str, Fraction, Fraction, bool]]:
-    """Bang-per-buck greedy: yield (good, amount, cost, capped) per purchase,
-    in the order of _walk_items, which raises what it raises.
-
-    `cost` is amount times price; `capped` means the segment's length, not
-    the budget, limited the purchase, and the one purchase that is not
-    capped spends what is left.  The walk runs on integer pairs like
-    _split_demand; amounts and costs are yielded as exact Fractions.
-    """
-    items = _walk_items(agent, quotes, favor, first)
-    if budget == 0:
-        return
-    rn, rd = budget.numerator, budget.denominator
-    for _, _, _, good, (pn, pd, _), length, _ in items:
-        if length is not None:
-            # the purchase costs cn/cd; capped iff that is below rn/rd
-            cn, cd = length.numerator * pn, length.denominator * pd
-            if cn * rd < rn * cd:
-                rn, rd = rn * cd - cn * rd, rd * cd
-                yield good, length, Fraction(cn, cd), True
-                continue
-        yield good, Fraction(rn * pd, rd * pn), Fraction(rn, rd), False
-        return
+    """_purchases with a Fraction budget, yielding (good, amount, cost,
+    capped) per purchase with exact Fraction amounts and costs."""
+    for good, _, an, ad, cn, cd, capped in _purchases(
+        agent, budget.numerator, budget.denominator, quotes, favor, first
+    ):
+        yield good, Fraction(an, ad), Fraction(cn, cd), capped
 
 
 def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int]:
@@ -407,6 +454,15 @@ def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int
         return m + n, d
     g = gcd(e, d)
     return m * (d // g) + n * (e // g), e // g * d
+
+
+def _fraction_sum(values: Iterable[Fraction]) -> Fraction:
+    """The sum of rationals (Fractions or ints), kept as one integer pair
+    over the lcm of their denominators and reduced once."""
+    total = (0, 1)
+    for value in values:
+        total = _add_pair(total, value.numerator, value.denominator)
+    return Fraction(*total)
 
 
 def _split_demand(
@@ -449,29 +505,35 @@ def _split_demand(
     return const, money
 
 
+def _best_utility(
+    agent: _Walked, rn: int, rd: int, quotes: Mapping[str, Quote]
+) -> tuple[int, int]:
+    """The optimum's utility at budget rn/rd as an unreduced integer pair:
+    the sum of slope times amount over the canonical walk's purchases."""
+    utility = (0, 1)
+    for _, slope, an, ad, _, _, _ in _purchases(agent, rn, rd, quotes):
+        utility = _add_pair(utility, slope.numerator * an, slope.denominator * ad)
+    return utility
+
+
 def _greedy_bundle(
     agent: _Walked, budget: Fraction, quotes: Mapping[str, Quote]
 ) -> BundleResult:
     """The canonical optimal bundle: the greedy walk with no favored good.
 
-    The walk buys each good's segments in segment order, so the k-th
-    purchase of a good is its k-th positive-slope segment, and the optimum's
-    utility is the sum of slope times amount over the purchases."""
-    segments = {good: iter(segs) for good, segs in agent.walk_order}
+    The optimum's utility is the sum of slope times amount over the
+    purchases, and its spend the sum of their costs, both summed as
+    integer pairs."""
     bought: dict[str, Fraction] = {}
-    spend = utility = None
-    # a sum starts at its first term: ZERO + term is a Fraction addition
-    for good, amount, cost, _ in _greedy_walk(agent, budget, quotes):
-        term = next(segments[good])[0] * amount
-        if spend is None:
-            spend, utility = cost, term
-        else:
-            spend += cost
-            utility += term
+    utility = spend = (0, 1)
+    for good, slope, an, ad, cn, cd, _ in _purchases(
+        agent, budget.numerator, budget.denominator, quotes
+    ):
+        utility = _add_pair(utility, slope.numerator * an, slope.denominator * ad)
+        spend = _add_pair(spend, cn, cd)
+        amount = Fraction(an, ad)
         bought[good] = bought[good] + amount if good in bought else amount
-    if spend is None:
-        spend = utility = ZERO
-    return BundleResult(utility, bought, spend)
+    return BundleResult(Fraction(*utility), bought, Fraction(*spend))
 
 
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
@@ -490,24 +552,15 @@ def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     return _greedy_bundle(buyer, buyer.budget, quote_table(prices))
 
 
-def _bundle_utility(
-    utilities: dict[str, SplcUtility], x_row: dict[str, Fraction]
-) -> Fraction:
-    total = ZERO
-    for good, amount in x_row.items():
-        if amount < 0:
-            raise MarketError(f"negative allocation for good {good!r}")
-        util = utilities.get(good)
-        if util is not None:
-            total += util.value(amount)
-    return total
-
-
 @dataclass(frozen=True)
 class BuyerVerdict:
     status: str  # "optimal" | "suboptimal" | "unbounded-demand"
     achieved: Optional[Fraction] = None
     maximum: Optional[Fraction] = None
+
+
+_OPTIMAL = BuyerVerdict("optimal")
+_UNBOUNDED = BuyerVerdict("unbounded-demand")
 
 
 @dataclass(frozen=True)
@@ -546,6 +599,21 @@ def _verify(
     allocation: dict[str, dict[str, Fraction]],
     epsilon: Fraction,
 ) -> EquilibriumReport:
+    """Every agent's verdict at `prices`, given (agent, budget) entries, and
+    every good's slack: its allocated total minus its unit supply.
+
+    All of it is integer arithmetic on (numerator, denominator) pairs, and
+    only what leaves the function becomes a Fraction: the slacks, and the
+    achieved and maximum utility of a suboptimal agent.  The maximum is the
+    canonical walk's (_best_utility), the one sort of the agent's segments;
+    what the agent achieves sums SplcUtility.value_pair over its row, and
+    what it spends sums price times amount.  Sums combine denominators by
+    their lcm, and comparisons cross-multiply.  An agent is optimal iff it
+    spends at most its budget and achieves the maximum; a good with
+    positive slope at price zero makes its demand unbounded.  A negative
+    amount in the row of an agent whose demand is bounded raises
+    MarketError.
+    """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise MarketError("epsilon must be non-negative")
@@ -562,31 +630,46 @@ def _verify(
                 raise MarketError(f"allocation references unknown good {good!r}")
 
     quotes = quote_table(prices)
-    slacks = dict.fromkeys(goods, -ONE)
+    totals = dict.fromkeys(goods, (-1, 1))
     for row in allocation.values():
         for good, amount in row.items():
-            if good in slacks:
-                slacks[good] += amount
+            pair = totals.get(good)
+            if pair is not None:
+                totals[good] = _add_pair(pair, amount.numerator, amount.denominator)
 
     verdicts: dict[str, BuyerVerdict] = {}
     for agent, budget in entries:
         bid = agent.id
-        row = allocation.get(bid, {})
+        bn, bd = budget.numerator, budget.denominator
         try:
-            best = _greedy_bundle(agent, budget, quotes)
+            un, ud = _best_utility(agent, bn, bd, quotes)
         except UnboundedDemand:
-            verdicts[bid] = BuyerVerdict("unbounded-demand")
+            verdicts[bid] = _UNBOUNDED
             continue
-        spend = sum((prices[g] * amt for g, amt in row.items()), ZERO)
-        achieved = _bundle_utility(agent.utilities, row)
-        if spend <= budget and achieved == best.max_utility:
-            verdicts[bid] = BuyerVerdict("optimal")
+        spend = achieved = (0, 1)
+        row = allocation.get(bid)
+        if row:
+            utilities = agent.utilities
+            for good, amount in row.items():
+                n, d = amount.numerator, amount.denominator
+                if n < 0:
+                    raise MarketError(f"negative allocation for good {good!r}")
+                pn, pd, _ = quotes[good]
+                spend = _add_pair(spend, pn * n, pd * d)
+                util = utilities.get(good)
+                if util is not None:
+                    achieved = _add_pair(achieved, *util.value_pair(n, d))
+        (sn, sd), (an, ad) = spend, achieved
+        if sn * bd <= bn * sd and an * ud == un * ad:
+            verdicts[bid] = _OPTIMAL
         else:
-            verdicts[bid] = BuyerVerdict("suboptimal", achieved, best.max_utility)
+            verdicts[bid] = BuyerVerdict("suboptimal", Fraction(an, ad), Fraction(un, ud))
 
-    passed = all(v.status == "optimal" for v in verdicts.values()) and all(
-        abs(s) <= epsilon for s in slacks.values()
+    en, ed = epsilon.numerator, epsilon.denominator
+    passed = all(v is _OPTIMAL for v in verdicts.values()) and all(
+        abs(n) * ed <= en * d for n, d in totals.values()
     )
+    slacks = {good: Fraction(n, d) for good, (n, d) in totals.items()}
     return EquilibriumReport(slacks, verdicts, epsilon, passed)
 
 
@@ -615,16 +698,25 @@ def verify_exchange(
     not an internal normalization.  A missing price counts as 0 in the sum,
     so that _verify reports it.
     """
-    value = sum((prices.get(g, ZERO) for g in exchange.goods), ZERO)
+    value = _fraction_sum(prices.get(g, ZERO) for g in exchange.goods)
     entries = [(t, t.share * value) for t in exchange.traders]
     return _verify(exchange.goods, entries, prices, allocation, epsilon)
 
 
 def to_exchange(fisher: FisherMarket) -> ExchangeMarket:
-    """Fisher -> exchange transform: trader i owns e_i / sum(e) of every good."""
-    total = sum((b.budget for b in fisher.buyers), ZERO)
+    """Fisher -> exchange transform: trader i owns e_i / sum(e) of every good.
+
+    The budgets are summed once as an integer pair (_fraction_sum), and
+    each share is one Fraction from integers, e_i times the sum's inverse."""
+    total = _fraction_sum(b.budget for b in fisher.buyers)
+    tn, td = total.numerator, total.denominator
     traders = tuple(
-        Trader(b.id, b.budget / total, dict(b.utilities)) for b in fisher.buyers
+        Trader(
+            b.id,
+            Fraction(b.budget.numerator * td, b.budget.denominator * tn),
+            dict(b.utilities),
+        )
+        for b in fisher.buyers
     )
     return ExchangeMarket(fisher.goods, traders)
 
@@ -762,15 +854,29 @@ def market_to_json(market: FisherMarket) -> str:
     return _document(buyers, market.goods)
 
 
+def _budget_from_json(text, budgets: dict[str, Fraction]) -> Fraction:
+    """A budget rational; `budgets` keeps each raw text already parsed, so
+    buyers with the same budget text share one Fraction."""
+    if type(text) is not str:
+        return parse_rational(text)  # which says what is wrong with it
+    budget = budgets.get(text)
+    if budget is None:
+        budget = budgets[text] = parse_rational(text)
+    return budget
+
+
 def market_from_json(text: str) -> FisherMarket:
+    """Read a market document.  Each distinct raw segment list and each
+    distinct budget text is parsed once per document."""
     texts: dict[tuple, SplcUtility] = {}
     shapes: dict[tuple[SplcSegment, ...], SplcUtility] = {}
+    budgets: dict[str, Fraction] = {}
     try:
         doc = json.loads(text)
         buyers = tuple(
             Buyer(
                 b["id"],
-                parse_rational(b["budget"]),
+                _budget_from_json(b["budget"], budgets),
                 _utilities_from_json(b.get("utilities", {}), texts, shapes),
             )
             for b in doc["buyers"]
@@ -778,6 +884,36 @@ def market_from_json(text: str) -> FisherMarket:
         return FisherMarket(tuple(doc["goods"]), buyers)
     except (KeyError, TypeError, json.JSONDecodeError, RationalFormatError) as exc:
         raise MarketError(f"bad market document: {exc}") from exc
+
+
+def report_to_json(report: EquilibriumReport) -> str:
+    """The bytes of ``json.dumps(report.to_json_dict(), indent=2,
+    sort_keys=True) + "\\n"``, written directly like market_to_json, since
+    with an indent json.dumps falls back to its pure-Python encoder."""
+    buyers = []
+    for bid, verdict in sorted(report.buyer_verdicts.items()):
+        utilities = ""
+        if verdict.status == "suboptimal":
+            utilities = (
+                f'      "achieved": "{format_rational(verdict.achieved)}",\n'
+                f'      "maximum": "{format_rational(verdict.maximum)}",\n'
+            )
+        buyers.append(
+            f'    {_encode_str(bid)}: {{\n{utilities}'
+            f'      "status": "{verdict.status}"\n    }}'
+        )
+    slacks = [
+        f'    {_encode_str(good)}: "{format_rational(slack)}"'
+        for good, slack in sorted(report.slacks.items())
+    ]
+    return (
+        '{\n  "buyers": %s,\n  "epsilon": "%s",\n  "passed": %s,\n  "slacks": %s\n}\n'
+    ) % (
+        "{\n%s\n  }" % ",\n".join(buyers) if buyers else "{}",
+        format_rational(report.epsilon),
+        "true" if report.passed else "false",
+        "{\n%s\n  }" % ",\n".join(slacks) if slacks else "{}",
+    )
 
 
 def exchange_to_json(exchange: ExchangeMarket) -> str:

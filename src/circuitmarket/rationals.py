@@ -1,6 +1,8 @@
 """Exact rational parsing/formatting for the JSON and CLI surfaces.
 
-All market arithmetic uses :class:`fractions.Fraction`.  On the wire,
+All market arithmetic is exact: :class:`fractions.Fraction` values, or
+(numerator, denominator) integer pairs where a loop would otherwise build
+one Fraction per number.  On the wire,
 rationals are strings of the form ``"num/den"`` or ``"int"`` so that
 round-trips are bit-exact.  Decimal notation is rejected on purpose:
 thresholds such as 1/11 have no finite decimal representation and silent
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
@@ -44,3 +47,12 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_pair(n: int, d: int) -> str:
+    """format_rational of n/d, d > 0, from the integer pair: one gcd and no
+    Fraction."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"

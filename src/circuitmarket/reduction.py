@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .market import (
     Buyer,
@@ -27,10 +27,11 @@ from .market import (
     _buyer_block,
     _document,
     _encode_str,
+    _fraction_sum,
     _utilities_block,
 )
 from .purecircuit import CircuitInstance, GateType
-from .rationals import format_rational
+from .rationals import format_pair, format_rational
 
 F = Fraction
 
@@ -67,7 +68,6 @@ class ReductionParams:
     r_nand: Fraction
     h_min: Fraction
     h_max: Fraction
-    copy_intervals: tuple[tuple[Fraction, Fraction], ...]
     n_expanded: int
     guarantees_void: bool = False
 
@@ -79,12 +79,37 @@ class ReductionParams:
         """Auxiliary amount for position j (1-based) in the second chain."""
         return F(2, 11) if j % 2 == 1 else F(0)
 
+    @cached_property
+    def copy_grid(self) -> tuple[int, int, int]:
+        """(A, B, D) such that copy c's interval is [(A + c*B)/D,
+        (A + (c+1)*B)/D]: h_min + c*w to h_min + (c+1)*w in integers over
+        one denominator, where w = (h_max - h_min)/k is the interval width.
+        Nothing is held per copy."""
+        w = (self.h_max - self.h_min) / self.k
+        d = math.lcm(self.h_min.denominator, w.denominator)
+        return (
+            self.h_min.numerator * (d // self.h_min.denominator),
+            w.numerator * (d // w.denominator),
+            d,
+        )
+
+    def copy_interval(self, c: int) -> tuple[Fraction, Fraction]:
+        """Copy c's interval [h_low, h_high], for 0 <= c < k."""
+        if not 0 <= c < self.k:
+            raise IndexError(f"copy {c} outside [0, {self.k})")
+        a, b, d = self.copy_grid
+        return F(a + c * b, d), F(a + (c + 1) * b, d)
+
     def copy_for(self, h: Fraction) -> int:
-        """Lowest-index copy whose interval contains h."""
-        for c, (lo, hi) in enumerate(self.copy_intervals):
-            if lo <= h <= hi:
-                return c
-        raise ReductionError(f"H={h} outside [{self.h_min}, {self.h_max}]")
+        """Lowest-index copy whose interval contains h, by one floor
+        division: (h - h_min)/w = q + rem, and an h on the shared end of
+        copies q - 1 and q (rem = 0) belongs to copy q - 1."""
+        a, b, d = self.copy_grid
+        num, den = h.numerator * d - a * h.denominator, b * h.denominator
+        if not 0 <= num <= self.k * den:
+            raise ReductionError(f"H={h} outside [{self.h_min}, {self.h_max}]")
+        q, rem = divmod(num, den)
+        return q - 1 if q and not rem else q
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,7 +145,8 @@ def _scale(
     if set(override) != {"k", "d"}:
         raise ReductionError("override must supply exactly {k, d}")
     k, d = override["k"], override["d"]
-    if not (isinstance(k, int) and isinstance(d, int)):
+    # type(...) is int: JSON's true and false are ints to isinstance
+    if not (type(k) is int and type(d) is int):
         raise ReductionError(f"override k and d must be integers; got {k!r}, {d!r}")
     if k < 1 or d < 2 or d % 2 != 0:
         raise ReductionError("override needs k >= 1 and even d >= 2")
@@ -144,11 +170,6 @@ def compute_params(
         raise ReductionError("node count must be at least 1")
     s = F(1, 20 * k * d * n_nodes)
     a = max(F(2), 4 * s / delta)
-    h_min, h_max = s / 2, 2 * s
-    width = (h_max - h_min) / k
-    intervals = tuple(
-        (h_min + c * width, h_min + (c + 1) * width) for c in range(k)
-    )
     return ReductionParams(
         epsilon=epsilon,
         delta=delta,
@@ -159,9 +180,8 @@ def compute_params(
         a=a,
         r_not=F(2, 11),
         r_nand=F(2, 11),
-        h_min=h_min,
-        h_max=h_max,
-        copy_intervals=intervals,
+        h_min=s / 2,
+        h_max=2 * s,
         n_expanded=n_nodes,
         guarantees_void=guarantees_void,
     )
@@ -344,17 +364,23 @@ def compile_circuit(
 
 def _recipes(
     params: ReductionParams, template: CopyTemplate
-) -> tuple[Buyer, list[tuple], list[dict[str, Fraction]]]:
+) -> tuple[Buyer, list[tuple], Callable[[int], dict[str, tuple[int, int]]]]:
     """How the market's buyers are built from the template's buyer roles,
     shared by _stamp_market, reduced_market_to_json and structural_violations.
 
     Returns the reference buyer; each template buyer, in template order, as
     (local id, budget key, its wanted local goods with their shapes), every
-    one of them also wanting ref with the reference buyer's shape; and, per
-    copy c with interval [h_low, h_high], each budget key's value.  An
-    inverter wants its gadget's inputs and output and spends t*h_low per
-    input ("inv1", "inv2"); an aux buyer wants its gadget's output and a
-    top-up its good, pinned at amount r, and spends r*h_high ("r=<r>").
+    one of them also wanting ref with the reference buyer's shape; and
+    budget_of(c), each budget key's value at copy c with interval
+    [h_low, h_high].  An inverter wants its gadget's inputs and output and
+    spends t*h_low per input ("inv1", "inv2"); an aux buyer wants its
+    gadget's output and a top-up its good, pinned at amount r, and spends
+    r*h_high ("r=<r>").
+
+    budget_of(c) gives each value as an unreduced integer pair (n, q),
+    q > 0, read off the copy grid (ReductionParams.copy_grid): a key's
+    value is m*(A + (c + o)*B)/q, with o = 0 for h_low and 1 for h_high,
+    so a copy's budgets cost a few integer products and no Fraction.
     """
     t, s = params.t, params.s
 
@@ -380,21 +406,27 @@ def _recipes(
                 pin_shapes[role.r] = SplcUtility((SplcSegment(role.r, 2 * s),))
             buyers.append((local, f"r={role.r}", ((good, pin_shapes[role.r]),)))
 
-    budgets = []
-    for h_low, h_high in params.copy_intervals:
-        budget = {f"r={r}": r * h_high for r in pin_shapes}
-        budget.update(inv1=t * h_low, inv2=2 * t * h_low)
-        budgets.append(budget)
-    return Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape}), buyers, budgets
+    # key -> (m, o, q)
+    a, b, d = params.copy_grid
+    terms = {f"r={r}": (r.numerator, 1, r.denominator * d) for r in pin_shapes}
+    terms.update(
+        inv1=(t.numerator, 0, t.denominator * d),
+        inv2=(2 * t.numerator, 0, t.denominator * d),
+    )
+
+    def budget_of(c: int) -> dict[str, tuple[int, int]]:
+        return {key: (m * (a + (c + o) * b), q) for key, (m, o, q) in terms.items()}
+
+    return Buyer(REF_BUYER, F(1), {REF_GOOD: ref_shape}), buyers, budget_of
 
 
 def _stamp_copy(
     template: CopyTemplate, recipes: tuple, copy: int
 ) -> tuple[list[str], list[Buyer]]:
     """The goods and buyers of one copy, given the template's _recipes."""
-    ref_buyer, recipe_buyers, budgets = recipes
+    ref_buyer, recipe_buyers, budget_of = recipes
     prefix = f"c{copy}/"
-    budget = budgets[copy]
+    budget = {key: F(n, q) for key, (n, q) in budget_of(copy).items()}
     buyers = []
     for local, key, wants in recipe_buyers:
         utilities = {prefix + good: shape for good, shape in wants}
@@ -422,21 +454,20 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
     One copy's buyer blocks are rendered once, with "%(p)s" for the
     "c{c}/" prefix and a named slot per budget key, and filled in per copy
     in numeric order, which is market order.  Within a buyer the goods sort
-    by local name with ref last in every copy, since "c..." < "ref".
+    by local name with ref last in every copy, since "c..." < "ref".  Each
+    budget's text is its integer pair from _recipes, reduced by one gcd.
 
     What building the market checks is still checked: the reference buyer
     and copy 0 are built as a market (distinct ids, utilities only on its
     goods, positive budgets), the other copies differ from copy 0 only by
-    their prefix, and every copy's budgets must be positive.
+    their prefix, and every copy's budgets must be positive, one sign test
+    each.
     """
     k, template = reduced.params.k, reduced.template
     recipes = _recipes(reduced.params, template)
-    ref_buyer, recipe_buyers, budgets = recipes
+    ref_buyer, recipe_buyers, budget_of = recipes
     copy_goods, copy_buyers = _stamp_copy(template, recipes, 0)
     FisherMarket((REF_GOOD, *copy_goods), (ref_buyer, *copy_buyers))
-    for c, budget in enumerate(budgets):
-        if min(budget.values()) <= 0:
-            raise MarketError(f"copy {c} has a budget that is not positive")
 
     blocks: dict[int, str] = {}
 
@@ -458,10 +489,13 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
             _utilities_block(ref_buyer.utilities, blocks),
         )
     ]
-    if copy_text:
-        for c, budget in enumerate(budgets):
-            fill = {key: format_rational(value) for key, value in budget.items()}
-            fill["p"] = f"c{c}/"
+    for c in range(k):
+        fill = {"p": f"c{c}/"}
+        for key, (n, q) in budget_of(c).items():
+            if n <= 0:
+                raise MarketError(f"copy {c} has a budget that is not positive")
+            fill[key] = format_pair(n, q)
+        if copy_text:
             buyers.append(copy_text % fill)
     goods = [REF_GOOD]
     goods += [f"c{c}/{local}" for c in range(k) for local, _ in template.goods]
@@ -579,20 +613,23 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
             violations.append(f"good {good} has {n} interested buyers > 4")
 
     # non-reference budgets bounded by h_max, and each the budget of its
-    # recipe at its copy's interval
-    _, recipe_buyers, budgets = _recipes(params, template)
-    expected = {
-        f"c{c}/{local}": budget[key]
-        for c, budget in enumerate(budgets)
-        for local, key, _ in recipe_buyers
-    }
+    # recipe at its copy's interval, compared as integer pairs
+    _, recipe_buyers, budget_of = _recipes(params, template)
+    expected = {}
+    for c in range(params.k):
+        budget = budget_of(c)
+        for local, key, _ in recipe_buyers:
+            expected[f"c{c}/{local}"] = budget[key]
     for buyer in market.buyers:
         if buyer.id != REF_BUYER and buyer.budget > params.h_max:
             violations.append(f"buyer {buyer.id} budget {buyer.budget} > H_max")
         want = expected.get(buyer.id)
-        if want is not None and buyer.budget != want:
+        if want is None:
+            continue
+        (n, q), budget = want, buyer.budget
+        if budget.numerator * q != n * budget.denominator:
             violations.append(
-                f"buyer {buyer.id} budget {buyer.budget} != {want}, "
+                f"buyer {buyer.id} budget {budget} != {F(n, q)}, "
                 "its recipe's at its copy's interval"
             )
 
@@ -612,9 +649,7 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
             violations.append(f"gadget {gadget.gadget_id}: r={gadget.r} != {expected}")
 
     # total non-reference budget within the 4*k*d*|V|*H_max bound
-    total = sum(
-        (b.budget for b in market.buyers if b.id != REF_BUYER), F(0)
-    )
+    total = _fraction_sum(b.budget for b in market.buyers if b.id != REF_BUYER)
     bound = 4 * params.k * params.d * params.n_expanded * params.h_max
     if total > bound:
         violations.append(f"non-reference budget sum {total} exceeds {bound}")

@@ -733,7 +733,7 @@ def chain_bounds(
     b_prime = (1 - 2 * t_bar - r_prime + eps) / t
 
     h, low = thresholds(params, p_ref)
-    h_low, _ = params.copy_intervals[params.copy_for(h)]
+    h_low, _ = params.copy_interval(params.copy_for(h))
     half = params.d // 2
 
     base_l = h_low * (1 - b) / (1 - a_prime * b)
@@ -792,7 +792,7 @@ def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetF
     params = reduced.params
     if copy is None:
         copy = params.k - 1
-    h_low, h_high = params.copy_intervals[copy]
+    h_low, h_high = params.copy_interval(copy)
     p_ref = h_high / params.s
     prices = {g: h_high for g in reduced.market.goods}
     prices[REF_GOOD] = p_ref

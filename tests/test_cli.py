@@ -21,6 +21,7 @@ from circuitmarket import (
     canonical_demand,
     compile_circuit,
     compute_params,
+    format_rational,
     market_to_json,
     parse_circuit,
     prices_to_json,
@@ -451,6 +452,73 @@ def test_decode_meta_with_bad_params(
     _assert_json_error(capsys, code)
 
 
+@pytest.mark.parametrize("param", ["k", "d"])
+@pytest.mark.parametrize("value", [True, False])
+def test_decode_meta_with_boolean_override(
+    param, value, compiled, equilibrium, tmp_path, capsys
+):
+    """JSON's true and false are not integers, although Python's bool is an
+    int: "k": true must not read as k = 1."""
+    _, prices_path, _ = equilibrium
+    doc = json.loads((compiled / "meta.json").read_text())
+    assert doc["params"]["guarantees_void"]
+    doc["params"][param] = value
+    meta = tmp_path / "bool-meta.json"
+    meta.write_text(json.dumps(doc))
+    assert cli.run(["decode", "--meta", str(meta), "--prices", str(prices_path)]) == 3
+    assert "must be integers" in _assert_json_error(capsys, 3)
+    assert capsys.readouterr().out == ""
+
+
+# decode in a child process under a 1 GiB address-space cap, printing the
+# seconds cli.run took on stderr
+_TIMED_RUN = """
+import sys, time
+from circuitmarket import cli
+start = time.perf_counter()
+code = cli.run(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _address_space_cap():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_decode_cost_does_not_grow_with_k(compiled, tmp_path):
+    """decode reads the copy grid in closed form: at k = 10**9 it picks copy
+    floor(k/3) for p_ref = 1 (H = s, and (s - s/2)/(3s/(2k)) = k/3) within a
+    second, where a list of the k intervals would not fit in memory."""
+    k = 10**9
+    doc = json.loads((compiled / "meta.json").read_text())
+    doc["params"]["k"] = k
+    meta = tmp_path / "huge-meta.json"
+    meta.write_text(json.dumps(doc))
+    copy = k // 3
+    prices = tmp_path / "prices.json"
+    prices.write_text(prices_to_json({"ref": F(1), f"c{copy}/v0": F(1), f"c{copy}/v1": F(0)}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_RUN, "decode", "--meta", str(meta),
+         "--prices", str(prices)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stderr.splitlines()[-1]) < 1
+    s = F(1, 20 * k * 2 * 2)  # d = 2 and two nodes
+    assert json.loads(proc.stdout) == {
+        "assignment": {"0": "1", "1": "0"}, "copy": copy,
+        "H": format_rational(s), "L": format_rational(s * s / 2),
+    }
+
+
 def test_decode_rejects_non_object_prices(compiled, tmp_path, capsys):
     prices = tmp_path / "prices.json"
     prices.write_text("[1, 2]\n")
@@ -567,6 +635,59 @@ def test_decode_builds_no_market(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == text
     assert json.loads(text)["copy"] == 10
     assert hashlib.sha256(text.encode()).hexdigest() == DECODE_DIGEST
+
+
+def _perturbed(allocation):
+    """Every third buyer (by id) buys half its row, and every fifth of the
+    others twice its row, so that some buyers are suboptimal."""
+    rows = {}
+    for i, (bid, row) in enumerate(sorted(allocation.items())):
+        if i % 3 == 0:
+            row = {g: a / 2 for g, a in row.items()}
+        elif i % 5 == 0:
+            row = {g: a * 2 for g, a in row.items()}
+        rows[bid] = row
+    return rows
+
+
+# sha256 of report.json from CLI verify at eps = 1/12 on a fixture compiled
+# with override d = 4, at build_fixture's prices (copy k - 1), with the
+# canonical allocation and with _perturbed of it; taken while verify still
+# summed Fractions and wrote its report with json.dumps
+VERIFY_REPORT_DIGESTS = {
+    ("NAND_FIXTURE", 12, "canonical"):
+        "4e6fb2067dc12e0fac72fe586180d1341cfcb4f98f86a604faa5d9ceb0172a56",
+    ("NAND_FIXTURE", 12, "perturbed"):
+        "5fe7e6aa5dd9acfbee32ed8dfddda9c6e5990b67581b26d6e71128b19a97f1e1",
+    ("PURIFY_FIXTURE", 3, "canonical"):
+        "8152ead12a87428f620bf78c84e319cf25f7461962f766aa49a77402200737fc",
+    ("PURIFY_FIXTURE", 3, "perturbed"):
+        "90b2465ae8abd48d6ca818f7558713b3b4b92dce89a739e6454bfd38e33611e8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_REPORT_DIGESTS))
+def test_verify_report_matches_golden_bytes(case, tmp_path, capsys):
+    name, k, kind = case
+    reduced = compile_circuit(parse_circuit(getattr(solver, name)), F(1, 12), {"k": k, "d": 4})
+    fixture = solver.build_fixture(reduced)
+    allocation = canonical_demand(reduced.market, fixture.prices).bundles
+    if kind == "perturbed":
+        allocation = _perturbed(allocation)
+    (tmp_path / "market.json").write_text(market_to_json(reduced.market))
+    (tmp_path / "prices.json").write_text(prices_to_json(fixture.prices))
+    (tmp_path / "alloc.json").write_text(allocation_to_json(allocation))
+    code = cli.run([
+        "verify", "--market", str(tmp_path / "market.json"),
+        "--prices", str(tmp_path / "prices.json"),
+        "--allocation", str(tmp_path / "alloc.json"),
+        "--eps", "1/12", "--out", str(tmp_path),
+    ])
+    text = (tmp_path / "report.json").read_text()
+    assert capsys.readouterr().out == text
+    assert code == (0 if json.loads(text)["passed"] else 1)
+    assert ('"suboptimal"' in text) == (kind == "perturbed")
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_REPORT_DIGESTS[case]
 
 
 def test_decode_meta_with_out_degree_over_two(compiled, equilibrium, tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 
 from circuitmarket import (
     Buyer,
+    BuyerVerdict,
+    EquilibriumReport,
     ExchangeMarket,
     FisherMarket,
     MarketError,
@@ -675,3 +677,193 @@ def test_optimal_bundle_utility_is_its_segments_slope_times_amount():
     assert optimal_bundle(Buyer("b", F(1), {"a": util((1, 0))}), {"a": F(1)}) == (
         market_module.BundleResult(F(0), {}, F(0))
     )
+
+
+def _fraction_value(utility, amount):
+    """SplcUtility.value in Fraction arithmetic."""
+    total, remaining = F(0), amount
+    for s in utility.segments:
+        if remaining == 0:
+            break
+        taken = remaining if s.unbounded else min(remaining, s.length)
+        total += s.slope * taken
+        remaining -= taken
+    return total
+
+
+def _fraction_verify(market, prices, allocation, epsilon):
+    """verify_fisher in Fraction arithmetic, as it was written before it ran
+    on integer pairs; the maximum is the greedy walk's, summed in Fractions."""
+    if epsilon < 0:
+        raise MarketError("epsilon must be non-negative")
+    missing = [g for g in market.goods if g not in prices]
+    if missing:
+        raise MarketError(f"price map is not total; missing {missing}")
+    for good, price in prices.items():
+        if price < 0:
+            raise MarketError(f"negative price for good {good!r}")
+    known = {b.id for b in market.buyers}
+    for bid, row in allocation.items():
+        if bid not in known:
+            raise MarketError(f"allocation references unknown buyer {bid!r}")
+        for good in row:
+            if good not in prices:
+                raise MarketError(f"allocation references unknown good {good!r}")
+    slacks = dict.fromkeys(market.goods, F(-1))
+    for row in allocation.values():
+        for good, amount in row.items():
+            if good in slacks:
+                slacks[good] += amount
+    quotes = market_module.quote_table(prices)
+    verdicts = {}
+    for buyer in market.buyers:
+        row = allocation.get(buyer.id, {})
+        try:
+            walk = list(market_module._greedy_walk(buyer, buyer.budget, quotes))
+        except UnboundedDemand:
+            verdicts[buyer.id] = BuyerVerdict("unbounded-demand")
+            continue
+        slopes = {good: iter(s for s, _, _ in segs) for good, segs in buyer.walk_order}
+        best = sum((next(slopes[good]) * amount for good, amount, _, _ in walk), F(0))
+        spend = sum((prices[g] * a for g, a in row.items()), F(0))
+        achieved = F(0)
+        for good, amount in row.items():
+            if amount < 0:
+                raise MarketError(f"negative allocation for good {good!r}")
+            if good in buyer.utilities:
+                achieved += _fraction_value(buyer.utilities[good], amount)
+        if spend <= buyer.budget and achieved == best:
+            verdicts[buyer.id] = BuyerVerdict("optimal")
+        else:
+            verdicts[buyer.id] = BuyerVerdict("suboptimal", achieved, best)
+    passed = all(v.status == "optimal" for v in verdicts.values()) and all(
+        abs(s) <= epsilon for s in slacks.values()
+    )
+    return EquilibriumReport(slacks, verdicts, epsilon, passed)
+
+
+def _random_verify_case(rng):
+    """A random market with prices (some zero, some goods outside the
+    market), an allocation of canonical or random rows (some amounts
+    negative, some goods outside the market or unpriced) and an epsilon."""
+    market = _random_market(rng)
+    prices = {g: F(rng.randint(0, 9), rng.randint(1, 5)) for g in market.goods}
+    if rng.random() < 0.3:
+        prices["outside"] = F(rng.randint(0, 3), rng.randint(1, 3))
+    allocation = {}
+    for buyer in market.buyers:
+        if rng.random() < 0.2:
+            continue
+        row = None
+        if rng.random() < 0.5:
+            try:
+                row = optimal_bundle(buyer, prices).bundle
+            except UnboundedDemand:
+                pass
+        if row is None:
+            names = list(market.goods) + list(prices.keys() - set(market.goods))
+            row = {
+                g: F(rng.randint(0, 6), rng.randint(1, 4))
+                for g in rng.sample(names, rng.randint(0, len(names)))
+            }
+        if row and rng.random() < 0.05:
+            row[rng.choice(list(row))] = F(-rng.randint(1, 3), rng.randint(1, 3))
+        if rng.random() < 0.02:
+            row["unpriced"] = F(1)
+        allocation[buyer.id] = row
+    epsilon = F(rng.randint(0, 8), 4)
+    return market, prices, allocation, epsilon
+
+
+def test_integer_verify_matches_a_fraction_reference():
+    """On 300 seeded random SPLC markets, verify_fisher, which runs on
+    integer pairs, gives the report (or the error) of a Fraction verify."""
+    rng = random.Random(20261402)
+    seen = set()
+    for _ in range(300):
+        market, prices, allocation, epsilon = _random_verify_case(rng)
+        outcomes = []
+        for verify in (verify_fisher, _fraction_verify):
+            try:
+                outcomes.append(verify(market, prices, allocation, epsilon))
+            except MarketError as exc:
+                outcomes.append(str(exc))
+        got, want = outcomes
+        assert got == want
+        if isinstance(got, str):
+            seen.add(got.split(" for good")[0].split(" references")[0])
+        else:
+            seen.update(v.status for v in got.buyer_verdicts.values())
+            seen.add(got.passed)
+    assert seen >= {
+        "optimal", "suboptimal", "unbounded-demand", True, False,
+        "negative allocation", "allocation",
+    }
+
+
+def test_utility_value_pair_is_value():
+    rng = random.Random(1402)
+    for _ in range(500):
+        utility = _random_utility(rng)
+        amount = F(rng.randint(0, 40), rng.randint(1, 6))
+        assert utility.value(amount) == _fraction_value(utility, amount)
+        assert F(*utility.value_pair(amount.numerator, amount.denominator)) == utility.value(amount)
+
+
+def _random_report(rng):
+    names = NAMES + [f"{name}{i}" for i, name in enumerate(NAMES)]
+    verdicts = {}
+    for bid in rng.sample(names, rng.randint(0, len(names))):
+        status = rng.choice(["optimal", "suboptimal", "unbounded-demand"])
+        if status == "suboptimal":
+            verdicts[bid] = BuyerVerdict(
+                status, F(rng.randint(-9, 99), rng.randint(1, 9)), F(rng.randint(0, 99), rng.randint(1, 9))
+            )
+        else:
+            verdicts[bid] = BuyerVerdict(status)
+    slacks = {
+        good: F(rng.randint(-20, 20), rng.randint(1, 12))
+        for good in rng.sample(names, rng.randint(0, len(names)))
+    }
+    epsilon = F(rng.randint(0, 3), rng.randint(1, 12))
+    return EquilibriumReport(slacks, verdicts, epsilon, rng.random() < 0.5)
+
+
+def test_report_writer_matches_json_dumps():
+    """report_to_json writes the bytes json.dumps writes, on an empty
+    market, on seeded reports with every verdict and ids with quotes,
+    backslashes and non-ASCII characters, and on verify's own reports."""
+    rng = random.Random(20261403)
+    reports = [verify_fisher(FisherMarket((), ()), {}, {}, F(0))]
+    reports += [_random_report(rng) for _ in range(200)]
+    while len(reports) < 400:
+        market, prices, allocation, epsilon = _random_verify_case(rng)
+        try:
+            reports.append(verify_fisher(market, prices, allocation, epsilon))
+        except MarketError:
+            pass
+    statuses = set()
+    for report in reports:
+        want = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert market_module.report_to_json(report) == want
+        statuses.update(v.status for v in report.buyer_verdicts.values())
+    assert statuses == {"optimal", "suboptimal", "unbounded-demand"}
+    assert market_module.report_to_json(reports[0]) == (
+        '{\n  "buyers": {},\n  "epsilon": "0",\n  "passed": true,\n  "slacks": {}\n}\n'
+    )
+
+
+def test_market_reader_parses_each_budget_text_once():
+    reduced = compile_circuit(
+        parse_circuit(solver.NAND_FIXTURE), F(1, 12), {"k": 3, "d": 4}
+    )
+    market = market_from_json(market_to_json(reduced.market))
+    assert market == reduced.market
+    by_value = {}
+    for buyer in market.buyers:
+        assert by_value.setdefault(buyer.budget, buyer.budget) is buyer.budget
+    assert len(by_value) < len(market.buyers)
+    for bad, message in ((1, "expected rational string, got 1"), ("0.5", "'0.5'")):
+        text = market_to_json(market).replace('"budget": "1"', f'"budget": {json.dumps(bad)}', 1)
+        with pytest.raises(MarketError, match=message):
+            market_from_json(text)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,10 @@ def test_param_table_exact_epsilon_zero():
     assert params.s == F(1, 20 * 440 * 8 * 2)
     assert params.a == 2  # 4s/delta is tiny, the floor of 2 binds
     assert (params.h_min, params.h_max) == (params.s / 2, 2 * params.s)
-    assert len(params.copy_intervals) == 440
+    assert params.copy_interval(0)[0] == params.h_min
+    assert params.copy_interval(439)[1] == params.h_max
+    with pytest.raises(IndexError):
+        params.copy_interval(440)
     assert not params.guarantees_void
 
 
@@ -93,12 +97,48 @@ def test_chain_r_patterns_alternate():
 
 def test_copy_for_picks_containing_interval():
     params = compute_params(F(0), 2, {"k": 4, "d": 2})
-    lo, hi = params.copy_intervals[2]
+    lo, hi = params.copy_interval(2)
     assert params.copy_for((lo + hi) / 2) == 2
     assert params.copy_for(params.h_min) == 0
     assert params.copy_for(params.h_max) == 3
     with pytest.raises(ReductionError, match="outside"):
         params.copy_for(params.h_max * 2)
+
+
+def _scanned_copy(params, h):
+    """copy_for as a scan of the intervals h_min + c*w, w = (h_max - h_min)/k,
+    in Fraction arithmetic: the lowest-index copy whose interval holds h."""
+    width = (params.h_max - params.h_min) / params.k
+    for c in range(params.k):
+        if params.h_min + c * width <= h <= params.h_min + (c + 1) * width:
+            return c
+    return None
+
+
+def test_closed_form_copy_intervals_match_a_scan():
+    """copy_interval and copy_for's one floor division agree with the
+    Fraction intervals on every copy's ends and midpoint, just inside and
+    outside each end, and at seeded points of [h_min - w, h_max + w]."""
+    rng = random.Random(1407)
+    for eps, n, override in ((F(0), 2, {"k": 4, "d": 2}), (F(1, 12), 5, {"k": 12, "d": 4}),
+                             (F(1, 12), 17, {"k": 41, "d": 16}), (F(1, 100), 3, None)):
+        params = compute_params(eps, n, override)
+        width = (params.h_max - params.h_min) / params.k
+        tiny = width / 10**6
+        points = [params.h_min - tiny, params.h_max + tiny]
+        for c in range(0, params.k, max(1, params.k // 50)):
+            lo, hi = params.copy_interval(c)
+            assert (lo, hi) == (params.h_min + c * width, params.h_min + (c + 1) * width)
+            points += [lo, hi, (lo + hi) / 2, lo + tiny, hi - tiny]
+        points += [params.h_min - width + 3 * width * F(rng.randrange(10**6), 10**6)
+                   for _ in range(200)]
+        for h in points:
+            want = _scanned_copy(params, h)
+            if want is None:
+                with pytest.raises(ReductionError, match="outside"):
+                    params.copy_for(h)
+            else:
+                assert params.copy_for(h) == want, h
 
 
 def test_expanded_node_count():
@@ -243,7 +283,7 @@ def test_decode_rejects_a_negative_variable_price():
 def test_decode_selects_copy_from_reference_price():
     reduced = compile_circuit(NOT_CYCLE, F(0), {"k": 4, "d": 2})
     params = reduced.params
-    lo, hi = params.copy_intervals[1]
+    lo, hi = params.copy_interval(1)
     p_ref = (lo + hi) / 2 / params.s  # H lands mid-interval of copy 1
     prices = {g: F(1, 10 ** 6) for g in reduced.market.goods}
     prices["ref"] = p_ref
@@ -324,6 +364,24 @@ def test_compiled_artifacts_match_golden_bytes(name):
     assert sha(metadata_to_json(reduced)) == meta_digest
 
 
+# sha256 of (market.json, meta.json) of NAND_FIXTURE at the paper's scale
+# (eps = 1/12, no override: k = 5280, d = 16)
+PAPER_SCALE_NAND_DIGESTS = (
+    "dc5b6f48752a172e29913132bcb055b1f6eac392b1cef8766d703a39d2e8245f",
+    "3c02fe9f1b106fb494a493fe1c29b28e51768a0b8c47aa2e6c375b6b4c6cad7f",
+)
+
+
+def test_paper_scale_documents_match_golden_bytes():
+    circuit = parse_circuit(solver.NAND_FIXTURE)
+    reduced = ReducedMarket(validated_params(circuit, F(1, 12)), circuit)
+    assert (reduced.params.k, reduced.params.d) == (5280, 16)
+    sha = lambda doc: hashlib.sha256(doc.encode()).hexdigest()
+    assert (
+        sha(reduced_market_to_json(reduced)), sha(metadata_to_json(reduced))
+    ) == PAPER_SCALE_NAND_DIGESTS
+
+
 def _template_writer_cases():
     """The criterion-3 corpus, every golden case, NAND and PURIFY at d = 16
     and k = 41, and a circuit with no nodes, whose copies are empty."""
@@ -360,10 +418,11 @@ def _top_up_of_unknown_good(reduced):
 
 
 def _zero_budget_in_copy_1(reduced):
+    """With h_max = -h_min/2 at k = 3 the intervals run downwards by
+    w = -h_min/2: copy 0 is [h_min, h_min/2], all its budgets positive, and
+    copy 1 is [h_min/2, 0], so its pinned buyers' budgets r*h_high are 0."""
     params = reduced.params
-    (lo, hi), *rest = params.copy_intervals[1:]
-    intervals = (params.copy_intervals[0], (F(0), hi), *rest)
-    return {"params": dataclasses.replace(params, copy_intervals=intervals)}
+    return {"params": dataclasses.replace(params, h_max=-params.h_min / 2)}
 
 
 @pytest.mark.parametrize(

@@ -770,7 +770,7 @@ def _clear_ref(k):
     reduced = compile_circuit(parse_circuit(NOT_CYCLE), F(1, 12), {"k": k, "d": 16})
     prices = {"ref": F(1)}
     for c in range(k):
-        h_high = reduced.params.copy_intervals[c][1]
+        h_high = reduced.params.copy_interval(c)[1]
         prices.update((f"c{c}/{local}", h_high) for local, _ in reduced.template.goods)
     market = reduced.market
     market.interested_buyers
@@ -1005,7 +1005,7 @@ def not_fixture():
 
 def test_fixture_pins_reference_so_h_is_interval_top(not_fixture):
     params = not_fixture.reduced.params
-    assert not_fixture.h == params.copy_intervals[not_fixture.copy][1]
+    assert not_fixture.h == params.copy_interval(not_fixture.copy)[1]
     assert not_fixture.prices["ref"] == not_fixture.h / params.s
 
 

@@ -60,6 +60,19 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _json_text(doc) -> str:
+    """A JSON document as the CLI prints and writes it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(args, name: str, text: str) -> None:
+    """Write `text` to `name` in the --out directory, if one is given, and
+    print it."""
+    if args.out:
+        _write_atomic(Path(args.out) / name, text)
+    print(text, end="")
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -128,8 +141,7 @@ def _cmd_compile(args) -> int:
     out = Path(args.out)
     _write_atomic(out / "market.json", reduction.reduced_market_to_json(reduced))
     _write_atomic(out / "meta.json", reduction.metadata_to_json(reduced))
-    info = reduction.census(reduced)
-    print(json.dumps(info, indent=2, sort_keys=True))
+    print(_json_text(reduction.census(reduced)), end="")
     return EXIT_PASS
 
 
@@ -142,10 +154,7 @@ def _cmd_verify(args) -> int:
         report = mkt.verify_fisher(market, prices, allocation, eps)
     except mkt.MarketError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    text = mkt.report_to_json(report)
-    if args.out:
-        _write_atomic(Path(args.out) / "report.json", text)
-    print(text, end="")
+    _emit(args, "report.json", mkt.report_to_json(report))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -164,12 +173,8 @@ def _cmd_solve(args) -> int:
     out = Path(args.out)
     _write_atomic(out / "prices.json", mkt.prices_to_json(result.prices))
     _write_atomic(out / "trace.csv", solver.trace_to_csv(result.trace))
-    print(
-        json.dumps(
-            {"converged": result.converged, "iterations": len(result.trace) - 1},
-            indent=2,
-        )
-    )
+    doc = {"converged": result.converged, "iterations": len(result.trace) - 1}
+    print(_json_text(doc), end="")
     return EXIT_PASS
 
 
@@ -213,10 +218,7 @@ def _cmd_decode(args) -> int:
         "H": format_rational(result.h),
         "L": format_rational(result.l),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_atomic(Path(args.out) / "assignment.json", text)
-    print(text, end="")
+    _emit(args, "assignment.json", _json_text(doc))
     return EXIT_PASS
 
 
@@ -229,20 +231,13 @@ def _cmd_lemmas(args) -> int:
         report = solver.lemma_suite(reduced, prices, allocation, eps)
     except (solver.SuitePreconditionError, mkt.MarketError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_atomic(Path(args.out) / "lemmas.json", text)
-    print(text, end="")
+    _emit(args, "lemmas.json", _json_text(report.to_json_dict()))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_to_exchange(args) -> int:
     market = _load_market(args.market)
-    exchange = mkt.to_exchange(market)
-    text = mkt.exchange_to_json(exchange)
-    if args.out:
-        _write_atomic(Path(args.out) / "exchange.json", text)
-    print(text, end="")
+    _emit(args, "exchange.json", mkt.exchange_to_json(mkt.to_exchange(market)))
     return EXIT_PASS
 
 
@@ -258,10 +253,7 @@ def _cmd_gadget_lab(args) -> int:
         summary = solver.gadget_lab_report(eps, mesh=args.mesh, override=override)
     except (solver.BracketError, reduction.ReductionError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_atomic(Path(args.out) / "gadget-lab.json", text)
-    print(text, end="")
+    _emit(args, "gadget-lab.json", _json_text(summary))
     return EXIT_PASS if summary["pass"] else EXIT_FAIL
 
 
@@ -292,7 +284,7 @@ def _cmd_circuit_check(args) -> int:
             for v in verdicts
         ],
     }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(_json_text(out), end="")
     return EXIT_PASS if out["satisfied"] else EXIT_FAIL
 
 

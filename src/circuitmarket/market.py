@@ -22,17 +22,18 @@ float is that of a positive normal price, 0.0 marks a zero price and inf
 any other, so no walk reads a Fraction's numerator or rounds a price again.
 
 _walk_items is that one sort; a walk of one segment is not sorted, and
-one of two makes a single float comparison.  Two walks read its order.
-_purchases yields each purchase as integer pairs: verification sums a
-buyer's best utility from them, and _greedy_walk turns them into exact
-Fraction amounts and costs, for bundles and the lemma suite.
-_split_demand folds the purchases of many buyers in integers, for
-tâtonnement and single-good clearing: a good's aggregate demand is C + M/p
-at its price p, where C sums the segment lengths bought in full and M the
-money of the purchases the budget limits.  Each walk keeps its remaining budget as an unreduced
-integer pair and reduces it once; sums over buyers combine denominators by
-their lcm.  C + M/p equals the sum of the Fraction walk's amounts
-exactly, so what the solvers return is what a Fraction fold returns.
+one of two makes a single float comparison.  _split_demand is the one
+walk that spends a budget along that order, in integers, folding the
+purchases of many (agent, budget) entries: a good's aggregate demand is
+C + M/p at its price p, where C sums the segment lengths bought in full
+and M the money of the purchases the budget limits.  Each walk keeps its
+remaining budget as an unreduced integer pair and reduces it once; sums
+over agents combine denominators by their lcm.  Tâtonnement reads the
+fold of every buyer; a canonical bundle (_canonical_bundle) is the fold
+of one agent alone, so optimal_bundle, canonical demand and verification
+all read the same walk.  Verification's best utility is the value of the
+canonical bundle: the walk buys each good's segments in segment order, so
+its amount of a good is a prefix of the good's segments.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -333,8 +334,9 @@ def _walk_items(
     then segment index, except that the segments of `favor` go first
     (first=True) or last among equal bang-per-buck.  Raises KeyError if a
     valued good has no quote, and UnboundedDemand if a good with positive
-    slope has price zero.  This is the only sort of segments; the greedy
-    walk and the integer demand fold both read its order.
+    slope has price zero.  This is the only sort of segments: the budget
+    walk of _split_demand and the clearing fold of solver._IncrementalFold
+    read its order.
 
     The order is that of the exact key, found by a sort on float keys (see
     the module docstring): each segment's float slope over its good's
@@ -393,57 +395,6 @@ def _walk_items(
     return items
 
 
-def _purchases(
-    agent: _Walked,
-    rn: int,
-    rd: int,
-    quotes: Mapping[str, Quote],
-    favor: Optional[str] = None,
-    first: bool = True,
-) -> Iterator[tuple[str, Fraction, int, int, int, int, bool]]:
-    """Bang-per-buck greedy with budget rn/rd (rd > 0), in integers: yield
-    (good, slope, an, ad, cn, cd, capped) per purchase, in the order of
-    _walk_items, which raises what it raises.
-
-    The purchase buys an/ad units of a segment with marginal utility
-    `slope` and costs cn/cd, amount times price; both pairs are unreduced
-    with positive denominators.  `capped` means the segment's length, not
-    the budget, limited the purchase, and the one purchase that is not
-    capped spends what is left.  The remaining budget is kept as an
-    unreduced pair, and a purchase is tested as capped by one
-    cross-multiplication, as in _split_demand.
-    """
-    items = _walk_items(agent, quotes, favor, first)
-    if not rn:
-        return
-    for _, _, _, good, (pn, pd, _), length, slope in items:
-        if length is not None:
-            ln, ld = length.numerator, length.denominator
-            # the purchase costs cn/cd; capped iff that is below rn/rd
-            cn, cd = ln * pn, ld * pd
-            if cn * rd < rn * cd:
-                rn, rd = rn * cd - cn * rd, rd * cd
-                yield good, slope, ln, ld, cn, cd, True
-                continue
-        yield good, slope, rn * pd, rd * pn, rn, rd, False
-        return
-
-
-def _greedy_walk(
-    agent: _Walked,
-    budget: Fraction,
-    quotes: Mapping[str, Quote],
-    favor: Optional[str] = None,
-    first: bool = True,
-) -> Iterator[tuple[str, Fraction, Fraction, bool]]:
-    """_purchases with a Fraction budget, yielding (good, amount, cost,
-    capped) per purchase with exact Fraction amounts and costs."""
-    for good, _, an, ad, cn, cd, capped in _purchases(
-        agent, budget.numerator, budget.denominator, quotes, favor, first
-    ):
-        yield good, Fraction(an, ad), Fraction(cn, cd), capped
-
-
 def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int]:
     """pair + n/d as an unreduced (numerator, denominator) over the lcm of
     the two denominators; a missing pair is 0."""
@@ -466,30 +417,37 @@ def _fraction_sum(values: Iterable[Fraction]) -> Fraction:
 
 
 def _split_demand(
-    buyers: Iterable[Buyer],
+    entries: Iterable[tuple[_Walked, Fraction]],
     quotes: Mapping[str, Quote],
     favor: Optional[str] = None,
     first: bool = True,
 ) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
-    """Aggregate greedy demand of `buyers` at the prices of the quote table
-    `quotes`, split per good as C + M/p: C sums the lengths of the capped
-    purchases of the good, M the money of the budget-limited ones, and p is
-    the good's price.
+    """Aggregate greedy demand of the (agent, budget) `entries` at the
+    prices of the quote table `quotes`, split per good as C + M/p: C sums
+    the lengths of the capped purchases of the good, M the money of the
+    budget-limited ones, and p is the good's price.
+
+    This is the one budget walk: each agent takes its segments in the order
+    of _walk_items (with its `favor` and `first`, and raising what it
+    raises) and buys each in full while that costs less than what is left
+    of its budget; the first purchase that does not spends the rest and
+    ends the walk.  An agent with budget 0 buys nothing.
 
     Returns the C and M maps, good -> unreduced (numerator, denominator)
-    with positive denominators; a good with no such purchase is absent.  The
-    walks are those of _greedy_walk (same order, favor and first), folded in
-    integers: each keeps its remaining budget as an unreduced pair, tests a
-    purchase as capped by one cross-multiplication, and reduces once, at its
-    one budget-limited purchase.  Sums over buyers combine denominators by
-    their lcm.  C + M/p equals the sum of _greedy_walk's amounts exactly.
+    with positive denominators; a good with no such purchase is absent, and
+    the goods of C come in the order of their first capped purchase.  All
+    of it is integers: a walk keeps its remaining budget as an unreduced
+    pair, tests a purchase as capped by one cross-multiplication, and
+    reduces once, at its one budget-limited purchase.  Sums over agents
+    combine denominators by their lcm.
     """
     const: dict[str, tuple[int, int]] = {}
     money: dict[str, tuple[int, int]] = {}
-    for buyer in buyers:
-        budget = buyer.budget
+    for agent, budget in entries:
         rn, rd = budget.numerator, budget.denominator
-        items = _walk_items(buyer, quotes, favor, first)
+        items = _walk_items(agent, quotes, favor, first)
+        if not rn:
+            continue
         for _, _, _, good, (pn, pd, _), length, _ in items:
             if length is not None:
                 ln, ld = length.numerator, length.denominator
@@ -505,35 +463,18 @@ def _split_demand(
     return const, money
 
 
-def _best_utility(
-    agent: _Walked, rn: int, rd: int, quotes: Mapping[str, Quote]
-) -> tuple[int, int]:
-    """The optimum's utility at budget rn/rd as an unreduced integer pair:
-    the sum of slope times amount over the canonical walk's purchases."""
-    utility = (0, 1)
-    for _, slope, an, ad, _, _, _ in _purchases(agent, rn, rd, quotes):
-        utility = _add_pair(utility, slope.numerator * an, slope.denominator * ad)
-    return utility
-
-
-def _greedy_bundle(
+def _canonical_bundle(
     agent: _Walked, budget: Fraction, quotes: Mapping[str, Quote]
-) -> BundleResult:
-    """The canonical optimal bundle: the greedy walk with no favored good.
-
-    The optimum's utility is the sum of slope times amount over the
-    purchases, and its spend the sum of their costs, both summed as
-    integer pairs."""
-    bought: dict[str, Fraction] = {}
-    utility = spend = (0, 1)
-    for good, slope, an, ad, cn, cd, _ in _purchases(
-        agent, budget.numerator, budget.denominator, quotes
-    ):
-        utility = _add_pair(utility, slope.numerator * an, slope.denominator * ad)
-        spend = _add_pair(spend, cn, cd)
-        amount = Fraction(an, ad)
-        bought[good] = bought[good] + amount if good in bought else amount
-    return BundleResult(Fraction(*utility), bought, Fraction(*spend))
+) -> dict[str, tuple[int, int]]:
+    """The agent's canonical optimal bundle at the prices of `quotes`, the
+    walk with no favored good: good -> amount, its own C + M/p, as an
+    unreduced pair.  Goods come in walk order, since the one budget-limited
+    purchase ends the walk."""
+    bundle, money = _split_demand(((agent, budget),), quotes)
+    for good, (mn, md) in money.items():
+        pn, pd, _ = quotes[good]
+        bundle[good] = _add_pair(bundle.get(good), mn * pd, md * pn)
+    return bundle
 
 
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
@@ -545,11 +486,21 @@ def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
 def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     """Canonical optimal bundle of `buyer` at `prices` (greedy by bang-per-buck).
 
-    Raises UnboundedDemand if a good with positive remaining marginal
+    The bundle is _canonical_bundle's, as canonical demand and verification
+    read it; its utility is the bundle's value and its spend its cost, both
+    summed as integer pairs.  Raises UnboundedDemand if a good with positive remaining marginal
     utility has price zero (the optimal-bundle set is empty or degenerate).
     """
     _check_prices_non_negative(prices)
-    return _greedy_bundle(buyer, buyer.budget, quote_table(prices))
+    quotes = quote_table(prices)
+    bundle: dict[str, Fraction] = {}
+    utility = spend = (0, 1)
+    for good, (n, d) in _canonical_bundle(buyer, buyer.budget, quotes).items():
+        utility = _add_pair(utility, *buyer.utilities[good].value_pair(n, d))
+        pn, pd, _ = quotes[good]
+        spend = _add_pair(spend, pn * n, pd * d)
+        bundle[good] = Fraction(n, d)
+    return BundleResult(Fraction(*utility), bundle, Fraction(*spend))
 
 
 @dataclass(frozen=True)
@@ -604,15 +555,15 @@ def _verify(
 
     All of it is integer arithmetic on (numerator, denominator) pairs, and
     only what leaves the function becomes a Fraction: the slacks, and the
-    achieved and maximum utility of a suboptimal agent.  The maximum is the
-    canonical walk's (_best_utility), the one sort of the agent's segments;
-    what the agent achieves sums SplcUtility.value_pair over its row, and
-    what it spends sums price times amount.  Sums combine denominators by
-    their lcm, and comparisons cross-multiply.  An agent is optimal iff it
-    spends at most its budget and achieves the maximum; a good with
-    positive slope at price zero makes its demand unbounded.  A negative
-    amount in the row of an agent whose demand is bounded raises
-    MarketError.
+    achieved and maximum utility of a suboptimal agent.  Both utilities
+    sum SplcUtility.value_pair: the maximum over the agent's canonical
+    bundle (_canonical_bundle, from the one budget walk), what it achieves
+    over its row; what it spends sums price times amount.  Sums combine
+    denominators by their lcm, and comparisons cross-multiply.  An agent
+    is optimal iff it spends at most its budget and achieves the maximum;
+    a good with positive slope at price zero makes its demand unbounded.
+    A negative amount in the row of an agent whose demand is bounded
+    raises MarketError.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -642,14 +593,16 @@ def _verify(
         bid = agent.id
         bn, bd = budget.numerator, budget.denominator
         try:
-            un, ud = _best_utility(agent, bn, bd, quotes)
+            bundle = _canonical_bundle(agent, budget, quotes)
         except UnboundedDemand:
             verdicts[bid] = _UNBOUNDED
             continue
-        spend = achieved = (0, 1)
+        utilities = agent.utilities
+        spend = achieved = maximum = (0, 1)
+        for good, (n, d) in bundle.items():
+            maximum = _add_pair(maximum, *utilities[good].value_pair(n, d))
         row = allocation.get(bid)
         if row:
-            utilities = agent.utilities
             for good, amount in row.items():
                 n, d = amount.numerator, amount.denominator
                 if n < 0:
@@ -659,7 +612,7 @@ def _verify(
                 util = utilities.get(good)
                 if util is not None:
                     achieved = _add_pair(achieved, *util.value_pair(n, d))
-        (sn, sd), (an, ad) = spend, achieved
+        (sn, sd), (an, ad), (un, ud) = spend, achieved, maximum
         if sn * bd <= bn * sd and an * ud == un * ad:
             verdicts[bid] = _OPTIMAL
         else:
@@ -854,15 +807,15 @@ def market_to_json(market: FisherMarket) -> str:
     return _document(buyers, market.goods)
 
 
-def _budget_from_json(text, budgets: dict[str, Fraction]) -> Fraction:
-    """A budget rational; `budgets` keeps each raw text already parsed, so
-    buyers with the same budget text share one Fraction."""
+def _rational_from_json(text, seen: dict[str, Fraction]) -> Fraction:
+    """A rational of a document; `seen` keeps each raw text already parsed,
+    so equal texts are parsed once and share one Fraction."""
     if type(text) is not str:
         return parse_rational(text)  # which says what is wrong with it
-    budget = budgets.get(text)
-    if budget is None:
-        budget = budgets[text] = parse_rational(text)
-    return budget
+    value = seen.get(text)
+    if value is None:
+        value = seen[text] = parse_rational(text)
+    return value
 
 
 def market_from_json(text: str) -> FisherMarket:
@@ -876,7 +829,7 @@ def market_from_json(text: str) -> FisherMarket:
         buyers = tuple(
             Buyer(
                 b["id"],
-                _budget_from_json(b["budget"], budgets),
+                _rational_from_json(b["budget"], budgets),
                 _utilities_from_json(b.get("utilities", {}), texts, shapes),
             )
             for b in doc["buyers"]
@@ -1002,10 +955,13 @@ def allocation_to_json(allocation: dict[str, dict[str, Fraction]]) -> str:
 
 
 def allocation_from_json(text: str) -> dict[str, dict[str, Fraction]]:
+    """Read an allocation document.  Each distinct amount text is parsed
+    once per document."""
     doc = _json_object(json.loads(text), "allocation document")
+    amounts: dict[str, Fraction] = {}
     return {
         b: {
-            g: parse_rational(a)
+            g: _rational_from_json(a, amounts)
             for g, a in _json_object(row, f"allocation row {b!r}").items()
         }
         for b, row in doc.items()

@@ -62,6 +62,9 @@ class Gate:
         elif self.w is None:
             raise CircuitError(f"{self.gate_type.value} gate takes three nodes")
         nodes = self.nodes
+        # type(...) is int: JSON's true and false are ints to isinstance
+        if any(type(x) is not int for x in nodes):
+            raise CircuitError(f"node ids must be integers: {nodes!r}")
         if len(set(nodes)) != len(nodes):
             raise CircuitError(f"gate nodes must be pairwise distinct: {nodes}")
         if any(x < 0 for x in nodes):
@@ -94,6 +97,9 @@ class CircuitInstance:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        # type(...) is int: JSON's true and false are ints to isinstance
+        if type(self.n) is not int or self.n < 0:
+            raise CircuitError(f"node count must be a non-negative integer; got {self.n!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         producers: dict[int, int] = {}
         for idx, gate in enumerate(self.gates):

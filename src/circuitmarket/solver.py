@@ -35,7 +35,7 @@ from .market import (
     MarketError,
     SplcUtility,
     _add_pair,
-    _greedy_walk,
+    _canonical_bundle,
     _quote,
     _split_demand,
     _walk_items,
@@ -82,7 +82,10 @@ class DemandProfile:
 def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> DemandProfile:
     """Aggregate of the canonical (greedy) optimal bundles at `prices`.
 
-    Folds the greedy walks directly and evaluates no utility.  Propagates
+    Each buyer's bundle is its own C + M/p from the one budget walk
+    (market._canonical_bundle), as optimal_bundle and verify_fisher read
+    it.  The aggregate sums the bundles' amounts as integer pairs, one
+    Fraction per good, and evaluates no utility.  Propagates
     UnboundedDemand if any buyer faces a free desired good.
     """
     quotes = {}
@@ -91,16 +94,14 @@ def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> Deman
         if price <= 0:
             raise MarketError(f"price of {good!r} must be positive")
         quotes[good] = _quote(price.numerator, price.denominator)
-    # a sum starts at its first amount: ZERO + amount is a Fraction addition
-    bought: dict[str, Fraction] = {}
+    bought: dict[str, tuple[int, int]] = {}
     bundles: dict[str, dict[str, Fraction]] = {}
     for buyer in market.buyers:
-        bundle = bundles[buyer.id] = {}
-        for good, amount, _, _ in _greedy_walk(buyer, buyer.budget, quotes):
-            bundle[good] = bundle[good] + amount if good in bundle else amount
-        for good, amount in bundle.items():
-            bought[good] = bought[good] + amount if good in bought else amount
-    aggregate = {g: bought.get(g, ZERO) for g in market.goods}
+        bundle = _canonical_bundle(buyer, buyer.budget, quotes)
+        bundles[buyer.id] = {good: F(n, d) for good, (n, d) in bundle.items()}
+        for good, (n, d) in bundle.items():
+            bought[good] = _add_pair(bought.get(good), n, d)
+    aggregate = {g: F(*bought[g]) if g in bought else ZERO for g in market.goods}
     return DemandProfile(aggregate, bundles)
 
 
@@ -231,7 +232,8 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     """
     if not market.satisfies_sufficient_condition():
         raise MarketError("tatonnement requires every buyer to be unsatiated")
-    goods, buyers = market.goods, market.buyers
+    goods = market.goods
+    entries = [(buyer, buyer.budget) for buyer in market.buyers]
     pairs = [(1, 1)] * len(goods)
     eps_n, eps_d = config.epsilon.numerator, config.epsilon.denominator
     lam_n, lam_d = config.lam.numerator, config.lam.denominator
@@ -241,7 +243,7 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     converged = False
     for iteration in range(config.max_iters + 1):
         quotes = {g: _quote(pn, pd) for g, (pn, pd) in zip(goods, pairs)}
-        const, money = _split_demand(buyers, quotes)
+        const, money = _split_demand(entries, quotes)
         # the slack of good g is excess/den, with demand (excess + den)/den
         slacks = []
         max_num, max_den, violating = 0, 1, 0
@@ -292,10 +294,6 @@ def trace_to_csv(trace: tuple[TraceRow, ...]) -> str:
 # pinned-price bisection
 
 
-def _interested_buyers(market: FisherMarket, good: str) -> tuple[Buyer, ...]:
-    return market.interested_buyers.get(good, ())
-
-
 def _free_good_fold(
     buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction], first: bool
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -314,7 +312,8 @@ def _free_good_fold(
     triple at every price and re-walks only the buyers whose part of C and
     M can have changed.
     """
-    const, money = _split_demand(buyers, quote_table(prices), good, first)
+    entries = [(buyer, buyer.budget) for buyer in buyers]
+    const, money = _split_demand(entries, quote_table(prices), good, first)
     c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
     p = prices[good]
     return F(*_demand_pair(c, m, p.numerator, p.denominator)), F(*c), F(*m)
@@ -370,6 +369,13 @@ class _IncrementalFold:
     clearing: every call passes the same prices for every good but `good`.
     So the first call builds the fold's quote table from its prices, and a
     later call only re-quotes the good; every walk reads that one table.
+
+    _walk is the one budget walk besides market._split_demand, on the same
+    order (_walk_items) and with the same integer capped test, so a
+    buyer's part is what _split_demand gives it.  It is kept apart because
+    the same pass also derives the buyer's ties and budget breakpoints,
+    the ends of its interval; a _split_demand that branched on which
+    caller it serves would not be simpler.
     """
 
     def __init__(self, buyers: tuple[Buyer, ...], good: str):
@@ -438,8 +444,9 @@ class _IncrementalFold:
         return self(prices, first=False)[0], high
 
     def _walk(self, i: int, first: bool):
-        """Buyer i's part at the prices of the fold's quote table, from the
-        walk of _split_demand, with its interval pushed onto the heaps."""
+        """Buyer i's part at the prices of the fold's quote table, as
+        _split_demand's walk gives it, with its interval pushed onto the
+        heaps."""
         buyer, good = self.buyers[i], self.good
         # the interval (lo, hi) as integer pairs; hi = 1/0 has no end
         lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
@@ -626,7 +633,7 @@ def pinned_bisection(
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
         raise BracketError(f"bad bracket [{lo}, {hi}]")
-    buyers = _interested_buyers(market, free_good)
+    buyers = market.interested_buyers.get(free_good, ())
     if not buyers:
         raise BracketError(f"no buyer is interested in {free_good!r}")
     read = {g for buyer in buyers for g in buyer.utilities if g != free_good}

@@ -1,10 +1,14 @@
-"""Exhaustive optimal-bundle oracle, independent of the greedy.
+"""Reference optimal bundles: an exhaustive oracle and an exact greedy.
 
-For SPLC utilities with a single budget constraint, some optimal bundle
-fills whole segments except for at most one partially-bought segment
-(an LP vertex argument: one constraint, box bounds).  So enumerating all
-per-good full-prefix combinations plus one partial candidate is exhaustive.
-The oracle never looks at bang-per-buck ordering.
+oracle_max_utility is independent of the greedy.  For SPLC utilities
+with a single budget constraint, some optimal bundle fills whole segments
+except for at most one partially-bought segment (an LP vertex argument:
+one constraint, box bounds).  So enumerating all per-good full-prefix
+combinations plus one partial candidate is exhaustive.  It never looks at
+bang-per-buck ordering.
+
+greedy_walk is the bang-per-buck greedy written plainly in Fractions, a
+reference for the program's walk order, tie breaks and budget loop.
 """
 
 from fractions import Fraction
@@ -45,3 +49,59 @@ def oracle_max_utility(utilities, budget, prices) -> Fraction:
             amount = affordable if seg.unbounded else min(seg.length, affordable)
             best = max(best, utility + amount * seg.slope)
     return best
+
+
+class FreeGood(Exception):
+    """A good the buyer values at a positive slope has price zero, so no
+    bundle is optimal."""
+
+
+def walk_order(utilities, prices, favor=None, first=True):
+    """[(good, segment), ...]: the positive-slope segments in greedy order.
+
+    The segments, numbered in (good id, segment index) order, are sorted
+    once on the exact key (slope/price, preference, -number), highest
+    first; the segments of `favor` have preference 1 (first) or -1, every
+    other 0.  Raises FreeGood if a valued good is free.
+    """
+    items = []
+    for good in sorted(utilities):
+        for seg in utilities[good].segments:
+            if seg.slope > 0:
+                if prices[good] == 0:
+                    raise FreeGood(good)
+                pref = (1 if first else -1) if good == favor else 0
+                items.append((seg.slope / prices[good], pref, -len(items), good, seg))
+    items.sort(key=lambda item: item[:3], reverse=True)
+    return [(good, seg) for *_, good, seg in items]
+
+
+def greedy_walk(utilities, budget, prices, favor=None, first=True):
+    """The bang-per-buck greedy in exact Fractions, written apart from the
+    program's walk: [(good, amount, cost, capped, slope), ...] per
+    purchase, along walk_order.  Each segment is bought in full (capped)
+    while that costs less than what is left of the budget; the first that
+    does not takes the rest, which ends the walk."""
+    walk, remaining = [], budget
+    for good, seg in walk_order(utilities, prices, favor, first):
+        if remaining == 0:
+            break
+        price = prices[good]
+        if not seg.unbounded and seg.length * price < remaining:
+            walk.append((good, seg.length, seg.length * price, True, seg.slope))
+            remaining -= seg.length * price
+            continue
+        walk.append((good, remaining / price, remaining, False, seg.slope))
+        break
+    return walk
+
+
+def greedy_bundle(utilities, budget, prices):
+    """(bundle, utility) of the canonical walk, with no favored good: the
+    amounts summed per good, and slope times amount summed over the
+    purchases."""
+    bundle, utility = {}, ZERO
+    for good, amount, _, _, slope in greedy_walk(utilities, budget, prices):
+        bundle[good] = bundle.get(good, ZERO) + amount
+        utility += slope * amount
+    return bundle, utility

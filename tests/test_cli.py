@@ -703,6 +703,34 @@ def test_decode_meta_with_out_degree_over_two(compiled, equilibrium, tmp_path, c
     assert "out-degree" in _assert_json_error(capsys, 3)
 
 
+@pytest.mark.parametrize(
+    "n, nodes, message",
+    [
+        (-1, (), "node count"),
+        (True, (), "node count"),
+        (2.0, (), "node count"),
+        ("2", (), "node count"),
+        (2, ([0.0, 1], [1, 0]), "node ids must be integers"),
+        (2, ([True, 0], [0, 1]), "node ids must be integers"),
+        (2, (["0", 1], [1, 0]), "node ids must be integers"),
+    ],
+)
+def test_decode_meta_with_a_bad_circuit(
+    n, nodes, message, compiled, equilibrium, tmp_path, capsys
+):
+    """A node count or node id that is not an integer, or a negative node
+    count, is bad metadata: not a circuit of no nodes with an empty
+    assignment, nor a node 0.0 or true that decodes as node 0 or 1."""
+    _, prices_path, _ = equilibrium
+    doc = json.loads((compiled / "meta.json").read_text())
+    doc["circuit"] = {"n": n, "gates": [{"type": "NOT", "nodes": pair} for pair in nodes]}
+    meta = tmp_path / "bad-circuit-meta.json"
+    meta.write_text(json.dumps(doc))
+    assert cli.run(["decode", "--meta", str(meta), "--prices", str(prices_path)]) == 2
+    assert message in _assert_json_error(capsys, 2)
+    assert capsys.readouterr().out == ""
+
+
 def test_out_of_memory_is_usage_error(equilibrium, monkeypatch, capsys):
     market_path, _, _ = equilibrium
 

@@ -11,6 +11,7 @@ from circuitmarket import (
     ExchangeMarket,
     FisherMarket,
     MarketError,
+    RationalFormatError,
     SplcSegment,
     SplcUtility,
     Trader,
@@ -34,7 +35,7 @@ from circuitmarket import (
     verify_fisher,
 )
 from circuitmarket import market as market_module, solver
-from oracle import oracle_max_utility
+from oracle import FreeGood, greedy_bundle, greedy_walk, oracle_max_utility
 
 F = Fraction
 
@@ -594,8 +595,16 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
 
 
 def _walked_goods(buyer, prices, favor=None, first=True):
+    """The goods of the program's walk order (_walk_items), which must be
+    those of the reference greedy's purchases: the buyers below can afford
+    every segment."""
     quotes = market_module.quote_table(prices)
-    return [g for g, *_ in market_module._greedy_walk(buyer, buyer.budget, quotes, favor, first)]
+    goods = [item[3] for item in market_module._walk_items(buyer, quotes, favor, first)]
+    walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
+    assert goods == [g for g, *_ in walk]
+    const, _ = market_module._split_demand([(buyer, buyer.budget)], quotes, favor, first)
+    assert list(const) == goods
+    return goods
 
 
 def test_greedy_walk_settles_float_near_ties_exactly():
@@ -693,7 +702,8 @@ def _fraction_value(utility, amount):
 
 def _fraction_verify(market, prices, allocation, epsilon):
     """verify_fisher in Fraction arithmetic, as it was written before it ran
-    on integer pairs; the maximum is the greedy walk's, summed in Fractions."""
+    on integer pairs; the maximum is the reference greedy's utility, summed
+    in Fractions."""
     if epsilon < 0:
         raise MarketError("epsilon must be non-negative")
     missing = [g for g in market.goods if g not in prices]
@@ -714,17 +724,14 @@ def _fraction_verify(market, prices, allocation, epsilon):
         for good, amount in row.items():
             if good in slacks:
                 slacks[good] += amount
-    quotes = market_module.quote_table(prices)
     verdicts = {}
     for buyer in market.buyers:
         row = allocation.get(buyer.id, {})
         try:
-            walk = list(market_module._greedy_walk(buyer, buyer.budget, quotes))
-        except UnboundedDemand:
+            _, best = greedy_bundle(buyer.utilities, buyer.budget, prices)
+        except FreeGood:
             verdicts[buyer.id] = BuyerVerdict("unbounded-demand")
             continue
-        slopes = {good: iter(s for s, _, _ in segs) for good, segs in buyer.walk_order}
-        best = sum((next(slopes[good]) * amount for good, amount, _, _ in walk), F(0))
         spend = sum((prices[g] * a for g, a in row.items()), F(0))
         achieved = F(0)
         for good, amount in row.items():
@@ -801,6 +808,130 @@ def test_integer_verify_matches_a_fraction_reference():
     }
 
 
+def _reference_case(rng):
+    """Buyers over goods a-d whose bang-per-buck values lie on a coarse grid
+    (so ties are common), some 1 part in 10**30 off it (near ties), with
+    prices scaled by 10**400 or 10**-400, zero-slope and unbounded last
+    segments, a zero price now and then, and budgets that are often exactly
+    the cost of some of the buyer's bounded segments."""
+    goods = ("a", "b", "c", "d")
+    prices, scale = {}, {}
+    for good in goods:
+        scale[good] = rng.choice((F(1), F(1), F(1, 10**400), F(10**400)))
+        near = 1 + F(rng.choice((-1, 0, 0, 0, 1)), 10**30)
+        prices[good] = scale[good] * F(rng.randint(1, 4), rng.randint(1, 2)) * near
+    if rng.random() < 0.1:
+        prices[rng.choice(goods)] = F(0)
+    buyers = []
+    for i in range(rng.randint(1, 4)):
+        utilities = {}
+        for good in rng.sample(goods, rng.randint(1, 4)):
+            slopes = sorted((F(rng.randint(0, 4)) * scale[good] for _ in range(rng.randint(1, 3))), reverse=True)
+            segments = [(F(rng.randint(1, 3), rng.randint(1, 2)), s) for s in slopes]
+            if rng.random() < 0.4:
+                segments[-1] = (None, slopes[-1])
+            utilities[good] = util(*segments)
+        costs = [
+            s.length * prices[g]
+            for g, u in utilities.items() for s in u.segments if s.length and prices[g]
+        ]
+        budget = sum(rng.sample(costs, rng.randint(1, len(costs))), F(0)) if costs else F(0)
+        if rng.random() < 0.5 or not budget:
+            budget = F(rng.randint(1, 12), rng.randint(1, 3)) * rng.choice(list(scale.values()))
+        buyers.append(Buyer(f"b{i}", budget, utilities))
+    return FisherMarket(goods, tuple(buyers)), prices
+
+
+def _expected_verdict(utilities, budget, prices):
+    """The verdict, by the reference greedy, of an agent with an empty row,
+    which achieves 0: the maximum shows unless it is 0."""
+    try:
+        _, utility = greedy_bundle(utilities, budget, prices)
+    except FreeGood:
+        return BuyerVerdict("unbounded-demand")
+    return BuyerVerdict("suboptimal", F(0), utility) if utility else BuyerVerdict("optimal")
+
+
+def _features(buyer, prices):
+    """What of the reference case a buyer meets: bang-per-buck values of
+    two goods that tie or lie within a relative 10**-20 of each other, a
+    budget that runs out exactly at the end of a bounded segment,
+    zero-slope and unbounded segments, and prices out of float range."""
+    bangs = sorted(
+        s.slope / prices[g]
+        for g, u in buyer.utilities.items() for s in u.segments if s.slope and prices[g]
+    )
+    pairs = list(zip(bangs, bangs[1:]))
+    segments = [(g, s) for g, u in buyer.utilities.items() for s in u.segments]
+    walk = greedy_walk(buyer.utilities, buyer.budget, prices) if 0 not in prices.values() else []
+    last = walk[-1] if walk else None
+    return {
+        "tie": any(a == b for a, b in pairs),
+        "near tie": any(0 < b - a < a / 10**20 for a, b in pairs),
+        "exact budget": bool(last) and not last[3] and any(
+            g == last[0] and s.length == last[1] and s.slope == last[4] for g, s in segments
+        ),
+        "zero slope": any(s.slope == 0 for _, s in segments),
+        "unbounded": any(s.unbounded for _, s in segments),
+        "out of float range": any(
+            p and not F(1, 10**300) < p < 10**300 for g, p in prices.items() if g in buyer.utilities
+        ),
+    }
+
+
+def test_canonical_bundles_are_those_of_the_reference_greedy():
+    """On 300 seeded markets, optimal_bundle, canonical_demand's bundles and
+    verify's maximum are the bundle (goods in walk order) and the utility of
+    the exact Fraction greedy of tests/oracle.py; a free valued good makes
+    the demand unbounded on both sides.  Under verify_exchange, a trader
+    with share 0 has budget 0: its best utility is 0."""
+    rng = random.Random(20261501)
+    seen = dict.fromkeys(_features(Buyer("b", F(1)), {}), 0)
+    seen["free good"] = seen["share 0"] = 0
+    for _ in range(300):
+        market, prices = _reference_case(rng)
+        free = 0 in prices.values()
+        if not free:
+            profile = solver.canonical_demand(market, prices)
+        report = verify_fisher(market, prices, {}, F(0))
+        for buyer in market.buyers:
+            verdict = _expected_verdict(buyer.utilities, buyer.budget, prices)
+            assert report.buyer_verdicts[buyer.id] == verdict
+            if verdict.status == "unbounded-demand":
+                with pytest.raises(UnboundedDemand):
+                    optimal_bundle(buyer, prices)
+                seen["free good"] += 1
+                continue
+            bundle, utility = greedy_bundle(buyer.utilities, buyer.budget, prices)
+            best = optimal_bundle(buyer, prices)
+            assert list(best.bundle.items()) == list(bundle.items())
+            assert best.max_utility == utility
+            assert best.spend == sum((prices[g] * x for g, x in bundle.items()), F(0))
+            if not free:
+                assert list(profile.bundles[buyer.id].items()) == list(bundle.items())
+            for feature, met in _features(buyer, prices).items():
+                seen[feature] += met
+
+        # a trader with share 0 holding one unit of a priced good it may value
+        exchange = to_exchange(market)
+        zero = Trader("zero", F(0), dict(market.buyers[0].utilities))
+        exchange = ExchangeMarket(exchange.goods, exchange.traders + (zero,))
+        good = next(g for g in exchange.goods if prices[g])
+        report = verify_exchange(exchange, prices, {"zero": {good: F(1)}}, F(0))
+        value = sum(prices.values(), F(0))
+        for trader in exchange.traders[:-1]:
+            expected = _expected_verdict(trader.utilities, trader.share * value, prices)
+            assert report.buyer_verdicts[trader.id] == expected
+        expected = _expected_verdict(zero.utilities, F(0), prices)
+        if expected.status != "unbounded-demand":
+            # the row costs more than the budget 0, which buys nothing
+            achieved = zero.utilities[good].value(F(1)) if good in zero.utilities else F(0)
+            expected = BuyerVerdict("suboptimal", achieved, F(0))
+            seen["share 0"] += 1
+        assert report.buyer_verdicts["zero"] == expected
+    assert min(seen.values()) > 20
+
+
 def test_utility_value_pair_is_value():
     rng = random.Random(1402)
     for _ in range(500):
@@ -851,6 +982,34 @@ def test_report_writer_matches_json_dumps():
     assert market_module.report_to_json(reports[0]) == (
         '{\n  "buyers": {},\n  "epsilon": "0",\n  "passed": true,\n  "slacks": {}\n}\n'
     )
+
+
+def test_allocation_reader_parses_each_amount_text_once(monkeypatch):
+    reduced = compile_circuit(
+        parse_circuit(solver.NAND_FIXTURE), F(1, 12), {"k": 3, "d": 4}
+    )
+    prices = {g: F(1) for g in reduced.market.goods}
+    allocation = solver.canonical_demand(reduced.market, prices).bundles
+    text = allocation_to_json(allocation)
+    parsed = []
+    real = market_module.parse_rational
+
+    def counted(value):
+        parsed.append(value)
+        return real(value)
+
+    monkeypatch.setattr(market_module, "parse_rational", counted)
+    got = allocation_from_json(text)
+    assert got == allocation
+    amounts = [a for row in json.loads(text).values() for a in row.values()]
+    assert sorted(parsed) == sorted(set(amounts)) and len(parsed) < len(amounts)
+    by_value = {}
+    for row in got.values():
+        for amount in row.values():
+            assert by_value.setdefault(amount, amount) is amount
+    for bad, message in ((1, "expected rational string, got 1"), ("0.5", "'0.5'")):
+        with pytest.raises(RationalFormatError, match=message):
+            allocation_from_json(json.dumps({"b": {"x": "1", "y": bad}}))
 
 
 def test_market_reader_parses_each_budget_text_once():

@@ -226,7 +226,7 @@ def test_interest_cap_counts_the_buyers_clearing_uses():
     reduced = compile_circuit(NOT_CYCLE, F(0), {"k": 1, "d": 2})
     market = reduced.market
     good = "c0/v0"
-    wanting = len(solver._interested_buyers(market, good))
+    wanting = len(market.interested_buyers.get(good, ()))
     assert 0 < wanting <= 4
 
     def extra(i, slope):
@@ -239,7 +239,7 @@ def test_interest_cap_counts_the_buyers_clearing_uses():
         + tuple(extra(i, 1) for i in range(5 - wanting))
         + (extra(9, 0),),
     )
-    assert len(solver._interested_buyers(crowded, good)) == 5
+    assert len(crowded.interested_buyers.get(good, ())) == 5
 
     class Crowded(ReducedMarket):
         market = crowded  # stands in for the market the template stamps

@@ -41,7 +41,6 @@ from circuitmarket import optimal_bundle, prices_to_json, solver
 from circuitmarket.market import (
     MarketError,
     _exact_key,
-    _greedy_walk,
     _split_demand,
     _walk_items,
     quote_table,
@@ -55,10 +54,9 @@ from circuitmarket.solver import (
     _demand_interval,
     _free_good_fold,
     _IncrementalFold,
-    _interested_buyers,
     _tie_candidates,
 )
-from oracle import oracle_max_utility
+from oracle import greedy_walk, oracle_max_utility, walk_order
 
 F = Fraction
 
@@ -105,27 +103,19 @@ def _random_splc_market(rng):
     return FisherMarket(goods, tuple(buyers)), prices
 
 
-def _full_key_walk(buyer, prices, favor, first):
-    """The greedy walk as a sort on the full key (-bang, pref, good, index)
-    over all positive-slope segments, built afresh from the utilities."""
-    pref_of = -1 if first else 1
-    items = []
-    for good, util in sorted(buyer.utilities.items()):
-        pref = pref_of if good == favor else 0
-        for index, s in enumerate(util.segments):
-            if s.slope > 0:
-                items.append((-(s.slope / prices[good]), pref, good, index, s))
-    items.sort(key=lambda it: it[:4])
-    remaining, walk = buyer.budget, []
-    for _, _, good, _, s in items:
-        if remaining == 0:
-            break
-        affordable = remaining / prices[good]
-        capped = not s.unbounded and affordable > s.length
-        amount = s.length if capped else affordable
-        walk.append((good, amount, amount * prices[good], capped))
-        remaining -= amount * prices[good]
-    return walk
+def _assert_walk_is_the_reference(buyer, prices, favor, first):
+    """One buyer's walk against the reference greedy of tests/oracle.py:
+    _walk_items lists the segments in the reference's order, and the budget
+    walk of _split_demand buys what the reference buys."""
+    quotes = quote_table(prices)
+    items = _walk_items(buyer, quotes, favor, first)
+    assert [(g, length, slope) for _, _, _, g, _, length, slope in items] == [
+        (g, s.length, s.slope) for g, s in walk_order(buyer.utilities, prices, favor, first)
+    ]
+    const, money = _split_demand([(buyer, buyer.budget)], quotes, favor, first)
+    ref_const, ref_money = _walk_split([buyer], prices, favor, first)
+    assert {g: F(*c) for g, c in const.items()} == ref_const
+    assert {g: F(*m) for g, m in money.items()} == ref_money
 
 
 def test_canonical_demand_is_the_optimal_bundle_of_every_buyer():
@@ -159,19 +149,19 @@ def test_greedy_walk_takes_segments_in_full_key_order():
         for buyer in market.buyers:
             for favor in (None, *market.goods):
                 for first in (True, False):
-                    assert list(
-                        _greedy_walk(buyer, buyer.budget, quote_table(prices), favor, first)
-                    ) == _full_key_walk(buyer, prices, favor, first)
+                    _assert_walk_is_the_reference(buyer, prices, favor, first)
 
 
 def test_greedy_walk_reads_the_price_of_every_valued_good():
     buyer = Buyer("b", F(1), {"x": linear(1), "z": capped(1, 0)})
+    entries = [(buyer, buyer.budget)]
     with pytest.raises(KeyError):
-        list(_greedy_walk(buyer, buyer.budget, quote_table({"x": F(1)})))
+        _split_demand(entries, quote_table({"x": F(1)}))
     with pytest.raises(UnboundedDemand):
-        list(_greedy_walk(buyer, buyer.budget, quote_table({"x": F(0), "z": F(1)})))
-    walk = list(_greedy_walk(buyer, buyer.budget, quote_table({"x": F(1), "z": F(0)})))
-    assert walk == [("x", F(1), F(1), False)]
+        _split_demand(entries, quote_table({"x": F(0), "z": F(1)}))
+    # the budget-limited purchase of one unit of x, its money 1
+    assert _split_demand(entries, quote_table({"x": F(1), "z": F(0)})) == ({}, {"x": (1, 1)})
+    assert optimal_bundle(buyer, {"x": F(1), "z": F(0)}).bundle == {"x": F(1)}
 
 
 def _float_key(slope, price):
@@ -242,9 +232,7 @@ def test_greedy_walk_takes_segments_in_full_key_order_on_float_near_ties():
                 reordered += 1
             for favor in (None, *market.goods):
                 for first in (True, False):
-                    assert list(
-                        _greedy_walk(buyer, buyer.budget, quote_table(prices), favor, first)
-                    ) == _full_key_walk(buyer, prices, favor, first)
+                    _assert_walk_is_the_reference(buyer, prices, favor, first)
     assert reordered > 150 and fallbacks > 150
 
 
@@ -278,11 +266,12 @@ def _fold_market(rng):
 
 
 def _walk_split(buyers, prices, favor, first):
-    """C and M of every good as Fractions, summed over _greedy_walk."""
+    """C and M of every good as Fractions, summed over the reference walk."""
     const, money = {}, {}
-    quotes = quote_table(prices)
     for buyer in buyers:
-        for good, amount, cost, capped in _greedy_walk(buyer, buyer.budget, quotes, favor, first):
+        for good, amount, cost, capped, _ in greedy_walk(
+            buyer.utilities, buyer.budget, prices, favor, first
+        ):
             if capped:
                 const[good] = const.get(good, F(0)) + amount
             else:
@@ -290,16 +279,27 @@ def _walk_split(buyers, prices, favor, first):
     return const, money
 
 
+def _reference_aggregate(market, prices):
+    """Every good's demand summed over the buyers' reference walks."""
+    total = dict.fromkeys(market.goods, F(0))
+    for buyer in market.buyers:
+        for good, amount, *_ in greedy_walk(buyer.utilities, buyer.budget, prices):
+            total[good] += amount
+    return total
+
+
 def test_integer_demand_fold_matches_the_fraction_walk():
-    """_split_demand against canonical_demand and the Fraction walk, and
-    _free_good_fold against the (demand, C, M) fold of the walk, for every
-    favored good and both tie breaks."""
+    """_split_demand and canonical_demand against the reference Fraction
+    walk, and _free_good_fold against the (demand, C, M) fold of that walk,
+    for every favored good and both tie breaks."""
     rng = random.Random(80)
     ties = wide = exact_keys = zero_slopes = unbounded = 0
     for _ in range(300):
         market, prices = _fold_market(rng)
-        const, money = _split_demand(market.buyers, quote_table(prices))
+        entries = [(buyer, buyer.budget) for buyer in market.buyers]
+        const, money = _split_demand(entries, quote_table(prices))
         aggregate = canonical_demand(market, prices).aggregate
+        assert aggregate == _reference_aggregate(market, prices)
         for good in market.goods:
             cn, cd = const.get(good, (0, 1))
             mn, md = money.get(good, (0, 1))
@@ -308,7 +308,7 @@ def test_integer_demand_fold_matches_the_fraction_walk():
         for favor in (None, *market.goods):
             for first in (True, False):
                 ref_const, ref_money = _walk_split(market.buyers, prices, favor, first)
-                const, money = _split_demand(market.buyers, quote_table(prices), favor, first)
+                const, money = _split_demand(entries, quote_table(prices), favor, first)
                 assert {g: F(*c) for g, c in const.items()} == ref_const
                 assert {g: F(*m) for g, m in money.items()} == ref_money
                 if favor is None:
@@ -339,7 +339,7 @@ def test_integer_demand_fold_sums_over_the_lcm_of_denominators():
     good at price 1: M's denominator divides lcm(2, ..., 11) = 27720, where
     a sum over the product of the denominators would not."""
     buyers = [Buyer(f"b{i}", F(1, 2 + i % 10), {"x": linear(1)}) for i in range(1000)]
-    const, money = _split_demand(buyers, quote_table({"x": F(1)}))
+    const, money = _split_demand([(b, b.budget) for b in buyers], quote_table({"x": F(1)}))
     mn, md = money["x"]
     assert "x" not in const
     assert 27720 % md == 0
@@ -580,7 +580,7 @@ def test_demand_interval_is_consistent_with_the_greedy_walk():
     ties_seen = wide_ties = 0
     for _ in range(100):
         market, prices = _random_clearing_case(rng)
-        buyers = _interested_buyers(market, "x")
+        buyers = market.interested_buyers.get("x", ())
         ties = _tie_candidates(buyers, "x", prices, lo, hi)
         points = [lo] + ties + [hi]
         off_ties = [(a + b) / 2 for a, b in zip(points, points[1:])]
@@ -594,7 +594,7 @@ def test_demand_interval_is_consistent_with_the_greedy_walk():
             )
         for p in ties:
             dmin, dmax = _demand_interval(buyers, "x", prices, p)
-            canonical = canonical_demand(market, {**prices, "x": p}).aggregate["x"]
+            canonical = _reference_aggregate(market, {**prices, "x": p})["x"]
             assert dmin <= canonical <= dmax
             ties_seen += 1
             wide_ties += dmin < dmax
@@ -663,7 +663,7 @@ def test_region_search_only_where_demand_can_cross(monkeypatch):
     for market, prices, (lo, hi), eps in _random_clearing_queries(400, 11):
         entered.clear()
         outcome = _clearing_outcome(market, prices, (lo, hi), eps)
-        buyers = _interested_buyers(market, "x")
+        buyers = market.interested_buyers.get("x", ())
         regions += len(_tie_candidates(buyers, "x", prices, lo, hi)) + 1
         assert len(set(entered)) == len(entered)
         for x, y in entered:
@@ -717,7 +717,7 @@ def test_incremental_fold_matches_the_one_shot_fold():
     flips = 0
     for _ in range(150):
         market, prices = _random_clearing_case(rng)
-        buyers = _interested_buyers(market, "x")
+        buyers = market.interested_buyers.get("x", ())
         ties = _tie_candidates(buyers, "x", prices, lo, hi)
         points = [lo] + ties + [hi]
         mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
@@ -756,7 +756,7 @@ def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
             Buyer("plain", F(1), {"x": linear(1)}),
         ),
     )
-    buyers = _interested_buyers(market, "x")
+    buyers = market.interested_buyers.get("x", ())
     fold = _IncrementalFold(buyers, "x")
     prices = {"y": F(1), "z": F(1)}
     for p in (F(1), F(1), 1 - 10 * tiny, F(1), 1 + 10 * tiny, F(1)):
@@ -861,11 +861,12 @@ def test_tatonnement_two_goods():
 
 
 def _fold_agrees_with_canonical_demand(market, quotes):
-    """The quote-table fold's C + M/p of every good equals canonical
-    demand's aggregate at the same prices."""
+    """The quote-table fold's C + M/p of every good, and canonical demand's
+    aggregate, equal the reference walk's demand at the same prices."""
     prices = {g: F(n, d) for g, (n, d, _) in quotes.items()}
-    const, money = _split_demand(market.buyers, quotes)
-    aggregate = canonical_demand(market, prices).aggregate
+    const, money = _split_demand([(b, b.budget) for b in market.buyers], quotes)
+    aggregate = _reference_aggregate(market, prices)
+    assert canonical_demand(market, prices).aggregate == aggregate
     for good in market.goods:
         c, m = F(*const.get(good, (0, 1))), F(*money.get(good, (0, 1)))
         assert c + m / prices[good] == aggregate[good]
@@ -898,9 +899,9 @@ def test_quote_table_fold_matches_canonical_demand_on_tatonnement_iterates(monke
     tables = []
     real = solver._split_demand
 
-    def recorded(buyers, quotes, *args):
+    def recorded(entries, quotes, *args):
         tables.append(dict(quotes))
-        return real(buyers, quotes, *args)
+        return real(entries, quotes, *args)
 
     monkeypatch.setattr(solver, "_split_demand", recorded)
     rng = random.Random(2027)

@@ -22,6 +22,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import market as mkt
 from . import purecircuit as pc
@@ -46,12 +47,15 @@ def _umask() -> int:
     return mask
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to `path` one at a time, through a temporary file
+    in the same directory that replaces `path` only once the last chunk is
+    written; if a chunk or a write fails, the temporary file is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.chmod(tmp, 0o666 & ~_umask())  # mkstemp made it 0o600
         os.replace(tmp, path)
     except BaseException:
@@ -65,12 +69,22 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, name: str, text: str) -> None:
-    """Write `text` to `name` in the --out directory, if one is given, and
-    print it."""
+def _printed(chunks: Iterable[str]) -> Iterator[str]:
+    """The chunks, each printed as it passes."""
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+        yield chunk
+
+
+def _emit(args, name: str, chunks: Iterable[str]) -> None:
+    """Print the chunks and, if an --out directory is given, write them to
+    `name` in it, in one pass: a failure part-way leaves the printed
+    prefix on stdout and no file."""
     if args.out:
-        _write_atomic(Path(args.out) / name, text)
-    print(text, end="")
+        _write_atomic(Path(args.out) / name, _printed(chunks))
+    else:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def _read(path: str) -> str:
@@ -139,8 +153,8 @@ def _cmd_compile(args) -> int:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
     reduced = reduction.ReducedMarket(params, circuit)
     out = Path(args.out)
-    _write_atomic(out / "market.json", reduction.reduced_market_to_json(reduced))
-    _write_atomic(out / "meta.json", reduction.metadata_to_json(reduced))
+    _write_atomic(out / "market.json", reduction._reduced_market_chunks(reduced))
+    _write_atomic(out / "meta.json", reduction._metadata_chunks(reduced))
     print(_json_text(reduction.census(reduced)), end="")
     return EXIT_PASS
 
@@ -154,7 +168,7 @@ def _cmd_verify(args) -> int:
         report = mkt.verify_fisher(market, prices, allocation, eps)
     except mkt.MarketError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    _emit(args, "report.json", mkt.report_to_json(report))
+    _emit(args, "report.json", [mkt.report_to_json(report)])
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -171,8 +185,8 @@ def _cmd_solve(args) -> int:
     except mkt.MarketError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
     out = Path(args.out)
-    _write_atomic(out / "prices.json", mkt.prices_to_json(result.prices))
-    _write_atomic(out / "trace.csv", solver.trace_to_csv(result.trace))
+    _write_atomic(out / "prices.json", [mkt.prices_to_json(result.prices)])
+    _write_atomic(out / "trace.csv", [solver.trace_to_csv(result.trace)])
     doc = {"converged": result.converged, "iterations": len(result.trace) - 1}
     print(_json_text(doc), end="")
     return EXIT_PASS
@@ -218,7 +232,7 @@ def _cmd_decode(args) -> int:
         "H": format_rational(result.h),
         "L": format_rational(result.l),
     }
-    _emit(args, "assignment.json", _json_text(doc))
+    _emit(args, "assignment.json", [_json_text(doc)])
     return EXIT_PASS
 
 
@@ -231,13 +245,13 @@ def _cmd_lemmas(args) -> int:
         report = solver.lemma_suite(reduced, prices, allocation, eps)
     except (solver.SuitePreconditionError, mkt.MarketError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    _emit(args, "lemmas.json", _json_text(report.to_json_dict()))
+    _emit(args, "lemmas.json", [_json_text(report.to_json_dict())])
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_to_exchange(args) -> int:
     market = _load_market(args.market)
-    _emit(args, "exchange.json", mkt.exchange_to_json(mkt.to_exchange(market)))
+    _emit(args, "exchange.json", mkt._exchange_chunks(mkt.to_exchange(market)))
     return EXIT_PASS
 
 
@@ -253,7 +267,7 @@ def _cmd_gadget_lab(args) -> int:
         summary = solver.gadget_lab_report(eps, mesh=args.mesh, override=override)
     except (solver.BracketError, reduction.ReductionError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    _emit(args, "gadget-lab.json", _json_text(summary))
+    _emit(args, "gadget-lab.json", [_json_text(summary)])
     return EXIT_PASS if summary["pass"] else EXIT_FAIL
 
 

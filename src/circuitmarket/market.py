@@ -34,6 +34,14 @@ of one agent alone, so optimal_bundle, canonical demand and verification
 all read the same walk.  Verification's best utility is the value of the
 canonical bundle: the walk buys each good's segments in segment order, so
 its amount of a good is a prefix of the good's segments.
+
+The documents are written directly, not through json.dumps, with the
+bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
+generator fed through _document: _market_chunks yields one chunk per
+buyer, and _exchange_chunks one per trader, so a writer holds O(goods) of
+the dense exchange document at a time.  market_to_json and
+exchange_to_json are the joins of those chunks; the CLI writes the chunks
+to disk as they come.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -768,14 +776,33 @@ def _utilities_block(
     return "{\n%s\n      }" % ",\n".join(entries) if entries else "{}"
 
 
-def _document(buyers: list[str], goods: tuple[str, ...]) -> str:
-    """The top-level {"buyers": [...], "goods": [...]} object, given each
-    buyer's already-encoded block."""
-    goods_lines = [f"    {_encode_str(good)}" for good in goods]
-    return '{\n  "buyers": %s,\n  "goods": %s\n}\n' % (
-        "[\n%s\n  ]" % ",\n".join(buyers) if buyers else "[]",
-        "[\n%s\n  ]" % ",\n".join(goods_lines) if goods_lines else "[]",
-    )
+def _array(chunks: Iterable[str]) -> Iterator[str]:
+    """A top-level JSON array of a market document, given its entries in
+    chunks of one or more already-encoded entries joined by ",\\n"; an
+    empty chunk holds no entry."""
+    separator = "[\n"
+    for chunk in chunks:
+        if chunk:
+            yield separator
+            yield chunk
+            separator = ",\n"
+    yield "[]" if separator == "[\n" else "\n  ]"
+
+
+def _document(buyers: Iterable[str], goods: Iterable[str]) -> Iterator[str]:
+    """The top-level {"buyers": [...], "goods": [...]} object, chunk by
+    chunk, given the buyers' and the goods' entries as _array chunks, so a
+    writer holds one chunk at a time."""
+    yield '{\n  "buyers": '
+    yield from _array(buyers)
+    yield ',\n  "goods": '
+    yield from _array(goods)
+    yield "\n}\n"
+
+
+def _goods_chunk(goods: Iterable[str]) -> str:
+    """Goods as one _array chunk."""
+    return ",\n".join(f"    {_encode_str(good)}" for good in goods)
 
 
 def _buyer_block(budget_text: str, id_text: str, utilities_text: str) -> str:
@@ -788,6 +815,20 @@ def _buyer_block(budget_text: str, id_text: str, utilities_text: str) -> str:
     )
 
 
+def _market_chunks(market: FisherMarket) -> Iterator[str]:
+    """market_to_json's document, one chunk per buyer."""
+    blocks: dict[int, str] = {}
+    buyers = (
+        _buyer_block(
+            format_rational(buyer.budget),
+            _encode_str(buyer.id),
+            _utilities_block(buyer.utilities, blocks),
+        )
+        for buyer in market.buyers
+    )
+    return _document(buyers, [_goods_chunk(market.goods)])
+
+
 def market_to_json(market: FisherMarket) -> str:
     """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 
@@ -795,16 +836,7 @@ def market_to_json(market: FisherMarket) -> str:
     pure-Python encoder.  Each utility object's segment block is encoded
     once; compiled buyers share a few utility objects.
     """
-    blocks: dict[int, str] = {}
-    buyers = [
-        _buyer_block(
-            format_rational(buyer.budget),
-            _encode_str(buyer.id),
-            _utilities_block(buyer.utilities, blocks),
-        )
-        for buyer in market.buyers
-    ]
-    return _document(buyers, market.goods)
+    return "".join(_market_chunks(market))
 
 
 def _rational_from_json(text, seen: dict[str, Fraction]) -> Fraction:
@@ -869,28 +901,34 @@ def report_to_json(report: EquilibriumReport) -> str:
     )
 
 
-def exchange_to_json(exchange: ExchangeMarket) -> str:
-    """The dense exchange document, as ``json.dumps(doc, indent=2,
-    sort_keys=True) + "\\n"`` would write it: every trader lists its share
-    under every good, so the document has |traders| * |goods| endowments.
-
-    Written directly like market_to_json.  The sorted, encoded good keys
-    are built once, and each trader's endowment block is one join over them.
-    """
+def _exchange_chunks(exchange: ExchangeMarket) -> Iterator[str]:
+    """exchange_to_json's document, one chunk per trader, so a writer
+    holds O(goods) of it at a time.  The sorted, encoded good keys are
+    built once, and each trader's endowment block is one join over them."""
     keys = [f'        {_encode_str(good)}: "' for good in sorted(exchange.goods)]
     blocks: dict[int, str] = {}
-    buyers = []
-    for trader in exchange.traders:
+
+    def trader_block(trader: Trader) -> str:
         share = format_rational(trader.share)
         endowments = (
             '{\n%s%s"\n      }' % (f'{share}",\n'.join(keys), share) if keys else "{}"
         )
-        buyers.append(
+        return (
             f'    {{\n      "endowments": {endowments},\n'
             f'      "id": {_encode_str(trader.id)},\n'
             f'      "utilities": {_utilities_block(trader.utilities, blocks)}\n    }}'
         )
-    return _document(buyers, exchange.goods)
+
+    traders = (trader_block(trader) for trader in exchange.traders)
+    return _document(traders, [_goods_chunk(exchange.goods)])
+
+
+def exchange_to_json(exchange: ExchangeMarket) -> str:
+    """The dense exchange document, as ``json.dumps(doc, indent=2,
+    sort_keys=True) + "\\n"`` would write it: every trader lists its share
+    under every good, so the document has |traders| * |goods| endowments.
+    Written directly like market_to_json."""
+    return "".join(_exchange_chunks(exchange))
 
 
 def _share_from_json(row, known: set[str]) -> Fraction:

@@ -7,6 +7,12 @@ anything between as bot.  NOT and NAND gates become two-buyer gadgets
 chains of d NOT gadgets with alternating auxiliary amounts.  The circuit
 is replicated k times, one copy per subinterval of [H_min, H_max], and
 top-up buyers pad every input good to exactly two consuming gadgets.
+
+market.json and meta.json are stamped from the one-copy template, never
+from a built market.  _reduced_market_chunks and _metadata_chunks yield
+one chunk per copy for the buyers and one per copy for the goods, so a
+writer holds one copy's text at a time; reduced_market_to_json and
+metadata_to_json are the joins of the same chunks.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .market import (
     Buyer,
@@ -28,6 +34,7 @@ from .market import (
     _document,
     _encode_str,
     _fraction_sum,
+    _goods_chunk,
     _utilities_block,
 )
 from .purecircuit import CircuitInstance, GateType
@@ -447,9 +454,10 @@ def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMark
     return FisherMarket(tuple(goods), tuple(buyers))
 
 
-def reduced_market_to_json(reduced: ReducedMarket) -> str:
-    """The bytes of ``market_to_json(reduced.market)``, stamped from the
-    copy template without building the market.
+def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
+    """reduced_market_to_json's document, one chunk per copy for its
+    buyers and one per copy for its goods, so a writer holds one copy's
+    text at a time.
 
     One copy's buyer blocks are rendered once, with "%(p)s" for the
     "c{c}/" prefix and a named slot per budget key, and filled in per copy
@@ -461,7 +469,7 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
     and copy 0 are built as a market (distinct ids, utilities only on its
     goods, positive budgets), the other copies differ from copy 0 only by
     their prefix, and every copy's budgets must be positive, one sign test
-    each.
+    each, made before the copy's chunk is yielded.
     """
     k, template = reduced.params.k, reduced.template
     recipes = _recipes(reduced.params, template)
@@ -482,24 +490,34 @@ def reduced_market_to_json(reduced: ReducedMarket) -> str:
         )
         for buyer, (_, key, _) in zip(copy_buyers, recipe_buyers)
     ).replace('"c0/', '"%(p)s')
-    buyers = [
-        _buyer_block(
-            format_rational(ref_buyer.budget),
-            _encode_str(ref_buyer.id),
-            _utilities_block(ref_buyer.utilities, blocks),
-        )
-    ]
-    for c in range(k):
-        fill = {"p": f"c{c}/"}
-        for key, (n, q) in budget_of(c).items():
-            if n <= 0:
-                raise MarketError(f"copy {c} has a budget that is not positive")
-            fill[key] = format_pair(n, q)
-        if copy_text:
-            buyers.append(copy_text % fill)
-    goods = [REF_GOOD]
-    goods += [f"c{c}/{local}" for c in range(k) for local, _ in template.goods]
-    return _document(buyers, goods)
+    ref_text = _buyer_block(
+        format_rational(ref_buyer.budget),
+        _encode_str(ref_buyer.id),
+        _utilities_block(ref_buyer.utilities, blocks),
+    )
+
+    def buyers() -> Iterator[str]:
+        yield ref_text
+        for c in range(k):
+            fill = {"p": f"c{c}/"}
+            for key, (n, q) in budget_of(c).items():
+                if n <= 0:
+                    raise MarketError(f"copy {c} has a budget that is not positive")
+                fill[key] = format_pair(n, q)
+            yield copy_text % fill
+
+    def goods() -> Iterator[str]:
+        yield _goods_chunk([REF_GOOD])
+        for c in range(k):
+            yield _goods_chunk(f"c{c}/{local}" for local, _ in template.goods)
+
+    return _document(buyers(), goods())
+
+
+def reduced_market_to_json(reduced: ReducedMarket) -> str:
+    """The bytes of ``market_to_json(reduced.market)``, stamped from the
+    copy template without building the market (see _reduced_market_chunks)."""
+    return "".join(_reduced_market_chunks(reduced))
 
 
 # --- decoding ---------------------------------------------------------------
@@ -680,21 +698,26 @@ def _copy_entries(roles) -> str:
     return ",\n".join(entries)
 
 
-def metadata_to_json(reduced: ReducedMarket) -> str:
-    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for
-    the params, the circuit and the role of every good and buyer.
+def _metadata_chunks(reduced: ReducedMarket) -> Iterator[str]:
+    """metadata_to_json's document, one chunk per copy for its buyer roles
+    and one per copy for its good roles, so a writer holds one copy's text
+    at a time.
 
-    Written directly: one copy's role entries are rendered once from the
-    template, sorted by local id, and stamped once per copy in the string
-    order of the "c{c}/" prefixes.  "/" sorts before every digit, so one
-    copy's ids are contiguous and "c10/" comes before "c2/"; "b_ref" sorts
-    before every copy's buyers and "ref" after every copy's goods.
+    One copy's role entries are rendered once from the template, sorted by
+    local id, and stamped once per copy in the string order of the "c{c}/"
+    prefixes.  "/" sorts before every digit, so one copy's ids are
+    contiguous and "c10/" comes before "c2/"; "b_ref" sorts before every
+    copy's buyers and "ref" after every copy's goods.
     """
     order = [str(c) for c in sorted(range(reduced.params.k), key=lambda c: f"c{c}/")]
 
-    def stamped(roles) -> list[str]:
-        parts = _copy_entries(roles).split(_COPY)
-        return [c.join(parts) for c in order] if roles else []
+    def stamped(roles, before: str, after: str) -> Iterator[str]:
+        """Each copy's entries, each with `before` ahead of it and `after`
+        behind it."""
+        if roles:
+            parts = (before + _copy_entries(roles) + after).split(_COPY)
+            for c in order:
+                yield c.join(parts)
 
     def nested(obj) -> str:
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")
@@ -707,12 +730,17 @@ def metadata_to_json(reduced: ReducedMarket) -> str:
             for g in reduced.circuit.gates
         ],
     }
-    return (
-        '{\n  "buyer_roles": {\n%s\n  },\n  "circuit": %s,\n'
-        '  "good_roles": {\n%s\n  },\n  "params": %s\n}\n'
-    ) % (
-        ",\n".join([reference % REF_BUYER] + stamped(reduced.template.buyers)),
-        nested(circuit),
-        ",\n".join(stamped(reduced.template.goods) + [reference % REF_GOOD]),
-        nested(reduced.params.to_json_dict()),
+    yield '{\n  "buyer_roles": {\n' + reference % REF_BUYER
+    yield from stamped(reduced.template.buyers, ",\n", "")
+    yield '\n  },\n  "circuit": %s,\n  "good_roles": {\n' % nested(circuit)
+    yield from stamped(reduced.template.goods, "", ",\n")
+    yield reference % REF_GOOD + '\n  },\n  "params": %s\n}\n' % nested(
+        reduced.params.to_json_dict()
     )
+
+
+def metadata_to_json(reduced: ReducedMarket) -> str:
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` for
+    the params, the circuit and the role of every good and buyer, written
+    directly (see _metadata_chunks)."""
+    return "".join(_metadata_chunks(reduced))

@@ -294,45 +294,6 @@ def trace_to_csv(trace: tuple[TraceRow, ...]) -> str:
 # pinned-price bisection
 
 
-def _free_good_fold(
-    buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction], first: bool
-) -> tuple[Fraction, Fraction, Fraction]:
-    """(demand, C, M) for `good` at `prices`, greedy ties broken towards the
-    good (first) or away from it.
-
-    Away from tie prices demand = C + M/p locally: C collects cap-limited
-    purchases of the good (constant in p), M the money spent on
-    budget-limited ones (demand scales as M/p).  Both come from the integer
-    fold _split_demand, exactly as a Fraction sum over the greedy walks
-    would give them.
-
-    Cost: one walk (_walk_items, a sort of the buyer's segments) per buyer
-    per call.  This is the one-shot fold; pinned_bisection evaluates many
-    prices of one good and uses _IncrementalFold, which returns the same
-    triple at every price and re-walks only the buyers whose part of C and
-    M can have changed.
-    """
-    entries = [(buyer, buyer.budget) for buyer in buyers]
-    const, money = _split_demand(entries, quote_table(prices), good, first)
-    c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
-    p = prices[good]
-    return F(*_demand_pair(c, m, p.numerator, p.denominator)), F(*c), F(*m)
-
-
-def _demand_interval(
-    buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction], p: Fraction
-) -> tuple[Fraction, Fraction]:
-    """[min, max] demand for `good` at price p over all optimal bundles.
-
-    Extremes are reached by breaking greedy ties against/towards the good.
-    """
-    pr = {**prices, good: p}
-    return (
-        _free_good_fold(buyers, good, pr, first=False)[0],
-        _free_good_fold(buyers, good, pr, first=True)[0],
-    )
-
-
 def _float(n: int, d: int) -> float:
     """n/d rounded to a float, inf if too large: a rounding that keeps
     order, so a float test decides every comparison but equal floats."""
@@ -348,8 +309,12 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 
 class _IncrementalFold:
-    """The (demand, C, M) triple of _free_good_fold for one free good, over
-    many prices of it, with every other price pinned.
+    """The (demand, C, M) triple of one free good over many prices of it,
+    with every other price pinned: demand = C + M/p locally, where C
+    collects the buyers' purchases of the good that its segment lengths cap
+    (constant in p) and M the money of those that budgets limit (demand
+    scales as M/p), greedy ties broken towards the good (first) or away
+    from it.
 
     A buyer's greedy walk at price p of the good fixes its part of the
     aggregate on an open interval of prices around p: C_b, the lengths of
@@ -435,7 +400,8 @@ class _IncrementalFold:
         return F(*_demand_pair((cn, cd), money, pn, pd)), F(cn, cd), F(*money)
 
     def interval(self, prices: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
-        """[min, max] demand at prices[good], as _demand_interval.
+        """[min, max] demand at prices[good] over all optimal bundles, the
+        extremes of breaking greedy ties against and towards the good.
 
         The tie break towards the good goes first: the walk that breaks
         ties away from it holds above the price, where the scan goes next.

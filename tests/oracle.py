@@ -9,10 +9,17 @@ bang-per-buck ordering.
 
 greedy_walk is the bang-per-buck greedy written plainly in Fractions, a
 reference for the program's walk order, tie breaks and budget loop.
+
+free_good_fold and demand_interval are the one-shot forms of the demand
+that pinned_bisection's incremental fold keeps: every buyer folded afresh
+through the program's integer fold, at one price of one good.
 """
 
 from fractions import Fraction
 import itertools
+
+from circuitmarket.market import _split_demand, quote_table
+from circuitmarket.solver import _NO_PAIR, _demand_pair
 
 ZERO = Fraction(0)
 
@@ -105,3 +112,33 @@ def greedy_bundle(utilities, budget, prices):
         bundle[good] = bundle.get(good, ZERO) + amount
         utility += slope * amount
     return bundle, utility
+
+
+def free_good_fold(buyers, good, prices, first):
+    """(demand, C, M) for `good` at `prices`, greedy ties broken towards the
+    good (first) or away from it.
+
+    Away from tie prices demand = C + M/p locally: C collects cap-limited
+    purchases of the good (constant in p), M the money spent on
+    budget-limited ones (demand scales as M/p).  Both come from the integer
+    fold _split_demand, exactly as a Fraction sum over the greedy walks
+    would give them.  One walk per buyer per call.
+    """
+    entries = [(buyer, buyer.budget) for buyer in buyers]
+    const, money = _split_demand(entries, quote_table(prices), good, first)
+    c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
+    p = prices[good]
+    n, d = _demand_pair(c, m, p.numerator, p.denominator)
+    return Fraction(n, d), Fraction(*c), Fraction(*m)
+
+
+def demand_interval(buyers, good, prices, p):
+    """[min, max] demand for `good` at price p over all optimal bundles.
+
+    Extremes are reached by breaking greedy ties against/towards the good.
+    """
+    pr = {**prices, good: p}
+    return (
+        free_good_fold(buyers, good, pr, first=False)[0],
+        free_good_fold(buyers, good, pr, first=True)[0],
+    )

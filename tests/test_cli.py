@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -5,13 +6,19 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from circuitmarket import cli, reduction, solver
-from test_reduction import GOLDEN_DIGESTS
+from circuitmarket.market import MarketError
+from test_reduction import (
+    GOLDEN_DIGESTS,
+    PAPER_SCALE_NAND_DIGESTS,
+    _zero_budget_in_copy_1,
+)
 from circuitmarket import (
     Buyer,
     FisherMarket,
@@ -873,3 +880,157 @@ def test_compile_maps_bad_circuits_and_parameters_to_exit_codes(
     assert cli.run(["compile", str(circuit), "--out", str(out)] + args) == code
     assert message in _assert_json_error(capsys, code)
     assert not out.exists()
+
+
+# --- documents are streamed ---------------------------------------------------
+
+
+class _DigestSink:
+    """A stdout that keeps only the sha256 and the size of what is printed."""
+
+    def __init__(self):
+        self.sha, self.size = hashlib.sha256(), 0
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _traced_peak(call) -> tuple:
+    """(result, traced peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_paper_scale_compile_holds_one_copy_at_a_time(tmp_path, capsys):
+    """CLI compile writes market.json and meta.json a copy at a time, so its
+    peak is a small part of the 38.7 MB it writes at the paper's scale."""
+    circuit = tmp_path / "nand.pc"
+    circuit.write_text(solver.NAND_FIXTURE)
+    out = tmp_path / "build"
+    argv = ["compile", str(circuit), "--eps", "1/12", "--out", str(out)]
+    code, peak = _traced_peak(lambda: cli.run(argv))
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["goods_total"] == 26401
+    documents = [out / "market.json", out / "meta.json"]
+    sha = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert tuple(sha(path) for path in documents) == PAPER_SCALE_NAND_DIGESTS
+    assert peak < sum(path.stat().st_size for path in documents) / 8
+
+
+def test_to_exchange_holds_one_trader_at_a_time(tmp_path, capsys, monkeypatch):
+    """CLI to-exchange writes the dense document a trader at a time, to the
+    --out file and to stdout in one pass, with the same bytes in both.
+
+    Its peak is that of reading market.json, which parses the whole
+    document, plus a small part of what it writes: at k = 50 the read alone
+    peaks at about a quarter of the 6.1 MB written."""
+    circuit = tmp_path / "nand.pc"
+    circuit.write_text(solver.NAND_FIXTURE)
+    build = tmp_path / "build"
+    args = ["--eps", "1/12", "--override-k", "50", "--override-d", "16"]
+    assert cli.run(["compile", str(circuit), "--out", str(build)] + args) == 0
+    capsys.readouterr()
+    market = str(build / "market.json")
+    _, read_peak = _traced_peak(lambda: cli._load_market(market))
+    sink = _DigestSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["to-exchange", "--market", market, "--out", str(build)]
+    code, peak = _traced_peak(lambda: cli.run(argv))
+    assert code == 0
+    written = (build / "exchange.json").read_bytes()
+    assert sink.size == len(written)
+    assert sink.sha.hexdigest() == hashlib.sha256(written).hexdigest()
+    assert peak < read_peak + len(written) / 8
+
+
+def _failing_after_first(chunks):
+    """The first chunk, then a full disk."""
+    yield next(iter(chunks))
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _FullDisk:
+    """An open file that takes one write, then fails as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle, self.writes = handle, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text: str) -> int:
+        if self.writes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes += 1
+        return self.handle.write(text)
+
+    def writelines(self, chunks) -> None:
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def _assert_full_disk_error(capsys) -> str:
+    """stdout, after checking that stderr holds the one JSON error line of
+    a full disk."""
+    captured = capsys.readouterr()
+    error = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert json.loads(captured.err) == {"error": error, "code": 2}
+    return captured.out
+
+
+def test_compile_that_fails_mid_document_leaves_no_file(
+    circuit_file, tmp_path, capsys, monkeypatch
+):
+    chunks = reduction._reduced_market_chunks
+    monkeypatch.setattr(
+        reduction, "_reduced_market_chunks", lambda r: _failing_after_first(chunks(r))
+    )
+    out = tmp_path / "build"
+    argv = ["compile", str(circuit_file), "--eps", "0", "--out", str(out)]
+    assert cli.run(argv + OVERRIDE_ARGS) == 2
+    assert _assert_full_disk_error(capsys) == ""
+    assert list(out.iterdir()) == []  # no market.json, temporary or not
+
+
+def test_to_exchange_that_fails_mid_document_leaves_a_printed_prefix(
+    equilibrium, tmp_path, capsys, monkeypatch
+):
+    market_path, _, _ = equilibrium
+    out = tmp_path / "ex"
+    assert cli.run(["to-exchange", "--market", str(market_path)]) == 0
+    document = capsys.readouterr().out
+    fdopen = os.fdopen
+    monkeypatch.setattr(cli.os, "fdopen", lambda *a: _FullDisk(fdopen(*a)))
+    code = cli.run(["to-exchange", "--market", str(market_path), "--out", str(out)])
+    assert code == 2
+    printed = _assert_full_disk_error(capsys)
+    assert printed and document.startswith(printed) and printed != document
+    assert list(out.iterdir()) == []  # no exchange.json, temporary or not
+
+
+def test_budget_check_fires_with_nothing_written(tmp_path):
+    """A copy whose budget is not positive stops the market writer after
+    earlier copies are streamed: the temporary file goes, and no target is
+    made."""
+    circuit = parse_circuit(NOT_CYCLE)
+    params = reduction.validated_params(circuit, F(1, 12), {"k": 3, "d": 2})
+    tampered = reduction.ReducedMarket(
+        _zero_budget_in_copy_1(reduction.ReducedMarket(params, circuit))["params"],
+        circuit,
+    )
+    out = tmp_path / "build"
+    with pytest.raises(MarketError, match="copy 1 has a budget that is not positive"):
+        cli._write_atomic(out / "market.json", reduction._reduced_market_chunks(tampered))
+    assert list(out.iterdir()) == []

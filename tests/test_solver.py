@@ -51,12 +51,16 @@ from circuitmarket.solver import (
     NOT_CYCLE,
     NOT_FIXTURE,
     PURIFY_FIXTURE,
-    _demand_interval,
-    _free_good_fold,
     _IncrementalFold,
     _tie_candidates,
 )
-from oracle import greedy_walk, oracle_max_utility, walk_order
+from oracle import (
+    demand_interval,
+    free_good_fold,
+    greedy_walk,
+    oracle_max_utility,
+    walk_order,
+)
 
 F = Fraction
 
@@ -290,7 +294,7 @@ def _reference_aggregate(market, prices):
 
 def test_integer_demand_fold_matches_the_fraction_walk():
     """_split_demand and canonical_demand against the reference Fraction
-    walk, and _free_good_fold against the (demand, C, M) fold of that walk,
+    walk, and free_good_fold against the (demand, C, M) fold of that walk,
     for every favored good and both tie breaks."""
     rng = random.Random(80)
     ties = wide = exact_keys = zero_slopes = unbounded = 0
@@ -316,7 +320,7 @@ def test_integer_demand_fold_matches_the_fraction_walk():
                 c = ref_const.get(favor, F(0))
                 m = ref_money.get(favor, F(0))
                 expected = (c + m / prices[favor], c, m)
-                assert _free_good_fold(market.buyers, favor, prices, first) == expected
+                assert free_good_fold(market.buyers, favor, prices, first) == expected
         wide += any(1 << 30 < p.denominator <= 1 << 40 for p in prices.values())
         for buyer in market.buyers:
             exact_keys += any(
@@ -589,11 +593,11 @@ def test_demand_interval_is_consistent_with_the_greedy_walk():
             if p in ties:
                 continue
             pr = {**prices, "x": p}
-            assert _free_good_fold(buyers, "x", pr, first=True) == _free_good_fold(
+            assert free_good_fold(buyers, "x", pr, first=True) == free_good_fold(
                 buyers, "x", pr, first=False
             )
         for p in ties:
-            dmin, dmax = _demand_interval(buyers, "x", prices, p)
+            dmin, dmax = demand_interval(buyers, "x", prices, p)
             canonical = _reference_aggregate(market, {**prices, "x": p})["x"]
             assert dmin <= canonical <= dmax
             ties_seen += 1
@@ -667,8 +671,8 @@ def test_region_search_only_where_demand_can_cross(monkeypatch):
         regions += len(_tie_candidates(buyers, "x", prices, lo, hi)) + 1
         assert len(set(entered)) == len(entered)
         for x, y in entered:
-            dmin_x = _demand_interval(buyers, "x", prices, x)[0]
-            dmax_y = _demand_interval(buyers, "x", prices, y)[1]
+            dmin_x = demand_interval(buyers, "x", prices, x)[0]
+            dmax_y = demand_interval(buyers, "x", prices, y)[1]
             if outcome[0] != "BracketError" and outcome[3]:
                 assert dmin_x > 1 >= dmax_y
                 exact_calls += 1
@@ -707,7 +711,7 @@ def _budget_breakpoints(buyer, prices, p):
 
 
 def test_incremental_fold_matches_the_one_shot_fold():
-    """_IncrementalFold against _free_good_fold, triple for triple, at tie
+    """_IncrementalFold against free_good_fold, triple for triple, at tie
     points with both tie breaks, at region midpoints and exactly on budget
     breakpoints, in a seeded order, so that one fold moves back and forth
     over the intervals it keeps."""
@@ -731,15 +735,15 @@ def test_incremental_fold_matches_the_one_shot_fold():
         pr = dict(prices)
         for p, first, kind in queries:
             pr["x"] = p
-            assert fold(pr, first) == _free_good_fold(buyers, "x", pr, first)
+            assert fold(pr, first) == free_good_fold(buyers, "x", pr, first)
             seen[kind] += 1
         for p in ties:
             pr["x"] = p
-            assert fold.interval(pr) == _demand_interval(buyers, "x", prices, p)
+            assert fold.interval(pr) == demand_interval(buyers, "x", prices, p)
         for p in breaks:
             # C jumps at a breakpoint, whether or not demand does
-            below = _free_good_fold(buyers, "x", {**prices, "x": p * (1 - F(1, 10**9))}, True)
-            flips += below[1] != _free_good_fold(buyers, "x", {**prices, "x": p}, True)[1]
+            below = free_good_fold(buyers, "x", {**prices, "x": p * (1 - F(1, 10**9))}, True)
+            flips += below[1] != free_good_fold(buyers, "x", {**prices, "x": p}, True)[1]
     assert min(seen.values()) > 500 and flips > 100
 
 
@@ -761,7 +765,7 @@ def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
     prices = {"y": F(1), "z": F(1)}
     for p in (F(1), F(1), 1 - 10 * tiny, F(1), 1 + 10 * tiny, F(1)):
         prices["x"] = p
-        assert fold(prices, True) == _free_good_fold(buyers, "x", prices, True)
+        assert fold(prices, True) == free_good_fold(buyers, "x", prices, True)
 
 
 def _clear_ref(k):

@@ -16,24 +16,32 @@ one, ties included.  A price or slope whose float is not a normal number
 (such as a price of 10**-400), or a quotient that is not, sends the whole
 walk to the exact keys.  No float reaches a result.
 
-The walks read prices from a quote table (quote_table), built once per
-set of prices: good -> (numerator, denominator, screened float), where the
-float is that of a positive normal price, 0.0 marks a zero price and inf
-any other, so no walk reads a Fraction's numerator or rounds a price again.
+The walks read each price as a quote (_quote), built once per set of
+prices: (numerator, denominator, screened float), where the float is that
+of a positive normal price, 0.0 marks a zero price and inf any other, so
+no walk reads a Fraction's numerator or rounds a price again.
+_walk_items reads a quote table (quote_table, good -> quote), _Fold a
+quote list in the order of its goods.
 
-_walk_items is that one sort; a walk of one segment is not sorted, and
-one of two makes a single float comparison.  _split_demand is the one
-walk that spends a budget along that order, in integers, folding the
-purchases of many (agent, budget) entries: a good's aggregate demand is
-C + M/p at its price p, where C sums the segment lengths bought in full
-and M the money of the purchases the budget limits.  Each walk keeps its
-remaining budget as an unreduced integer pair and reduces it once; sums
-over agents combine denominators by their lcm.  Tâtonnement reads the
-fold of every buyer; a canonical bundle (_canonical_bundle) is the fold
-of one agent alone, so optimal_bundle, canonical demand and verification
-all read the same walk.  Verification's best utility is the value of the
-canonical bundle: the walk buys each good's segments in segment order, so
-its amount of a good is a prefix of the good's segments.
+_float_order and _exact_order are that one ordering rule: the first
+decides a walk of up to three segments whose float keys are well apart,
+the second settles every other walk.  _Fold is the one walk that
+spends a budget along it, in integers, folding the purchases of many
+(agent, budget) entries: a good's aggregate demand is C + M/p at its price
+p, where C sums the segment lengths bought in full and M the money of the
+purchases the budget limits.  A fold is compiled once per agent list: it
+indexes the goods and flattens each agent's segments, so a call at new
+prices reads a quote list, orders a walk of up to three segments by a
+float comparison or three (_float_order; the rest through _exact_order),
+and sums C and M per good by integer-pair adds.  A Fisher market keeps
+the fold of its buyers (FisherMarket.fold), which tâtonnement calls once
+per iteration; a canonical bundle (_Fold.bundle) is the fold of one agent
+alone, so optimal_bundle, canonical demand and verification all read the
+same walk.
+Verification's best utility is the value of the canonical bundle: the
+walk buys each good's segments in segment order, so its amount of a good
+is a prefix of the good's segments.  _walk_items lists one agent's walk,
+for solver._IncrementalFold.
 
 The documents are written directly, not through json.dumps, with the
 bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
@@ -147,13 +155,13 @@ class SplcUtility:
         )
 
     @cached_property
-    def walk_segments(self) -> tuple[tuple[Fraction, Optional[Fraction], float], ...]:
-        """(slope, length, float slope) of each positive-slope segment, in
-        segment order, as _Walked.walk_order lists them; buyers that share a
-        utility object share this tuple."""
+    def walk_segments(self) -> tuple:
+        """(slope pair, length pair or None, float slope) of each
+        positive-slope segment, in segment order, as _Walked.walk_order
+        lists them; buyers that share a utility object share this tuple."""
         return tuple(
-            (s.slope, s.length, _normal_float(*s.slope.as_integer_ratio(), 0.0))
-            for s in self.segments if s.slope > 0
+            (slope, length, _normal_float(*slope, 0.0))
+            for length, slope in self.segment_pairs if slope[0] > 0
         )
 
     @property
@@ -171,12 +179,13 @@ class _Walked:
 
     @cached_property
     def walk_order(self) -> tuple[tuple[str, tuple], ...]:
-        """(good, ((slope, length, float slope), ...)) per valued good in
-        good-id order, listing the good's positive-slope segments in segment
-        order.  Built on the agent's first walk and kept, so a walk re-sorts
-        nothing by good and skips no zero-slope segment.  A slope whose float
-        is not a normal number gets the float 0.0, which sends every walk
-        that reads it to the exact keys."""
+        """(good, ((slope pair, length pair, float slope), ...)) per valued
+        good in good-id order, listing the good's positive-slope segments in
+        segment order (SplcUtility.walk_segments).  Built on the agent's
+        first walk and kept, so a walk re-sorts nothing by good and skips no
+        zero-slope segment.  A slope whose float is not a normal number gets
+        the float 0.0, which sends every walk that reads it to the exact
+        keys."""
         return tuple(
             (good, util.walk_segments) for good, util in sorted(self.utilities.items())
         )
@@ -226,7 +235,9 @@ class Buyer(_Walked):
     def __post_init__(self):
         if type(self.budget) is not Fraction:
             object.__setattr__(self, "budget", Fraction(self.budget))
-        if self.budget <= 0:
+        # the sign of the numerator, not a Fraction comparison: compiled
+        # markets build tens of thousands of buyers
+        if self.budget.numerator <= 0:
             raise MarketError(f"buyer {self.id!r} budget must be positive")
 
 
@@ -260,6 +271,14 @@ class FisherMarket:
                     index.setdefault(good, []).append(buyer)
         return {good: tuple(buyers) for good, buyers in index.items()}
 
+    @cached_property
+    def fold(self) -> "_Fold":
+        """The buyers at their budgets, compiled into one _Fold on first use
+        and kept: tâtonnement, canonical_demand and verify_fisher all walk
+        it, so a market is compiled once however often it is solved or
+        checked."""
+        return _Fold(self.goods, ((buyer, buyer.budget) for buyer in self.buyers))
+
 
 @dataclass(frozen=True)
 class Trader(_Walked):
@@ -272,7 +291,7 @@ class Trader(_Walked):
     def __post_init__(self):
         if type(self.share) is not Fraction:
             object.__setattr__(self, "share", Fraction(self.share))
-        if self.share < 0:
+        if self.share.numerator < 0:
             raise MarketError(f"trader {self.id!r} share must be non-negative")
 
 
@@ -327,39 +346,83 @@ def quote_table(prices: Mapping[str, Fraction]) -> dict[str, Quote]:
 
 def _exact_key(item) -> tuple:
     """(bang-per-buck, preference, -position) of a walk item."""
-    _, position, pref, _, (n, d, _), _, slope = item
-    return Fraction(slope.numerator * d, slope.denominator * n), pref, -position
+    _, position, pref, _, (n, d, _), _, (sn, sd) = item
+    return Fraction(sn * d, sd * n), pref, -position
+
+
+def _float_order(walk, keys: list[float]):
+    """`walk`, a sequence of at most three entries, in decreasing order of
+    their float keys `keys` (the segment's float slope over its good's
+    screened float price), or None if the floats do not decide the exact
+    order: a longer walk, two keys within a relative 2**-30 of each other,
+    or a key that is not a positive normal float.  As the module docstring
+    says, floats that decide it give the exact order; a walk of one entry
+    is its own order, and one of two takes one float comparison.  The one
+    float screen of every walk."""
+    n = len(keys)
+    if n < 2:
+        return walk
+    if n == 2:
+        ka, kb = keys
+        if _FLOAT_MIN <= ka <= _FLOAT_MAX and _FLOAT_MIN <= kb <= _FLOAT_MAX:
+            if kb < ka * _NEAR:
+                return walk
+            if ka < kb * _NEAR:
+                return walk[1], walk[0]
+        return None
+    if n == 3:
+        a, b, c = walk
+        ka, kb, kc = keys
+        # three compare-and-swaps sort the keys in decreasing order
+        if ka < kb:
+            a, b, ka, kb = b, a, kb, ka
+        if kb < kc:
+            b, c, kb, kc = c, b, kc, kb
+            if ka < kb:
+                a, b, ka, kb = b, a, kb, ka
+        if _FLOAT_MIN <= kc and ka <= _FLOAT_MAX and kb < ka * _NEAR and kc < kb * _NEAR:
+            return a, b, c
+    return None
+
+
+def _exact_order(items: list[tuple]) -> list[tuple]:
+    """Walk items (float key, position, preference, good, quote, length
+    pair, slope pair) in the order of their exact key (slope/price,
+    preference, -position), highest first: the one ordering rule of every
+    walk that _float_order leaves undecided.  The items are sorted on the
+    float key and every run of keys within a relative 2**-30 of each other
+    is settled on the exact key; if a key is not a positive normal float,
+    the whole walk is sorted on the exact key.
+    """
+    # keys are sorted in decreasing order, so the first and last bound them
+    items.sort(key=_FKEY, reverse=True)
+    if not (_FLOAT_MIN <= items[-1][0] and items[0][0] <= _FLOAT_MAX):
+        items.sort(key=_exact_key, reverse=True)
+    else:
+        start = 0
+        for i in range(1, len(items) + 1):
+            if i < len(items) and items[i][0] >= items[i - 1][0] * _NEAR:
+                continue
+            if i - start > 1:
+                items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
+            start = i
+    return items
 
 
 def _walk_items(
     agent: _Walked, quotes: Mapping[str, Quote], favor: Optional[str], first: bool
 ) -> list[tuple]:
     """The agent's positive-slope segments in greedy walk order, as items
-    (float key, position, preference, good, quote, length, slope), where
-    quote is the good's entry of the quote table `quotes`.
+    (float key, position, preference, good, quote, length pair, slope
+    pair), where quote is the good's entry of the quote table `quotes`.
 
     Segments are taken by decreasing bang-per-buck; ties break by good id,
     then segment index, except that the segments of `favor` go first
     (first=True) or last among equal bang-per-buck.  Raises KeyError if a
     valued good has no quote, and UnboundedDemand if a good with positive
-    slope has price zero.  This is the only sort of segments: the budget
-    walk of _split_demand and the clearing fold of solver._IncrementalFold
-    read its order.
-
-    The order is that of the exact key, found by a sort on float keys (see
-    the module docstring): each segment's float slope over its good's
-    screened float price, both correctly rounded, so the key is within a
-    relative 2**-51 of slope/price.  After the sort, every run of
-    consecutive keys each within a relative 2**-30 of the one before is
-    re-sorted on the exact key (slope/price, preference, -position).  Keys
-    further apart than that are in exact order, so only such runs can be
-    out of it.  If a slope, price or key float is not a positive normal
-    number, the float keys carry no such bound and the whole walk is sorted
-    on the exact key.
-
-    Short walks skip the sort: a walk of one segment is its own order, and
-    one of two segments takes one float comparison, or the exact key when
-    the two float keys are within a relative 2**-30 or not normal.
+    slope has price zero.  The order is that of _float_order, else of
+    _exact_order, as in _Fold's walks; solver._IncrementalFold reads these
+    items.
     """
     lead = 1 if first else -1
     items = []
@@ -375,32 +438,8 @@ def _walk_items(
         for slope, length, fslope in segments:
             items.append((fslope / fprice, position, pref, good, quote, length, slope))
             position += 1
-    if position < 3:
-        if position == 2:
-            a, b = items
-            ka, kb = a[0], b[0]
-            if _FLOAT_MIN <= ka <= _FLOAT_MAX and _FLOAT_MIN <= kb <= _FLOAT_MAX:
-                if kb < ka * _NEAR:
-                    return items
-                if ka < kb * _NEAR:
-                    return [b, a]
-            if _exact_key(b) > _exact_key(a):
-                return [b, a]
-        return items
-
-    # keys are sorted in decreasing order, so the first and last bound them
-    items.sort(key=_FKEY, reverse=True)
-    if not (_FLOAT_MIN <= items[-1][0] and items[0][0] <= _FLOAT_MAX):
-        items.sort(key=_exact_key, reverse=True)
-    else:
-        start = 0
-        for i in range(1, len(items) + 1):
-            if i < len(items) and items[i][0] >= items[i - 1][0] * _NEAR:
-                continue
-            if i - start > 1:
-                items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
-            start = i
-    return items
+    order = _float_order(items, [item[0] for item in items])
+    return _exact_order(items) if order is None else list(order)
 
 
 def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int]:
@@ -424,65 +463,127 @@ def _fraction_sum(values: Iterable[Fraction]) -> Fraction:
     return Fraction(*total)
 
 
-def _split_demand(
-    entries: Iterable[tuple[_Walked, Fraction]],
-    quotes: Mapping[str, Quote],
-    favor: Optional[str] = None,
-    first: bool = True,
-) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[int, int]]]:
-    """Aggregate greedy demand of the (agent, budget) `entries` at the
-    prices of the quote table `quotes`, split per good as C + M/p: C sums
-    the lengths of the capped purchases of the good, M the money of the
-    budget-limited ones, and p is the good's price.
+class _Fold:
+    """The greedy demand of (agent, budget) entries, compiled once and
+    folded at many prices: per good C + M/p, where C sums the lengths of
+    the capped purchases of the good, M the money of the budget-limited
+    ones, and p is its price.
 
-    This is the one budget walk: each agent takes its segments in the order
-    of _walk_items (with its `favor` and `first`, and raising what it
-    raises) and buys each in full while that costs less than what is left
-    of its budget; the first purchase that does not spends the rest and
-    ends the walk.  An agent with budget 0 buys nothing.
+    Compiling indexes `goods` and flattens each agent's walk_order into
+    segments (float slope, position, good index, slope pair, length pair or
+    None); an agent that values a good outside `goods` raises KeyError.
 
-    Returns the C and M maps, good -> unreduced (numerator, denominator)
-    with positive denominators; a good with no such purchase is absent, and
-    the goods of C come in the order of their first capped purchase.  All
-    of it is integers: a walk keeps its remaining budget as an unreduced
-    pair, tests a purchase as capped by one cross-multiplication, and
-    reduces once, at its one budget-limited purchase.  Sums over agents
-    combine denominators by their lcm.
+    Each agent buys its segments in walk order, each in full while that
+    costs less than what is left of its budget; the first purchase that
+    does not spends the rest and ends the walk.  An agent with budget 0
+    buys nothing, but still raises UnboundedDemand if a good with positive
+    slope has price zero.  A walk keeps its remaining budget as an
+    unreduced integer pair, tests a purchase as capped by one
+    cross-multiplication and reduces once, at its budget-limited purchase.
     """
-    const: dict[str, tuple[int, int]] = {}
-    money: dict[str, tuple[int, int]] = {}
-    for agent, budget in entries:
-        rn, rd = budget.numerator, budget.denominator
-        items = _walk_items(agent, quotes, favor, first)
-        if not rn:
-            continue
-        for _, _, _, good, (pn, pd, _), length, _ in items:
-            if length is not None:
-                ln, ld = length.numerator, length.denominator
-                # the purchase costs cn/cd; capped iff that is below rn/rd
-                cn, cd = ln * pn, ld * pd
-                if cn * rd < rn * cd:
-                    rn, rd = rn * cd - cn * rd, rd * cd
-                    const[good] = _add_pair(const.get(good), ln, ld)
-                    continue
-            g = gcd(rn, rd)
-            money[good] = _add_pair(money.get(good), rn // g, rd // g)
-            break
-    return const, money
 
+    def __init__(self, goods: Iterable[str], entries: Iterable[tuple[_Walked, Fraction]]):
+        self.goods = goods = tuple(goods)
+        index = {good: i for i, good in enumerate(goods)}
+        self.plans = []
+        for agent, budget in entries:
+            segments = []
+            for good, walk in agent.walk_order:
+                i = index[good]
+                for slope, length, fslope in walk:
+                    segments.append((fslope, len(segments), i, slope, length))
+            self.plans.append(
+                (agent.id, budget.numerator, budget.denominator, tuple(segments))
+            )
 
-def _canonical_bundle(
-    agent: _Walked, budget: Fraction, quotes: Mapping[str, Quote]
-) -> dict[str, tuple[int, int]]:
-    """The agent's canonical optimal bundle at the prices of `quotes`, the
-    walk with no favored good: good -> amount, its own C + M/p, as an
-    unreduced pair.  Goods come in walk order, since the one budget-limited
-    purchase ends the walk."""
-    bundle, money = _split_demand(((agent, budget),), quotes)
-    for good, (mn, md) in money.items():
-        pn, pd, _ = quotes[good]
-        bundle[good] = _add_pair(bundle.get(good), mn * pd, md * pn)
-    return bundle
+    def demand(
+        self, quotes: list[Quote], favor: Optional[int] = None, first: bool = True
+    ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+        """The C and M maps of every agent at the prices of `quotes`, ties
+        broken towards the good of index `favor` (first) or away from it:
+        good index -> unreduced (numerator, denominator) with a positive
+        denominator.  A good with no such purchase is absent, and the goods
+        of C come in the order of their first capped purchase."""
+        return self._walks(self.plans, quotes, favor, first)
+
+    def bundle(self, j: int, quotes: list[Quote]) -> dict[int, tuple[int, int]]:
+        """The canonical optimal bundle of the j-th agent at the prices of
+        `quotes`, the walk with no favored good: good index -> amount, its
+        own C + M/p, as an unreduced pair.  Goods come in walk order, since
+        the one budget-limited purchase ends the walk."""
+        bundle, money = self._walks((self.plans[j],), quotes, None, True)
+        for i, (mn, md) in money.items():
+            pn, pd, _ = quotes[i]
+            bundle[i] = _add_pair(bundle.get(i), mn * pd, md * pn)
+        return bundle
+
+    def _walks(
+        self, plans: Iterable[tuple], quotes: list[Quote], favor: Optional[int], first: bool
+    ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+        """demand over the agents of `plans`, a part of self.plans.  The
+        walks run inline in one loop, since a method call per agent made
+        tâtonnement's folds about 15% slower."""
+        const: dict[int, tuple[int, int]] = {}
+        money: dict[int, tuple[int, int]] = {}
+        for agent_id, rn, rd, segments in plans:
+            try:
+                # the keys of two- and three-segment walks (most walks)
+                # without a comprehension, which measured slower
+                n = len(segments)
+                if n == 2:
+                    a, b = segments
+                    keys = a[0] / quotes[a[2]][2], b[0] / quotes[b[2]][2]
+                elif n == 3:
+                    a, b, c = segments
+                    keys = (
+                        a[0] / quotes[a[2]][2], b[0] / quotes[b[2]][2], c[0] / quotes[c[2]][2]
+                    )
+                else:
+                    keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
+            except ZeroDivisionError:
+                i = next(i for _, _, i, _, _ in segments if not quotes[i][2])
+                raise UnboundedDemand(agent_id, self.goods[i]) from None
+            walk = _float_order(segments, keys)
+            if walk is None:
+                lead = 1 if first else -1
+                items = [
+                    (key, position, lead if i == favor else 0, i, quotes[i], length, slope)
+                    for key, (_, position, i, slope, length) in zip(keys, segments)
+                ]
+                walk = [segments[item[1]] for item in _exact_order(items)]
+            if not rn:
+                continue
+            for _, _, i, _, length in walk:
+                pn, pd, _ = quotes[i]
+                if length is not None:
+                    ln, ld = length
+                    # the purchase costs cn/cd; capped iff that is below rn/rd
+                    cn, cd = ln * pn, ld * pd
+                    if cn * rd < rn * cd:
+                        rn, rd = rn * cd - cn * rd, rd * cd
+                        pair = const.get(i)
+                        if pair is None:
+                            const[i] = length
+                        elif pair[1] == ld:
+                            const[i] = pair[0] + ln, ld
+                        else:
+                            m, e = pair
+                            g = gcd(e, ld)
+                            const[i] = m * (ld // g) + ln * (e // g), e // g * ld
+                        continue
+                g = gcd(rn, rd)
+                rn, rd = rn // g, rd // g
+                pair = money.get(i)
+                if pair is None:
+                    money[i] = rn, rd
+                elif pair[1] == rd:
+                    money[i] = pair[0] + rn, rd
+                else:
+                    m, e = pair
+                    g = gcd(e, rd)
+                    money[i] = m * (rd // g) + rn * (e // g), e // g * rd
+                break
+        return const, money
 
 
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
@@ -494,18 +595,21 @@ def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
 def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     """Canonical optimal bundle of `buyer` at `prices` (greedy by bang-per-buck).
 
-    The bundle is _canonical_bundle's, as canonical demand and verification
-    read it; its utility is the bundle's value and its spend its cost, both
-    summed as integer pairs.  Raises UnboundedDemand if a good with positive remaining marginal
-    utility has price zero (the optimal-bundle set is empty or degenerate).
+    The bundle is the canonical one of _Fold.bundle, as canonical demand
+    and verification read it; its utility is the bundle's value and its
+    spend its cost, both summed as integer pairs.  Raises UnboundedDemand if
+    a good with positive remaining marginal utility has price zero (the
+    optimal-bundle set is empty or degenerate).
     """
     _check_prices_non_negative(prices)
-    quotes = quote_table(prices)
+    quotes = list(quote_table(prices).values())
+    fold = _Fold(prices, [(buyer, buyer.budget)])
     bundle: dict[str, Fraction] = {}
     utility = spend = (0, 1)
-    for good, (n, d) in _canonical_bundle(buyer, buyer.budget, quotes).items():
+    for i, (n, d) in fold.bundle(0, quotes).items():
+        good = fold.goods[i]
         utility = _add_pair(utility, *buyer.utilities[good].value_pair(n, d))
-        pn, pd, _ = quotes[good]
+        pn, pd, _ = quotes[i]
         spend = _add_pair(spend, pn * n, pd * d)
         bundle[good] = Fraction(n, d)
     return BundleResult(Fraction(*utility), bundle, Fraction(*spend))
@@ -552,20 +656,21 @@ class EquilibriumReport:
 
 
 def _verify(
-    goods: tuple[str, ...],
-    entries: list[tuple[_Walked, Fraction]],
+    fold: _Fold,
+    agents: tuple[_Walked, ...],
     prices: dict[str, Fraction],
     allocation: dict[str, dict[str, Fraction]],
     epsilon: Fraction,
 ) -> EquilibriumReport:
-    """Every agent's verdict at `prices`, given (agent, budget) entries, and
-    every good's slack: its allocated total minus its unit supply.
+    """Every agent's verdict at `prices`, given the agents and their fold
+    (the agents at their budgets, in the same order), and every good's
+    slack: its allocated total minus its unit supply.
 
     All of it is integer arithmetic on (numerator, denominator) pairs, and
     only what leaves the function becomes a Fraction: the slacks, and the
     achieved and maximum utility of a suboptimal agent.  Both utilities
     sum SplcUtility.value_pair: the maximum over the agent's canonical
-    bundle (_canonical_bundle, from the one budget walk), what it achieves
+    bundle (_Fold.bundle, from the one budget walk), what it achieves
     over its row; what it spends sums price times amount.  Sums combine
     denominators by their lcm, and comparisons cross-multiply.  An agent
     is optimal iff it spends at most its budget and achieves the maximum;
@@ -576,11 +681,12 @@ def _verify(
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise MarketError("epsilon must be non-negative")
+    goods = fold.goods
     missing = [g for g in goods if g not in prices]
     if missing:
         raise MarketError(f"price map is not total; missing {missing}")
     _check_prices_non_negative(prices)
-    known_buyers = {agent.id for agent, _ in entries}
+    known_buyers = {agent.id for agent in agents}
     for bid, row in allocation.items():
         if bid not in known_buyers:
             raise MarketError(f"allocation references unknown buyer {bid!r}")
@@ -596,19 +702,19 @@ def _verify(
             if pair is not None:
                 totals[good] = _add_pair(pair, amount.numerator, amount.denominator)
 
+    listed = [quotes[good] for good in goods]
     verdicts: dict[str, BuyerVerdict] = {}
-    for agent, budget in entries:
-        bid = agent.id
-        bn, bd = budget.numerator, budget.denominator
+    for j, agent in enumerate(agents):
+        bid, bn, bd, _ = fold.plans[j]
         try:
-            bundle = _canonical_bundle(agent, budget, quotes)
+            bundle = fold.bundle(j, listed)
         except UnboundedDemand:
             verdicts[bid] = _UNBOUNDED
             continue
         utilities = agent.utilities
         spend = achieved = maximum = (0, 1)
-        for good, (n, d) in bundle.items():
-            maximum = _add_pair(maximum, *utilities[good].value_pair(n, d))
+        for i, (n, d) in bundle.items():
+            maximum = _add_pair(maximum, *utilities[goods[i]].value_pair(n, d))
         row = allocation.get(bid)
         if row:
             for good, amount in row.items():
@@ -642,8 +748,7 @@ def verify_fisher(
 ) -> EquilibriumReport:
     """Check the two equilibrium conditions exactly: every buyer optimal,
     every good's demand within epsilon of its unit supply."""
-    entries = [(b, b.budget) for b in market.buyers]
-    return _verify(market.goods, entries, prices, allocation, epsilon)
+    return _verify(market.fold, market.buyers, prices, allocation, epsilon)
 
 
 def verify_exchange(
@@ -660,8 +765,8 @@ def verify_exchange(
     so that _verify reports it.
     """
     value = _fraction_sum(prices.get(g, ZERO) for g in exchange.goods)
-    entries = [(t, t.share * value) for t in exchange.traders]
-    return _verify(exchange.goods, entries, prices, allocation, epsilon)
+    fold = _Fold(exchange.goods, ((t, t.share * value) for t in exchange.traders))
+    return _verify(fold, exchange.traders, prices, allocation, epsilon)
 
 
 def to_exchange(fisher: FisherMarket) -> ExchangeMarket:

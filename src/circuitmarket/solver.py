@@ -35,9 +35,7 @@ from .market import (
     MarketError,
     SplcUtility,
     _add_pair,
-    _canonical_bundle,
     _quote,
-    _split_demand,
     _walk_items,
     quote_table,
     verify_fisher,
@@ -82,26 +80,29 @@ class DemandProfile:
 def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> DemandProfile:
     """Aggregate of the canonical (greedy) optimal bundles at `prices`.
 
-    Each buyer's bundle is its own C + M/p from the one budget walk
-    (market._canonical_bundle), as optimal_bundle and verify_fisher read
-    it.  The aggregate sums the bundles' amounts as integer pairs, one
-    Fraction per good, and evaluates no utility.  Propagates
-    UnboundedDemand if any buyer faces a free desired good.
+    Each buyer's bundle is its own C + M/p from the market's compiled fold
+    (FisherMarket.fold, _Fold.bundle), as optimal_bundle and verify_fisher
+    read it.
+    The aggregate sums the bundles' amounts as integer pairs, one Fraction
+    per good, and evaluates no utility.  Propagates UnboundedDemand if any
+    buyer faces a free desired good.
     """
-    quotes = {}
-    for good in market.goods:
+    goods = market.goods
+    quotes = []
+    for good in goods:
         price = prices[good]
         if price <= 0:
             raise MarketError(f"price of {good!r} must be positive")
-        quotes[good] = _quote(price.numerator, price.denominator)
-    bought: dict[str, tuple[int, int]] = {}
+        quotes.append(_quote(price.numerator, price.denominator))
+    fold = market.fold
+    bought: dict[int, tuple[int, int]] = {}
     bundles: dict[str, dict[str, Fraction]] = {}
-    for buyer in market.buyers:
-        bundle = _canonical_bundle(buyer, buyer.budget, quotes)
-        bundles[buyer.id] = {good: F(n, d) for good, (n, d) in bundle.items()}
-        for good, (n, d) in bundle.items():
-            bought[good] = _add_pair(bought.get(good), n, d)
-    aggregate = {g: F(*bought[g]) if g in bought else ZERO for g in market.goods}
+    for j, buyer in enumerate(market.buyers):
+        bundle = fold.bundle(j, quotes)
+        bundles[buyer.id] = {goods[i]: F(n, d) for i, (n, d) in bundle.items()}
+        for i, (n, d) in bundle.items():
+            bought[i] = _add_pair(bought.get(i), n, d)
+    aggregate = {g: F(*bought[i]) if i in bought else ZERO for i, g in enumerate(goods)}
     return DemandProfile(aggregate, bundles)
 
 
@@ -113,7 +114,7 @@ def _demand_pair(
     const: tuple[int, int], money: tuple[int, int], pn: int, pd: int
 ) -> tuple[int, int]:
     """Demand C + M/p of a good at price p = pn/pd > 0, from the
-    (numerator, denominator) pairs C and M of _split_demand, as an unreduced
+    (numerator, denominator) pairs C and M of _Fold.demand, as an unreduced
     pair with a positive denominator."""
     (cn, cd), (mn, md) = const, money
     return cn * md * pn + mn * pd * cd, cd * md * pn
@@ -220,20 +221,22 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     config.epsilon with the canonical allocation; the best-seen prices are
     returned either way.
 
-    Prices pass between iterations as reduced (numerator, denominator) int
-    pairs.  An iteration builds one quote table from them, and folds every
-    buyer's greedy walk over it into the aggregate demand alone, in
-    integers: _split_demand gives each good's C and M, and its slack is
-    read from C + M/p with one division per good, not one per buyer.  The
-    demand is exact, so the prices and the trace are those of a Fraction
-    sum over the walks.  Fraction prices are built only on iterations with
-    no good outside epsilon, which are the ones verified, and for the
-    prices returned.
+    The market's buyers are compiled once into its market._Fold
+    (FisherMarket.fold), which indexes the goods and flattens every buyer's
+    segments.  Prices pass between
+    iterations as reduced (numerator, denominator) int pairs, and an
+    iteration costs one quote list, one call of the fold (integer work per
+    segment walked; a walk of up to three segments is ordered by float
+    comparisons, a longer or near-tied one sorted), and one C + M/p and one
+    _step_price per good.  The demand is exact, so the prices and the trace
+    are those of a Fraction sum over the walks.  Fraction prices are built
+    only on iterations with no good outside epsilon, which are the ones
+    verified, and for the prices returned.
     """
     if not market.satisfies_sufficient_condition():
         raise MarketError("tatonnement requires every buyer to be unsatiated")
     goods = market.goods
-    entries = [(buyer, buyer.budget) for buyer in market.buyers]
+    fold = market.fold
     pairs = [(1, 1)] * len(goods)
     eps_n, eps_d = config.epsilon.numerator, config.epsilon.denominator
     lam_n, lam_d = config.lam.numerator, config.lam.denominator
@@ -242,14 +245,13 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     best_pairs, best_slack = pairs, None
     converged = False
     for iteration in range(config.max_iters + 1):
-        quotes = {g: _quote(pn, pd) for g, (pn, pd) in zip(goods, pairs)}
-        const, money = _split_demand(entries, quotes)
-        # the slack of good g is excess/den, with demand (excess + den)/den
+        const, money = fold.demand([_quote(pn, pd) for pn, pd in pairs])
+        # the slack of good i is excess/den, with demand (excess + den)/den
         slacks = []
         max_num, max_den, violating = 0, 1, 0
-        for g, (pn, pd) in zip(goods, pairs):
+        for i, (pn, pd) in enumerate(pairs):
             num, den = _demand_pair(
-                const.get(g, _NO_PAIR), money.get(g, _NO_PAIR), pn, pd
+                const.get(i, _NO_PAIR), money.get(i, _NO_PAIR), pn, pd
             )
             excess = num - den
             slacks.append((excess, den))
@@ -335,11 +337,11 @@ class _IncrementalFold:
     So the first call builds the fold's quote table from its prices, and a
     later call only re-quotes the good; every walk reads that one table.
 
-    _walk is the one budget walk besides market._split_demand, on the same
-    order (_walk_items) and with the same integer capped test, so a
-    buyer's part is what _split_demand gives it.  It is kept apart because
-    the same pass also derives the buyer's ties and budget breakpoints,
-    the ends of its interval; a _split_demand that branched on which
+    _walk is the one budget walk besides market._Fold, on the same order
+    (_walk_items, whose rule _Fold shares) and with the same integer capped
+    test, so a buyer's part is what _Fold gives it.  It is kept apart
+    because the same pass also derives the buyer's ties and budget
+    breakpoints, the ends of its interval; a _Fold that branched on which
     caller it serves would not be simpler.
     """
 
@@ -411,7 +413,7 @@ class _IncrementalFold:
 
     def _walk(self, i: int, first: bool):
         """Buyer i's part at the prices of the fold's quote table, as
-        _split_demand's walk gives it, with its interval pushed onto the
+        market._Fold's walk gives it, with its interval pushed onto the
         heaps."""
         buyer, good = self.buyers[i], self.good
         # the interval (lo, hi) as integer pairs; hi = 1/0 has no end
@@ -435,15 +437,15 @@ class _IncrementalFold:
             if g == good:
                 if run is None and last is not None:
                     qn, qd, t = last
-                    tn = slope.numerator * qn * t.denominator
-                    td = slope.denominator * qd * t.numerator
+                    tn = slope[0] * qn * t[1]
+                    td = slope[1] * qd * t[0]
                     if lo_n * td < tn * lo_d:
                         lo_n, lo_d = tn, td
                 run = slope
             else:
                 if run is not None:
-                    tn = run.numerator * pn * slope.denominator
-                    td = run.denominator * pd * slope.numerator
+                    tn = run[0] * pn * slope[1]
+                    td = run[1] * pd * slope[0]
                     if tn * hi_d < hi_n * td:
                         hi_n, hi_d = tn, td
                     run = None
@@ -455,7 +457,7 @@ class _IncrementalFold:
                 # an unbounded segment takes the rest of the budget
                 runs_out, walking = on_good, False
                 continue
-            ln, ld = length.numerator, length.denominator
+            ln, ld = length
             # the purchase costs un/ud; capped iff that is below the rest
             un, ud = ln * pn, ld * pd
             if un * rd < rn * ud:
@@ -511,10 +513,10 @@ def _tie_candidates(
                 continue
             price = prices[other]
             qn, qd = price.numerator, price.denominator
-            for slope, _, _ in segments:
-                bn, bd = qn * slope.denominator, qd * slope.numerator
-                for sf in free:
-                    n, d = sf.numerator * bn, sf.denominator * bd
+            for (sn, sd), _, _ in segments:
+                bn, bd = qn * sd, qd * sn
+                for fn, fd in free:
+                    n, d = fn * bn, fd * bd
                     if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
                         out.add(F(n, d))
     return sorted(out)

@@ -12,13 +12,14 @@ reference for the program's walk order, tie breaks and budget loop.
 
 free_good_fold and demand_interval are the one-shot forms of the demand
 that pinned_bisection's incremental fold keeps: every buyer folded afresh
-through the program's integer fold, at one price of one good.
+through the program's compiled integer fold (market._Fold), at one price
+of one good.
 """
 
 from fractions import Fraction
 import itertools
 
-from circuitmarket.market import _split_demand, quote_table
+from circuitmarket.market import _Fold, quote_table
 from circuitmarket.solver import _NO_PAIR, _demand_pair
 
 ZERO = Fraction(0)
@@ -121,12 +122,13 @@ def free_good_fold(buyers, good, prices, first):
     Away from tie prices demand = C + M/p locally: C collects cap-limited
     purchases of the good (constant in p), M the money spent on
     budget-limited ones (demand scales as M/p).  Both come from the integer
-    fold _split_demand, exactly as a Fraction sum over the greedy walks
-    would give them.  One walk per buyer per call.
+    fold market._Fold, compiled afresh, exactly as a Fraction sum over the
+    greedy walks would give them.  One walk per buyer per call.
     """
-    entries = [(buyer, buyer.budget) for buyer in buyers]
-    const, money = _split_demand(entries, quote_table(prices), good, first)
-    c, m = const.get(good, _NO_PAIR), money.get(good, _NO_PAIR)
+    fold = _Fold(prices, [(buyer, buyer.budget) for buyer in buyers])
+    i = fold.goods.index(good)
+    const, money = fold.demand(list(quote_table(prices).values()), i, first)
+    c, m = const.get(i, _NO_PAIR), money.get(i, _NO_PAIR)
     p = prices[good]
     n, d = _demand_pair(c, m, p.numerator, p.denominator)
     return Fraction(n, d), Fraction(*c), Fraction(*m)

@@ -565,6 +565,24 @@ def test_solve_on_market_with_buyers_but_no_goods_is_precondition_error(tmp_path
     assert code == 3
 
 
+@pytest.mark.parametrize("budget", ["0", "-1/3"])
+def test_solve_on_a_budget_that_is_not_positive_is_usage_error(budget, tmp_path, capsys):
+    market = tmp_path / "market.json"
+    unbounded = {"length": "inf", "slope": "1"}
+    doc = {"buyers": [{"budget": budget, "id": "b", "utilities": {"x": [unbounded]}}],
+           "goods": ["x"]}
+    market.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = cli.run(["solve", "--market", str(market), "--eps", "1/12", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"{market}: buyer 'b' budget must be positive", "code": 2
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

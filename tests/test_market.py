@@ -243,6 +243,22 @@ def test_exchange_market_rejects_inputs_outside_the_model():
             exchange_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("budget", [0, F(0), F(-1, 3), -2, F(-1, 10**30)])
+def test_buyer_budget_must_be_positive(budget):
+    with pytest.raises(MarketError) as info:
+        Buyer("b", budget)
+    assert str(info.value) == "buyer 'b' budget must be positive"
+    assert Buyer("b", F(1, 10**30)).budget == F(1, 10**30)
+
+
+@pytest.mark.parametrize("share", [F(-1, 2), -1, F(-1, 10**30)])
+def test_trader_share_must_be_non_negative(share):
+    with pytest.raises(MarketError) as info:
+        Trader("t", share)
+    assert str(info.value) == "trader 't' share must be non-negative"
+    assert Trader("t", 0).share == 0 and type(Trader("t", 0).share) is F
+
+
 def test_exchange_reader_takes_one_share_per_dense_row():
     text = exchange_to_json(to_exchange(_two_buyer_market()))
     doc = json.loads(text)
@@ -596,14 +612,16 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
 
 def _walked_goods(buyer, prices, favor=None, first=True):
     """The goods of the program's walk order (_walk_items), which must be
-    those of the reference greedy's purchases: the buyers below can afford
-    every segment."""
+    those of the reference greedy's purchases and of the compiled fold's
+    capped ones: the buyers below can afford every segment."""
     quotes = market_module.quote_table(prices)
     goods = [item[3] for item in market_module._walk_items(buyer, quotes, favor, first)]
     walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
     assert goods == [g for g, *_ in walk]
-    const, _ = market_module._split_demand([(buyer, buyer.budget)], quotes, favor, first)
-    assert list(const) == goods
+    fold = market_module._Fold(prices, [(buyer, buyer.budget)])
+    favored = None if favor is None else fold.goods.index(favor)
+    const, _ = fold.demand(list(quotes.values()), favored, first)
+    assert [fold.goods[i] for i in const] == goods
     return goods
 
 
@@ -651,11 +669,11 @@ def test_walk_order_keeps_a_float_of_each_normal_slope():
         "c": util((1, 0)),
     })
     assert buyer.walk_order == (
-        ("a", ((F(1, 3), F(1), 1 / 3),)),
+        ("a", (((1, 3), (1, 1), 1 / 3),)),
         ("b", (
-            (F(10**400), F(1), 0.0),
-            (F(1, 10**300), F(1), 1e-300),
-            (F(1, 10**400), None, 0.0),
+            ((10**400, 1), (1, 1), 0.0),
+            ((1, 10**300), (1, 1), 1e-300),
+            ((1, 10**400), None, 0.0),
         )),
         ("c", ()),
     )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,12 +27,40 @@ def asg(*values):
     return Assignment(dict(enumerate(values)))
 
 
+def _random_circuit(rng):
+    """A seeded valid circuit of 2 to 12 nodes: the nodes, shuffled, are the
+    outputs of gates of random types, each with distinct inputs drawn among
+    the other nodes; degrees are not bounded."""
+    n = rng.randint(2, 12)
+    free = rng.sample(range(n), n)
+    gates = []
+    while free:
+        kinds = [GateType.NOT]
+        if n > 2:
+            kinds.append(GateType.NAND)
+            if len(free) > 1:
+                kinds.append(GateType.PURIFY)
+        kind = rng.choice(kinds)
+        outputs, free = (free[:2], free[2:]) if kind is GateType.PURIFY else (free[:1], free[1:])
+        others = [v for v in range(n) if v not in outputs]
+        inputs = rng.sample(others, 2 if kind is GateType.NAND else 1)
+        gates.append(Gate(kind, *inputs, *outputs))
+    return CircuitInstance(n, tuple(gates))
+
+
 def test_parse_round_trip():
     text = "nodes 3\nPURIFY 0 1 2\nNOT 1 0\n"
     circuit = parse_circuit(text)
     assert circuit.n == 3
     assert serialize_circuit(circuit) == text
     assert parse_circuit(serialize_circuit(circuit)) == circuit
+    rng = random.Random(1620)
+    kinds = set()
+    for _ in range(500):
+        circuit = _random_circuit(rng)
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+        kinds.update(gate.gate_type for gate in circuit.gates)
+    assert kinds == set(GateType)
 
 
 def test_parse_comments_and_blank_lines():

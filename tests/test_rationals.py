@@ -1,9 +1,11 @@
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from circuitmarket import RationalFormatError, format_rational, parse_rational
+from circuitmarket.rationals import format_pair
 
 
 def test_parse_integers_and_fractions():
@@ -16,6 +18,18 @@ def test_parse_integers_and_fractions():
 def test_format_round_trip():
     for value in [Fraction(0), Fraction(1, 11), Fraction(-3, 7), Fraction(5)]:
         assert parse_rational(format_rational(value)) == value
+    # seeded signed, zero and multi-hundred-bit values; format_pair also
+    # reads unreduced pairs, the same value times a common factor
+    rng = random.Random(1619)
+    for _ in range(3000):
+        bits = rng.choice((8, 64, 300, 700))
+        n = rng.choice((0, rng.randint(-(2**bits), 2**bits)))
+        d = rng.randint(1, 2 ** rng.choice((1, 8, 64, 300, 700)))
+        value = Fraction(n, d)
+        text = format_rational(value)
+        assert parse_rational(text) == value
+        factor = rng.choice((1, 1, 6, 2**61 - 1, 3**200))
+        assert format_pair(n * factor, d * factor) == text
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,8 @@ from circuitmarket import optimal_bundle, prices_to_json, solver
 from circuitmarket.market import (
     MarketError,
     _exact_key,
-    _split_demand,
+    _float_order,
+    _Fold,
     _walk_items,
     quote_table,
 )
@@ -107,16 +108,33 @@ def _random_splc_market(rng):
     return FisherMarket(goods, tuple(buyers)), prices
 
 
+def _fold_split(agents, prices, favor=None, first=True):
+    """The C and M maps of the compiled fold (market._Fold) of the agents
+    at their own budgets, at `prices`, keyed by good id."""
+    fold = _Fold(prices, [(agent, agent.budget) for agent in agents])
+    quotes = list(quote_table(prices).values())
+    favored = None if favor is None else fold.goods.index(favor)
+    const, money = fold.demand(quotes, favored, first)
+    goods = fold.goods
+    return {goods[i]: c for i, c in const.items()}, {goods[i]: m for i, m in money.items()}
+
+
+def _pairs(segment):
+    """(length pair or None, slope pair) of a segment, as the walks read it."""
+    length = None if segment.unbounded else segment.length.as_integer_ratio()
+    return length, segment.slope.as_integer_ratio()
+
+
 def _assert_walk_is_the_reference(buyer, prices, favor, first):
     """One buyer's walk against the reference greedy of tests/oracle.py:
     _walk_items lists the segments in the reference's order, and the budget
-    walk of _split_demand buys what the reference buys."""
+    walk of the compiled fold buys what the reference buys."""
     quotes = quote_table(prices)
     items = _walk_items(buyer, quotes, favor, first)
     assert [(g, length, slope) for _, _, _, g, _, length, slope in items] == [
-        (g, s.length, s.slope) for g, s in walk_order(buyer.utilities, prices, favor, first)
+        (g, *_pairs(s)) for g, s in walk_order(buyer.utilities, prices, favor, first)
     ]
-    const, money = _split_demand([(buyer, buyer.budget)], quotes, favor, first)
+    const, money = _fold_split([buyer], prices, favor, first)
     ref_const, ref_money = _walk_split([buyer], prices, favor, first)
     assert {g: F(*c) for g, c in const.items()} == ref_const
     assert {g: F(*m) for g, m in money.items()} == ref_money
@@ -158,13 +176,12 @@ def test_greedy_walk_takes_segments_in_full_key_order():
 
 def test_greedy_walk_reads_the_price_of_every_valued_good():
     buyer = Buyer("b", F(1), {"x": linear(1), "z": capped(1, 0)})
-    entries = [(buyer, buyer.budget)]
     with pytest.raises(KeyError):
-        _split_demand(entries, quote_table({"x": F(1)}))
+        _fold_split([buyer], {"x": F(1)})
     with pytest.raises(UnboundedDemand):
-        _split_demand(entries, quote_table({"x": F(0), "z": F(1)}))
+        _fold_split([buyer], {"x": F(0), "z": F(1)})
     # the budget-limited purchase of one unit of x, its money 1
-    assert _split_demand(entries, quote_table({"x": F(1), "z": F(0)})) == ({}, {"x": (1, 1)})
+    assert _fold_split([buyer], {"x": F(1), "z": F(0)}) == ({}, {"x": (1, 1)})
     assert optimal_bundle(buyer, {"x": F(1), "z": F(0)}).bundle == {"x": F(1)}
 
 
@@ -293,15 +310,14 @@ def _reference_aggregate(market, prices):
 
 
 def test_integer_demand_fold_matches_the_fraction_walk():
-    """_split_demand and canonical_demand against the reference Fraction
-    walk, and free_good_fold against the (demand, C, M) fold of that walk,
-    for every favored good and both tie breaks."""
+    """The compiled fold and canonical_demand against the reference
+    Fraction walk, and free_good_fold against the (demand, C, M) fold of
+    that walk, for every favored good and both tie breaks."""
     rng = random.Random(80)
     ties = wide = exact_keys = zero_slopes = unbounded = 0
     for _ in range(300):
         market, prices = _fold_market(rng)
-        entries = [(buyer, buyer.budget) for buyer in market.buyers]
-        const, money = _split_demand(entries, quote_table(prices))
+        const, money = _fold_split(market.buyers, prices)
         aggregate = canonical_demand(market, prices).aggregate
         assert aggregate == _reference_aggregate(market, prices)
         for good in market.goods:
@@ -312,7 +328,7 @@ def test_integer_demand_fold_matches_the_fraction_walk():
         for favor in (None, *market.goods):
             for first in (True, False):
                 ref_const, ref_money = _walk_split(market.buyers, prices, favor, first)
-                const, money = _split_demand(entries, quote_table(prices), favor, first)
+                const, money = _fold_split(market.buyers, prices, favor, first)
                 assert {g: F(*c) for g, c in const.items()} == ref_const
                 assert {g: F(*m) for g, m in money.items()} == ref_money
                 if favor is None:
@@ -343,7 +359,7 @@ def test_integer_demand_fold_sums_over_the_lcm_of_denominators():
     good at price 1: M's denominator divides lcm(2, ..., 11) = 27720, where
     a sum over the product of the denominators would not."""
     buyers = [Buyer(f"b{i}", F(1, 2 + i % 10), {"x": linear(1)}) for i in range(1000)]
-    const, money = _split_demand([(b, b.budget) for b in buyers], quote_table({"x": F(1)}))
+    const, money = _fold_split(buyers, {"x": F(1)})
     mn, md = money["x"]
     assert "x" not in const
     assert 27720 % md == 0
@@ -393,6 +409,91 @@ def test_tatonnement_with_step_three_is_pinned(name, k, d):
     result = tatonnement(market, SolverConfig(lam=F(3)))
     pinned = prices_to_json(result.prices) + trace_to_csv(result.trace)
     assert hashlib.sha256(pinned.encode()).hexdigest() == TATONNEMENT_LAM3_DIGESTS[name, k, d]
+
+
+def _tatonnement_digest(market, config):
+    """sha256 of prices_to_json + trace_to_csv of one tâtonnement run."""
+    result = tatonnement(market, config)
+    pinned = prices_to_json(result.prices) + trace_to_csv(result.trace)
+    return hashlib.sha256(pinned.encode()).hexdigest()
+
+
+def _desk_circuit(rng):
+    """A seeded random circuit of 2 to 6 nodes of the kind the desk round
+    trip solves: every node the output of one gate, each gate's inputs
+    drawn among the other nodes, redrawn until every out-degree is at most
+    2 (a PURIFY input counts twice), so that it compiles."""
+    while True:
+        kinds = [rng.choice(("NOT", "NAND", "PURIFY")) for _ in range(rng.randint(2, 4))]
+        n = sum(2 if kind == "PURIFY" else 1 for kind in kinds)
+        if n > 6 or n < 3 and "NAND" in kinds:
+            continue
+        free = rng.sample(range(n), n)
+        lines = [f"nodes {n}"]
+        for kind in kinds:
+            size = 2 if kind == "PURIFY" else 1
+            outputs, free = free[:size], free[size:]
+            others = [v for v in range(n) if v not in outputs]
+            inputs = rng.sample(others, 2 if kind == "NAND" else 1)
+            lines.append(" ".join(map(str, [kind, *inputs, *outputs])))
+        circuit = parse_circuit("\n".join(lines) + "\n")
+        if max(circuit.interaction_degrees()[1].values()) <= 2:
+            return circuit
+
+
+# sha256 of prices_to_json + trace_to_csv of tâtonnement at the CLI's
+# defaults (step 1/2, 200 iterations, epsilon 1/12) on the 12 circuits of
+# _desk_circuit(random.Random(1617)), compiled at (k, d) = (1, 2), (1, 4),
+# (2, 2), (2, 4) in turn; taken before tâtonnement compiled its market into
+# one indexed fold.
+DESK_TATONNEMENT_DIGESTS = [
+    "e7f101ada880d4d015e44288528a902b52702d17e225ed9321258747a761297b",
+    "c94a700c077b6c3503a2e2503ea1dd4f0053f5e72f5fe67406686d5233ddcadf",
+    "69f493ab572080f4cc7fec42000d8c466e65917e2fbc078381bf0f333434d67d",
+    "028ee53aef2bb05355fccf6e1be79a9482acfb2d6e24e5d93cda5ac7f3468a9a",
+    "d7129d066dd9919d7f4bb40527b060a7ca1b2b37f92bbf5c6a256e21fde6f17d",
+    "6d5d34aa04e02eb1ab4a38dc22d8bd814f0f379b39038ca70e0b7a41029d8014",
+    "84f24f6ea5a14762c10eb983fd43a6c59a41ede94048433cbe0285a4e55ffcae",
+    "7ac111bfd3bed0ec2e779a697baddf6455067138cef901f642eb3abd1fbdf4fb",
+    "a23d9b08546f62e59ec1104d0c748f6944e3d82b4cc417b4c4774442984c71fb",
+    "40601ee35f7db90171123b32b89ee9cd01a64de8fad9d6e26305773e4c165445",
+    "871e71dd042c344bd027061b3f3fa9d1196ae478fab5d6966740e972a1320678",
+    "51bcb756cfed0217d5562254070802bd44fb9c8e006a4678e3477dc293435b75",
+]
+
+
+def test_tatonnement_on_random_desk_circuits_is_pinned():
+    rng = random.Random(1617)
+    digests = []
+    for i in range(12):
+        k, d = ((1, 2), (1, 4), (2, 2), (2, 4))[i % 4]
+        market = compile_circuit(_desk_circuit(rng), F(1, 12), {"k": k, "d": d}).market
+        digests.append(_tatonnement_digest(market, SolverConfig()))
+    assert digests == DESK_TATONNEMENT_DIGESTS
+
+
+# sha256 over the joined _tatonnement_digest of tâtonnement on the
+# unsatiated markets among 120 seeded _random_clearing_case draws, at 60
+# iterations and epsilon 1/12, per step factor; taken with the desk pins.
+CLEARING_TATONNEMENT_DIGESTS = {
+    "1/2": "ab251b189b2735cb8dc88d080b714a1b5c6db7376769b0666847c4037343ded9",
+    "1": "02e0a3d5070e320ada3fc49237bd1980ccacbe57aecb6f28efdea85a22567f41",
+    "3": "d18d8d59ac21a5fb16207e99c68f671dc12b8aa4d77b1598af18582a8683de7f",
+}
+
+
+@pytest.mark.parametrize("lam", sorted(CLEARING_TATONNEMENT_DIGESTS))
+def test_tatonnement_on_random_clearing_markets_is_pinned(lam):
+    rng = random.Random(1618)
+    config = SolverConfig(lam=F(lam), max_iters=60)
+    digests = []
+    for _ in range(120):
+        market, _ = _random_clearing_case(rng)
+        if market.satisfies_sufficient_condition():
+            digests.append(_tatonnement_digest(market, config))
+    assert len(digests) > 40
+    joined = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert joined == CLEARING_TATONNEMENT_DIGESTS[lam]
 
 
 LIMIT = 2**40
@@ -603,6 +704,44 @@ def test_demand_interval_is_consistent_with_the_greedy_walk():
             ties_seen += 1
             wide_ties += dmin < dmax
     assert ties_seen > 100 and wide_ties > 50
+
+
+def test_compiled_fold_is_the_fraction_greedy_on_clearing_markets():
+    """The compiled fold's C and M of every good against the exact Fraction
+    greedy of tests/oracle.py, for no favored good and every good favored
+    first and last.  x is priced on a grid, exactly at a tie with another
+    good, 10**-30 off one (a near tie of the float keys), or at 10**-400
+    or 10**400 times a digit (keys that are not normal floats); `seen`
+    counts the walks of at most three segments that _float_order leaves to
+    the exact rule, by price kind, those of three it decides on floats, and
+    the longer walks."""
+    rng = random.Random(2029)
+    seen = dict.fromkeys(("exact tie", "near tie", "not normal", "three on floats", "longer"), 0)
+    for _ in range(300):
+        market, prices = _random_clearing_case(rng)
+        ties = _tie_candidates(market.buyers, "x", prices, F(1, 8), F(8))
+        tie = rng.choice(ties) if ties else F(1)
+        near = tie * (1 + F(rng.choice((-1, 1)), 10**30))
+        tiny_or_huge = rng.randint(1, 9) * F(10) ** rng.choice((-400, 400))
+        for px, kind in ((F(rng.randint(1, 32), 4), "exact tie"), (tie, "exact tie"),
+                         (near, "near tie"), (tiny_or_huge, "not normal")):
+            pr = {**prices, "x": px}
+            for favor in (None, *market.goods):
+                for first in (True, False):
+                    const, money = _fold_split(market.buyers, pr, favor, first)
+                    ref_const, ref_money = _walk_split(market.buyers, pr, favor, first)
+                    assert {g: F(*c) for g, c in const.items()} == ref_const
+                    assert {g: F(*m) for g, m in money.items()} == ref_money
+            quotes = list(quote_table(pr).values())
+            for buyer in market.buyers:
+                segments = _Fold(pr, [(buyer, buyer.budget)]).plans[0][3]
+                if len(segments) > 3:
+                    seen["longer"] += 1
+                elif _fold_float_order(segments, quotes) is None:
+                    seen[kind] += 1
+                elif len(segments) == 3:
+                    seen["three on floats"] += 1
+    assert min(seen.values()) > 50
 
 
 CLEARING_EPSILONS = (F(0), F(1, 12), F(1, 4), F(1, 2))
@@ -864,11 +1003,17 @@ def test_tatonnement_two_goods():
     assert abs(result.prices["y"] - F(1, 2)) < F(1, 10)
 
 
+def _fold_float_order(segments, quotes):
+    """_float_order of a compiled fold's segments (_Fold.plans) at the
+    prices of the quote list `quotes`, as the fold's walk reads them."""
+    return _float_order(segments, [f / quotes[i][2] for f, _, i, _, _ in segments])
+
+
 def _fold_agrees_with_canonical_demand(market, quotes):
     """The quote-table fold's C + M/p of every good, and canonical demand's
     aggregate, equal the reference walk's demand at the same prices."""
     prices = {g: F(n, d) for g, (n, d, _) in quotes.items()}
-    const, money = _split_demand([(b, b.budget) for b in market.buyers], quotes)
+    const, money = _fold_split(market.buyers, prices)
     aggregate = _reference_aggregate(market, prices)
     assert canonical_demand(market, prices).aggregate == aggregate
     for good in market.goods:
@@ -878,8 +1023,18 @@ def _fold_agrees_with_canonical_demand(market, quotes):
 
 def _walks_in_exact_key_order(buyer, quotes, goods, seen):
     """_walk_items against a sort of the same items on the exact key, with
-    no favored good and every good favored first and last; `seen` counts
-    the walks of one and two segments by how their order was decided."""
+    no favored good and every good favored first and last, and so the walk
+    of the compiled fold where _float_order decides it on float keys alone;
+    `seen` counts the walks of one and two segments by how their order was
+    decided, and the fold's walks of three decided on floats."""
+    segments = _Fold(goods, [(buyer, buyer.budget)]).plans[0][3]
+    listed = [quotes[g] for g in goods]
+    walk = _fold_float_order(segments, listed)
+    if walk is not None:
+        items = [(f / listed[i][2], p, 0, i, listed[i], length, slope)
+                 for f, p, i, slope, length in segments]
+        assert list(walk) == [segments[it[1]] for it in sorted(items, key=_exact_key, reverse=True)]
+        seen["three, float"] += len(segments) == 3
     for favor in (None, *goods):
         for first in (True, False):
             items = _walk_items(buyer, quotes, favor, first)
@@ -901,15 +1056,17 @@ def test_quote_table_fold_matches_canonical_demand_on_tatonnement_iterates(monke
     markets, the fold over the iteration's own quote table gives canonical
     demand value for value, and the walks are in exact key order."""
     tables = []
-    real = solver._split_demand
+    real = _Fold.demand
 
-    def recorded(entries, quotes, *args):
-        tables.append(dict(quotes))
-        return real(entries, quotes, *args)
+    def recorded(fold, quotes, favor=None, first=True):
+        tables.append(dict(zip(fold.goods, quotes)))
+        return real(fold, quotes, favor, first)
 
-    monkeypatch.setattr(solver, "_split_demand", recorded)
+    monkeypatch.setattr(_Fold, "demand", recorded)
     rng = random.Random(2027)
-    seen = dict.fromkeys(("one", "two, float", "two, near tie", "two, out of float range"), 0)
+    seen = dict.fromkeys(
+        ("one", "two, float", "two, near tie", "two, out of float range", "three, float"), 0
+    )
     iterates = 0
     for _ in range(120):
         market, _ = _random_clearing_case(rng)
@@ -918,22 +1075,27 @@ def test_quote_table_fold_matches_canonical_demand_on_tatonnement_iterates(monke
         tables.clear()
         lam = rng.choice((F(1, 2), F(1), F(3)))
         tatonnement(market, SolverConfig(lam=lam, max_iters=25, epsilon=F(0)))
-        for quotes in tables[::3]:
+        # tâtonnement's own calls; the checks below call the fold too
+        iterations = list(tables)
+        iterates += len(iterations)
+        for quotes in iterations[::3]:
             _fold_agrees_with_canonical_demand(market, quotes)
             for buyer in market.buyers:
                 _walks_in_exact_key_order(buyer, quotes, market.goods, seen)
-        iterates += len(tables)
     assert iterates > 1000
     assert seen["one"] > 100 and seen["two, float"] > 100 and seen["two, near tie"] > 10
+    assert seen["three, float"] > 30
 
 
 def test_quote_table_fold_matches_canonical_demand_at_near_ties():
     """Prices with ties 10**-30 apart, equal rationals reached through
     different prices and prices of 10**-400 and 10**400; the walks are also
-    checked on every pair of a buyer's first segments, so that walks of two
-    segments meet each of these cases."""
+    checked on every pair and every trio of a buyer's first segments, so
+    that walks of two and three segments meet each of these cases."""
     rng = random.Random(2028)
-    seen = dict.fromkeys(("one", "two, float", "two, near tie", "two, out of float range"), 0)
+    seen = dict.fromkeys(
+        ("one", "two, float", "two, near tie", "two, out of float range", "three, float"), 0
+    )
     for _ in range(300):
         market, prices = _near_tie_market(rng)
         quotes = quote_table(prices)
@@ -946,6 +1108,9 @@ def test_quote_table_fold_matches_canonical_demand_at_near_ties():
                 _walks_in_exact_key_order(two, quotes, pair, seen)
                 one = Buyer("one", buyer.budget, {pair[0]: utilities[pair[0]]})
                 _walks_in_exact_key_order(one, quotes, pair[:1], seen)
+            for trio in itertools.combinations(sorted(buyer.utilities), 3):
+                utilities = {g: SplcUtility(buyer.utilities[g].segments[:1]) for g in trio}
+                _walks_in_exact_key_order(Buyer("trio", buyer.budget, utilities), quotes, trio, seen)
     assert min(seen.values()) > 100
 
 

@@ -19,17 +19,16 @@ walk to the exact keys.  No float reaches a result.
 The walks read each price as a quote (_quote), built once per set of
 prices: (numerator, denominator, screened float), where the float is that
 of a positive normal price, 0.0 marks a zero price and inf any other, so
-no walk reads a Fraction's numerator or rounds a price again.
-_walk_items reads a quote table (quote_table, good -> quote), _Fold a
-quote list in the order of its goods.
+no walk reads a Fraction's numerator or rounds a price again.  A walk
+reads a quote list in the order of its fold's goods.
 
 _float_order and _exact_order are that one ordering rule: the first
 decides a walk of up to three segments whose float keys are well apart,
-the second settles every other walk.  _Fold is the one walk that
-spends a budget along it, in integers, folding the purchases of many
-(agent, budget) entries: a good's aggregate demand is C + M/p at its price
-p, where C sums the segment lengths bought in full and M the money of the
-purchases the budget limits.  A fold is compiled once per agent list: it
+the second settles every other walk.  _Fold is the one walk of this
+module that spends a budget along it, in integers, folding the purchases
+of many (agent, budget) entries: a good's aggregate demand is C + M/p at
+its price p, where C sums the segment lengths bought in full and M the
+money of the purchases the budget limits.  A fold is compiled once per agent list: it
 indexes the goods and flattens each agent's segments, so a call at new
 prices reads a quote list, orders a walk of up to three segments by a
 float comparison or three (_float_order; the rest through _exact_order),
@@ -40,8 +39,10 @@ alone, so optimal_bundle, canonical demand and verification all read the
 same walk.
 Verification's best utility is the value of the canonical bundle: the
 walk buys each good's segments in segment order, so its amount of a good
-is a prefix of the good's segments.  _walk_items lists one agent's walk,
-for solver._IncrementalFold.
+is a prefix of the good's segments.  Single-good clearing compiles the
+buyers interested in the good into a fold too, and walks one agent at a
+time in the order _Fold.walk gives (solver._IncrementalFold), so there is
+one compiled form of the walk.
 
 The documents are written directly, not through json.dumps, with the
 bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
@@ -62,7 +63,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -157,8 +158,10 @@ class SplcUtility:
     @cached_property
     def walk_segments(self) -> tuple:
         """(slope pair, length pair or None, float slope) of each
-        positive-slope segment, in segment order, as _Walked.walk_order
-        lists them; buyers that share a utility object share this tuple."""
+        positive-slope segment, in segment order, as _Fold compiles them;
+        buyers that share a utility object share this tuple.  A slope whose
+        float is not a normal number gets the float 0.0, which sends every
+        walk that reads it to the exact keys."""
         return tuple(
             (slope, length, _normal_float(*slope, 0.0))
             for length, slope in self.segment_pairs if slope[0] > 0
@@ -171,23 +174,6 @@ class SplcUtility:
             bool(self.segments)
             and self.segments[-1].unbounded
             and self.segments[-1].slope > 0
-        )
-
-
-class _Walked:
-    """What the greedy walk reads of a buyer or trader, beyond its id."""
-
-    @cached_property
-    def walk_order(self) -> tuple[tuple[str, tuple], ...]:
-        """(good, ((slope pair, length pair, float slope), ...)) per valued
-        good in good-id order, listing the good's positive-slope segments in
-        segment order (SplcUtility.walk_segments).  Built on the agent's
-        first walk and kept, so a walk re-sorts nothing by good and skips no
-        zero-slope segment.  A slope whose float is not a normal number gets
-        the float 0.0, which sends every walk that reads it to the exact
-        keys."""
-        return tuple(
-            (good, util.walk_segments) for good, util in sorted(self.utilities.items())
         )
 
 
@@ -227,7 +213,7 @@ def _check_agents(goods: tuple[str, ...], agents: tuple, kind: str) -> None:
 
 
 @dataclass(frozen=True)
-class Buyer(_Walked):
+class Buyer:
     id: str
     budget: Fraction
     utilities: dict[str, SplcUtility] = field(default_factory=dict)
@@ -267,7 +253,7 @@ class FisherMarket:
         index: dict[str, list[Buyer]] = {}
         for buyer in self.buyers:
             for good, util in buyer.utilities.items():
-                if any(seg.slope > 0 for seg in util.segments):
+                if util.walk_segments:
                     index.setdefault(good, []).append(buyer)
         return {good: tuple(buyers) for good, buyers in index.items()}
 
@@ -281,7 +267,7 @@ class FisherMarket:
 
 
 @dataclass(frozen=True)
-class Trader(_Walked):
+class Trader:
     """An exchange-market trader endowed with `share` of every good."""
 
     id: str
@@ -385,15 +371,27 @@ def _float_order(walk, keys: list[float]):
     return None
 
 
-def _exact_order(items: list[tuple]) -> list[tuple]:
-    """Walk items (float key, position, preference, good, quote, length
-    pair, slope pair) in the order of their exact key (slope/price,
-    preference, -position), highest first: the one ordering rule of every
-    walk that _float_order leaves undecided.  The items are sorted on the
+def _exact_order(
+    segments: tuple, keys, quotes: list[Quote], favor: Optional[int], first: bool
+) -> list[tuple]:
+    """A compiled walk's segments (_Fold.plans) in the order of their exact
+    key (slope/price, preference, -position), highest first, given their
+    float keys `keys` at the prices of the quote list `quotes`: the one
+    ordering rule of every walk that _float_order leaves undecided.  The
+    segments of the good of index `favor` have preference 1 (first) or -1,
+    every other 0.
+
+    Each segment becomes an item (float key, position, preference, good
+    index, quote, length pair, slope pair).  The items are sorted on the
     float key and every run of keys within a relative 2**-30 of each other
     is settled on the exact key; if a key is not a positive normal float,
     the whole walk is sorted on the exact key.
     """
+    lead = 1 if first else -1
+    items = [
+        (key, position, lead if i == favor else 0, i, quotes[i], length, slope)
+        for key, (_, position, i, slope, length) in zip(keys, segments)
+    ]
     # keys are sorted in decreasing order, so the first and last bound them
     items.sort(key=_FKEY, reverse=True)
     if not (_FLOAT_MIN <= items[-1][0] and items[0][0] <= _FLOAT_MAX):
@@ -406,40 +404,7 @@ def _exact_order(items: list[tuple]) -> list[tuple]:
             if i - start > 1:
                 items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
             start = i
-    return items
-
-
-def _walk_items(
-    agent: _Walked, quotes: Mapping[str, Quote], favor: Optional[str], first: bool
-) -> list[tuple]:
-    """The agent's positive-slope segments in greedy walk order, as items
-    (float key, position, preference, good, quote, length pair, slope
-    pair), where quote is the good's entry of the quote table `quotes`.
-
-    Segments are taken by decreasing bang-per-buck; ties break by good id,
-    then segment index, except that the segments of `favor` go first
-    (first=True) or last among equal bang-per-buck.  Raises KeyError if a
-    valued good has no quote, and UnboundedDemand if a good with positive
-    slope has price zero.  The order is that of _float_order, else of
-    _exact_order, as in _Fold's walks; solver._IncrementalFold reads these
-    items.
-    """
-    lead = 1 if first else -1
-    items = []
-    position = 0
-    for good, segments in agent.walk_order:
-        quote = quotes[good]
-        if not segments:
-            continue
-        fprice = quote[2]
-        if not fprice:
-            raise UnboundedDemand(agent.id, good)
-        pref = lead if good == favor else 0
-        for slope, length, fslope in segments:
-            items.append((fslope / fprice, position, pref, good, quote, length, slope))
-            position += 1
-    order = _float_order(items, [item[0] for item in items])
-    return _exact_order(items) if order is None else list(order)
+    return [segments[item[1]] for item in items]
 
 
 def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int]:
@@ -469,7 +434,8 @@ class _Fold:
     the capped purchases of the good, M the money of the budget-limited
     ones, and p is its price.
 
-    Compiling indexes `goods` and flattens each agent's walk_order into
+    Compiling indexes `goods` and flattens each agent's positive-slope
+    segments, in (good id, segment) order (SplcUtility.walk_segments), into
     segments (float slope, position, good index, slope pair, length pair or
     None); an agent that values a good outside `goods` raises KeyError.
 
@@ -482,19 +448,33 @@ class _Fold:
     cross-multiplication and reduces once, at its budget-limited purchase.
     """
 
-    def __init__(self, goods: Iterable[str], entries: Iterable[tuple[_Walked, Fraction]]):
+    def __init__(
+        self, goods: Iterable[str], entries: Iterable[tuple[Buyer | Trader, Fraction]]
+    ):
         self.goods = goods = tuple(goods)
         index = {good: i for i, good in enumerate(goods)}
         self.plans = []
         for agent, budget in entries:
             segments = []
-            for good, walk in agent.walk_order:
+            for good, util in sorted(agent.utilities.items()):
                 i = index[good]
-                for slope, length, fslope in walk:
+                for slope, length, fslope in util.walk_segments:
                     segments.append((fslope, len(segments), i, slope, length))
             self.plans.append(
                 (agent.id, budget.numerator, budget.denominator, tuple(segments))
             )
+
+    def walk(
+        self, j: int, quotes: list[Quote], favor: Optional[int], first: bool
+    ) -> Sequence[tuple]:
+        """The j-th agent's segments in walk order at the prices of
+        `quotes`, all of them positive, ties broken towards the good of
+        index `favor` (first) or away from it: the order of its walk in
+        _walks, for a caller that walks one agent its own way."""
+        segments = self.plans[j][3]
+        keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
+        walk = _float_order(segments, keys)
+        return _exact_order(segments, keys, quotes, favor, first) if walk is None else walk
 
     def demand(
         self, quotes: list[Quote], favor: Optional[int] = None, first: bool = True
@@ -545,12 +525,7 @@ class _Fold:
                 raise UnboundedDemand(agent_id, self.goods[i]) from None
             walk = _float_order(segments, keys)
             if walk is None:
-                lead = 1 if first else -1
-                items = [
-                    (key, position, lead if i == favor else 0, i, quotes[i], length, slope)
-                    for key, (_, position, i, slope, length) in zip(keys, segments)
-                ]
-                walk = [segments[item[1]] for item in _exact_order(items)]
+                walk = _exact_order(segments, keys, quotes, favor, first)
             if not rn:
                 continue
             for _, _, i, _, length in walk:
@@ -657,7 +632,7 @@ class EquilibriumReport:
 
 def _verify(
     fold: _Fold,
-    agents: tuple[_Walked, ...],
+    agents: tuple[Buyer | Trader, ...],
     prices: dict[str, Fraction],
     allocation: dict[str, dict[str, Fraction]],
     epsilon: Fraction,
@@ -675,8 +650,7 @@ def _verify(
     denominators by their lcm, and comparisons cross-multiply.  An agent
     is optimal iff it spends at most its budget and achieves the maximum;
     a good with positive slope at price zero makes its demand unbounded.
-    A negative amount in the row of an agent whose demand is bounded
-    raises MarketError.
+    A negative amount in any row raises MarketError.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -698,9 +672,12 @@ def _verify(
     totals = dict.fromkeys(goods, (-1, 1))
     for row in allocation.values():
         for good, amount in row.items():
+            n, d = amount.numerator, amount.denominator
+            if n < 0:
+                raise MarketError(f"negative allocation for good {good!r}")
             pair = totals.get(good)
             if pair is not None:
-                totals[good] = _add_pair(pair, amount.numerator, amount.denominator)
+                totals[good] = _add_pair(pair, n, d)
 
     listed = [quotes[good] for good in goods]
     verdicts: dict[str, BuyerVerdict] = {}
@@ -719,8 +696,6 @@ def _verify(
         if row:
             for good, amount in row.items():
                 n, d = amount.numerator, amount.denominator
-                if n < 0:
-                    raise MarketError(f"negative allocation for good {good!r}")
                 pn, pd, _ = quotes[good]
                 spend = _add_pair(spend, pn * n, pd * d)
                 util = utilities.get(good)

@@ -30,14 +30,12 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .market import (
-    Buyer,
     FisherMarket,
     MarketError,
     SplcUtility,
     _add_pair,
+    _Fold,
     _quote,
-    _walk_items,
-    quote_table,
     verify_fisher,
 )
 from .rationals import format_rational
@@ -333,22 +331,24 @@ class _IncrementalFold:
 
     Cost of a call: its re-walks, each with O(log) heap work, and O(1)
     besides; only the first call walks every buyer.  A fold serves one
-    clearing: every call passes the same prices for every good but `good`.
-    So the first call builds the fold's quote table from its prices, and a
-    later call only re-quotes the good; every walk reads that one table.
+    clearing: it walks the buyers of a market._Fold compiled for the
+    clearing (the good of index `good` and every good its buyers value),
+    which several _IncrementalFolds may share, at a quote list of its own
+    that holds every pinned price; a call re-quotes only the good.
 
-    _walk is the one budget walk besides market._Fold, on the same order
-    (_walk_items, whose rule _Fold shares) and with the same integer capped
-    test, so a buyer's part is what _Fold gives it.  It is kept apart
-    because the same pass also derives the buyer's ties and budget
-    breakpoints, the ends of its interval; a _Fold that branched on which
-    caller it serves would not be simpler.
+    _walk is the one budget walk besides market._Fold's, in the order
+    _Fold.walk gives (the order of _Fold's own walks) and with the same
+    integer capped test, so a buyer's part is what _Fold gives it.  It is
+    kept apart because the same pass also derives the buyer's ties and
+    budget breakpoints, the ends of its interval; a _Fold that branched on
+    which caller it serves would not be simpler.
     """
 
-    def __init__(self, buyers: tuple[Buyer, ...], good: str):
-        self.buyers = buyers
+    def __init__(self, fold: _Fold, good: int, quotes: list):
+        self.fold = fold
         self.good = good
-        n = len(buyers)
+        self.quotes = list(quotes)
+        n = len(fold.plans)
         # per buyer (C_b, A_b, C_b) if its budget runs out on the good,
         # else (C_b, 0, 0): the sums of the three give C, and M = A - Cx p
         self.parts = [(_NO_PAIR, _NO_PAIR, _NO_PAIR)] * n
@@ -361,17 +361,11 @@ class _IncrementalFold:
         self.above: list[tuple] = []
         self.below: list[tuple] = []
         self.serials = count(1)
-        self.quotes: Optional[dict] = None
 
-    def __call__(
-        self, prices: dict[str, Fraction], first: bool
-    ) -> tuple[Fraction, Fraction, Fraction]:
-        p = prices[self.good]
+    def __call__(self, p: Fraction, first: bool) -> tuple[Fraction, Fraction, Fraction]:
+        """(demand, C, M) of the good at price p > 0."""
         pn, pd = p.numerator, p.denominator
-        if self.quotes is None:
-            self.quotes = quote_table(prices)
-        else:
-            self.quotes[self.good] = _quote(pn, pd)
+        self.quotes[self.good] = _quote(pn, pd)
         fp = _float(pn, pd)
         stale, self.stale = self.stale, []
         serial = self.serial
@@ -401,26 +395,27 @@ class _IncrementalFold:
         money = (an * xd * pd - xn * pn * ad, ad * xd * pd)
         return F(*_demand_pair((cn, cd), money, pn, pd)), F(cn, cd), F(*money)
 
-    def interval(self, prices: dict[str, Fraction]) -> tuple[Fraction, Fraction]:
-        """[min, max] demand at prices[good] over all optimal bundles, the
-        extremes of breaking greedy ties against and towards the good.
+    def interval(self, p: Fraction) -> tuple[Fraction, Fraction]:
+        """[min, max] demand at price p of the good over all optimal
+        bundles, the extremes of breaking greedy ties against and towards
+        the good.
 
         The tie break towards the good goes first: the walk that breaks
         ties away from it holds above the price, where the scan goes next.
         """
-        high = self(prices, first=True)[0]
-        return self(prices, first=False)[0], high
+        high = self(p, first=True)[0]
+        return self(p, first=False)[0], high
 
     def _walk(self, i: int, first: bool):
-        """Buyer i's part at the prices of the fold's quote table, as
+        """Buyer i's part at the prices of the fold's quote list, as
         market._Fold's walk gives it, with its interval pushed onto the
         heaps."""
-        buyer, good = self.buyers[i], self.good
+        good, quotes = self.good, self.quotes
         # the interval (lo, hi) as integer pairs; hi = 1/0 has no end
         lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
         # (rn, rd) the remaining budget; (sn, sd) the spare, the budget less
         # the capped purchases of other goods; (cn, cd) C_b
-        rn, rd = buyer.budget.numerator, buyer.budget.denominator
+        _, rn, rd, _ = self.fold.plans[i]
         sn, sd = rn, rd
         cn, cd = _NO_PAIR
         runs_out, walking = False, True
@@ -431,9 +426,8 @@ class _IncrementalFold:
         # last: (qn, qd, t) of the latest other good; run: the slope of the
         # good's latest segment since then.
         last = run = None
-        for _, _, _, g, (pn, pd, _), length, slope in _walk_items(
-            buyer, self.quotes, good, first
-        ):
+        for _, _, g, slope, length in self.fold.walk(i, quotes, good, first):
+            pn, pd, _ = quotes[g]
             if g == good:
                 if run is None and last is not None:
                     qn, qd, t = last
@@ -494,31 +488,29 @@ class _IncrementalFold:
 
 
 def _tie_candidates(
-    buyers: tuple[Buyer, ...], good: str, prices: dict[str, Fraction],
-    lo: Fraction, hi: Fraction,
+    fold: _Fold, good: int, quotes: list, lo: Fraction, hi: Fraction
 ) -> list[Fraction]:
-    """Prices in (lo, hi) where some buyer's bang-per-buck on the free good
-    ties with one of their other goods (demand is set-valued there).
+    """Prices in (lo, hi) of the good of index `good` where some agent of
+    `fold` has a bang-per-buck on it that ties with one of its other goods
+    (demand is set-valued there), with the other goods at the prices of
+    `quotes`.
 
     A slope sf of the good meets a segment of slope s of a good priced q at
     sf * q / s; it is tested against the bracket in integers, and only the
     candidates inside it become Fractions."""
     lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     out = set()
-    for buyer in buyers:
-        order = buyer.walk_order
-        free = {slope for g, segments in order if g == good for slope, _, _ in segments}
-        for other, segments in order:
-            if other == good or not segments:
+    for _, _, _, segments in fold.plans:
+        free = {slope for _, _, i, slope, _ in segments if i == good}
+        for _, _, i, (sn, sd), _ in segments:
+            if i == good:
                 continue
-            price = prices[other]
-            qn, qd = price.numerator, price.denominator
-            for (sn, sd), _, _ in segments:
-                bn, bd = qn * sd, qd * sn
-                for fn, fd in free:
-                    n, d = fn * bn, fd * bd
-                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                        out.add(F(n, d))
+            qn, qd, _ = quotes[i]
+            bn, bd = qn * sd, qd * sn
+            for fn, fd in free:
+                n, d = fn * bn, fd * bd
+                if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                    out.add(F(n, d))
     return sorted(out)
 
 
@@ -531,21 +523,19 @@ class BisectionResult:
 
 
 def _region_crossing(
-    fold: _IncrementalFold, good, prices, x: Fraction, y: Fraction,
-    epsilon: Fraction, max_iters: int,
+    fold: _IncrementalFold, x: Fraction, y: Fraction, epsilon: Fraction, max_iters: int
 ):
     """Search the tie-free open region (x, y) for a demand-1 crossing.
 
     Bisection accelerated by solving the local C + M/p model; returns
     (exact price or None, best within-epsilon fallback or None).  `fold`
-    evaluates the demand for `good` at `prices` with the good's price set.
+    evaluates the demand for the free good at a price of it.
     """
-    pr = dict(prices)
     lo, hi = x, y
     best = None
     for _ in range(max_iters):
-        p = pr[good] = (lo + hi) / 2
-        demand, const, money = fold(pr, first=True)
+        p = (lo + hi) / 2
+        demand, const, money = fold(p, first=True)
         if demand == 1:
             return p, best
         if abs(demand - 1) <= epsilon and best is None:
@@ -553,8 +543,7 @@ def _region_crossing(
         if money > 0 and const < 1:
             cand = money / (1 - const)
             if x < cand < y:
-                pr[good] = cand
-                d_cand, _, _ = fold(pr, first=True)
+                d_cand, _, _ = fold(cand, first=True)
                 if d_cand == 1:
                     return cand, best
         if demand > 1:
@@ -591,12 +580,15 @@ def pinned_bisection(
     not positive ...").  `pinned` is read one good at a time, never
     iterated or copied whole, so it may be a large shared map.
 
-    Cost: O((interested buyers + ties) log) for the clearing, with nothing
+    Cost: one compile of the interested buyers into a market._Fold (their
+    segments flattened once, over only the goods they value), then
+    O((interested buyers + ties) log) for the clearing, with nothing
     proportional to the market's goods.  Every evaluated price goes through
-    an _IncrementalFold, so a buyer is walked at the two ends of the
-    bracket and again only where a price leaves the interval on which its
-    part of C + M/p holds: at its own ties, where both tie breaks walk only
-    the buyers tied there, and at its budget breakpoints.
+    an _IncrementalFold on that one compile, so a buyer is walked at the
+    two ends of the bracket and again only where a price leaves the
+    interval on which its part of C + M/p holds: at its own ties, where
+    both tie breaks walk only the buyers tied there, and at its budget
+    breakpoints.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -612,16 +604,14 @@ def pinned_bisection(
     not_positive = sorted(g for g, p in prices.items() if p <= 0)
     if not_positive:
         raise BracketError(f"pinned prices not positive for goods {not_positive}")
-    fold = _IncrementalFold(buyers, free_good)
-
-    def demand_at(p: Fraction, fold=fold) -> tuple[Fraction, Fraction]:
-        prices[free_good] = p
-        return fold.interval(prices)
-
-    d_lo = demand_at(lo)
+    # the free good is the compiled fold's good 0, quoted at each call
+    compiled = _Fold((free_good, *prices), ((buyer, buyer.budget) for buyer in buyers))
+    quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
+    fold = _IncrementalFold(compiled, 0, quotes)
+    d_lo = fold.interval(lo)
     # a fold of its own for the high end, so that the scan up from the low
     # end finds the buyers' intervals where it left them
-    d_hi = demand_at(hi, _IncrementalFold(buyers, free_good))
+    d_hi = _IncrementalFold(compiled, 0, quotes).interval(hi)
     if d_lo[1] < 1 - epsilon:
         raise BracketError(
             f"demand at the low end is {d_lo[1]}, below 1 - epsilon"
@@ -631,13 +621,13 @@ def pinned_bisection(
             f"demand at the high end is {d_hi[0]}, above 1 + epsilon"
         )
 
-    points = [lo] + _tie_candidates(buyers, free_good, prices, lo, hi) + [hi]
+    points = [lo] + _tie_candidates(compiled, 0, quotes, lo, hi) + [hi]
     intervals = {0: d_lo, len(points) - 1: d_hi}
     crossings: dict[int, tuple] = {}
 
     def interval(i: int) -> tuple[Fraction, Fraction]:
         if i not in intervals:
-            intervals[i] = demand_at(points[i])
+            intervals[i] = fold.interval(points[i])
         return intervals[i]
 
     def scan(tol: Fraction, exact: bool) -> Optional[BisectionResult]:
@@ -652,8 +642,8 @@ def pinned_bisection(
                     # midpoint shows; otherwise this scan returns y itself and
                     # never reads the region's epsilon fallback.
                     crossings[i - 1] = _region_crossing(
-                        fold, free_good, prices, points[i - 1], point,
-                        epsilon, 1 if dmax == 1 else _BISECTION_STEPS,
+                        fold, points[i - 1], point, epsilon,
+                        1 if dmax == 1 else _BISECTION_STEPS,
                     )
                 found, near = crossings[i - 1]
                 if exact and found is not None:

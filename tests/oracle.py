@@ -8,7 +8,13 @@ combinations plus one partial candidate is exhaustive.  It never looks at
 bang-per-buck ordering.
 
 greedy_walk is the bang-per-buck greedy written plainly in Fractions, a
-reference for the program's walk order, tie breaks and budget loop.
+reference for the program's walk order, tie breaks and budget loop.  The
+program compiles its walks into integer plans (market._Fold); these
+references read the SplcSegments instead, so they share none of that form.
+
+tie_candidates enumerates, in Fractions, the prices of a free good at
+which a buyer's bang-per-buck on it ties with one of their other goods:
+the points pinned_bisection scans.
 
 free_good_fold and demand_interval are the one-shot forms of the demand
 that pinned_bisection's incremental fold keeps: every buyer folded afresh
@@ -19,7 +25,7 @@ of one good.
 from fractions import Fraction
 import itertools
 
-from circuitmarket.market import _Fold, quote_table
+from circuitmarket.market import SplcUtility, _Fold, quote_table
 from circuitmarket.solver import _NO_PAIR, _demand_pair
 
 ZERO = Fraction(0)
@@ -113,6 +119,26 @@ def greedy_bundle(utilities, budget, prices):
         bundle[good] = bundle.get(good, ZERO) + amount
         utility += slope * amount
     return bundle, utility
+
+
+def tie_candidates(buyers, good, prices, lo, hi):
+    """Every price sf * q / s in the open interval (lo, hi), sorted, where sf
+    is a positive slope of a buyer's utility for `good` and s a positive
+    slope of a segment of another good the buyer values, priced q."""
+    out = set()
+    for buyer in buyers:
+        utility = buyer.utilities.get(good, SplcUtility())
+        free = [seg.slope for seg in utility.segments if seg.slope > 0]
+        for other, utility in buyer.utilities.items():
+            if other == good:
+                continue
+            for seg in utility.segments:
+                if seg.slope > 0:
+                    for sf in free:
+                        tie = sf * prices[other] / seg.slope
+                        if lo < tie < hi:
+                            out.add(tie)
+    return sorted(out)
 
 
 def free_good_fold(buyers, good, prices, first):

@@ -346,6 +346,28 @@ def test_verify_rejects_negative_price(tmp_path, capsys):
     assert "negative price" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_verify_rejects_a_negative_amount_of_an_unbounded_buyer(tmp_path, capsys):
+    """x at price 0 makes buyer a's demand unbounded; the negative amount
+    in its row is still a precondition error, not a failed report."""
+    market = FisherMarket(
+        ("x",), (Buyer("a", F(1), {"x": SplcUtility((SplcSegment(None, F(1)),))}),)
+    )
+    (tmp_path / "market.json").write_text(market_to_json(market))
+    (tmp_path / "prices.json").write_text(prices_to_json({"x": F(0)}))
+    (tmp_path / "alloc.json").write_text(allocation_to_json({"a": {"x": F(-5)}}))
+    code = cli.run(
+        [
+            "verify", "--market", str(tmp_path / "market.json"),
+            "--prices", str(tmp_path / "prices.json"),
+            "--allocation", str(tmp_path / "alloc.json"), "--eps", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    assert _assert_json_error(capsys, 3) == "negative allocation for good 'x'"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

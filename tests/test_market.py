@@ -172,6 +172,15 @@ def test_verify_rejects_negative_prices():
         verify_fisher(market, {"x": F(-1)}, {}, F(1))
 
 
+def test_verify_rejects_a_negative_amount_in_every_row():
+    """A negative amount raises MarketError whether or not the buyer's
+    demand is bounded: at price 0 buyer a's demand for x is unbounded."""
+    market = FisherMarket(("x",), (Buyer("a", F(1), {"x": linear(1)}),))
+    for price in (F(0), F(1)):
+        with pytest.raises(MarketError, match="negative allocation for good 'x'"):
+            verify_fisher(market, {"x": price}, {"a": {"x": F(-5)}}, F(1))
+
+
 def test_sufficient_condition():
     assert _two_buyer_market().satisfies_sufficient_condition()
     capped = FisherMarket(
@@ -611,16 +620,17 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
 
 
 def _walked_goods(buyer, prices, favor=None, first=True):
-    """The goods of the program's walk order (_walk_items), which must be
-    those of the reference greedy's purchases and of the compiled fold's
-    capped ones: the buyers below can afford every segment."""
-    quotes = market_module.quote_table(prices)
-    goods = [item[3] for item in market_module._walk_items(buyer, quotes, favor, first)]
-    walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
-    assert goods == [g for g, *_ in walk]
+    """The goods of the compiled walk's order (_Fold.walk over the fold's
+    plans), which must be those of the reference greedy's purchases and of
+    the compiled fold's capped ones: the buyers below can afford every
+    segment."""
+    quotes = list(market_module.quote_table(prices).values())
     fold = market_module._Fold(prices, [(buyer, buyer.budget)])
     favored = None if favor is None else fold.goods.index(favor)
-    const, _ = fold.demand(list(quotes.values()), favored, first)
+    goods = [fold.goods[i] for _, _, i, _, _ in fold.walk(0, quotes, favored, first)]
+    walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
+    assert goods == [g for g, *_ in walk]
+    const, _ = fold.demand(quotes, favored, first)
     assert [fold.goods[i] for i in const] == goods
     return goods
 
@@ -668,7 +678,7 @@ def test_walk_order_keeps_a_float_of_each_normal_slope():
         "b": util((1, 10**400), (1, F(1, 10**300)), (None, F(1, 10**400))),
         "c": util((1, 0)),
     })
-    assert buyer.walk_order == (
+    assert tuple((g, u.walk_segments) for g, u in sorted(buyer.utilities.items())) == (
         ("a", (((1, 3), (1, 1), 1 / 3),)),
         ("b", (
             ((10**400, 1), (1, 1), 0.0),
@@ -740,6 +750,8 @@ def _fraction_verify(market, prices, allocation, epsilon):
     slacks = dict.fromkeys(market.goods, F(-1))
     for row in allocation.values():
         for good, amount in row.items():
+            if amount < 0:
+                raise MarketError(f"negative allocation for good {good!r}")
             if good in slacks:
                 slacks[good] += amount
     verdicts = {}
@@ -753,8 +765,6 @@ def _fraction_verify(market, prices, allocation, epsilon):
         spend = sum((prices[g] * a for g, a in row.items()), F(0))
         achieved = F(0)
         for good, amount in row.items():
-            if amount < 0:
-                raise MarketError(f"negative allocation for good {good!r}")
             if good in buyer.utilities:
                 achieved += _fraction_value(buyer.utilities[good], amount)
         if spend <= buyer.budget and achieved == best:

@@ -36,14 +36,12 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
-from circuitmarket import market as market_module
 from circuitmarket import optimal_bundle, prices_to_json, solver
 from circuitmarket.market import (
     MarketError,
     _exact_key,
     _float_order,
     _Fold,
-    _walk_items,
     quote_table,
 )
 from circuitmarket.solver import (
@@ -60,6 +58,7 @@ from oracle import (
     free_good_fold,
     greedy_walk,
     oracle_max_utility,
+    tie_candidates,
     walk_order,
 )
 
@@ -127,11 +126,13 @@ def _pairs(segment):
 
 def _assert_walk_is_the_reference(buyer, prices, favor, first):
     """One buyer's walk against the reference greedy of tests/oracle.py:
-    _walk_items lists the segments in the reference's order, and the budget
-    walk of the compiled fold buys what the reference buys."""
-    quotes = quote_table(prices)
-    items = _walk_items(buyer, quotes, favor, first)
-    assert [(g, length, slope) for _, _, _, g, _, length, slope in items] == [
+    the compiled walk (_Fold.walk) lists the segments in the reference's
+    order, and the budget walk of the compiled fold buys what the reference
+    buys."""
+    fold = _Fold(prices, [(buyer, buyer.budget)])
+    favored = None if favor is None else fold.goods.index(favor)
+    walk = fold.walk(0, list(quote_table(prices).values()), favored, first)
+    assert [(fold.goods[i], length, slope) for _, _, i, slope, length in walk] == [
         (g, *_pairs(s)) for g, s in walk_order(buyer.utilities, prices, favor, first)
     ]
     const, money = _fold_split([buyer], prices, favor, first)
@@ -686,7 +687,7 @@ def test_demand_interval_is_consistent_with_the_greedy_walk():
     for _ in range(100):
         market, prices = _random_clearing_case(rng)
         buyers = market.interested_buyers.get("x", ())
-        ties = _tie_candidates(buyers, "x", prices, lo, hi)
+        ties = tie_candidates(buyers, "x", prices, lo, hi)
         points = [lo] + ties + [hi]
         off_ties = [(a + b) / 2 for a, b in zip(points, points[1:])]
         off_ties += [F(rng.randint(2, 63), 8) for _ in range(4)]
@@ -719,7 +720,7 @@ def test_compiled_fold_is_the_fraction_greedy_on_clearing_markets():
     seen = dict.fromkeys(("exact tie", "near tie", "not normal", "three on floats", "longer"), 0)
     for _ in range(300):
         market, prices = _random_clearing_case(rng)
-        ties = _tie_candidates(market.buyers, "x", prices, F(1, 8), F(8))
+        ties = tie_candidates(market.buyers, "x", prices, F(1, 8), F(8))
         tie = rng.choice(ties) if ties else F(1)
         near = tie * (1 + F(rng.choice((-1, 1)), 10**30))
         tiny_or_huge = rng.randint(1, 9) * F(10) ** rng.choice((-400, 400))
@@ -797,9 +798,9 @@ def test_region_search_only_where_demand_can_cross(monkeypatch):
     entered = []
     real = solver._region_crossing
 
-    def spy(buyers, good, prices, x, y, epsilon, max_iters):
+    def spy(fold, x, y, epsilon, max_iters):
         entered.append((x, y))
-        return real(buyers, good, prices, x, y, epsilon, max_iters)
+        return real(fold, x, y, epsilon, max_iters)
 
     monkeypatch.setattr(solver, "_region_crossing", spy)
     exact_calls = fallback_calls = regions = 0
@@ -807,7 +808,7 @@ def test_region_search_only_where_demand_can_cross(monkeypatch):
         entered.clear()
         outcome = _clearing_outcome(market, prices, (lo, hi), eps)
         buyers = market.interested_buyers.get("x", ())
-        regions += len(_tie_candidates(buyers, "x", prices, lo, hi)) + 1
+        regions += len(tie_candidates(buyers, "x", prices, lo, hi)) + 1
         assert len(set(entered)) == len(entered)
         for x, y in entered:
             dmin_x = demand_interval(buyers, "x", prices, x)[0]
@@ -849,6 +850,49 @@ def _budget_breakpoints(buyer, prices, p):
     return points
 
 
+def _clearing_fold(buyers, prices, at):
+    """The buyers compiled as pinned_bisection compiles them, over "x" and
+    the goods of `prices`, with "x" at index `at`, and the quote list of
+    `prices` in the fold's order ("x" quoted as None)."""
+    goods = [*prices]
+    goods.insert(at, "x")
+    quotes = list(quote_table(prices).values())
+    quotes.insert(at, None)
+    return _Fold(goods, [(buyer, buyer.budget) for buyer in buyers]), quotes
+
+
+def _incremental_fold(buyers, prices):
+    """The _IncrementalFold of pinned_bisection for "x", with the other
+    goods at `prices`."""
+    fold, quotes = _clearing_fold(buyers, prices, 0)
+    return _IncrementalFold(fold, 0, quotes)
+
+
+def test_tie_candidates_are_every_tie_in_the_bracket():
+    """_tie_candidates, which reads the compiled plans and quotes, against
+    the brute-force Fraction enumeration of tests/oracle.py over the
+    SplcSegments, on seeded clearing markets: every buyer or only those
+    interested in x, x at every index of the fold, and brackets of random
+    ends or ends exactly at a tie (which the open bracket leaves out)."""
+    rng = random.Random(2030)
+    found = at_an_end = 0
+    for _ in range(300):
+        market, prices = _random_clearing_case(rng)
+        buyers = rng.choice((market.buyers, market.interested_buyers.get("x", ())))
+        lo = F(rng.randint(1, 16), 8)
+        hi = lo + F(rng.randint(1, 64), 8)
+        wide = tie_candidates(buyers, "x", prices, F(1, 8), F(10))
+        if wide and rng.random() < 0.5:
+            lo, hi = rng.choice(wide), max(wide) + 1
+            at_an_end += 1
+        at = rng.randint(0, len(prices))
+        fold, quotes = _clearing_fold(buyers, prices, at)
+        ties = _tie_candidates(fold, at, quotes, lo, hi)
+        assert ties == tie_candidates(buyers, "x", prices, lo, hi)
+        found += len(ties)
+    assert found > 300 and at_an_end > 50
+
+
 def test_incremental_fold_matches_the_one_shot_fold():
     """_IncrementalFold against free_good_fold, triple for triple, at tie
     points with both tie breaks, at region midpoints and exactly on budget
@@ -861,7 +905,7 @@ def test_incremental_fold_matches_the_one_shot_fold():
     for _ in range(150):
         market, prices = _random_clearing_case(rng)
         buyers = market.interested_buyers.get("x", ())
-        ties = _tie_candidates(buyers, "x", prices, lo, hi)
+        ties = tie_candidates(buyers, "x", prices, lo, hi)
         points = [lo] + ties + [hi]
         mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
         breaks = {bp for m in mids for b in buyers for bp in _budget_breakpoints(b, prices, m)}
@@ -870,15 +914,12 @@ def test_incremental_fold_matches_the_one_shot_fold():
         queries += [(p, first, "breakpoint") for p in breaks for first in (True, False)]
         queries *= 2
         rng.shuffle(queries)
-        fold = _IncrementalFold(buyers, "x")
-        pr = dict(prices)
+        fold = _incremental_fold(buyers, prices)
         for p, first, kind in queries:
-            pr["x"] = p
-            assert fold(pr, first) == free_good_fold(buyers, "x", pr, first)
+            assert fold(p, first) == free_good_fold(buyers, "x", {**prices, "x": p}, first)
             seen[kind] += 1
         for p in ties:
-            pr["x"] = p
-            assert fold.interval(pr) == demand_interval(buyers, "x", prices, p)
+            assert fold.interval(p) == demand_interval(buyers, "x", prices, p)
         for p in breaks:
             # C jumps at a breakpoint, whether or not demand does
             below = free_good_fold(buyers, "x", {**prices, "x": p * (1 - F(1, 10**9))}, True)
@@ -900,11 +941,10 @@ def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
         ),
     )
     buyers = market.interested_buyers.get("x", ())
-    fold = _IncrementalFold(buyers, "x")
     prices = {"y": F(1), "z": F(1)}
+    fold = _incremental_fold(buyers, prices)
     for p in (F(1), F(1), 1 - 10 * tiny, F(1), 1 + 10 * tiny, F(1)):
-        prices["x"] = p
-        assert fold(prices, True) == free_good_fold(buyers, "x", prices, True)
+        assert fold(p, True) == free_good_fold(buyers, "x", {**prices, "x": p}, True)
 
 
 def _clear_ref(k):
@@ -925,14 +965,13 @@ def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
     price grew four-fold per doubling of k; the incremental fold walks each
     buyer a bounded number of times."""
     walks = []
-    real = market_module._walk_items
+    real = _IncrementalFold._walk
 
     def counted(*args):
         walks[-1] += 1
         return real(*args)
 
-    monkeypatch.setattr(market_module, "_walk_items", counted)
-    monkeypatch.setattr(solver, "_walk_items", counted)
+    monkeypatch.setattr(_IncrementalFold, "_walk", counted)
     for k in (10, 20, 40):
         clear = _clear_ref(k)
         walks.append(0)
@@ -1022,30 +1061,30 @@ def _fold_agrees_with_canonical_demand(market, quotes):
 
 
 def _walks_in_exact_key_order(buyer, quotes, goods, seen):
-    """_walk_items against a sort of the same items on the exact key, with
-    no favored good and every good favored first and last, and so the walk
-    of the compiled fold where _float_order decides it on float keys alone;
-    `seen` counts the walks of one and two segments by how their order was
-    decided, and the fold's walks of three decided on floats."""
-    segments = _Fold(goods, [(buyer, buyer.budget)]).plans[0][3]
+    """The compiled walk (_Fold.walk) against a sort of the same segments on
+    the exact key, with no favored good and every good favored first and
+    last; `seen` counts the walks of one and two segments by how their order
+    was decided, and the walks of three that _float_order decides on float
+    keys alone."""
+    fold = _Fold(goods, [(buyer, buyer.budget)])
+    segments = fold.plans[0][3]
     listed = [quotes[g] for g in goods]
-    walk = _fold_float_order(segments, listed)
-    if walk is not None:
-        items = [(f / listed[i][2], p, 0, i, listed[i], length, slope)
-                 for f, p, i, slope, length in segments]
-        assert list(walk) == [segments[it[1]] for it in sorted(items, key=_exact_key, reverse=True)]
-        seen["three, float"] += len(segments) == 3
-    for favor in (None, *goods):
+    keys = [f / listed[i][2] for f, _, i, _, _ in segments]
+    seen["three, float"] += len(segments) == 3 and _fold_float_order(segments, listed) is not None
+    for favor in (None, *range(len(goods))):
         for first in (True, False):
-            items = _walk_items(buyer, quotes, favor, first)
-            assert items == sorted(items, key=_exact_key, reverse=True)
-            if len(items) == 1:
+            lead = 1 if first else -1
+            items = [(key, p, lead if i == favor else 0, i, listed[i], length, slope)
+                     for key, (_, p, i, slope, length) in zip(keys, segments)]
+            walk = fold.walk(0, listed, favor, first)
+            assert list(walk) == [segments[it[1]] for it in sorted(items, key=_exact_key, reverse=True)]
+            if len(segments) == 1:
                 seen["one"] += 1
-            elif len(items) == 2:
-                keys = sorted(item[0] for item in items)
-                if not 2.2250738585072014e-308 <= keys[0] <= keys[1] <= 1.7976931348623157e308:
+            elif len(segments) == 2:
+                low, high = sorted(keys)
+                if not 2.2250738585072014e-308 <= low <= high <= 1.7976931348623157e308:
                     seen["two, out of float range"] += 1
-                elif keys[0] >= keys[1] * (1 - 2.0**-30):
+                elif low >= high * (1 - 2.0**-30):
                     seen["two, near tie"] += 1
                 else:
                     seen["two, float"] += 1

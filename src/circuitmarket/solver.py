@@ -320,34 +320,35 @@ class _IncrementalFold:
     aggregate on an open interval of prices around p: C_b, the lengths of
     the good's segments it buys in full, and, if its budget runs out on the
     good, money M_b = A_b - C_b p, where A_b is its budget less what it
-    spends on other goods.  The interval ends at the buyer's own ties
-    between the good and another good (where the walk order changes) and at
+    spends on other goods.  The interval ends at the buyer's nearest ties
+    above and below p, read off its tie prices `ties[i]` (_tie_pairs, the
+    prices where its walk order changes, which the scan reads too), and at
     its budget breakpoints (where a purchase flips between capped and
-    budget-limited).  With the walk order fixed, both kinds are affine in p,
-    so one walk gives the interval.  A call re-walks only the buyers whose
-    interval does not hold the price; two heaps of interval ends find them.
-    At a price where a buyer is tied, its walk depends on `first`, and the
-    interval of that walk ends at the price, so the next call re-walks it.
+    budget-limited), which its walk gives.  A call re-walks only the buyers
+    whose interval does not hold the price; two heaps of interval ends find
+    them.  At a price where a buyer is tied, its walk depends on `first`,
+    and the interval of that walk ends at the price, so the next call
+    re-walks it.
 
-    Cost of a call: its re-walks, each with O(log) heap work, and O(1)
-    besides; only the first call walks every buyer.  A fold serves one
-    clearing: it walks the buyers of a market._Fold compiled for the
-    clearing (the good of index `good` and every good its buyers value),
-    which several _IncrementalFolds may share, at a quote list of its own
-    that holds every pinned price; a call re-quotes only the good.
+    Cost of a call: its re-walks, each with O(log) heap work and a pass over
+    the buyer's ties, and O(1) besides; only the first call walks every
+    buyer.  A fold serves one clearing: it walks the buyers of a
+    market._Fold compiled for the clearing (the good of index `good` and
+    every good its buyers value), which several _IncrementalFolds may share
+    with their ties, at a quote list of its own that holds every pinned
+    price; a call re-quotes only the good.
 
     _walk is the one budget walk besides market._Fold's, in the order
-    _Fold.walk gives (the order of _Fold's own walks) and with the same
-    integer capped test, so a buyer's part is what _Fold gives it.  It is
-    kept apart because the same pass also derives the buyer's ties and
-    budget breakpoints, the ends of its interval; a _Fold that branched on
-    which caller it serves would not be simpler.
+    _Fold.walk gives and with the same integer capped test, so a buyer's
+    part is what _Fold gives it.  It is kept apart for the spare money and
+    the budget breakpoints, which _Fold's walks do not track.
     """
 
-    def __init__(self, fold: _Fold, good: int, quotes: list):
+    def __init__(self, fold: _Fold, good: int, quotes: list, ties: list):
         self.fold = fold
         self.good = good
         self.quotes = list(quotes)
+        self.ties = ties
         n = len(fold.plans)
         # per buyer (C_b, A_b, C_b) if its budget runs out on the good,
         # else (C_b, 0, 0): the sums of the three give C, and M = A - Cx p
@@ -411,49 +412,34 @@ class _IncrementalFold:
         market._Fold's walk gives it, with its interval pushed onto the
         heaps."""
         good, quotes = self.good, self.quotes
-        # the interval (lo, hi) as integer pairs; hi = 1/0 has no end
+        pn, pd, _ = quotes[good]
+        # the interval (lo, hi) as integer pairs; hi = 1/0 has no end.  Its
+        # tie ends are the buyer's nearest ties above and below the price; a
+        # tie at the price is above it when the tie break walks the good first
         lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
+        for tn, td in self.ties[i]:
+            side = tn * pd - pn * td
+            if side > 0 or first and not side:
+                if tn * hi_d < hi_n * td:
+                    hi_n, hi_d = tn, td
+            elif lo_n * td < tn * lo_d:
+                lo_n, lo_d = tn, td
         # (rn, rd) the remaining budget; (sn, sd) the spare, the budget less
         # the capped purchases of other goods; (cn, cd) C_b
         _, rn, rd, _ = self.fold.plans[i]
         sn, sd = rn, rd
         cn, cd = _NO_PAIR
-        runs_out, walking = False, True
-        # ties: a segment of the good with slope f meets a segment of slope
-        # t of another good priced q at f q / t; the nearest are those of
-        # the other goods' segments next to it in the walk order, the one
-        # before at a lower price and the one after at a higher one.
-        # last: (qn, qd, t) of the latest other good; run: the slope of the
-        # good's latest segment since then.
-        last = run = None
-        for _, _, g, slope, length in self.fold.walk(i, quotes, good, first):
-            pn, pd, _ = quotes[g]
-            if g == good:
-                if run is None and last is not None:
-                    qn, qd, t = last
-                    tn = slope[0] * qn * t[1]
-                    td = slope[1] * qd * t[0]
-                    if lo_n * td < tn * lo_d:
-                        lo_n, lo_d = tn, td
-                run = slope
-            else:
-                if run is not None:
-                    tn = run[0] * pn * slope[1]
-                    td = run[1] * pd * slope[0]
-                    if tn * hi_d < hi_n * td:
-                        hi_n, hi_d = tn, td
-                    run = None
-                last = pn, pd, slope
-            if not walking:
-                continue
+        runs_out = False
+        for _, _, g, _, length in self.fold.walk(i, quotes, good, first):
             on_good = g == good
             if length is None:
                 # an unbounded segment takes the rest of the budget
-                runs_out, walking = on_good, False
-                continue
+                runs_out = on_good
+                break
+            qn, qd, _ = quotes[g]
             ln, ld = length
             # the purchase costs un/ud; capped iff that is below the rest
-            un, ud = ln * pn, ld * pd
+            un, ud = ln * qn, ld * qd
             if un * rd < rn * ud:
                 rn, rd = rn * ud - un * rd, rd * ud
                 if on_good:
@@ -461,18 +447,19 @@ class _IncrementalFold:
                 else:
                     sn, sd = sn * ud - un * sd, sd * ud
                 continue
-            runs_out, walking = on_good, False
             # budget-limited from p up: spare <= (C_b + length) p on the
             # good, spare - cost <= C_b p on another good
+            runs_out = on_good
             if on_good:
                 tn, td = _add_pair((cn, cd), ln, ld)
                 tn, td = sn * td, sd * tn
             elif cn:
                 tn, td = (sn * ud - un * sd) * cd, sd * ud * cn
             else:
-                continue
+                break
             if lo_n * td < tn * lo_d:
                 lo_n, lo_d = tn, td
+            break
         # every capped purchase stays capped below spare / C_b
         if cn and sn * cd * hi_d < hi_n * sd * cn:
             hi_n, hi_d = sn * cd, sd * cn
@@ -487,31 +474,39 @@ class _IncrementalFold:
         return const, _reduced(sn, sd), const
 
 
-def _tie_candidates(
-    fold: _Fold, good: int, quotes: list, lo: Fraction, hi: Fraction
-) -> list[Fraction]:
-    """Prices in (lo, hi) of the good of index `good` where some agent of
-    `fold` has a bang-per-buck on it that ties with one of its other goods
-    (demand is set-valued there), with the other goods at the prices of
-    `quotes`.
+def _tie_pairs(fold: _Fold, good: int, quotes: list) -> list[list[tuple[int, int]]]:
+    """Per agent of `fold`, the prices of the good of index `good` at which
+    its bang-per-buck on the good ties with one of its other goods, those at
+    the prices of `quotes`: unreduced (numerator, denominator) pairs.
 
-    A slope sf of the good meets a segment of slope s of a good priced q at
-    sf * q / s; it is tested against the bracket in integers, and only the
-    candidates inside it become Fractions."""
-    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    out = set()
+    A segment of the good with slope sf meets one of slope s of a good
+    priced q at sf * q / s; below that price the good's segment is walked
+    first, above it second.  So an agent's walk order changes only at these
+    prices, and, since the first swap as the price moves is between
+    neighbours in the walk, its nearest ones bound the prices over which the
+    order holds."""
+    ties = []
     for _, _, _, segments in fold.plans:
         free = {slope for _, _, i, slope, _ in segments if i == good}
+        pairs = []
         for _, _, i, (sn, sd), _ in segments:
-            if i == good:
-                continue
-            qn, qd, _ = quotes[i]
-            bn, bd = qn * sd, qd * sn
-            for fn, fd in free:
-                n, d = fn * bn, fd * bd
-                if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                    out.add(F(n, d))
-    return sorted(out)
+            if free and i != good:
+                qn, qd, _ = quotes[i]
+                bn, bd = qn * sd, qd * sn
+                pairs.extend((fn * bn, fd * bd) for fn, fd in free)
+        ties.append(pairs)
+    return ties
+
+
+def _tie_candidates(ties: list, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """The prices of _tie_pairs' `ties` in the open bracket (lo, hi),
+    sorted: tested against it in integers, and only those inside become
+    Fractions."""
+    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return sorted({
+        F(n, d) for pairs in ties for n, d in pairs
+        if lo_n * d < n * lo_d and n * hi_d < hi_n * d
+    })
 
 
 @dataclass(frozen=True)
@@ -581,14 +576,15 @@ def pinned_bisection(
     iterated or copied whole, so it may be a large shared map.
 
     Cost: one compile of the interested buyers into a market._Fold (their
-    segments flattened once, over only the goods they value), then
+    segments flattened once, over only the goods they value) and one
+    derivation of their tie prices from it (_tie_pairs), then
     O((interested buyers + ties) log) for the clearing, with nothing
-    proportional to the market's goods.  Every evaluated price goes through
-    an _IncrementalFold on that one compile, so a buyer is walked at the
-    two ends of the bracket and again only where a price leaves the
-    interval on which its part of C + M/p holds: at its own ties, where
-    both tie breaks walk only the buyers tied there, and at its budget
-    breakpoints.
+    proportional to the market's goods.  The scan points are the ties in
+    the bracket.  Every evaluated price goes through an _IncrementalFold on
+    that one compile and those ties, so a buyer is walked at the two ends
+    of the bracket and again only where a price leaves the interval on
+    which its part of C + M/p holds: at its own ties, where both tie breaks
+    walk only the buyers tied there, and at its budget breakpoints.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -607,11 +603,12 @@ def pinned_bisection(
     # the free good is the compiled fold's good 0, quoted at each call
     compiled = _Fold((free_good, *prices), ((buyer, buyer.budget) for buyer in buyers))
     quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
-    fold = _IncrementalFold(compiled, 0, quotes)
+    ties = _tie_pairs(compiled, 0, quotes)
+    fold = _IncrementalFold(compiled, 0, quotes, ties)
     d_lo = fold.interval(lo)
     # a fold of its own for the high end, so that the scan up from the low
     # end finds the buyers' intervals where it left them
-    d_hi = _IncrementalFold(compiled, 0, quotes).interval(hi)
+    d_hi = _IncrementalFold(compiled, 0, quotes, ties).interval(hi)
     if d_lo[1] < 1 - epsilon:
         raise BracketError(
             f"demand at the low end is {d_lo[1]}, below 1 - epsilon"
@@ -621,7 +618,7 @@ def pinned_bisection(
             f"demand at the high end is {d_hi[0]}, above 1 + epsilon"
         )
 
-    points = [lo] + _tie_candidates(compiled, 0, quotes, lo, hi) + [hi]
+    points = [lo] + _tie_candidates(ties, lo, hi) + [hi]
     intervals = {0: d_lo, len(points) - 1: d_hi}
     crossings: dict[int, tuple] = {}
 

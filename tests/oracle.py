@@ -17,16 +17,15 @@ which a buyer's bang-per-buck on it ties with one of their other goods:
 the points pinned_bisection scans.
 
 free_good_fold and demand_interval are the one-shot forms of the demand
-that pinned_bisection's incremental fold keeps: every buyer folded afresh
-through the program's compiled integer fold (market._Fold), at one price
-of one good.
+that pinned_bisection's incremental fold keeps: every buyer's greedy_walk
+summed afresh in Fractions, at one price of one good, so they share no code
+with the incremental fold.
 """
 
 from fractions import Fraction
 import itertools
 
-from circuitmarket.market import SplcUtility, _Fold, quote_table
-from circuitmarket.solver import _NO_PAIR, _demand_pair
+from circuitmarket.market import SplcUtility
 
 ZERO = Fraction(0)
 
@@ -147,17 +146,21 @@ def free_good_fold(buyers, good, prices, first):
 
     Away from tie prices demand = C + M/p locally: C collects cap-limited
     purchases of the good (constant in p), M the money spent on
-    budget-limited ones (demand scales as M/p).  Both come from the integer
-    fold market._Fold, compiled afresh, exactly as a Fraction sum over the
-    greedy walks would give them.  One walk per buyer per call.
+    budget-limited ones (demand scales as M/p).  Both are summed in
+    Fractions over each buyer's greedy_walk, afresh at every call.
     """
-    fold = _Fold(prices, [(buyer, buyer.budget) for buyer in buyers])
-    i = fold.goods.index(good)
-    const, money = fold.demand(list(quote_table(prices).values()), i, first)
-    c, m = const.get(i, _NO_PAIR), money.get(i, _NO_PAIR)
-    p = prices[good]
-    n, d = _demand_pair(c, m, p.numerator, p.denominator)
-    return Fraction(n, d), Fraction(*c), Fraction(*m)
+    const = money = ZERO
+    for buyer in buyers:
+        for other, amount, cost, capped, _ in greedy_walk(
+            buyer.utilities, buyer.budget, prices, good, first
+        ):
+            if other != good:
+                continue
+            if capped:
+                const += amount
+            else:
+                money += cost
+    return const + money / prices[good], const, money
 
 
 def demand_interval(buyers, good, prices, p):

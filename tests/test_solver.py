@@ -52,6 +52,7 @@ from circuitmarket.solver import (
     PURIFY_FIXTURE,
     _IncrementalFold,
     _tie_candidates,
+    _tie_pairs,
 )
 from oracle import (
     demand_interval,
@@ -865,13 +866,13 @@ def _incremental_fold(buyers, prices):
     """The _IncrementalFold of pinned_bisection for "x", with the other
     goods at `prices`."""
     fold, quotes = _clearing_fold(buyers, prices, 0)
-    return _IncrementalFold(fold, 0, quotes)
+    return _IncrementalFold(fold, 0, quotes, _tie_pairs(fold, 0, quotes))
 
 
 def test_tie_candidates_are_every_tie_in_the_bracket():
-    """_tie_candidates, which reads the compiled plans and quotes, against
-    the brute-force Fraction enumeration of tests/oracle.py over the
-    SplcSegments, on seeded clearing markets: every buyer or only those
+    """_tie_candidates of _tie_pairs, which read the compiled plans and
+    quotes, against the brute-force Fraction enumeration of tests/oracle.py
+    over the SplcSegments, on seeded clearing markets: every buyer or only those
     interested in x, x at every index of the fold, and brackets of random
     ends or ends exactly at a tie (which the open bracket leaves out)."""
     rng = random.Random(2030)
@@ -887,7 +888,7 @@ def test_tie_candidates_are_every_tie_in_the_bracket():
             at_an_end += 1
         at = rng.randint(0, len(prices))
         fold, quotes = _clearing_fold(buyers, prices, at)
-        ties = _tie_candidates(fold, at, quotes, lo, hi)
+        ties = _tie_candidates(_tie_pairs(fold, at, quotes), lo, hi)
         assert ties == tie_candidates(buyers, "x", prices, lo, hi)
         found += len(ties)
     assert found > 300 and at_an_end > 50
@@ -963,7 +964,8 @@ def _clear_ref(k):
 def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
     """Every buyer wants ref, so a fold of every buyer at every evaluated
     price grew four-fold per doubling of k; the incremental fold walks each
-    buyer a bounded number of times."""
+    buyer a bounded number of times.  The exact counts are pinned, so that a
+    change that widens or narrows a buyer's interval shows."""
     walks = []
     real = _IncrementalFold._walk
 
@@ -978,6 +980,7 @@ def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
         # the outcome of the scan that refolded every buyer
         assert clear() == BisectionResult(F(1), F(1), 1 + F(3, 880 * k), True)
     assert walks[1] <= 2.2 * walks[0] and walks[2] <= 2.2 * walks[1]
+    assert walks == [214, 426, 854]
 
 
 class _WholeMapRead(dict):

@@ -5,12 +5,17 @@ Two complementary oracles:
 * ``tatonnement`` — best-effort multiplicative price adjustment; convergence
   is recorded, never guaranteed.
 * ``pinned_bisection`` — finds the clearing price of a single free good with
-  all other prices pinned.  Aggregate demand for the free good is piecewise
-  of the form C + M/p between greedy tie prices and does not increase with
-  the price, so the search scans the tie candidates (where the
-  optimal-bundle set is set-valued and demand jumps) in increasing order
-  and solves only the hyperbolic piece that can cross 1; results are exact
-  rationals whenever an exact clearing exists in the bracket.
+  all other prices pinned.  A buyer's walk order changes only at its tie
+  prices, where its bang-per-buck on the good ties with one of its other
+  goods; they are derived once per clearing (``_tie_pairs``).  Between
+  them, aggregate demand for the good is piecewise K + A/p, where K sums
+  the capped purchases of the buyers whose budget does not run out on the
+  good and A the spare money of those whose budget does, and it does not
+  increase with the price.  So the search scans the ties in the bracket
+  (where the optimal-bundle set is set-valued and demand jumps) in
+  increasing order and solves K + A/p = 1 only in the tie-free region that
+  can cross 1; results are exact rationals whenever an exact clearing
+  exists in the bracket.
 
 On top of these sit the gadget fixtures (NOT / NAND / PURIFY truth-table
 sweeps on compiled markets) and ``lemma_suite``, which re-checks every
@@ -112,8 +117,8 @@ def _demand_pair(
     const: tuple[int, int], money: tuple[int, int], pn: int, pd: int
 ) -> tuple[int, int]:
     """Demand C + M/p of a good at price p = pn/pd > 0, from the
-    (numerator, denominator) pairs C and M of _Fold.demand, as an unreduced
-    pair with a positive denominator."""
+    (numerator, denominator) pairs C and M of _Fold.demand (or K and A of an
+    _IncrementalFold), as an unreduced pair with a positive denominator."""
     (cn, cd), (mn, md) = const, money
     return cn * md * pn + mn * pd * cd, cd * md * pn
 
@@ -309,22 +314,19 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 
 class _IncrementalFold:
-    """The (demand, C, M) triple of one free good over many prices of it,
-    with every other price pinned: demand = C + M/p locally, where C
-    collects the buyers' purchases of the good that its segment lengths cap
-    (constant in p) and M the money of those that budgets limit (demand
-    scales as M/p), greedy ties broken towards the good (first) or away
-    from it.
+    """The (demand, K, A) triple of one free good over many prices p of it,
+    with every other price pinned and greedy ties broken towards the good
+    (first) or away from it: demand = K + A/p locally.
 
-    A buyer's greedy walk at price p of the good fixes its part of the
-    aggregate on an open interval of prices around p: C_b, the lengths of
-    the good's segments it buys in full, and, if its budget runs out on the
-    good, money M_b = A_b - C_b p, where A_b is its budget less what it
-    spends on other goods.  The interval ends at the buyer's nearest ties
-    above and below p, read off its tie prices `ties[i]` (_tie_pairs, the
-    prices where its walk order changes, which the scan reads too), and at
-    its budget breakpoints (where a purchase flips between capped and
-    budget-limited), which its walk gives.  A call re-walks only the buyers
+    A buyer's greedy walk at price p fixes its part of K and A on an open
+    interval of prices around p.  If its budget does not run out on the
+    good, it adds C_b to K, the lengths of the good's segments it buys in
+    full; if it does, it adds its spare money A_b to A, its budget less what
+    it spends on other goods, and buys A_b/p of the good.  The interval ends
+    at the buyer's nearest ties above and below p, read off its tie prices
+    `ties[i]` (_tie_pairs, which the scan reads too), and at its budget
+    breakpoints (where a purchase flips between capped and budget-limited),
+    which its walk gives.  A call re-walks only the buyers
     whose interval does not hold the price; two heaps of interval ends find
     them.  At a price where a buyer is tied, its walk depends on `first`,
     and the interval of that walk ends at the price, so the next call
@@ -350,10 +352,10 @@ class _IncrementalFold:
         self.quotes = list(quotes)
         self.ties = ties
         n = len(fold.plans)
-        # per buyer (C_b, A_b, C_b) if its budget runs out on the good,
-        # else (C_b, 0, 0): the sums of the three give C, and M = A - Cx p
-        self.parts = [(_NO_PAIR, _NO_PAIR, _NO_PAIR)] * n
-        self.sums = [_NO_PAIR, _NO_PAIR, _NO_PAIR]
+        # per buyer (0, A_b) if its budget runs out on the good, else
+        # (C_b, 0): their sums are K and A
+        self.parts = [(_NO_PAIR, _NO_PAIR)] * n
+        self.sums = [_NO_PAIR, _NO_PAIR]
         self.serial = [0] * n
         self.stale = list(range(n))
         # interval ends as (float, serial, buyer, numerator, denominator),
@@ -364,7 +366,7 @@ class _IncrementalFold:
         self.serials = count(1)
 
     def __call__(self, p: Fraction, first: bool) -> tuple[Fraction, Fraction, Fraction]:
-        """(demand, C, M) of the good at price p > 0."""
+        """(demand, K, A) of the good at price p > 0."""
         pn, pd = p.numerator, p.denominator
         self.quotes[self.good] = _quote(pn, pd)
         fp = _float(pn, pd)
@@ -389,12 +391,11 @@ class _IncrementalFold:
         for i in stale:
             old = self.parts[i]
             new = self.parts[i] = self._walk(i, first)
-            for j in range(3):
+            for j in range(2):
                 if old[j] != new[j]:
                     sums[j] = _add_pair(_add_pair(sums[j], -old[j][0], old[j][1]), *new[j])
-        (cn, cd), (an, ad), (xn, xd) = sums
-        money = (an * xd * pd - xn * pn * ad, ad * xd * pd)
-        return F(*_demand_pair((cn, cd), money, pn, pd)), F(cn, cd), F(*money)
+        const, spare = sums
+        return F(*_demand_pair(const, spare, pn, pd)), F(*const), F(*spare)
 
     def interval(self, p: Fraction) -> tuple[Fraction, Fraction]:
         """[min, max] demand at price p of the good over all optimal
@@ -468,10 +469,9 @@ class _IncrementalFold:
             heappush(self.above, (_float(hi_n, hi_d), s, i, hi_n, hi_d))
         if lo_n > 0:
             heappush(self.below, (-_float(lo_n, lo_d), s, i, lo_n, lo_d))
-        const = _reduced(cn, cd)
-        if not runs_out:
-            return const, _NO_PAIR, _NO_PAIR
-        return const, _reduced(sn, sd), const
+        if runs_out:
+            return _NO_PAIR, _reduced(sn, sd)
+        return _reduced(cn, cd), _NO_PAIR
 
 
 def _tie_pairs(fold: _Fold, good: int, quotes: list) -> list[list[tuple[int, int]]]:
@@ -522,21 +522,22 @@ def _region_crossing(
 ):
     """Search the tie-free open region (x, y) for a demand-1 crossing.
 
-    Bisection accelerated by solving the local C + M/p model; returns
-    (exact price or None, best within-epsilon fallback or None).  `fold`
-    evaluates the demand for the free good at a price of it.
+    Bisection accelerated by solving the midpoint's local K + A/p model,
+    p = A / (1 - K); returns (exact price or None, best within-epsilon
+    fallback or None).  `fold` evaluates the demand for the free good at a
+    price of it.
     """
     lo, hi = x, y
     best = None
     for _ in range(max_iters):
         p = (lo + hi) / 2
-        demand, const, money = fold(p, first=True)
+        demand, const, spare = fold(p, first=True)
         if demand == 1:
             return p, best
         if abs(demand - 1) <= epsilon and best is None:
             best = (p, demand)
-        if money > 0 and const < 1:
-            cand = money / (1 - const)
+        if spare > 0 and const < 1:
+            cand = spare / (1 - const)
             if x < cand < y:
                 d_cand, _, _ = fold(cand, first=True)
                 if d_cand == 1:
@@ -557,16 +558,16 @@ def pinned_bisection(
 ) -> BisectionResult:
     """Clearing price of `free_good` with every other price pinned.
 
-    Scans the greedy tie prices of the bracket in increasing order: at each
-    one the set-valued demand interval [min, max] is checked for containing
-    1 (an exact clearing, realizable by splitting the indifferent buyers),
-    and the tie-free region before it is solved through its local
-    hyperbolic demand model.  With the other prices fixed, demand for the
-    good does not increase with its price, so a region (x, y) is searched
-    only if min demand at x > 1 >= max demand at y, and the scan stops once
-    max demand falls below 1.  Without an exact clearing, the same scan with
-    tolerance epsilon returns the first point whose demand is within epsilon
-    of 1.
+    Scans the buyers' tie prices in the bracket in increasing order: at
+    each one the set-valued demand interval [min, max] is checked for
+    containing 1 (an exact clearing, realizable by splitting the indifferent
+    buyers), and the tie-free region before it is solved through its local
+    model demand = K + A/p (_region_crossing).  With the other prices
+    fixed, demand for the good does not increase with its price, so a
+    region (x, y) is searched only if min demand at x > 1 >= max demand at
+    y, and the scan stops once max demand falls below 1.  Without an exact
+    clearing, the same scan with tolerance epsilon returns the first point
+    whose demand is within epsilon of 1.
 
     The clearing reads only the prices of the goods that the buyers
     interested in `free_good` value, so only those must be pinned, each at
@@ -583,7 +584,7 @@ def pinned_bisection(
     the bracket.  Every evaluated price goes through an _IncrementalFold on
     that one compile and those ties, so a buyer is walked at the two ends
     of the bracket and again only where a price leaves the interval on
-    which its part of C + M/p holds: at its own ties, where both tie breaks
+    which its part of K + A/p holds: at its own ties, where both tie breaks
     walk only the buyers tied there, and at its budget breakpoints.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
@@ -634,7 +635,7 @@ def pinned_bisection(
             dmin, dmax = interval(i)
             if i and interval(i - 1)[0] > 1 + tol >= dmax:
                 if i - 1 not in crossings:
-                    # With max demand exactly 1 at y, demand C + M/p reaches 1
+                    # With max demand exactly 1 at y, demand K + A/p reaches 1
                     # inside (x, y) only if it is flat there, which the first
                     # midpoint shows; otherwise this scan returns y itself and
                     # never reads the region's epsilon fallback.

@@ -141,26 +141,25 @@ def tie_candidates(buyers, good, prices, lo, hi):
 
 
 def free_good_fold(buyers, good, prices, first):
-    """(demand, C, M) for `good` at `prices`, greedy ties broken towards the
+    """(demand, K, A) for `good` at `prices`, greedy ties broken towards the
     good (first) or away from it.
 
-    Away from tie prices demand = C + M/p locally: C collects cap-limited
-    purchases of the good (constant in p), M the money spent on
-    budget-limited ones (demand scales as M/p).  Both are summed in
-    Fractions over each buyer's greedy_walk, afresh at every call.
+    Away from tie prices and budget breakpoints demand = K + A/p locally:
+    K collects the purchases of the good by buyers whose budget does not run
+    out on it (constant in p), A the spare money of those whose budget does,
+    their budget less what they spend on other goods (demand scales as
+    A/p).  Both are summed in Fractions over each buyer's greedy_walk,
+    afresh at every call.
     """
-    const = money = ZERO
+    const = spare = ZERO
     for buyer in buyers:
-        for other, amount, cost, capped, _ in greedy_walk(
-            buyer.utilities, buyer.budget, prices, good, first
-        ):
-            if other != good:
-                continue
-            if capped:
-                const += amount
-            else:
-                money += cost
-    return const + money / prices[good], const, money
+        walk = greedy_walk(buyer.utilities, buyer.budget, prices, good, first)
+        bought = [(amount, cost) for other, amount, cost, _, _ in walk if other == good]
+        if walk and walk[-1][0] == good and not walk[-1][3]:
+            spare += sum(cost for _, cost in bought)
+        else:
+            const += sum(amount for amount, _ in bought)
+    return const + spare / prices[good], const, spare
 
 
 def demand_interval(buyers, good, prices, p):

@@ -326,11 +326,10 @@ class _IncrementalFold:
     at the buyer's nearest ties above and below p, read off its tie prices
     `ties[i]` (_tie_pairs, which the scan reads too), and at its budget
     breakpoints (where a purchase flips between capped and budget-limited),
-    which its walk gives.  A call re-walks only the buyers
-    whose interval does not hold the price; two heaps of interval ends find
-    them.  At a price where a buyer is tied, its walk depends on `first`,
-    and the interval of that walk ends at the price, so the next call
-    re-walks it.
+    which its walk gives.  A call re-walks only the buyers whose interval
+    does not hold the price; two heaps of interval ends find them.  At a
+    price where a buyer is tied, its walk depends on `first`, and the
+    interval of that walk ends at the price, so the next call re-walks it.
 
     Cost of a call: its re-walks, each with O(log) heap work and a pass over
     the buyer's ties, and O(1) besides; only the first call walks every

@@ -887,9 +887,10 @@ def _incremental_fold(buyers, prices):
 def test_tie_candidates_are_every_tie_in_the_bracket():
     """_tie_candidates of _tie_pairs, which read the compiled plans and
     quotes, against the brute-force Fraction enumeration of tests/oracle.py
-    over the SplcSegments, on seeded clearing markets: every buyer or only those
-    interested in x, x at every index of the fold, and brackets of random
-    ends or ends exactly at a tie (which the open bracket leaves out)."""
+    over the SplcSegments, on seeded clearing markets: every buyer or only
+    those interested in x, x at every index of the fold, and brackets of
+    random ends or ends exactly at a tie (which the open bracket leaves
+    out)."""
     rng = random.Random(2030)
     found = at_an_end = 0
     for _ in range(300):

@@ -103,15 +103,6 @@ def _parse_eps(text: str) -> Fraction:
         raise CliError(f"epsilon must be non-negative, got {eps}", EXIT_PRECONDITION)
     return eps
 
-def _compile_eps(text: str) -> Fraction:
-    eps = _parse_eps(text)
-    if eps >= Fraction(1, 11):
-        raise CliError(
-            f"epsilon must be below 1/11 for compilation, got {eps}",
-            EXIT_PRECONDITION,
-        )
-    return eps
-
 
 def _override(args) -> dict | None:
     if (args.override_k is None) != (args.override_d is None):
@@ -146,7 +137,7 @@ def _load_json(path: str, loader, kind: str):
 
 def _cmd_compile(args) -> int:
     circuit = _load_circuit(args.circuit)
-    eps = _compile_eps(args.eps)
+    eps = _parse_eps(args.eps)
     try:
         params = reduction.validated_params(circuit, eps, _override(args))
     except reduction.ReductionError as exc:

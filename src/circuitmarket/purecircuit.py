@@ -42,10 +42,9 @@ class CircuitError(ValueError):
 
 
 class ParseError(CircuitError):
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, col {column}: {message}")
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
         self.line = line
-        self.column = column
 
 
 @dataclass(frozen=True)
@@ -252,14 +251,17 @@ def check_assignment(circuit: CircuitInstance, a: Assignment) -> list[GateVerdic
     return verdicts
 
 
-def brute_force_solve(circuit: CircuitInstance, cap: int = 12) -> Assignment:
+_BRUTE_FORCE_CAP = 12  # brute_force_solve's node limit
+
+
+def brute_force_solve(circuit: CircuitInstance) -> Assignment:
     """First satisfying assignment in lexicographic (Zero < One < Bot) order.
 
-    Exhaustive over 3^n; instances are total so a solution always exists
-    for well-formed circuits.
+    Exhaustive over 3^n, for at most _BRUTE_FORCE_CAP nodes; instances are
+    total so a solution always exists for well-formed circuits.
     """
-    if circuit.n > cap:
-        raise CircuitError(f"brute force capped at {cap} nodes, got {circuit.n}")
+    if circuit.n > _BRUTE_FORCE_CAP:
+        raise CircuitError(f"brute force capped at {_BRUTE_FORCE_CAP} nodes, got {circuit.n}")
     order = (Value.ZERO, Value.ONE, Value.BOT)
     for combo in itertools.product(order, repeat=circuit.n):
         a = Assignment(dict(enumerate(combo)))

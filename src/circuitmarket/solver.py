@@ -30,7 +30,7 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
+from itertools import chain, count
 from math import gcd
 from typing import Mapping, Optional
 
@@ -129,16 +129,15 @@ def _demand_pair(
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tâtonnement settings: step factor `lam`, iteration limit, the epsilon
-    of convergence, and the price floor.  Every step's raw price is rounded
-    to the nearest rational with denominator at most 2**40
+    """Tâtonnement settings: step factor `lam`, iteration limit and the
+    epsilon of convergence.  Every step's raw price is rounded to the
+    nearest rational with denominator at most 2**40
     (Fraction.limit_denominator, computed in integers), then raised to the
-    floor."""
+    price floor 1/10**9."""
 
     lam: Fraction = F(1, 2)
     max_iters: int = 200
     epsilon: Fraction = F(1, 12)
-    floor: Fraction = F(1, 10**9)
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -147,8 +146,6 @@ class SolverConfig:
             raise MarketError("iteration limit must be non-negative")
         if self.epsilon < 0:
             raise MarketError("epsilon must be non-negative")
-        if self.floor <= 0:
-            raise MarketError("price floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,10 @@ class TatonnementResult:
     trace: tuple[TraceRow, ...]
 
 
-# prices are re-rounded every step so numerators/denominators stay bounded
+# prices are re-rounded every step so numerators/denominators stay bounded,
+# and raised to a positive floor
 _PRICE_DENOMINATOR_LIMIT = 2**40
+_PRICE_FLOOR = F(1, 10**9)
 
 
 def _step_price(n: int, d: int, floor: Fraction) -> tuple[int, int]:
@@ -219,7 +218,7 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     """Multiplicative price adjustment p <- p * (1 + lam * (demand - 1)).
 
     Starts from all-ones prices.  Each step rounds the new price with
-    limit_denominator(2**40) and raises it to config.floor, computed in
+    limit_denominator(2**40) and raises it to the price floor, computed in
     integers (_step_price).  Converged means verify_fisher passes at
     config.epsilon with the canonical allocation; the best-seen prices are
     returned either way.
@@ -243,7 +242,6 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     pairs = [(1, 1)] * len(goods)
     eps_n, eps_d = config.epsilon.numerator, config.epsilon.denominator
     lam_n, lam_d = config.lam.numerator, config.lam.denominator
-    floor = config.floor
     trace: list[TraceRow] = []
     best_pairs, best_slack = pairs, None
     converged = False
@@ -277,7 +275,9 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
                 break
         # p (1 + lam excess/den) = pn (lam_d den + lam_n excess) / (pd lam_d den)
         pairs = [
-            _step_price(pn * (lam_d * den + lam_n * excess), pd * lam_d * den, floor)
+            _step_price(
+                pn * (lam_d * den + lam_n * excess), pd * lam_d * den, _PRICE_FLOOR
+            )
             for (pn, pd), (excess, den) in zip(pairs, slacks)
         ]
     best = {g: F(pn, pd) for g, (pn, pd) in zip(goods, best_pairs)}
@@ -335,9 +335,8 @@ class _IncrementalFold:
     the buyer's ties, and O(1) besides; only the first call walks every
     buyer.  A fold serves one clearing: it walks the buyers of a
     market._Fold compiled for the clearing (the good of index `good` and
-    every good its buyers value), which several _IncrementalFolds may share
-    with their ties, at a quote list of its own that holds every pinned
-    price; a call re-quotes only the good.
+    every good its buyers value) at a quote list of its own that holds
+    every pinned price; a call re-quotes only the good.
 
     _walk is the one budget walk besides market._Fold's, in the order
     _Fold.walk gives and with the same integer capped test, so a buyer's
@@ -580,11 +579,13 @@ def pinned_bisection(
     derivation of their tie prices from it (_tie_pairs), then
     O((interested buyers + ties) log) for the clearing, with nothing
     proportional to the market's goods.  The scan points are the ties in
-    the bracket.  Every evaluated price goes through an _IncrementalFold on
-    that one compile and those ties, so a buyer is walked at the two ends
-    of the bracket and again only where a price leaves the interval on
-    which its part of K + A/p holds: at its own ties, where both tie breaks
-    walk only the buyers tied there, and at its budget breakpoints.
+    the bracket.  Every evaluated price goes through one _IncrementalFold on
+    that compile and those ties, so a buyer is walked at the two ends of
+    the bracket and again only where a price leaves the interval on which
+    its part of K + A/p holds: at its own ties, where both tie breaks walk
+    only the buyers tied there, and at its budget breakpoints.  Nothing is
+    kept per scan point or per region: the epsilon scan, which runs only
+    without an exact clearing, evaluates its points again.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -605,10 +606,10 @@ def pinned_bisection(
     quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
     ties = _tie_pairs(compiled, 0, quotes)
     fold = _IncrementalFold(compiled, 0, quotes, ties)
+    # the high end first, so that the fold is left at the low end, where
+    # the scan starts
+    d_hi = fold.interval(hi)
     d_lo = fold.interval(lo)
-    # a fold of its own for the high end, so that the scan up from the low
-    # end finds the buyers' intervals where it left them
-    d_hi = _IncrementalFold(compiled, 0, quotes, ties).interval(hi)
     if d_lo[1] < 1 - epsilon:
         raise BracketError(
             f"demand at the low end is {d_lo[1]}, below 1 - epsilon"
@@ -617,32 +618,23 @@ def pinned_bisection(
         raise BracketError(
             f"demand at the high end is {d_hi[0]}, above 1 + epsilon"
         )
-
-    points = [lo] + _tie_candidates(ties, lo, hi) + [hi]
-    intervals = {0: d_lo, len(points) - 1: d_hi}
-    crossings: dict[int, tuple] = {}
-
-    def interval(i: int) -> tuple[Fraction, Fraction]:
-        if i not in intervals:
-            intervals[i] = fold.interval(points[i])
-        return intervals[i]
+    ties_in = _tie_candidates(ties, lo, hi)
 
     def scan(tol: Fraction, exact: bool) -> Optional[BisectionResult]:
         """First point, in increasing price order, whose demand is within
-        tol of 1; region searches are shared between the two scans."""
-        for i, point in enumerate(points):
-            dmin, dmax = interval(i)
-            if i and interval(i - 1)[0] > 1 + tol >= dmax:
-                if i - 1 not in crossings:
-                    # With max demand exactly 1 at y, demand K + A/p reaches 1
-                    # inside (x, y) only if it is flat there, which the first
-                    # midpoint shows; otherwise this scan returns y itself and
-                    # never reads the region's epsilon fallback.
-                    crossings[i - 1] = _region_crossing(
-                        fold, points[i - 1], point, epsilon,
-                        1 if dmax == 1 else _BISECTION_STEPS,
-                    )
-                found, near = crossings[i - 1]
+        tol of 1."""
+        x = x_min = None
+        for point, (dmin, dmax) in chain(
+            [(lo, d_lo)], ((p, fold.interval(p)) for p in ties_in), [(hi, d_hi)]
+        ):
+            if x is not None and x_min > 1 + tol >= dmax:
+                # With max demand exactly 1 at y, demand K + A/p reaches 1
+                # inside (x, y) only if it is flat there, which the first
+                # midpoint shows; otherwise this scan returns y itself and
+                # never reads the region's epsilon fallback.
+                found, near = _region_crossing(
+                    fold, x, point, epsilon, 1 if dmax == 1 else _BISECTION_STEPS
+                )
                 if exact and found is not None:
                     return BisectionResult(found, ONE, ONE, True)
                 if not exact and near is not None:
@@ -651,6 +643,7 @@ def pinned_bisection(
                 return BisectionResult(point, dmin, dmax, exact)
             if dmax < 1 - tol:
                 return None
+            x, x_min = point, dmin
         return None
 
     result = scan(ZERO, True) or scan(epsilon, False)
@@ -734,8 +727,6 @@ class GadgetFixture:
     prices: dict[str, Fraction] = field(repr=False)
     h: Fraction
     l: Fraction
-    h_low: Fraction
-    h_high: Fraction
 
     def gadget(self, gadget_id: str) -> NotGadget:
         for g in self.reduced.gadgets(self.copy):
@@ -754,12 +745,12 @@ def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetF
     params = reduced.params
     if copy is None:
         copy = params.k - 1
-    h_low, h_high = params.copy_interval(copy)
+    h_high = params.copy_interval(copy)[1]
     p_ref = h_high / params.s
     prices = {g: h_high for g in reduced.market.goods}
     prices[REF_GOOD] = p_ref
     h, low = thresholds(params, p_ref)
-    return GadgetFixture(reduced, copy, prices, h, low, h_low, h_high)
+    return GadgetFixture(reduced, copy, prices, h, low)
 
 
 def clear_gate_output(
@@ -999,13 +990,6 @@ def lemma_suite(
             LemmaRecord("price-band", good, 0 < p <= h, {"price": p, "H": h})
         )
 
-    # total allocation of each good, so a gadget's outside demand is its
-    # output's column minus the gadget's own inverter and aux buyers
-    column: dict[str, Fraction] = {}
-    for row in allocation.values():
-        for good, amount in row.items():
-            column[good] = column.get(good, ZERO) + amount
-
     for gadget in reduced.gadgets(c):
         inv_id = f"c{c}/inv/{gadget.gadget_id}"
         aux_id = f"c{c}/aux/{gadget.gadget_id}"
@@ -1039,8 +1023,10 @@ def lemma_suite(
                 )
             )
 
+        # the output's total allocation (its slack plus its unit supply)
+        # less the gadget's own inverter and aux buyers
         outside = (
-            column.get(out, ZERO)
+            report.slacks[out] + 1
             - _alloc_of(allocation, inv_id, out)
             - _alloc_of(allocation, aux_id, out)
         )

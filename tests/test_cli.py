@@ -906,7 +906,7 @@ def test_compile_builds_no_market(tmp_path, capsys, monkeypatch):
             "out-degree",
         ),
         (NOT_CYCLE, ["--eps", "1/12", "--override-k", "0", "--override-d", "2"], 3, "override"),
-        (NOT_CYCLE, ["--eps", "1/11"], 3, "below 1/11"),
+        (NOT_CYCLE, ["--eps", "1/11"], 3, "[0, 1/11)"),
         ("nodes 2\nNOT 0 1\n", ["--eps", "1/12"], 3, "without a producing gate"),
         ("nodes 2\nNOT 0\n", ["--eps", "1/12"], 2, "takes 2 node ids"),
     ],

@@ -189,4 +189,4 @@ def test_brute_force_cap():
         "nodes 13\n" + "".join(f"NOT {i} {(i + 1) % 13}\n" for i in range(13))
     )
     with pytest.raises(CircuitError, match="capped"):
-        brute_force_solve(circuit, cap=12)
+        brute_force_solve(circuit)

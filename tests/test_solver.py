@@ -499,7 +499,7 @@ def test_tatonnement_on_random_clearing_markets_is_pinned(lam):
 
 
 LIMIT = 2**40
-FLOOR = SolverConfig().floor
+FLOOR = solver._PRICE_FLOOR
 
 
 def _reference_step(n, d, floor=FLOOR):
@@ -996,7 +996,7 @@ def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
         # the outcome of the scan that refolded every buyer
         assert clear() == BisectionResult(F(1), F(1), 1 + F(3, 880 * k), True)
     assert walks[1] <= 2.2 * walks[0] and walks[2] <= 2.2 * walks[1]
-    assert walks == [214, 426, 854]
+    assert walks == [213, 425, 853]
 
 
 class _WholeMapRead(dict):

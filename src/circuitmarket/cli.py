@@ -242,7 +242,11 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_to_exchange(args) -> int:
     market = _load_market(args.market)
-    _emit(args, "exchange.json", mkt._exchange_chunks(mkt.to_exchange(market)))
+    try:
+        exchange = mkt.to_exchange(market)
+    except mkt.MarketError as exc:  # no buyer, so no budget to share out
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    _emit(args, "exchange.json", mkt._exchange_chunks(exchange))
     return EXIT_PASS
 
 

@@ -793,6 +793,29 @@ def _segment_from_json(obj: dict) -> SplcSegment:
     return SplcSegment(length, parse_rational(obj["slope"]))
 
 
+def _json_array(value, what: str) -> list:
+    """A JSON array of a document; anything else raises a TypeError, as
+    _segment_from_json does."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _json_string(value, what: str) -> str:
+    """A JSON string of a document; anything else raises a TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"{what} must be a JSON string, got {type(value).__name__}")
+    return value
+
+
+def _goods_from_json(value) -> tuple[str, ...]:
+    """A document's goods: a JSON array of strings."""
+    goods = tuple(_json_array(value, "goods"))
+    if not all(type(good) is str for good in goods):
+        raise TypeError("goods must be JSON strings")
+    return goods
+
+
 def _segments_key(segs) -> Optional[tuple]:
     """The raw (length, slope) strings of a segment list, or None when the
     list is not plain enough to key a parsed utility by."""
@@ -940,13 +963,13 @@ def market_from_json(text: str) -> FisherMarket:
         doc = json.loads(text)
         buyers = tuple(
             Buyer(
-                b["id"],
+                _json_string(b["id"], "a buyer id"),
                 _rational_from_json(b["budget"], budgets),
                 _utilities_from_json(b.get("utilities", {}), texts, shapes),
             )
-            for b in doc["buyers"]
+            for b in _json_array(doc["buyers"], "buyers")
         )
-        return FisherMarket(tuple(doc["goods"]), buyers)
+        return FisherMarket(_goods_from_json(doc["goods"]), buyers)
     except (KeyError, TypeError, json.JSONDecodeError, RationalFormatError) as exc:
         raise MarketError(f"bad market document: {exc}") from exc
 
@@ -1031,15 +1054,15 @@ def exchange_from_json(text: str) -> ExchangeMarket:
     shapes: dict[tuple[SplcSegment, ...], SplcUtility] = {}
     try:
         doc = json.loads(text)
-        goods = tuple(doc["goods"])
+        goods = _goods_from_json(doc["goods"])
         known = set(goods)
         traders = tuple(
             Trader(
-                t["id"],
+                _json_string(t["id"], "a trader id"),
                 _share_from_json(t["endowments"], known),
                 _utilities_from_json(t.get("utilities", {}), texts, shapes),
             )
-            for t in doc["buyers"]
+            for t in _json_array(doc["buyers"], "buyers")
         )
         return ExchangeMarket(goods, traders)
     except (

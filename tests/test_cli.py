@@ -1074,3 +1074,164 @@ def test_budget_check_fires_with_nothing_written(tmp_path):
     with pytest.raises(MarketError, match="copy 1 has a budget that is not positive"):
         cli._write_atomic(out / "market.json", reduction._reduced_market_chunks(tampered))
     assert list(out.iterdir()) == []
+
+
+NON_STRING_ID_MARKET = {
+    "buyers": [
+        {"id": 1, "budget": "1", "utilities": {"x": [{"length": "inf", "slope": "1"}]}}
+    ],
+    "goods": ["x"],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (NON_STRING_ID_MARKET, "a buyer id must be a JSON string, got int"),
+        ({"buyers": [], "goods": "xy"}, "goods must be a JSON array, got str"),
+        ({"buyers": [], "goods": [1]}, "goods must be JSON strings"),
+        ({"buyers": {}, "goods": ["x"]}, "buyers must be a JSON array, got dict"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "solve", "to-exchange"])
+def test_market_readers_take_only_arrays_and_string_ids_and_goods(
+    command, doc, message, tmp_path, capsys
+):
+    market = tmp_path / "market.json"
+    market.write_text(json.dumps(doc))
+    prices = tmp_path / "prices.json"
+    prices.write_text('{"x": "1"}')
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text("{}")
+    argv = {
+        "verify": ["--prices", str(prices), "--allocation", str(allocation), "--eps", "0"],
+        "solve": ["--eps", "0", "--out", str(tmp_path / "run")],
+        "to-exchange": [],
+    }[command]
+    assert cli.run([command, "--market", str(market)] + argv) == 2
+    error = _assert_json_error(capsys, 2)
+    assert "bad market document" in error and message in error
+
+
+def test_to_exchange_on_a_market_with_no_buyers_is_precondition_error(tmp_path, capsys):
+    market = tmp_path / "market.json"
+    market.write_text('{"buyers": [], "goods": ["x"]}')
+    out = tmp_path / "ex"
+    assert cli.run(["to-exchange", "--market", str(market), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "trader shares sum to 0, not 1", "code": 3
+    }
+    assert not out.exists()
+    # the market itself is valid: its one good is not sold, so verify fails
+    prices = tmp_path / "prices.json"
+    prices.write_text('{"x": "1"}')
+    allocation = tmp_path / "allocation.json"
+    allocation.write_text("{}")
+    argv = ["verify", "--market", str(market), "--prices", str(prices),
+            "--allocation", str(allocation), "--eps", "0"]
+    assert cli.run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["slacks"] == {"x": "-1"}
+
+
+# every JSON type, and strings that are and are not rationals; no large
+# integer, since an override k in meta.json sets how many copies lemmas builds
+SWEEP_VALUES = [None, True, 0, 1.5, "x", "-1", [], {}]
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document: the document itself and
+    every object, array and value in it."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _replaced(doc, path, value):
+    """`doc` with its node at `path` replaced by `value`."""
+    if not path:
+        return value
+    head, *rest = path
+    copy = list(doc) if isinstance(doc, list) else dict(doc)
+    copy[head] = _replaced(doc[head], rest, value)
+    return copy
+
+
+@pytest.fixture()
+def solved_cycle(tmp_path, circuit_file, capsys):
+    """The NOT cycle at epsilon 1/12, compiled and solved."""
+    out = tmp_path / "solved"
+    argv = ["compile", str(circuit_file), "--eps", "1/12", "--out", str(out)]
+    assert cli.run(argv + OVERRIDE_ARGS) == 0
+    argv = ["solve", "--market", str(out / "market.json"), "--eps", "1/12", "--out", str(out)]
+    assert cli.run(argv) == 0
+    (out / "allocation.json").write_text("{}")
+    capsys.readouterr()
+    return out
+
+
+def _sweep(tmp_path, document: Path, commands) -> list:
+    """Run each of `commands` (argv lists that read `document`) on every
+    single-node change of the document; return the runs that raised or
+    exited outside the contract's codes."""
+    original = json.loads(document.read_text())
+    faults = []
+    for path in _nodes(original):
+        for value in SWEEP_VALUES:
+            document.write_text(json.dumps(_replaced(original, path, value)))
+            for argv in commands:
+                try:
+                    code = cli.run(argv)
+                except Exception as exc:  # noqa: BLE001 - the sweep reports it
+                    faults.append((argv[0], path, value, repr(exc)))
+                    continue
+                if code not in (0, 1, 2, 3):
+                    faults.append((argv[0], path, value, code))
+    return faults
+
+
+def test_every_single_field_change_of_a_market_keeps_the_exit_codes(
+    solved_cycle, tmp_path, capsys
+):
+    out = solved_cycle
+    market = tmp_path / "market.json"
+    market.write_text((out / "market.json").read_text())
+    commands = [
+        ["verify", "--market", str(market), "--prices", str(out / "prices.json"),
+         "--allocation", str(out / "allocation.json"), "--eps", "1/12"],
+        ["to-exchange", "--market", str(market)],
+        ["solve", "--market", str(market), "--eps", "1/12", "--max-iters", "2",
+         "--out", str(tmp_path / "run")],
+    ]
+    assert _sweep(tmp_path, market, commands) == []
+    capsys.readouterr()
+
+
+def test_every_single_field_change_of_the_other_documents_keeps_the_exit_codes(
+    solved_cycle, tmp_path, capsys
+):
+    out = solved_cycle
+    documents = {}
+    for name in ("prices.json", "allocation.json", "meta.json"):
+        documents[name] = tmp_path / name
+        documents[name].write_text((out / name).read_text())
+    prices, allocation, meta = documents.values()
+    verify = ["verify", "--market", str(out / "market.json"), "--prices", str(prices),
+              "--allocation", str(allocation), "--eps", "1/12"]
+    decode = ["decode", "--meta", str(meta), "--prices", str(prices)]
+    lemmas = ["lemmas", "--meta", str(meta), "--prices", str(prices),
+              "--allocation", str(allocation), "--eps", "1/12"]
+    for document, commands in [
+        (prices, [verify, decode, lemmas]),
+        (allocation, [verify, lemmas]),
+        (meta, [decode, lemmas]),
+    ]:
+        text = document.read_text()
+        assert _sweep(tmp_path, document, commands) == []
+        document.write_text(text)
+    capsys.readouterr()

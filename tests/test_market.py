@@ -288,6 +288,21 @@ def test_exchange_reader_takes_one_share_per_dense_row():
     assert exchange_from_json(json.dumps(doc)).traders[0].share == F(1, 2)
 
 
+def test_exchange_reader_takes_only_arrays_and_string_ids_and_goods():
+    doc = json.loads(exchange_to_json(to_exchange(_two_buyer_market())))
+    bad = {
+        "a trader id must be a JSON string, got int": {
+            "buyers": [{**doc["buyers"][0], "id": 1}, doc["buyers"][1]]
+        },
+        "goods must be a JSON array, got str": {"goods": "xyz"},
+        "goods must be JSON strings": {"goods": [1, "y", "z"]},
+        "buyers must be a JSON array, got dict": {"buyers": {}},
+    }
+    for message, change in bad.items():
+        with pytest.raises(MarketError, match="bad exchange document: " + message):
+            exchange_from_json(json.dumps({**doc, **change}))
+
+
 def test_exchange_document_without_goods_carries_no_share():
     fisher = FisherMarket((), (Buyer("a", F(1)), Buyer("b", F(3))))
     exchange = to_exchange(fisher)

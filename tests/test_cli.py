@@ -1175,11 +1175,12 @@ def solved_cycle(tmp_path, circuit_file, capsys):
     return out
 
 
-def _sweep(tmp_path, document: Path, commands) -> list:
+def _sweep(document: Path, commands) -> list:
     """Run each of `commands` (argv lists that read `document`) on every
-    single-node change of the document; return the runs that raised or
-    exited outside the contract's codes."""
-    original = json.loads(document.read_text())
+    single-node change of the document, then restore it; return the runs
+    that raised or exited outside the contract's codes."""
+    text = document.read_text()
+    original = json.loads(text)
     faults = []
     for path in _nodes(original):
         for value in SWEEP_VALUES:
@@ -1192,6 +1193,7 @@ def _sweep(tmp_path, document: Path, commands) -> list:
                     continue
                 if code not in (0, 1, 2, 3):
                     faults.append((argv[0], path, value, code))
+    document.write_text(text)
     return faults
 
 
@@ -1199,8 +1201,7 @@ def test_every_single_field_change_of_a_market_keeps_the_exit_codes(
     solved_cycle, tmp_path, capsys
 ):
     out = solved_cycle
-    market = tmp_path / "market.json"
-    market.write_text((out / "market.json").read_text())
+    market = out / "market.json"
     commands = [
         ["verify", "--market", str(market), "--prices", str(out / "prices.json"),
          "--allocation", str(out / "allocation.json"), "--eps", "1/12"],
@@ -1208,30 +1209,23 @@ def test_every_single_field_change_of_a_market_keeps_the_exit_codes(
         ["solve", "--market", str(market), "--eps", "1/12", "--max-iters", "2",
          "--out", str(tmp_path / "run")],
     ]
-    assert _sweep(tmp_path, market, commands) == []
+    assert _sweep(market, commands) == []
     capsys.readouterr()
 
 
 def test_every_single_field_change_of_the_other_documents_keeps_the_exit_codes(
-    solved_cycle, tmp_path, capsys
+    solved_cycle, capsys
 ):
     out = solved_cycle
-    documents = {}
-    for name in ("prices.json", "allocation.json", "meta.json"):
-        documents[name] = tmp_path / name
-        documents[name].write_text((out / name).read_text())
-    prices, allocation, meta = documents.values()
+    prices, allocation, meta = (
+        out / name for name in ("prices.json", "allocation.json", "meta.json")
+    )
     verify = ["verify", "--market", str(out / "market.json"), "--prices", str(prices),
               "--allocation", str(allocation), "--eps", "1/12"]
     decode = ["decode", "--meta", str(meta), "--prices", str(prices)]
     lemmas = ["lemmas", "--meta", str(meta), "--prices", str(prices),
               "--allocation", str(allocation), "--eps", "1/12"]
-    for document, commands in [
-        (prices, [verify, decode, lemmas]),
-        (allocation, [verify, lemmas]),
-        (meta, [decode, lemmas]),
-    ]:
-        text = document.read_text()
-        assert _sweep(tmp_path, document, commands) == []
-        document.write_text(text)
+    assert _sweep(prices, [verify, decode, lemmas]) == []
+    assert _sweep(allocation, [verify, lemmas]) == []
+    assert _sweep(meta, [decode, lemmas]) == []
     capsys.readouterr()

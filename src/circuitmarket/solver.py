@@ -4,18 +4,18 @@ Two complementary oracles:
 
 * ``tatonnement`` — best-effort multiplicative price adjustment; convergence
   is recorded, never guaranteed.
-* ``pinned_bisection`` — finds the clearing price of a single free good with
-  all other prices pinned.  A buyer's walk order changes only at its tie
-  prices, where its bang-per-buck on the good ties with one of its other
-  goods; they are derived once per clearing (``_tie_pairs``).  Between
-  them, aggregate demand for the good is piecewise K + A/p, where K sums
-  the capped purchases of the buyers whose budget does not run out on the
-  good and A the spare money of those whose budget does, and it does not
-  increase with the price.  So the search scans the ties in the bracket
-  (where the optimal-bundle set is set-valued and demand jumps) in
-  increasing order and solves K + A/p = 1 only in the tie-free region that
-  can cross 1; results are exact rationals whenever an exact clearing
-  exists in the bracket.
+* ``pinned_bisection`` — finds the lowest clearing price of a single free
+  good with all other prices pinned.  A buyer's walk order changes only at
+  its tie prices, where its bang-per-buck on the good ties with one of its
+  other goods; they are derived once per clearing (``_tie_pairs``).
+  Aggregate demand for the good does not increase with the price and is
+  piecewise K + A/p, where K sums the capped purchases of the buyers whose
+  budget does not run out on the good and A the spare money of those whose
+  budget does: it jumps only at ties, where the optimal-bundle set is
+  set-valued, and changes pieces at budget breakpoints.  So one sweep up
+  the bracket steps from each end of a buyer's interval to the next and
+  solves K + A/p = 1 exactly on each gap; results are exact rationals
+  whenever an exact clearing exists in the bracket.
 
 On top of these sit the gadget fixtures (NOT / NAND / PURIFY truth-table
 sweeps on compiled markets) and ``lemma_suite``, which re-checks every
@@ -30,7 +30,7 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import count
 from math import gcd
 from typing import Mapping, Optional
 
@@ -59,7 +59,6 @@ F = Fraction
 ZERO = F(0)
 ONE = F(1)
 _INF = float("inf")
-_BISECTION_STEPS = 60  # pinned_bisection's steps per tie-free region searched
 
 
 class BracketError(ValueError):
@@ -324,12 +323,15 @@ class _IncrementalFold:
     full; if it does, it adds its spare money A_b to A, its budget less what
     it spends on other goods, and buys A_b/p of the good.  The interval ends
     at the buyer's nearest ties above and below p, read off its tie prices
-    `ties[i]` (_tie_pairs, which the scan reads too), and at its budget
-    breakpoints (where a purchase flips between capped and budget-limited),
-    which its walk gives.  A call re-walks only the buyers whose interval
-    does not hold the price; two heaps of interval ends find them.  At a
-    price where a buyer is tied, its walk depends on `first`, and the
-    interval of that walk ends at the price, so the next call re-walks it.
+    `ties[i]` (_tie_pairs), and at its budget breakpoints (where a purchase
+    flips between capped and budget-limited), which its walk gives.  A call
+    re-walks only the buyers whose interval does not hold the price; two
+    heaps of interval ends find them.  At a price where a buyer is tied, its
+    walk depends on `first`, and the interval of that walk ends at the
+    price, so the next call re-walks it.  With ties broken away from the
+    good, every interval holds from the price up to its upper end, so K and
+    A hold up to the lowest of those ends, which next_end reads off the heap
+    of upper ends: pinned_bisection's sweep steps from end to end.
 
     Cost of a call: its re-walks, each with O(log) heap work and a pass over
     the buyer's ties, and O(1) besides; only the first call walks every
@@ -395,16 +397,25 @@ class _IncrementalFold:
         const, spare = sums
         return F(*_demand_pair(const, spare, pn, pd)), F(*const), F(*spare)
 
-    def interval(self, p: Fraction) -> tuple[Fraction, Fraction]:
-        """[min, max] demand at price p of the good over all optimal
-        bundles, the extremes of breaking greedy ties against and towards
-        the good.
+    def next_end(self) -> Optional[Fraction]:
+        """The lowest live upper end of the buyers' intervals, or None if
+        none has one: the next price above the last call's at which some
+        buyer's part of K + A/p may change.
 
-        The tie break towards the good goes first: the walk that breaks
-        ties away from it holds above the price, where the scan goes next.
-        """
-        high = self(p, first=True)[0]
-        return self(p, first=False)[0], high
+        Floats keep order but can tie, so every entry of the lowest float is
+        popped, the stale ones dropped and the live ones pushed back."""
+        heap, serial = self.above, self.serial
+        while heap:
+            key, live = heap[0][0], []
+            while heap and heap[0][0] == key:
+                entry = heappop(heap)
+                if serial[entry[2]] == entry[1]:
+                    live.append(entry)
+            for entry in live:
+                heappush(heap, entry)
+            if live:
+                return min(F(n, d) for *_, n, d in live)
+        return None
 
     def _walk(self, i: int, first: bool):
         """Buyer i's part at the prices of the fold's quote list, as
@@ -496,55 +507,12 @@ def _tie_pairs(fold: _Fold, good: int, quotes: list) -> list[list[tuple[int, int
     return ties
 
 
-def _tie_candidates(ties: list, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """The prices of _tie_pairs' `ties` in the open bracket (lo, hi),
-    sorted: tested against it in integers, and only those inside become
-    Fractions."""
-    lo_n, lo_d, hi_n, hi_d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    return sorted({
-        F(n, d) for pairs in ties for n, d in pairs
-        if lo_n * d < n * lo_d and n * hi_d < hi_n * d
-    })
-
-
 @dataclass(frozen=True)
 class BisectionResult:
     price: Fraction
     demand_low: Fraction
     demand_high: Fraction
     exact: bool
-
-
-def _region_crossing(
-    fold: _IncrementalFold, x: Fraction, y: Fraction, epsilon: Fraction, max_iters: int
-):
-    """Search the tie-free open region (x, y) for a demand-1 crossing.
-
-    Bisection accelerated by solving the midpoint's local K + A/p model,
-    p = A / (1 - K); returns (exact price or None, best within-epsilon
-    fallback or None).  `fold` evaluates the demand for the free good at a
-    price of it.
-    """
-    lo, hi = x, y
-    best = None
-    for _ in range(max_iters):
-        p = (lo + hi) / 2
-        demand, const, spare = fold(p, first=True)
-        if demand == 1:
-            return p, best
-        if abs(demand - 1) <= epsilon and best is None:
-            best = (p, demand)
-        if spare > 0 and const < 1:
-            cand = spare / (1 - const)
-            if x < cand < y:
-                d_cand, _, _ = fold(cand, first=True)
-                if d_cand == 1:
-                    return cand, best
-        if demand > 1:
-            lo = p
-        else:
-            hi = p
-    return None, best
 
 
 def pinned_bisection(
@@ -554,18 +522,29 @@ def pinned_bisection(
     bracket: tuple[Fraction, Fraction],
     epsilon: Fraction,
 ) -> BisectionResult:
-    """Clearing price of `free_good` with every other price pinned.
+    """Lowest clearing price of `free_good` with every other price pinned.
 
-    Scans the buyers' tie prices in the bracket in increasing order: at
-    each one the set-valued demand interval [min, max] is checked for
-    containing 1 (an exact clearing, realizable by splitting the indifferent
-    buyers), and the tie-free region before it is solved through its local
-    model demand = K + A/p (_region_crossing).  With the other prices
-    fixed, demand for the good does not increase with its price, so a
-    region (x, y) is searched only if min demand at x > 1 >= max demand at
-    y, and the scan stops once max demand falls below 1.  Without an exact
-    clearing, the same scan with tolerance epsilon returns the first point
-    whose demand is within epsilon of 1.
+    One exact sweep up the bracket from its low end.  With the other prices
+    fixed, demand for the good does not increase with its price, and
+    between consecutive ends of the buyers' intervals (_IncrementalFold) it
+    is K + A/p.  At each end x, from lo, the sweep reads the set-valued
+    demand [min, max]: min and the K and A that hold just above x from one
+    fold call with ties broken away from the good, and max as the left
+    limit K + A/x of the gap below (at lo, a fold call with ties broken
+    towards the good).  If [min, max] holds 1, x is an exact clearing,
+    realizable by splitting the indifferent buyers.  Otherwise, on the gap
+    (x, y) up to the next end (next_end) or hi, K + A/p = 1 is solved
+    exactly: a root A/(1 - K) in the gap is an exact clearing.  The sweep
+    stops there, at hi, or once max demand falls below 1.
+
+    So an exact result is the lowest price whose demand interval holds 1.
+    Without one, the result, with `exact` False, is the lowest price whose
+    demand interval meets [1 - epsilon, 1 + epsilon]: an end x, or the
+    point A/(1 + epsilon - K) of a gap, where demand is exactly
+    1 + epsilon; without either, BracketError("no clearing price ...").
+    The name keeps "bisection" because callers read it (the API, the gadget
+    fixtures and the benchmark's spans), though no step bisects: every gap
+    is solved exactly, with no step cap.
 
     The clearing reads only the prices of the goods that the buyers
     interested in `free_good` value, so only those must be pinned, each at
@@ -577,15 +556,12 @@ def pinned_bisection(
     Cost: one compile of the interested buyers into a market._Fold (their
     segments flattened once, over only the goods they value) and one
     derivation of their tie prices from it (_tie_pairs), then
-    O((interested buyers + ties) log) for the clearing, with nothing
-    proportional to the market's goods.  The scan points are the ties in
-    the bracket.  Every evaluated price goes through one _IncrementalFold on
-    that compile and those ties, so a buyer is walked at the two ends of
-    the bracket and again only where a price leaves the interval on which
-    its part of K + A/p holds: at its own ties, where both tie breaks walk
-    only the buyers tied there, and at its budget breakpoints.  Nothing is
-    kept per scan point or per region: the epsilon scan, which runs only
-    without an exact clearing, evaluates its points again.
+    O((interested buyers + interval ends passed) log) for the clearing,
+    with nothing proportional to the market's goods.  Every evaluated price
+    goes through one _IncrementalFold on that compile and those ties, so a
+    buyer is walked at the two ends of the bracket and again only where the
+    sweep passes the upper end of its interval: one of its own ties or
+    budget breakpoints.  Nothing is kept per point.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -606,52 +582,43 @@ def pinned_bisection(
     quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
     ties = _tie_pairs(compiled, 0, quotes)
     fold = _IncrementalFold(compiled, 0, quotes, ties)
-    # the high end first, so that the fold is left at the low end, where
-    # the scan starts
-    d_hi = fold.interval(hi)
-    d_lo = fold.interval(lo)
-    if d_lo[1] < 1 - epsilon:
+    # min demand at the high end, then max demand at the low end, where
+    # the sweep starts
+    d_hi = fold(hi, first=False)[0]
+    d_max = fold(lo, first=True)[0]
+    if d_max < 1 - epsilon:
         raise BracketError(
-            f"demand at the low end is {d_lo[1]}, below 1 - epsilon"
+            f"demand at the low end is {d_max}, below 1 - epsilon"
         )
-    if d_hi[0] > 1 + epsilon:
+    if d_hi > 1 + epsilon:
         raise BracketError(
-            f"demand at the high end is {d_hi[0]}, above 1 + epsilon"
+            f"demand at the high end is {d_hi}, above 1 + epsilon"
         )
-    ties_in = _tie_candidates(ties, lo, hi)
-
-    def scan(tol: Fraction, exact: bool) -> Optional[BisectionResult]:
-        """First point, in increasing price order, whose demand is within
-        tol of 1."""
-        x = x_min = None
-        for point, (dmin, dmax) in chain(
-            [(lo, d_lo)], ((p, fold.interval(p)) for p in ties_in), [(hi, d_hi)]
-        ):
-            if x is not None and x_min > 1 + tol >= dmax:
-                # With max demand exactly 1 at y, demand K + A/p reaches 1
-                # inside (x, y) only if it is flat there, which the first
-                # midpoint shows; otherwise this scan returns y itself and
-                # never reads the region's epsilon fallback.
-                found, near = _region_crossing(
-                    fold, x, point, epsilon, 1 if dmax == 1 else _BISECTION_STEPS
-                )
-                if exact and found is not None:
-                    return BisectionResult(found, ONE, ONE, True)
-                if not exact and near is not None:
-                    return BisectionResult(near[0], near[1], near[1], False)
-            if dmin <= 1 + tol and dmax >= 1 - tol:
-                return BisectionResult(point, dmin, dmax, exact)
-            if dmax < 1 - tol:
-                return None
-            x, x_min = point, dmin
-        return None
-
-    result = scan(ZERO, True) or scan(epsilon, False)
-    if result is None:
+    x, near = lo, None
+    while True:
+        # [d_min, d_max] at x, and K + A/p on the gap above it
+        d_min, const, spare = fold(x, first=False)
+        if d_min <= 1 <= d_max:
+            return BisectionResult(x, d_min, d_max, True)
+        if near is None and d_min <= 1 + epsilon and d_max >= 1 - epsilon:
+            near = BisectionResult(x, d_min, d_max, False)
+        if d_max < 1 or x == hi:
+            break
+        end = fold.next_end()
+        y = hi if end is None or end > hi else end
+        # here d_min > 1, so the roots below lie above x
+        if spare and const < 1 and spare / (1 - const) < y:
+            return BisectionResult(spare / (1 - const), ONE, ONE, True)
+        if near is None and spare and const < 1 + epsilon:
+            p = spare / (1 + epsilon - const)
+            if p < y:
+                near = BisectionResult(p, 1 + epsilon, 1 + epsilon, False)
+        x, d_max = y, const + spare / y
+    if near is None:
         raise BracketError(
             f"no clearing price for {free_good!r} in [{lo}, {hi}] at epsilon={epsilon}"
         )
-    return result
+    return near
 
 
 # ---------------------------------------------------------------------------

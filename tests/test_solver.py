@@ -51,7 +51,6 @@ from circuitmarket.solver import (
     NOT_FIXTURE,
     PURIFY_FIXTURE,
     _IncrementalFold,
-    _tie_candidates,
     _tie_pairs,
 )
 from oracle import (
@@ -607,7 +606,7 @@ def test_region_solve_finds_the_clearing_of_a_buyer_that_runs_out(eps):
     # half a unit of x at slope 2, then x at slope 1 without end: with budget
     # 1 the buyer buys the half unit capped and runs out on x, so its demand
     # is 1/p, a K + A/p with K = 0 and A = 1, and x clears exactly at 1,
-    # which no bisection midpoint of (1/3, 2) hits
+    # the root A/(1 - K) of the one gap (1/3, 2)
     utility = SplcUtility((seg(F(1, 2), 2), seg(None, 1)))
     market = FisherMarket(("x",), (Buyer("b", F(1), {"x": utility}),))
     result = pinned_bisection(market, {}, "x", (F(1, 3), F(2)), eps)
@@ -786,11 +785,15 @@ def _clearing_outcome(market, prices, bracket, eps):
 
 # sha256 of the JSON list of outcomes below: every price, demand interval,
 # exactness flag and error message must stay as they are.  Last re-pinned
-# when the region solve learned to read the K + A/p model, which turned 5
-# errors and 14 epsilon approximations into exact clearings that exist
-# (queries 150, 514, 656, 695, 839, 861, 895, 1019, 1056, 1255, 1639, 1771,
-# 1825, 1955, 2524, 2665, 2756, 2857 and 2944) and left the rest as they were.
-CLEARING_DIGEST = "68d8a6e05d46ec83f194b602dc313e558dfeba782718b511f00e378b8bca2b68"
+# when the exact sweep replaced bisection: every exact outcome and error
+# stayed as it was, and 53 epsilon approximations moved from a bisection
+# midpoint down to the lowest price within epsilon, at demand 1 + epsilon
+# (queries 41, 62, 85, 95, 127, 326, 343, 407, 415, 497, 519, 563, 794, 830,
+# 851, 901, 1054, 1107, 1147, 1249, 1261, 1281, 1367, 1370, 1446, 1455, 1567,
+# 1758, 1798, 1830, 1883, 1903, 1934, 1938, 2022, 2067, 2094, 2146, 2167,
+# 2219, 2266, 2283, 2286, 2434, 2459, 2462, 2586, 2706, 2730, 2734, 2807, 2902
+# and 2985; query 62 went from 81/32 at demand 32/27 to 12/5 at 5/4).
+CLEARING_DIGEST = "976946182f28f3e3ce949700d3e18474c0ec045bc241845de4246151edba3fa6"
 
 
 def test_pinned_bisection_outcomes_are_pinned():
@@ -806,39 +809,51 @@ def test_pinned_bisection_outcomes_are_pinned():
     assert digest == CLEARING_DIGEST
 
 
-def test_region_search_only_where_demand_can_cross(monkeypatch):
-    """Demand for the free good does not increase with its price, so only a
-    tie-free region (x, y) with dmin(x) > 1 >= dmax(y) can hold an exact
-    clearing; the epsilon fallback widens that to dmin(x) > 1 + eps >= dmax(y).
-    """
-    entered = []
-    real = solver._region_crossing
-
-    def spy(fold, x, y, epsilon, max_iters):
-        entered.append((x, y))
-        return real(fold, x, y, epsilon, max_iters)
-
-    monkeypatch.setattr(solver, "_region_crossing", spy)
-    exact_calls = fallback_calls = regions = 0
-    for market, prices, (lo, hi), eps in _random_clearing_queries(400, 11):
-        entered.clear()
-        outcome = _clearing_outcome(market, prices, (lo, hi), eps)
+def _clearing_checks(kind):
+    """(buyers, prices, lo, epsilon, price, demand interval, oracle's demand
+    interval at the price, oracle's min demand just below the price or None
+    at lo) of every `kind` outcome, exact or epsilon, of the
+    CLEARING_DIGEST queries.  Just below is 10**-9 of the price lower,
+    closer than any two ties or budget breakpoints of these grid markets."""
+    for market, prices, (lo, hi), eps in _random_clearing_queries(3000, 4):
+        try:
+            result = pinned_bisection(market, prices, "x", (lo, hi), eps)
+        except BracketError:
+            continue
+        if result.exact != (kind == "exact"):
+            continue
         buyers = market.interested_buyers.get("x", ())
-        regions += len(tie_candidates(buyers, "x", prices, lo, hi)) + 1
-        assert len(set(entered)) == len(entered)
-        for x, y in entered:
-            dmin_x = demand_interval(buyers, "x", prices, x)[0]
-            dmax_y = demand_interval(buyers, "x", prices, y)[1]
-            if outcome[0] != "BracketError" and outcome[3]:
-                assert dmin_x > 1 >= dmax_y
-                exact_calls += 1
-            elif dmin_x > 1 >= dmax_y:
-                exact_calls += 1  # the exact search ran first and found nothing
-            else:
-                assert dmin_x > 1 + eps >= dmax_y
-                fallback_calls += 1
-    assert exact_calls > 50 and fallback_calls > 5
-    assert exact_calls + fallback_calls < regions / 4
+        p = result.price
+        below = None
+        if p > lo:
+            below = demand_interval(buyers, "x", prices, p * (1 - F(1, 10**9)))[0]
+        at = demand_interval(buyers, "x", prices, p)
+        yield buyers, prices, lo, eps, p, (result.demand_low, result.demand_high), at, below
+
+
+def test_exact_clearings_are_the_lowest_price_whose_demand_holds_one():
+    """Every exact outcome's demand interval, against the oracle's, holds 1,
+    and min demand just below the price is above 1: demand does not
+    increase with the price, so no lower price in the bracket clears."""
+    checked = 0
+    for *_, lo, eps, p, interval, at, below in _clearing_checks("exact"):
+        assert interval == at and at[0] <= 1 <= at[1]
+        assert below is None or below > 1
+        checked += 1
+    assert checked > 2000
+
+
+def test_epsilon_clearings_are_the_lowest_price_within_epsilon():
+    """Every epsilon outcome's demand interval, against the oracle's, meets
+    [1 - eps, 1 + eps], and min demand just below the price is above
+    1 + eps, so no lower price is within epsilon.  Bisection returned a
+    midpoint above that lowest price on 53 of these queries."""
+    checked = 0
+    for *_, lo, eps, p, interval, at, below in _clearing_checks("approx"):
+        assert interval == at and at[0] <= 1 + eps and at[1] >= 1 - eps
+        assert below is None or below > 1 + eps
+        checked += 1
+    assert checked > 100
 
 
 def _budget_breakpoints(buyer, prices, p):
@@ -885,12 +900,12 @@ def _incremental_fold(buyers, prices):
 
 
 def test_tie_candidates_are_every_tie_in_the_bracket():
-    """_tie_candidates of _tie_pairs, which read the compiled plans and
-    quotes, against the brute-force Fraction enumeration of tests/oracle.py
-    over the SplcSegments, on seeded clearing markets: every buyer or only
-    those interested in x, x at every index of the fold, and brackets of
-    random ends or ends exactly at a tie (which the open bracket leaves
-    out)."""
+    """The pairs of _tie_pairs in the open bracket, as Fractions, which read
+    the compiled plans and quotes, against the brute-force Fraction
+    enumeration of tests/oracle.py over the SplcSegments, on seeded clearing
+    markets: every buyer or only those interested in x, x at every index of
+    the fold, and brackets of random ends or ends exactly at a tie (which
+    the open bracket leaves out)."""
     rng = random.Random(2030)
     found = at_an_end = 0
     for _ in range(300):
@@ -904,7 +919,8 @@ def test_tie_candidates_are_every_tie_in_the_bracket():
             at_an_end += 1
         at = rng.randint(0, len(prices))
         fold, quotes = _clearing_fold(buyers, prices, at)
-        ties = _tie_candidates(_tie_pairs(fold, at, quotes), lo, hi)
+        pairs = {F(n, d) for ends in _tie_pairs(fold, at, quotes) for n, d in ends}
+        ties = sorted(t for t in pairs if lo < t < hi)
         assert ties == tie_candidates(buyers, "x", prices, lo, hi)
         found += len(ties)
     assert found > 300 and at_an_end > 50
@@ -936,7 +952,8 @@ def test_incremental_fold_matches_the_one_shot_fold():
             assert fold(p, first) == free_good_fold(buyers, "x", {**prices, "x": p}, first)
             seen[kind] += 1
         for p in ties:
-            assert fold.interval(p) == demand_interval(buyers, "x", prices, p)
+            interval = fold(p, False)[0], fold(p, True)[0]
+            assert interval == demand_interval(buyers, "x", prices, p)
         for p in breaks:
             # K or A jumps at a breakpoint, whether or not demand does
             below = free_good_fold(buyers, "x", {**prices, "x": p * (1 - F(1, 10**9))}, True)
@@ -962,6 +979,34 @@ def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
     fold = _incremental_fold(buyers, prices)
     for p in (F(1), F(1), 1 - 10 * tiny, F(1), 1 + 10 * tiny, F(1)):
         assert fold(p, True) == free_good_fold(buyers, "x", {**prices, "x": p}, True)
+
+
+def test_next_end_takes_the_exact_least_of_ends_with_equal_floats():
+    """Ties at 1 + 2 * 10**-30 ("late", walked first) and 1 + 10**-30
+    ("early") both round to the float 1.0: next_end must return the lower
+    one, the other next, and the sweep must solve the gap between them,
+    where "plain" and "late" spend 1 + 3/2 * 10**-30 on x and it clears."""
+    tiny = F(1, 10**30)
+    market = FisherMarket(
+        ("x", "y", "z"),
+        (
+            Buyer("late", F(1, 2), {"x": linear(1), "z": linear(1)}),
+            Buyer("early", F(1), {"x": linear(1), "y": linear(1)}),
+            Buyer("plain", F(1, 2) + 3 * tiny / 2, {"x": linear(1)}),
+        ),
+    )
+    buyers = market.interested_buyers.get("x", ())
+    prices = {"y": 1 + tiny, "z": 1 + 2 * tiny}
+    fold = _incremental_fold(buyers, prices)
+    fold(F(1), False)
+    assert fold.next_end() == 1 + tiny
+    fold(1 + tiny, False)
+    assert fold.next_end() == 1 + 2 * tiny
+    fold(1 + 2 * tiny, False)
+    assert fold.next_end() is None
+    result = pinned_bisection(market, prices, "x", (F(1, 2), F(2)), F(0))
+    assert result == BisectionResult(1 + 3 * tiny / 2, F(1), F(1), True)
+    assert demand_interval(buyers, "x", prices, result.price) == (1, 1)
 
 
 def _clear_ref(k):
@@ -996,7 +1041,7 @@ def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
         # the outcome of the scan that refolded every buyer
         assert clear() == BisectionResult(F(1), F(1), 1 + F(3, 880 * k), True)
     assert walks[1] <= 2.2 * walks[0] and walks[2] <= 2.2 * walks[1]
-    assert walks == [213, 425, 853]
+    assert walks == [167, 333, 667]
 
 
 class _WholeMapRead(dict):

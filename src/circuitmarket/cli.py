@@ -275,11 +275,13 @@ def _cmd_circuit_check(args) -> int:
         raise CliError(
             f"{args.assignment}: assignment must be a JSON object", EXIT_USAGE
         )
+    # a node's one key is its decimal index, as decode writes it
+    nodes = {str(v): v for v in range(circuit.n)}
     try:
         assignment = pc.Assignment(
-            {int(node): values[val] for node, val in raw.items()}
+            {nodes[node]: values[val] for node, val in raw.items()}
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CliError(f"bad assignment value: {exc}", EXIT_USAGE) from exc
     try:
         verdicts = pc.check_assignment(circuit, assignment)

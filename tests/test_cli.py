@@ -312,6 +312,28 @@ def test_circuit_check_rejects_bad_value(circuit_file, tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # node "10" does not exist: int("1_0") read it as node 10 and
+        # dropped it, so the cycle checked as satisfied (exit 0)
+        {"0": "0", "1_0": "1", "1": "1"},
+        # "00" named node 0 too, and the later key silently won (exit 1)
+        {"0": "1", "00": "0", "1": "0"},
+        {"0": "0", " 1": "1"},
+        {"0": "0", "1": "1", "2": "1"},
+        {"0": "0", "-0": "0", "1": "1"},
+    ],
+)
+def test_circuit_check_takes_only_decimal_node_indices(doc, circuit_file, tmp_path, capsys):
+    path = tmp_path / "assignment.json"
+    path.write_text(json.dumps(doc))
+    assert cli.run(
+        ["circuit-check", str(circuit_file), "--assignment", str(path)]
+    ) == 2
+    assert "bad assignment value" in _assert_json_error(capsys, 2)
+
+
 def test_unknown_subcommand_is_usage_error():
     assert cli.run(["frobnicate"]) == 2
 
@@ -682,6 +704,12 @@ def test_decode_builds_no_market(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == text
     assert json.loads(text)["copy"] == 10
     assert hashlib.sha256(text.encode()).hexdigest() == DECODE_DIGEST
+    # circuit-check reads decode's keys, one decimal index per node; these
+    # prices are no equilibrium, so a gate fails (exit 1, not 2)
+    capsys.readouterr()
+    check = ["circuit-check", str(circuit), "--assignment", str(build / "assignment.json")]
+    assert cli.run(check) == 1
+    assert len(json.loads(capsys.readouterr().out)["gates"]) == 5
 
 
 def _perturbed(allocation):

@@ -14,7 +14,8 @@ references read the SplcSegments instead, so they share none of that form.
 
 tie_candidates enumerates, in Fractions, the prices of a free good at
 which a buyer's bang-per-buck on it ties with one of their other goods:
-the points pinned_bisection scans.
+the prices, besides budget breakpoints, at which pinned_bisection's sweep
+steps.
 
 free_good_fold and demand_interval are the one-shot forms of the demand
 that pinned_bisection's incremental fold keeps: every buyer's greedy_walk

@@ -810,11 +810,11 @@ def test_pinned_bisection_outcomes_are_pinned():
 
 
 def _clearing_checks(kind):
-    """(buyers, prices, lo, epsilon, price, demand interval, oracle's demand
-    interval at the price, oracle's min demand just below the price or None
-    at lo) of every `kind` outcome, exact or epsilon, of the
-    CLEARING_DIGEST queries.  Just below is 10**-9 of the price lower,
-    closer than any two ties or budget breakpoints of these grid markets."""
+    """(epsilon, demand interval, oracle's demand interval at the price,
+    oracle's min demand just below the price or None at lo) of every `kind`
+    outcome, exact or epsilon, of the CLEARING_DIGEST queries.  Just below
+    is 10**-9 of the price lower, closer than any two ties or budget
+    breakpoints of these grid markets."""
     for market, prices, (lo, hi), eps in _random_clearing_queries(3000, 4):
         try:
             result = pinned_bisection(market, prices, "x", (lo, hi), eps)
@@ -828,7 +828,7 @@ def _clearing_checks(kind):
         if p > lo:
             below = demand_interval(buyers, "x", prices, p * (1 - F(1, 10**9)))[0]
         at = demand_interval(buyers, "x", prices, p)
-        yield buyers, prices, lo, eps, p, (result.demand_low, result.demand_high), at, below
+        yield eps, (result.demand_low, result.demand_high), at, below
 
 
 def test_exact_clearings_are_the_lowest_price_whose_demand_holds_one():
@@ -836,7 +836,7 @@ def test_exact_clearings_are_the_lowest_price_whose_demand_holds_one():
     and min demand just below the price is above 1: demand does not
     increase with the price, so no lower price in the bracket clears."""
     checked = 0
-    for *_, lo, eps, p, interval, at, below in _clearing_checks("exact"):
+    for _, interval, at, below in _clearing_checks("exact"):
         assert interval == at and at[0] <= 1 <= at[1]
         assert below is None or below > 1
         checked += 1
@@ -849,7 +849,7 @@ def test_epsilon_clearings_are_the_lowest_price_within_epsilon():
     1 + eps, so no lower price is within epsilon.  Bisection returned a
     midpoint above that lowest price on 53 of these queries."""
     checked = 0
-    for *_, lo, eps, p, interval, at, below in _clearing_checks("approx"):
+    for eps, interval, at, below in _clearing_checks("approx"):
         assert interval == at and at[0] <= 1 + eps and at[1] >= 1 - eps
         assert below is None or below > 1 + eps
         checked += 1

@@ -40,9 +40,9 @@ same walk.
 Verification's best utility is the value of the canonical bundle: the
 walk buys each good's segments in segment order, so its amount of a good
 is a prefix of the good's segments.  Single-good clearing compiles the
-buyers interested in the good into a fold too, and walks one agent at a
-time in the order _Fold.walk gives (solver._IncrementalFold), so there is
-one compiled form of the walk.
+buyers interested in the good into a fold too, and re-reads one agent's
+C and M at a time (_Fold.agent_demand, in solver._IncrementalFold), so
+_Fold._walks is the one loop of the package that spends a budget.
 
 The documents are written directly, not through json.dumps, with the
 bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
@@ -63,7 +63,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -464,17 +464,11 @@ class _Fold:
                 (agent.id, budget.numerator, budget.denominator, tuple(segments))
             )
 
-    def walk(
+    def agent_demand(
         self, j: int, quotes: list[Quote], favor: Optional[int], first: bool
-    ) -> Sequence[tuple]:
-        """The j-th agent's segments in walk order at the prices of
-        `quotes`, all of them positive, ties broken towards the good of
-        index `favor` (first) or away from it: the order of its walk in
-        _walks, for a caller that walks one agent its own way."""
-        segments = self.plans[j][3]
-        keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
-        walk = _float_order(segments, keys)
-        return _exact_order(segments, keys, quotes, favor, first) if walk is None else walk
+    ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
+        """demand of the j-th agent alone."""
+        return self._walks((self.plans[j],), quotes, favor, first)
 
     def demand(
         self, quotes: list[Quote], favor: Optional[int] = None, first: bool = True
@@ -491,7 +485,7 @@ class _Fold:
         `quotes`, the walk with no favored good: good index -> amount, its
         own C + M/p, as an unreduced pair.  Goods come in walk order, since
         the one budget-limited purchase ends the walk."""
-        bundle, money = self._walks((self.plans[j],), quotes, None, True)
+        bundle, money = self.agent_demand(j, quotes, None, True)
         for i, (mn, md) in money.items():
             pn, pd, _ = quotes[i]
             bundle[i] = _add_pair(bundle.get(i), mn * pd, md * pn)

@@ -15,7 +15,9 @@ Two complementary oracles:
   set-valued, and changes pieces at budget breakpoints.  So one sweep up
   the bracket steps from each end of a buyer's interval to the next and
   solves K + A/p = 1 exactly on each gap; results are exact rationals
-  whenever an exact clearing exists in the bracket.
+  whenever an exact clearing exists in the bracket.  The sweep only moves
+  up, and every buyer's part of K and A comes from market._Fold's one
+  budget walk.
 
 On top of these sit the gadget fixtures (NOT / NAND / PURIFY truth-table
 sweeps on compiled markets) and ``lemma_suite``, which re-checks every
@@ -30,7 +32,6 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
 from math import gcd
 from typing import Mapping, Optional
 
@@ -313,37 +314,32 @@ def _reduced(n: int, d: int) -> tuple[int, int]:
 
 
 class _IncrementalFold:
-    """The (demand, K, A) triple of one free good over many prices p of it,
-    with every other price pinned and greedy ties broken towards the good
-    (first) or away from it: demand = K + A/p locally.
+    """The (demand, K, A) triple of one free good over rising prices p of
+    it, with every other price pinned and greedy ties broken away from the
+    good: demand = K + A/p locally.
 
-    A buyer's greedy walk at price p fixes its part of K and A on an open
-    interval of prices around p.  If its budget does not run out on the
+    A buyer's greedy walk at price p fixes its part of K and A from p up to
+    the upper end of its interval.  If its budget does not run out on the
     good, it adds C_b to K, the lengths of the good's segments it buys in
     full; if it does, it adds its spare money A_b to A, its budget less what
-    it spends on other goods, and buys A_b/p of the good.  The interval ends
-    at the buyer's nearest ties above and below p, read off its tie prices
-    `ties[i]` (_tie_pairs), and at its budget breakpoints (where a purchase
-    flips between capped and budget-limited), which its walk gives.  A call
-    re-walks only the buyers whose interval does not hold the price; two
-    heaps of interval ends find them.  At a price where a buyer is tied, its
-    walk depends on `first`, and the interval of that walk ends at the
-    price, so the next call re-walks it.  With ties broken away from the
-    good, every interval holds from the price up to its upper end, so K and
-    A hold up to the lowest of those ends, which next_end reads off the heap
-    of upper ends: pinned_bisection's sweep steps from end to end.
+    it spends on other goods, and buys A_b/p of the good.  With ties broken
+    away from the good, the walk's order holds up to the buyer's nearest tie
+    above p, read off its tie prices `ties[i]` (_tie_pairs), and its capped
+    purchases stay capped below its spare money over C_b; the lower of the
+    two is the upper end.  A call re-walks only the buyers whose upper end
+    it reaches, which one min-heap of the ends finds: it holds at most one
+    entry per buyer, popped when the buyer is walked again.  The lowest end
+    is where K and A may change next, which next_end reads off the heap:
+    pinned_bisection's sweep steps from end to end.
 
     Cost of a call: its re-walks, each with O(log) heap work and a pass over
     the buyer's ties, and O(1) besides; only the first call walks every
     buyer.  A fold serves one clearing: it walks the buyers of a
     market._Fold compiled for the clearing (the good of index `good` and
     every good its buyers value) at a quote list of its own that holds
-    every pinned price; a call re-quotes only the good.
-
-    _walk is the one budget walk besides market._Fold's, in the order
-    _Fold.walk gives and with the same integer capped test, so a buyer's
-    part is what _Fold gives it.  It is kept apart for the spare money and
-    the budget breakpoints, which _Fold's walks do not track.
+    every pinned price; a call re-quotes only the good.  A buyer's C and M
+    come from _Fold's own budget walk of its plan (_Fold.agent_demand), so
+    its part is what _Fold gives it.
     """
 
     def __init__(self, fold: _Fold, good: int, quotes: list, ties: list):
@@ -356,41 +352,32 @@ class _IncrementalFold:
         # (C_b, 0): their sums are K and A
         self.parts = [(_NO_PAIR, _NO_PAIR)] * n
         self.sums = [_NO_PAIR, _NO_PAIR]
-        self.serial = [0] * n
         self.stale = list(range(n))
-        # interval ends as (float, serial, buyer, numerator, denominator),
-        # the upper ends in a min-heap and the lower ends, negated, in
-        # another; an entry is live while its serial is the buyer's
+        # upper ends as (float, buyer, numerator, denominator)
         self.above: list[tuple] = []
-        self.below: list[tuple] = []
-        self.serials = count(1)
 
-    def __call__(self, p: Fraction, first: bool) -> tuple[Fraction, Fraction, Fraction]:
-        """(demand, K, A) of the good at price p > 0."""
+    def __call__(self, p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        """(demand, K, A) of the good at price p, positive and not below
+        the last call's price."""
         pn, pd = p.numerator, p.denominator
         self.quotes[self.good] = _quote(pn, pd)
         fp = _float(pn, pd)
         stale, self.stale = self.stale, []
-        serial = self.serial
-        for heap, key, side in ((self.above, fp, 1), (self.below, -fp, -1)):
-            kept = []
-            # an end whose float passes the price may still be beyond it
-            while heap and heap[0][0] <= key:
-                entry = heappop(heap)
-                _, s, i, n, d = entry
-                if serial[i] != s:
-                    continue
-                if side * (n * pd - pn * d) <= 0:
-                    serial[i] = -1
-                    stale.append(i)
-                else:
-                    kept.append(entry)
-            for entry in kept:
-                heappush(heap, entry)
+        heap, kept = self.above, []
+        # an end whose float reaches the price may still be above it
+        while heap and heap[0][0] <= fp:
+            entry = heappop(heap)
+            _, i, n, d = entry
+            if n * pd <= pn * d:
+                stale.append(i)
+            else:
+                kept.append(entry)
+        for entry in kept:
+            heappush(heap, entry)
         sums = self.sums
         for i in stale:
             old = self.parts[i]
-            new = self.parts[i] = self._walk(i, first)
+            new = self.parts[i] = self._walk(i)
             for j in range(2):
                 if old[j] != new[j]:
                     sums[j] = _add_pair(_add_pair(sums[j], -old[j][0], old[j][1]), *new[j])
@@ -398,87 +385,44 @@ class _IncrementalFold:
         return F(*_demand_pair(const, spare, pn, pd)), F(*const), F(*spare)
 
     def next_end(self) -> Optional[Fraction]:
-        """The lowest live upper end of the buyers' intervals, or None if
-        none has one: the next price above the last call's at which some
-        buyer's part of K + A/p may change.
+        """The lowest upper end of the buyers' intervals, or None if none
+        has one: the next price above the last call's at which some buyer's
+        part of K + A/p may change.  Floats keep order but can tie, so every
+        entry of the lowest float is compared exactly."""
+        heap = self.above
+        if not heap:
+            return None
+        key, tied = heap[0][0], []
+        while heap and heap[0][0] == key:
+            tied.append(heappop(heap))
+        for entry in tied:
+            heappush(heap, entry)
+        return min(F(n, d) for _, _, n, d in tied)
 
-        Floats keep order but can tie, so every entry of the lowest float is
-        popped, the stale ones dropped and the live ones pushed back."""
-        heap, serial = self.above, self.serial
-        while heap:
-            key, live = heap[0][0], []
-            while heap and heap[0][0] == key:
-                entry = heappop(heap)
-                if serial[entry[2]] == entry[1]:
-                    live.append(entry)
-            for entry in live:
-                heappush(heap, entry)
-            if live:
-                return min(F(n, d) for *_, n, d in live)
-        return None
-
-    def _walk(self, i: int, first: bool):
-        """Buyer i's part at the prices of the fold's quote list, as
-        market._Fold's walk gives it, with its interval pushed onto the
-        heaps."""
+    def _walk(self, i: int):
+        """Buyer i's part at the prices of the fold's quote list, from its
+        C and M maps, with its upper end pushed onto the heap."""
         good, quotes = self.good, self.quotes
+        const, money = self.fold.agent_demand(i, quotes, good, False)
+        # (sn, sd) the spare, the budget less the capped purchases of other goods
+        _, sn, sd, _ = self.fold.plans[i]
+        for g, (cn, cd) in const.items():
+            if g != good:
+                qn, qd, _ = quotes[g]
+                sn, sd = _add_pair((sn, sd), -cn * qn, cd * qd)
+        # the upper end (hi_n, hi_d), 1/0 for none: the nearest tie above
+        # the price, or spare / C_b if lower
         pn, pd, _ = quotes[good]
-        # the interval (lo, hi) as integer pairs; hi = 1/0 has no end.  Its
-        # tie ends are the buyer's nearest ties above and below the price; a
-        # tie at the price is above it when the tie break walks the good first
-        lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
+        hi_n, hi_d = 1, 0
         for tn, td in self.ties[i]:
-            side = tn * pd - pn * td
-            if side > 0 or first and not side:
-                if tn * hi_d < hi_n * td:
-                    hi_n, hi_d = tn, td
-            elif lo_n * td < tn * lo_d:
-                lo_n, lo_d = tn, td
-        # (rn, rd) the remaining budget; (sn, sd) the spare, the budget less
-        # the capped purchases of other goods; (cn, cd) C_b
-        _, rn, rd, _ = self.fold.plans[i]
-        sn, sd = rn, rd
-        cn, cd = _NO_PAIR
-        runs_out = False
-        for _, _, g, _, length in self.fold.walk(i, quotes, good, first):
-            on_good = g == good
-            if length is None:
-                # an unbounded segment takes the rest of the budget
-                runs_out = on_good
-                break
-            qn, qd, _ = quotes[g]
-            ln, ld = length
-            # the purchase costs un/ud; capped iff that is below the rest
-            un, ud = ln * qn, ld * qd
-            if un * rd < rn * ud:
-                rn, rd = rn * ud - un * rd, rd * ud
-                if on_good:
-                    cn, cd = _add_pair((cn, cd), ln, ld)
-                else:
-                    sn, sd = sn * ud - un * sd, sd * ud
-                continue
-            # budget-limited from p up: spare <= (C_b + length) p on the
-            # good, spare - cost <= C_b p on another good
-            runs_out = on_good
-            if on_good:
-                tn, td = _add_pair((cn, cd), ln, ld)
-                tn, td = sn * td, sd * tn
-            elif cn:
-                tn, td = (sn * ud - un * sd) * cd, sd * ud * cn
-            else:
-                break
-            if lo_n * td < tn * lo_d:
-                lo_n, lo_d = tn, td
-            break
-        # every capped purchase stays capped below spare / C_b
+            if pn * td < tn * pd and tn * hi_d < hi_n * td:
+                hi_n, hi_d = tn, td
+        cn, cd = const.get(good, _NO_PAIR)
         if cn and sn * cd * hi_d < hi_n * sd * cn:
             hi_n, hi_d = sn * cd, sd * cn
-        s = self.serial[i] = next(self.serials)
         if hi_d:
-            heappush(self.above, (_float(hi_n, hi_d), s, i, hi_n, hi_d))
-        if lo_n > 0:
-            heappush(self.below, (-_float(lo_n, lo_d), s, i, lo_n, lo_d))
-        if runs_out:
+            heappush(self.above, (_float(hi_n, hi_d), i, hi_n, hi_d))
+        if good in money:
             return _NO_PAIR, _reduced(sn, sd)
         return _reduced(cn, cd), _NO_PAIR
 
@@ -529,13 +473,14 @@ def pinned_bisection(
     between consecutive ends of the buyers' intervals (_IncrementalFold) it
     is K + A/p.  At each end x, from lo, the sweep reads the set-valued
     demand [min, max]: min and the K and A that hold just above x from one
-    fold call with ties broken away from the good, and max as the left
-    limit K + A/x of the gap below (at lo, a fold call with ties broken
-    towards the good).  If [min, max] holds 1, x is an exact clearing,
-    realizable by splitting the indifferent buyers.  Otherwise, on the gap
-    (x, y) up to the next end (next_end) or hi, K + A/p = 1 is solved
-    exactly: a root A/(1 - K) in the gap is an exact clearing.  The sweep
-    stops there, at hi, or once max demand falls below 1.
+    _IncrementalFold call, which breaks ties away from the good, and max as
+    the left limit K + A/x of the gap below (at lo, one _Fold.demand of
+    every buyer with ties broken towards the good).  If [min, max] holds 1,
+    x is an exact clearing, realizable by splitting the indifferent buyers.
+    Otherwise, on the gap (x, y) up to the next end (next_end) or hi,
+    K + A/p = 1 is solved exactly: a root A/(1 - K) in the gap is an exact
+    clearing.  The sweep stops there, at hi, or once max demand falls
+    below 1.
 
     So an exact result is the lowest price whose demand interval holds 1.
     Without one, the result, with `exact` False, is the lowest price whose
@@ -557,11 +502,12 @@ def pinned_bisection(
     segments flattened once, over only the goods they value) and one
     derivation of their tie prices from it (_tie_pairs), then
     O((interested buyers + interval ends passed) log) for the clearing,
-    with nothing proportional to the market's goods.  Every evaluated price
-    goes through one _IncrementalFold on that compile and those ties, so a
-    buyer is walked at the two ends of the bracket and again only where the
-    sweep passes the upper end of its interval: one of its own ties or
-    budget breakpoints.  Nothing is kept per point.
+    with nothing proportional to the market's goods.  Each end of the
+    bracket is one _Fold.demand of every buyer; every price the sweep
+    evaluates goes through one _IncrementalFold on that compile and those
+    ties, so a buyer is walked again at lo and then only where the sweep
+    passes the upper end of its interval: one of its own ties or budget
+    breakpoints.  Nothing is kept per point.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -577,15 +523,17 @@ def pinned_bisection(
     not_positive = sorted(g for g, p in prices.items() if p <= 0)
     if not_positive:
         raise BracketError(f"pinned prices not positive for goods {not_positive}")
-    # the free good is the compiled fold's good 0, quoted at each call
+    # the free good is the compiled fold's good 0, quoted at each price
     compiled = _Fold((free_good, *prices), ((buyer, buyer.budget) for buyer in buyers))
     quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
-    ties = _tie_pairs(compiled, 0, quotes)
-    fold = _IncrementalFold(compiled, 0, quotes, ties)
-    # min demand at the high end, then max demand at the low end, where
-    # the sweep starts
-    d_hi = fold(hi, first=False)[0]
-    d_max = fold(lo, first=True)[0]
+    # min demand at the high end and max demand at the low end, where the
+    # sweep starts, each from one fold of every buyer
+    ends = []
+    for (pn, pd), first in ((hi.as_integer_ratio(), False), (lo.as_integer_ratio(), True)):
+        quotes[0] = _quote(pn, pd)
+        const, money = compiled.demand(quotes, 0, first)
+        ends.append(F(*_demand_pair(const.get(0, _NO_PAIR), money.get(0, _NO_PAIR), pn, pd)))
+    d_hi, d_max = ends
     if d_max < 1 - epsilon:
         raise BracketError(
             f"demand at the low end is {d_max}, below 1 - epsilon"
@@ -594,10 +542,11 @@ def pinned_bisection(
         raise BracketError(
             f"demand at the high end is {d_hi}, above 1 + epsilon"
         )
+    fold = _IncrementalFold(compiled, 0, quotes, _tie_pairs(compiled, 0, quotes))
     x, near = lo, None
     while True:
         # [d_min, d_max] at x, and K + A/p on the gap above it
-        d_min, const, spare = fold(x, first=False)
+        d_min, const, spare = fold(x)
         if d_min <= 1 <= d_max:
             return BisectionResult(x, d_min, d_max, True)
         if near is None and d_min <= 1 + epsilon and d_max >= 1 - epsilon:

@@ -634,15 +634,27 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
 # --- float-screened walk order ----------------------------------------------
 
 
+def compiled_walk(fold, j, quotes, favor=None, first=True):
+    """The j-th agent's segments of a compiled fold (_Fold.plans) in walk
+    order at the prices of the quote list `quotes`, ties broken towards the
+    good of index `favor` (first) or away from it: _float_order, else
+    _exact_order, as _Fold._walks composes them."""
+    segments = fold.plans[j][3]
+    keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
+    walk = market_module._float_order(segments, keys)
+    if walk is None:
+        walk = market_module._exact_order(segments, keys, quotes, favor, first)
+    return walk
+
+
 def _walked_goods(buyer, prices, favor=None, first=True):
-    """The goods of the compiled walk's order (_Fold.walk over the fold's
-    plans), which must be those of the reference greedy's purchases and of
-    the compiled fold's capped ones: the buyers below can afford every
-    segment."""
+    """The goods of the compiled walk's order (compiled_walk), which must be
+    those of the reference greedy's purchases and of the compiled fold's
+    capped ones: the buyers below can afford every segment."""
     quotes = list(market_module.quote_table(prices).values())
     fold = market_module._Fold(prices, [(buyer, buyer.budget)])
     favored = None if favor is None else fold.goods.index(favor)
-    goods = [fold.goods[i] for _, _, i, _, _ in fold.walk(0, quotes, favored, first)]
+    goods = [fold.goods[i] for _, _, i, _, _ in compiled_walk(fold, 0, quotes, favored, first)]
     walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
     assert goods == [g for g, *_ in walk]
     const, _ = fold.demand(quotes, favored, first)

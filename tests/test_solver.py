@@ -61,6 +61,7 @@ from oracle import (
     tie_candidates,
     walk_order,
 )
+from test_market import compiled_walk
 
 F = Fraction
 
@@ -126,12 +127,12 @@ def _pairs(segment):
 
 def _assert_walk_is_the_reference(buyer, prices, favor, first):
     """One buyer's walk against the reference greedy of tests/oracle.py:
-    the compiled walk (_Fold.walk) lists the segments in the reference's
+    the compiled walk (compiled_walk) lists the segments in the reference's
     order, and the budget walk of the compiled fold buys what the reference
     buys."""
     fold = _Fold(prices, [(buyer, buyer.budget)])
     favored = None if favor is None else fold.goods.index(favor)
-    walk = fold.walk(0, list(quote_table(prices).values()), favored, first)
+    walk = compiled_walk(fold, 0, list(quote_table(prices).values()), favored, first)
     assert [(fold.goods[i], length, slope) for _, _, i, slope, length in walk] == [
         (g, *_pairs(s)) for g, s in walk_order(buyer.utilities, prices, favor, first)
     ]
@@ -927,44 +928,43 @@ def test_tie_candidates_are_every_tie_in_the_bracket():
 
 
 def test_incremental_fold_matches_the_one_shot_fold():
-    """_IncrementalFold against free_good_fold, triple for triple, at tie
-    points with both tie breaks, at region midpoints and exactly on budget
-    breakpoints, in a seeded order, so that one fold moves back and forth
-    over the intervals it keeps."""
+    """_IncrementalFold against free_good_fold with ties broken away from x,
+    triple for triple, at tie points, at region midpoints and exactly on
+    budget breakpoints, in ascending order, as pinned_bisection's sweep
+    calls it.  The sweep reads the other tie break from _Fold.demand, which
+    test_integer_demand_fold_matches_the_fraction_walk checks."""
     rng = random.Random(2026)
     lo, hi = F(1, 8), F(8)
     seen = {"tie": 0, "mid": 0, "breakpoint": 0}
     flips = 0
-    for _ in range(150):
+    for _ in range(300):
         market, prices = _random_clearing_case(rng)
         buyers = market.interested_buyers.get("x", ())
         ties = tie_candidates(buyers, "x", prices, lo, hi)
         points = [lo] + ties + [hi]
         mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
         breaks = {bp for m in mids for b in buyers for bp in _budget_breakpoints(b, prices, m)}
-        queries = [(p, first, "tie") for p in ties for first in (True, False)]
-        queries += [(p, rng.random() < 0.5, "mid") for p in mids]
-        queries += [(p, first, "breakpoint") for p in breaks for first in (True, False)]
-        queries *= 2
-        rng.shuffle(queries)
+        queries = [(p, "tie") for p in ties] + [(p, "mid") for p in mids]
+        queries += [(p, "breakpoint") for p in breaks]
         fold = _incremental_fold(buyers, prices)
-        for p, first, kind in queries:
-            assert fold(p, first) == free_good_fold(buyers, "x", {**prices, "x": p}, first)
+        for p, kind in sorted(queries):
+            triple = fold(p)
+            assert triple == free_good_fold(buyers, "x", {**prices, "x": p}, False)
+            if kind == "tie":
+                assert triple[0] == demand_interval(buyers, "x", prices, p)[0]
             seen[kind] += 1
-        for p in ties:
-            interval = fold(p, False)[0], fold(p, True)[0]
-            assert interval == demand_interval(buyers, "x", prices, p)
         for p in breaks:
             # K or A jumps at a breakpoint, whether or not demand does
             below = free_good_fold(buyers, "x", {**prices, "x": p * (1 - F(1, 10**9))}, True)
             flips += below[1:] != free_good_fold(buyers, "x", {**prices, "x": p}, True)[1:]
+    assert sum(seen.values()) >= 4000
     assert min(seen.values()) > 500 and flips > 100
 
 
 def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
     """Ties 10**-30 below and above x's price 1 round to the float 1.0: the
-    heaps pop those ends at price 1 and must keep them, since the buyers
-    are walked again only once the price passes them."""
+    heap pops both ends at price 1 and must keep the one above it, since
+    its buyer is walked again only once the price passes it."""
     tiny = F(1, 10**30)
     market = FisherMarket(
         ("x", "y", "z"),
@@ -977,8 +977,8 @@ def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
     buyers = market.interested_buyers.get("x", ())
     prices = {"y": F(1), "z": F(1)}
     fold = _incremental_fold(buyers, prices)
-    for p in (F(1), F(1), 1 - 10 * tiny, F(1), 1 + 10 * tiny, F(1)):
-        assert fold(p, True) == free_good_fold(buyers, "x", {**prices, "x": p}, True)
+    for p in (1 - 10 * tiny, F(1), F(1), 1 + 10 * tiny):
+        assert fold(p) == free_good_fold(buyers, "x", {**prices, "x": p}, False)
 
 
 def test_next_end_takes_the_exact_least_of_ends_with_equal_floats():
@@ -998,11 +998,11 @@ def test_next_end_takes_the_exact_least_of_ends_with_equal_floats():
     buyers = market.interested_buyers.get("x", ())
     prices = {"y": 1 + tiny, "z": 1 + 2 * tiny}
     fold = _incremental_fold(buyers, prices)
-    fold(F(1), False)
+    fold(F(1))
     assert fold.next_end() == 1 + tiny
-    fold(1 + tiny, False)
+    fold(1 + tiny)
     assert fold.next_end() == 1 + 2 * tiny
-    fold(1 + 2 * tiny, False)
+    fold(1 + 2 * tiny)
     assert fold.next_end() is None
     result = pinned_bisection(market, prices, "x", (F(1, 2), F(2)), F(0))
     assert result == BisectionResult(1 + 3 * tiny / 2, F(1), F(1), True)
@@ -1041,7 +1041,7 @@ def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
         # the outcome of the scan that refolded every buyer
         assert clear() == BisectionResult(F(1), F(1), 1 + F(3, 880 * k), True)
     assert walks[1] <= 2.2 * walks[0] and walks[2] <= 2.2 * walks[1]
-    assert walks == [167, 333, 667]
+    assert walks == [107, 213, 427]
 
 
 class _WholeMapRead(dict):
@@ -1125,7 +1125,7 @@ def _fold_agrees_with_canonical_demand(market, quotes):
 
 
 def _walks_in_exact_key_order(buyer, quotes, goods, seen):
-    """The compiled walk (_Fold.walk) against a sort of the same segments on
+    """The compiled walk (compiled_walk) against a sort of the same segments on
     the exact key, with no favored good and every good favored first and
     last; `seen` counts the walks of one and two segments by how their order
     was decided, and the walks of three that _float_order decides on float
@@ -1140,7 +1140,7 @@ def _walks_in_exact_key_order(buyer, quotes, goods, seen):
             lead = 1 if first else -1
             items = [(key, p, lead if i == favor else 0, i, listed[i], length, slope)
                      for key, (_, p, i, slope, length) in zip(keys, segments)]
-            walk = fold.walk(0, listed, favor, first)
+            walk = compiled_walk(fold, 0, listed, favor, first)
             assert list(walk) == [segments[it[1]] for it in sorted(items, key=_exact_key, reverse=True)]
             if len(segments) == 1:
                 seen["one"] += 1

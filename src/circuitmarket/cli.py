@@ -234,7 +234,7 @@ def _cmd_lemmas(args) -> int:
     eps = _parse_eps(args.eps)
     try:
         report = solver.lemma_suite(reduced, prices, allocation, eps)
-    except (solver.SuitePreconditionError, mkt.MarketError) as exc:
+    except (solver.SuitePreconditionError, mkt.MarketError, reduction.ReductionError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
     _emit(args, "lemmas.json", [_json_text(report.to_json_dict())])
     return EXIT_PASS if report.passed else EXIT_FAIL

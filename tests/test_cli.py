@@ -853,6 +853,42 @@ def test_lemmas_maps_bad_prices_and_allocation_to_precondition(
     assert not out.exists()
 
 
+def test_lemmas_maps_a_reference_price_outside_the_decode_range_to_precondition(
+    circuit_file, tmp_path, capsys
+):
+    """A verified equilibrium whose ref price puts H outside decode's range:
+    verify passes, and lemmas, like decode, exits 3 rather than letting
+    decode's ReductionError escape."""
+    build = tmp_path / "build"
+    eps = ["--eps", "1/12"]
+    assert cli.run(["compile", str(circuit_file), *eps, "--out", str(build)] + OVERRIDE_ARGS) == 0
+    capsys.readouterr()
+    reduced = compile_circuit(parse_circuit(NOT_CYCLE), F(1, 12), {"k": 1, "d": 2})
+    prices = {good: F(100 if good == "ref" else 1) for good in reduced.market.goods}
+    prices_path = tmp_path / "prices.json"
+    prices_path.write_text(prices_to_json(prices))
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(allocation_to_json(canonical_demand(reduced.market, prices).bundles))
+    inputs = ["--prices", str(prices_path)]
+    code = cli.run(
+        ["verify", "--market", str(build / "market.json"), *inputs,
+         "--allocation", str(alloc_path), "--eps", "1000"]
+    )
+    assert code == 0 and json.loads(capsys.readouterr().out)["passed"] is True
+    out = tmp_path / "lem"
+    code = cli.run(
+        ["lemmas", "--meta", str(build / "meta.json"), *inputs,
+         "--allocation", str(alloc_path), "--eps", "1000", "--out", str(out)]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    error = json.loads(captured.err)
+    assert error["code"] == 3 and "H=5/4 outside [1/160, 1/40]" in error["error"]
+    assert cli.run(["decode", "--meta", str(build / "meta.json"), *inputs]) == 3
+    assert "decode failed: H=5/4 outside" in _assert_json_error(capsys, 3)
+
+
 @pytest.mark.parametrize("mesh", ["0", "1", "-3"])
 def test_gadget_lab_rejects_mesh_below_two(mesh, tmp_path, capsys):
     out = tmp_path / "lab"

@@ -644,7 +644,8 @@ def _verify(
     denominators by their lcm, and comparisons cross-multiply.  An agent
     is optimal iff it spends at most its budget and achieves the maximum;
     a good with positive slope at price zero makes its demand unbounded.
-    A negative amount in any row raises MarketError.
+    A row of an agent or a good that is not in the market, or a negative
+    amount in any row, raises MarketError.
     """
     epsilon = Fraction(epsilon)
     if epsilon < 0:
@@ -655,23 +656,21 @@ def _verify(
         raise MarketError(f"price map is not total; missing {missing}")
     _check_prices_non_negative(prices)
     known_buyers = {agent.id for agent in agents}
+    totals = dict.fromkeys(goods, (-1, 1))
     for bid, row in allocation.items():
         if bid not in known_buyers:
             raise MarketError(f"allocation references unknown buyer {bid!r}")
         for good in row:
-            if good not in prices:
+            if good not in totals:
                 raise MarketError(f"allocation references unknown good {good!r}")
 
     quotes = quote_table(prices)
-    totals = dict.fromkeys(goods, (-1, 1))
     for row in allocation.values():
         for good, amount in row.items():
             n, d = amount.numerator, amount.denominator
             if n < 0:
                 raise MarketError(f"negative allocation for good {good!r}")
-            pair = totals.get(good)
-            if pair is not None:
-                totals[good] = _add_pair(pair, n, d)
+            totals[good] = _add_pair(totals[good], n, d)
 
     listed = [quotes[good] for good in goods]
     verdicts: dict[str, BuyerVerdict] = {}

@@ -368,6 +368,26 @@ def test_verify_rejects_negative_price(tmp_path, capsys):
     assert "negative price" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_verify_rejects_an_allocation_of_a_good_not_in_the_market(tmp_path, capsys):
+    market = FisherMarket(
+        ("x",), (Buyer("b", F(1), {"x": SplcUtility((SplcSegment(None, F(1)),))}),)
+    )
+    (tmp_path / "market.json").write_text(market_to_json(market))
+    (tmp_path / "prices.json").write_text(prices_to_json({"x": F(1), "zzz": F(0)}))
+    (tmp_path / "alloc.json").write_text(allocation_to_json({"b": {"x": F(1), "zzz": F(5)}}))
+    code = cli.run(
+        [
+            "verify", "--market", str(tmp_path / "market.json"),
+            "--prices", str(tmp_path / "prices.json"),
+            "--allocation", str(tmp_path / "alloc.json"), "--eps", "0",
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "allocation references unknown good 'zzz'" in json.loads(captured.err)["error"]
+
+
 def test_verify_rejects_a_negative_amount_of_an_unbounded_buyer(tmp_path, capsys):
     """x at price 0 makes buyer a's demand unbounded; the negative amount
     in its row is still a precondition error, not a failed report."""

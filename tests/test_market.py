@@ -552,10 +552,16 @@ def test_price_and_allocation_readers_reject_non_objects():
         allocation_from_json('{"a": ["x"]}')
 
 
-def test_verify_ignores_allocated_goods_outside_the_market():
+def test_verify_rejects_an_allocation_of_a_good_not_in_the_market():
+    """A good that is priced but not in the market is an unknown good of
+    the allocation, for verify_fisher and verify_exchange alike; an extra
+    price entry alone is accepted, and no slack is reported for it."""
     market = _two_buyer_market()
     prices = {"x": F(1), "y": F(1), "z": F(0)}
-    allocation = {"a": {"x": F(1), "z": F(5)}, "b": {"y": F(1)}}
+    allocation = {"a": {"x": F(1)}, "b": {"y": F(1)}}
+    for verify, agents in ((verify_fisher, market), (verify_exchange, to_exchange(market))):
+        with pytest.raises(MarketError, match="allocation references unknown good 'z'"):
+            verify(agents, prices, {**allocation, "a": {"x": F(1), "z": F(5)}}, F(0))
     report = verify_fisher(market, prices, allocation, F(0))
     assert report.slacks == {"x": F(0), "y": F(0)}
     assert report.passed
@@ -772,7 +778,7 @@ def _fraction_verify(market, prices, allocation, epsilon):
         if bid not in known:
             raise MarketError(f"allocation references unknown buyer {bid!r}")
         for good in row:
-            if good not in prices:
+            if good not in market.goods:
                 raise MarketError(f"allocation references unknown good {good!r}")
     slacks = dict.fromkeys(market.goods, F(-1))
     for row in allocation.values():

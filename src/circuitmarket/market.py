@@ -467,7 +467,8 @@ class _Fold:
     def agent_demand(
         self, j: int, quotes: list[Quote], favor: Optional[int], first: bool
     ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-        """demand of the j-th agent alone."""
+        """The C and M maps of the j-th agent alone, as demand gives them:
+        the one budget walk, for a caller that reads one agent at a time."""
         return self._walks((self.plans[j],), quotes, favor, first)
 
     def demand(

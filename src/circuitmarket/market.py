@@ -40,9 +40,10 @@ same walk.
 Verification's best utility is the value of the canonical bundle: the
 walk buys each good's segments in segment order, so its amount of a good
 is a prefix of the good's segments.  Single-good clearing compiles the
-buyers interested in the good into a fold too, and re-reads one agent's
-C and M at a time (_Fold.agent_demand, in solver._IncrementalFold), so
-_Fold._walks is the one loop of the package that spends a budget.
+buyers interested in the good into a fold too, and reads every demand it
+needs one agent's C and M at a time (_Fold.agent_demand, in
+solver._IncrementalFold), so _Fold._walks is the one loop of the package
+that spends a budget.
 
 The documents are written directly, not through json.dumps, with the
 bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
@@ -472,14 +473,14 @@ class _Fold:
         return self._walks((self.plans[j],), quotes, favor, first)
 
     def demand(
-        self, quotes: list[Quote], favor: Optional[int] = None, first: bool = True
+        self, quotes: list[Quote]
     ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-        """The C and M maps of every agent at the prices of `quotes`, ties
-        broken towards the good of index `favor` (first) or away from it:
-        good index -> unreduced (numerator, denominator) with a positive
-        denominator.  A good with no such purchase is absent, and the goods
-        of C come in the order of their first capped purchase."""
-        return self._walks(self.plans, quotes, favor, first)
+        """The C and M maps of every agent at the prices of `quotes`, the
+        walks with no favored good: good index -> unreduced (numerator,
+        denominator) with a positive denominator.  A good with no such
+        purchase is absent, and the goods of C come in the order of their
+        first capped purchase."""
+        return self._walks(self.plans, quotes, None, True)
 
     def bundle(self, j: int, quotes: list[Quote]) -> dict[int, tuple[int, int]]:
         """The canonical optimal bundle of the j-th agent at the prices of
@@ -495,9 +496,11 @@ class _Fold:
     def _walks(
         self, plans: Iterable[tuple], quotes: list[Quote], favor: Optional[int], first: bool
     ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-        """demand over the agents of `plans`, a part of self.plans.  The
-        walks run inline in one loop, since a method call per agent made
-        tâtonnement's folds about 15% slower."""
+        """The C and M maps over the agents of `plans`, a part of
+        self.plans, as demand gives them but with ties broken towards the
+        good of index `favor` (first) or away from it.  The walks run inline
+        in one loop, since a method call per agent made tâtonnement's folds
+        about 15% slower."""
         const: dict[int, tuple[int, int]] = {}
         money: dict[int, tuple[int, int]] = {}
         for agent_id, rn, rd, segments in plans:

@@ -335,18 +335,17 @@ class _IncrementalFold:
     Cost of a call: its re-walks, each with O(log) heap work and a pass over
     the buyer's ties, and O(1) besides; only the first call walks every
     buyer.  A fold serves one clearing: it walks the buyers of a
-    market._Fold compiled for the clearing (the good of index `good` and
-    every good its buyers value) at a quote list of its own that holds
-    every pinned price; a call re-quotes only the good.  A buyer's C and M
-    come from _Fold's own budget walk of its plan (_Fold.agent_demand), so
-    its part is what _Fold gives it.
+    market._Fold compiled for the clearing (the good, of index 0, and every
+    good its buyers value) at a quote list of its own that holds every
+    pinned price; a call re-quotes only the good.  A buyer's C and M come
+    from _Fold's own budget walk of its plan (_Fold.agent_demand), so its
+    part is what _Fold gives it.
     """
 
-    def __init__(self, fold: _Fold, good: int, quotes: list, ties: list):
+    def __init__(self, fold: _Fold, quotes: list):
         self.fold = fold
-        self.good = good
         self.quotes = list(quotes)
-        self.ties = ties
+        self.ties = _tie_pairs(fold, quotes)
         n = len(fold.plans)
         # per buyer (0, A_b) if its budget runs out on the good, else
         # (C_b, 0): their sums are K and A
@@ -360,7 +359,7 @@ class _IncrementalFold:
         """(demand, K, A) of the good at price p, positive and not below
         the last call's price."""
         pn, pd = p.numerator, p.denominator
-        self.quotes[self.good] = _quote(pn, pd)
+        self.quotes[0] = _quote(pn, pd)
         fp = _float(pn, pd)
         stale, self.stale = self.stale, []
         heap, kept = self.above, []
@@ -402,35 +401,35 @@ class _IncrementalFold:
     def _walk(self, i: int):
         """Buyer i's part at the prices of the fold's quote list, from its
         C and M maps, with its upper end pushed onto the heap."""
-        good, quotes = self.good, self.quotes
-        const, money = self.fold.agent_demand(i, quotes, good, False)
+        quotes = self.quotes
+        const, money = self.fold.agent_demand(i, quotes, 0, False)
         # (sn, sd) the spare, the budget less the capped purchases of other goods
         _, sn, sd, _ = self.fold.plans[i]
         for g, (cn, cd) in const.items():
-            if g != good:
+            if g != 0:
                 qn, qd, _ = quotes[g]
                 sn, sd = _add_pair((sn, sd), -cn * qn, cd * qd)
         # the upper end (hi_n, hi_d), 1/0 for none: the nearest tie above
         # the price, or spare / C_b if lower
-        pn, pd, _ = quotes[good]
+        pn, pd, _ = quotes[0]
         hi_n, hi_d = 1, 0
         for tn, td in self.ties[i]:
             if pn * td < tn * pd and tn * hi_d < hi_n * td:
                 hi_n, hi_d = tn, td
-        cn, cd = const.get(good, _NO_PAIR)
+        cn, cd = const.get(0, _NO_PAIR)
         if cn and sn * cd * hi_d < hi_n * sd * cn:
             hi_n, hi_d = sn * cd, sd * cn
         if hi_d:
             heappush(self.above, (_float(hi_n, hi_d), i, hi_n, hi_d))
-        if good in money:
+        if 0 in money:
             return _NO_PAIR, _reduced(sn, sd)
         return _reduced(cn, cd), _NO_PAIR
 
 
-def _tie_pairs(fold: _Fold, good: int, quotes: list) -> list[list[tuple[int, int]]]:
-    """Per agent of `fold`, the prices of the good of index `good` at which
-    its bang-per-buck on the good ties with one of its other goods, those at
-    the prices of `quotes`: unreduced (numerator, denominator) pairs.
+def _tie_pairs(fold: _Fold, quotes: list) -> list[list[tuple[int, int]]]:
+    """Per agent of `fold`, the prices of the good of index 0 at which its
+    bang-per-buck on the good ties with one of its other goods, those at the
+    prices of `quotes`: unreduced (numerator, denominator) pairs.
 
     A segment of the good with slope sf meets one of slope s of a good
     priced q at sf * q / s; below that price the good's segment is walked
@@ -440,10 +439,10 @@ def _tie_pairs(fold: _Fold, good: int, quotes: list) -> list[list[tuple[int, int
     order holds."""
     ties = []
     for _, _, _, segments in fold.plans:
-        free = {slope for _, _, i, slope, _ in segments if i == good}
+        free = {slope for _, _, i, slope, _ in segments if i == 0}
         pairs = []
         for _, _, i, (sn, sd), _ in segments:
-            if free and i != good:
+            if free and i != 0:
                 qn, qd, _ = quotes[i]
                 bn, bd = qn * sd, qd * sn
                 pairs.extend((fn * bn, fd * bd) for fn, fd in free)
@@ -474,8 +473,8 @@ def pinned_bisection(
     is K + A/p.  At each end x, from lo, the sweep reads the set-valued
     demand [min, max]: min and the K and A that hold just above x from one
     _IncrementalFold call, which breaks ties away from the good, and max as
-    the left limit K + A/x of the gap below (at lo, one _Fold.demand of
-    every buyer with ties broken towards the good).  If [min, max] holds 1,
+    the left limit K + A/x of the gap below (at lo, min with the buyers tied
+    exactly at lo walked towards the good).  If [min, max] holds 1,
     x is an exact clearing, realizable by splitting the indifferent buyers.
     Otherwise, on the gap (x, y) up to the next end (next_end) or hi,
     K + A/p = 1 is solved exactly: a root A/(1 - K) in the gap is an exact
@@ -502,12 +501,11 @@ def pinned_bisection(
     segments flattened once, over only the goods they value) and one
     derivation of their tie prices from it (_tie_pairs), then
     O((interested buyers + interval ends passed) log) for the clearing,
-    with nothing proportional to the market's goods.  Each end of the
-    bracket is one _Fold.demand of every buyer; every price the sweep
-    evaluates goes through one _IncrementalFold on that compile and those
-    ties, so a buyer is walked again at lo and then only where the sweep
-    passes the upper end of its interval: one of its own ties or budget
-    breakpoints.  Nothing is kept per point.
+    with nothing proportional to the market's goods.  Every demand the
+    sweep reads comes from one _IncrementalFold on that compile and those
+    ties, so a buyer is walked at lo (twice if tied exactly at lo) and then
+    only where the sweep passes the upper end of its interval: one of its
+    own ties or budget breakpoints.  Nothing is kept per point.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -526,27 +524,20 @@ def pinned_bisection(
     # the free good is the compiled fold's good 0, quoted at each price
     compiled = _Fold((free_good, *prices), ((buyer, buyer.budget) for buyer in buyers))
     quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
-    # min demand at the high end and max demand at the low end, where the
-    # sweep starts, each from one fold of every buyer
-    ends = []
-    for (pn, pd), first in ((hi.as_integer_ratio(), False), (lo.as_integer_ratio(), True)):
-        quotes[0] = _quote(pn, pd)
-        const, money = compiled.demand(quotes, 0, first)
-        ends.append(F(*_demand_pair(const.get(0, _NO_PAIR), money.get(0, _NO_PAIR), pn, pd)))
-    d_hi, d_max = ends
-    if d_max < 1 - epsilon:
-        raise BracketError(
-            f"demand at the low end is {d_max}, below 1 - epsilon"
-        )
-    if d_hi > 1 + epsilon:
-        raise BracketError(
-            f"demand at the high end is {d_hi}, above 1 + epsilon"
-        )
-    fold = _IncrementalFold(compiled, 0, quotes, _tie_pairs(compiled, 0, quotes))
+    fold = _IncrementalFold(compiled, quotes)
     x, near = lo, None
+    d_min, const, spare = fold(lo)
+    # max demand at lo: the buyers tied exactly at lo walked towards the good
+    (ln, ld), d_max = lo.as_integer_ratio(), d_min
+    for i, ties in enumerate(fold.ties):
+        if any(tn * ld == ln * td for tn, td in ties):
+            towards, money = compiled.agent_demand(i, fold.quotes, 0, True)
+            part = _demand_pair(towards.get(0, _NO_PAIR), money.get(0, _NO_PAIR), ln, ld)
+            d_max += F(*part) - F(*_demand_pair(*fold.parts[i], ln, ld))
+    if d_max < 1 - epsilon:
+        raise BracketError(f"demand at the low end is {d_max}, below 1 - epsilon")
     while True:
         # [d_min, d_max] at x, and K + A/p on the gap above it
-        d_min, const, spare = fold(x)
         if d_min <= 1 <= d_max:
             return BisectionResult(x, d_min, d_max, True)
         if near is None and d_min <= 1 + epsilon and d_max >= 1 - epsilon:
@@ -563,7 +554,11 @@ def pinned_bisection(
             if p < y:
                 near = BisectionResult(p, 1 + epsilon, 1 + epsilon, False)
         x, d_max = y, const + spare / y
+        d_min, const, spare = fold(x)
     if near is None:
+        # above 1 + epsilon, d_min is hi's: demand does not increase with price
+        if d_min > 1 + epsilon:
+            raise BracketError(f"demand at the high end is {d_min}, above 1 + epsilon")
         raise BracketError(
             f"no clearing price for {free_good!r} in [{lo}, {hi}] at epsilon={epsilon}"
         )

@@ -663,7 +663,7 @@ def _walked_goods(buyer, prices, favor=None, first=True):
     goods = [fold.goods[i] for _, _, i, _, _ in compiled_walk(fold, 0, quotes, favored, first)]
     walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
     assert goods == [g for g, *_ in walk]
-    const, _ = fold.demand(quotes, favored, first)
+    const, _ = fold._walks(fold.plans, quotes, favored, first)
     assert [fold.goods[i] for i in const] == goods
     return goods
 

@@ -114,7 +114,7 @@ def _fold_split(agents, prices, favor=None, first=True):
     fold = _Fold(prices, [(agent, agent.budget) for agent in agents])
     quotes = list(quote_table(prices).values())
     favored = None if favor is None else fold.goods.index(favor)
-    const, money = fold.demand(quotes, favored, first)
+    const, money = fold._walks(fold.plans, quotes, favored, first)
     goods = fold.goods
     return {goods[i]: c for i, c in const.items()}, {goods[i]: m for i, m in money.items()}
 
@@ -596,10 +596,13 @@ def test_pinned_bisection_exact_at_tie_point():
             Buyer("b", F(1), {"x": linear(1), "ref": linear(1)}),
         ),
     )
-    result = pinned_bisection(market, {"ref": F(2)}, "x", (F(1), F(4)), F(0))
-    assert result.exact
-    assert result.price == 2
-    assert result.demand_low == 0 and result.demand_high == 1
+    # from (2, 4) and (2, 3) the tie is lo itself, where max demand is the
+    # buyers' walks towards x
+    for bracket in ((F(1), F(4)), (F(2), F(4)), (F(2), F(3))):
+        result = pinned_bisection(market, {"ref": F(2)}, "x", bracket, F(0))
+        assert result.exact
+        assert result.price == 2
+        assert result.demand_low == 0 and result.demand_high == 1
 
 
 @pytest.mark.parametrize("eps", [F(0), F(1, 12)])
@@ -882,31 +885,27 @@ def _budget_breakpoints(buyer, prices, p):
     return points
 
 
-def _clearing_fold(buyers, prices, at):
-    """The buyers compiled as pinned_bisection compiles them, over "x" and
-    the goods of `prices`, with "x" at index `at`, and the quote list of
-    `prices` in the fold's order ("x" quoted as None)."""
-    goods = [*prices]
-    goods.insert(at, "x")
-    quotes = list(quote_table(prices).values())
-    quotes.insert(at, None)
-    return _Fold(goods, [(buyer, buyer.budget) for buyer in buyers]), quotes
+def _clearing_fold(buyers, prices):
+    """The buyers compiled as pinned_bisection compiles them, over "x" (at
+    index 0) and the goods of `prices`, and the quote list of `prices` in
+    the fold's order ("x" quoted as None)."""
+    quotes = [None, *quote_table(prices).values()]
+    return _Fold(["x", *prices], [(buyer, buyer.budget) for buyer in buyers]), quotes
 
 
 def _incremental_fold(buyers, prices):
     """The _IncrementalFold of pinned_bisection for "x", with the other
     goods at `prices`."""
-    fold, quotes = _clearing_fold(buyers, prices, 0)
-    return _IncrementalFold(fold, 0, quotes, _tie_pairs(fold, 0, quotes))
+    return _IncrementalFold(*_clearing_fold(buyers, prices))
 
 
 def test_tie_candidates_are_every_tie_in_the_bracket():
     """The pairs of _tie_pairs in the open bracket, as Fractions, which read
     the compiled plans and quotes, against the brute-force Fraction
     enumeration of tests/oracle.py over the SplcSegments, on seeded clearing
-    markets: every buyer or only those interested in x, x at every index of
-    the fold, and brackets of random ends or ends exactly at a tie (which
-    the open bracket leaves out)."""
+    markets: every buyer or only those interested in x, and brackets of
+    random ends or ends exactly at a tie (which the open bracket leaves
+    out)."""
     rng = random.Random(2030)
     found = at_an_end = 0
     for _ in range(300):
@@ -918,9 +917,8 @@ def test_tie_candidates_are_every_tie_in_the_bracket():
         if wide and rng.random() < 0.5:
             lo, hi = rng.choice(wide), max(wide) + 1
             at_an_end += 1
-        at = rng.randint(0, len(prices))
-        fold, quotes = _clearing_fold(buyers, prices, at)
-        pairs = {F(n, d) for ends in _tie_pairs(fold, at, quotes) for n, d in ends}
+        fold, quotes = _clearing_fold(buyers, prices)
+        pairs = {F(n, d) for ends in _tie_pairs(fold, quotes) for n, d in ends}
         ties = sorted(t for t in pairs if lo < t < hi)
         assert ties == tie_candidates(buyers, "x", prices, lo, hi)
         found += len(ties)
@@ -1022,19 +1020,27 @@ def _clear_ref(k):
     return lambda: pinned_bisection(market, prices, "ref", (F(1, 64), F(64)), F(1, 12))
 
 
+def _count_walks(monkeypatch):
+    """A list whose last entry, once appended, counts every plan that
+    market._Fold._walks walks, the one budget walk."""
+    walks = []
+    real = _Fold._walks
+
+    def counted(fold, plans, *args):
+        walks[-1] += len(plans)
+        return real(fold, plans, *args)
+
+    monkeypatch.setattr(_Fold, "_walks", counted)
+    return walks
+
+
 def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
     """Every buyer wants ref, so a fold of every buyer at every evaluated
-    price grew four-fold per doubling of k; the incremental fold walks each
-    buyer a bounded number of times.  The exact counts are pinned, so that a
-    change that widens or narrows a buyer's interval shows."""
-    walks = []
-    real = _IncrementalFold._walk
-
-    def counted(*args):
-        walks[-1] += 1
-        return real(*args)
-
-    monkeypatch.setattr(_IncrementalFold, "_walk", counted)
+    price grew four-fold per doubling of k; the clearing walks each buyer a
+    bounded number of times, every walk counted.  The exact counts are
+    pinned, so that a change that widens or narrows a buyer's interval, or
+    walks a buyer more than its interval asks, shows."""
+    walks = _count_walks(monkeypatch)
     for k in (10, 20, 40):
         clear = _clear_ref(k)
         walks.append(0)
@@ -1042,6 +1048,23 @@ def test_ref_clearing_walks_grow_linearly_in_k(monkeypatch):
         assert clear() == BisectionResult(F(1), F(1), 1 + F(3, 880 * k), True)
     assert walks[1] <= 2.2 * walks[0] and walks[2] <= 2.2 * walks[1]
     assert walks == [107, 213, 427]
+
+
+def test_paper_scale_ref_clearing(monkeypatch):
+    """ref cleared on the NOT cycle at the paper's own parameters
+    (epsilon = 1/12 with no override: k = 5280, d = 16), at the fixture's
+    prices and in the bracket [p/64, 64 p] around its ref price p.  Each of
+    the 31,681 buyers is walked at lo and then only at its interval ends."""
+    reduced = compile_circuit(parse_circuit(NOT_CYCLE), F(1, 12))
+    assert (reduced.params.k, reduced.params.d) == (5280, 16)
+    fixture = build_fixture(reduced)
+    p = fixture.prices["ref"]
+    walks = _count_walks(monkeypatch)
+    walks.append(0)
+    market, bracket = reduced.market, (p / 64, 64 * p)
+    result = pinned_bisection(market, fixture.prices, "ref", bracket, F(1, 12))
+    assert result == BisectionResult(F(1), F(1), F(12416803, 12390400), True)
+    assert walks == [52801]
 
 
 class _WholeMapRead(dict):
@@ -1161,9 +1184,9 @@ def test_quote_table_fold_matches_canonical_demand_on_tatonnement_iterates(monke
     tables = []
     real = _Fold.demand
 
-    def recorded(fold, quotes, favor=None, first=True):
+    def recorded(fold, quotes):
         tables.append(dict(zip(fold.goods, quotes)))
-        return real(fold, quotes, favor, first)
+        return real(fold, quotes)
 
     monkeypatch.setattr(_Fold, "demand", recorded)
     rng = random.Random(2027)

@@ -155,6 +155,13 @@ class GateVerdict:
             raise ValueError("reason must be non-empty exactly when unsatisfied")
 
 
+def _decimal(token: str) -> int:
+    """int(token), but a ValueError unless the token is all ASCII digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_circuit(text: str) -> CircuitInstance:
     """Parse the line-oriented circuit format into a CircuitInstance."""
     n: Optional[int] = None
@@ -168,11 +175,9 @@ def parse_circuit(text: str) -> CircuitInstance:
             if tokens[0] != "nodes" or len(tokens) != 2:
                 raise ParseError("expected header 'nodes <n>'", lineno)
             try:
-                n = int(tokens[1])
+                n = _decimal(tokens[1])
             except ValueError:
                 raise ParseError(f"bad node count {tokens[1]!r}", lineno) from None
-            if n < 0:
-                raise ParseError("node count must be non-negative", lineno)
             continue
         kind = tokens[0]
         arity = {"NOT": 2, "NAND": 3, "PURIFY": 3}.get(kind)
@@ -181,14 +186,11 @@ def parse_circuit(text: str) -> CircuitInstance:
         if len(tokens) != 1 + arity:
             raise ParseError(f"{kind} takes {arity} node ids", lineno)
         try:
-            ids = [int(tok) for tok in tokens[1:]]
+            ids = [_decimal(tok) for tok in tokens[1:]]
         except ValueError:
             raise ParseError(f"bad node id in {line!r}", lineno) from None
         try:
-            if kind == "NOT":
-                gates.append(Gate(GateType.NOT, ids[0], ids[1]))
-            else:
-                gates.append(Gate(GateType[kind], ids[0], ids[1], ids[2]))
+            gates.append(Gate(GateType[kind], *ids))
         except CircuitError as exc:
             raise ParseError(str(exc), lineno) from None
     if n is None:

@@ -14,6 +14,7 @@ import pytest
 
 from circuitmarket import cli, reduction, solver
 from circuitmarket.market import MarketError
+from test_purecircuit import NOT_ASCII_DECIMAL
 from test_reduction import (
     GOLDEN_DIGESTS,
     PAPER_SCALE_NAND_DIGESTS,
@@ -111,6 +112,18 @@ def test_compile_rejects_decimal_eps(circuit_file, tmp_path):
         ["compile", str(circuit_file), "--eps", "0.05", "--out", str(tmp_path / "o")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_DECIMAL)
+def test_compile_rejects_node_tokens_that_are_not_ascii_decimals(text, tmp_path, capsys):
+    """Each circuit compiled to a market, read through int(); now exit 2."""
+    circuit = tmp_path / "c.pc"
+    circuit.write_text(text, encoding="utf-8")
+    out = tmp_path / "build"
+    argv = ["compile", str(circuit), "--eps", "0", "--out", str(out)] + OVERRIDE_ARGS
+    assert cli.run(argv) == 2
+    assert "bad node" in _assert_json_error(capsys, 2)
+    assert not out.exists()
 
 
 def test_compile_rejects_eps_at_limit(circuit_file, tmp_path, capsys):

@@ -73,6 +73,7 @@ def test_parse_comments_and_blank_lines():
     [
         "NOT 0 1\n",  # missing header
         "nodes x\n",
+        "nodes -2\nNOT 0 1\nNOT 1 0\n",
         "nodes 2\nFROB 0 1\n",
         "nodes 2\nNOT 0\n",
         "nodes 3\nNAND 0 1\n",
@@ -81,6 +82,24 @@ def test_parse_comments_and_blank_lines():
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):
+        parse_circuit(text)
+
+
+# circuits whose node count or a node id is not all ASCII digits, which
+# int() reads as 2, 2, 2, 0 and 10: each is a well-formed circuit at those
+# readings
+NOT_ASCII_DECIMAL = [
+    "nodes 0_2\nNOT 0 1\nNOT 1 0\n",
+    "nodes +2\nNOT 0 1\nNOT 1 0\n",
+    "nodes \u0662\nNOT 0 1\nNOT 1 0\n",
+    "nodes 2\nNOT 0 1\nNOT 1 +0\n",
+    "nodes 11\n" + "".join(f"NOT {i} {i + 1}\n" for i in range(9)) + "NOT 9 1_0\nNOT 1_0 0\n",
+]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_DECIMAL)
+def test_node_counts_and_ids_are_ascii_decimals(text):
+    with pytest.raises(ParseError, match="bad node"):
         parse_circuit(text)
 
 

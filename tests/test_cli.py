@@ -116,7 +116,8 @@ def test_compile_rejects_decimal_eps(circuit_file, tmp_path):
 
 @pytest.mark.parametrize("text", NOT_ASCII_DECIMAL)
 def test_compile_rejects_node_tokens_that_are_not_ascii_decimals(text, tmp_path, capsys):
-    """Each circuit compiled to a market, read through int(); now exit 2."""
+    """int() reads each as a well-formed circuit; compile exits 2 and
+    writes nothing."""
     circuit = tmp_path / "c.pc"
     circuit.write_text(text, encoding="utf-8")
     out = tmp_path / "build"

@@ -15,7 +15,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([1-9][0-9]*))?$")
 
 
 class RationalFormatError(ValueError):

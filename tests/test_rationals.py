@@ -32,8 +32,13 @@ def test_format_round_trip():
         assert format_pair(n * factor, d * factor) == text
 
 
+# digits that int() and the regex class \d read, but an exact rational's
+# text does not hold: Arabic-Indic two and one, and a full-width two
+NOT_ASCII_RATIONALS = ["1/1\u0662", "\u0662", "-\u0662", "\u0661/2", "\uff12/3"]
+
+
 @pytest.mark.parametrize(
-    "bad", ["0.5", "1e-3", "1/0", "1/-2", "", "a/b", "1 / 2", "+3"]
+    "bad", ["0.5", "1e-3", "1/0", "1/-2", "", "a/b", "1 / 2", "+3"] + NOT_ASCII_RATIONALS
 )
 def test_rejects_non_exact_forms(bad):
     with pytest.raises(RationalFormatError):

@@ -2,9 +2,19 @@
 
 Subcommands: compile, verify, solve, decode, lemmas, to-exchange,
 gadget-lab, circuit-check.  Exit codes: 0 success / verified pass,
-1 verified fail (a report was still produced), 2 usage or I/O error (or
-out of memory), 3 precondition error (for example epsilon outside
-[0, 1/11)).
+1 verified fail (a report was still produced), 2 usage or I/O error,
+3 precondition error.  Two places decide 2 and 3:
+
+* `_load` reads every input file.  A file that cannot be read or is not
+  UTF-8, and a document its reader finds malformed, exit 2 with the path
+  in the message.
+* `run` maps what a command raises: a CliError to its own code (a bad
+  option or rational exits 2), OSError and MemoryError to 2, and the
+  package's precondition errors (`_PRECONDITIONS`: a market, circuit,
+  reduction, bracket or lemma-suite precondition) to 3.  A circuit that
+  parses but breaks a structural rule, and metadata whose parameters fail
+  their checks, get there too and exit 3.
+Either way stderr gets one line, the JSON {"error": ..., "code": ...}.
 
 All rationals cross the boundary as exact "p/q" strings; decimal epsilon
 is rejected rather than rounded.  Output files are written atomically
@@ -33,6 +43,12 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+
+
+_PRECONDITIONS = (
+    mkt.MarketError, pc.CircuitError, reduction.ReductionError,
+    solver.BracketError, solver.SuitePreconditionError,
+)
 
 
 class CliError(Exception):
@@ -87,18 +103,15 @@ def _emit(args, name: str, chunks: Iterable[str]) -> None:
             sys.stdout.write(chunk)
 
 
-def _read(path: str) -> str:
+def _rational(text: str) -> Fraction:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
+        return parse_rational(text)
+    except RationalFormatError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
 
 
 def _parse_eps(text: str) -> Fraction:
-    try:
-        eps = parse_rational(text)
-    except RationalFormatError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+    eps = _rational(text)
     if eps < 0:
         raise CliError(f"epsilon must be non-negative, got {eps}", EXIT_PRECONDITION)
     return eps
@@ -112,36 +125,47 @@ def _override(args) -> dict | None:
     return {"k": args.override_k, "d": args.override_d}
 
 
-def _load_circuit(path: str) -> pc.CircuitInstance:
+# what a JSON document's reader raises when the document is malformed
+_MALFORMED = (ValueError, KeyError, TypeError, RecursionError)
+
+
+def _load(path: str, reader, kind: str = "", errors=_MALFORMED):
+    """The document at `path`, as `reader` reads its UTF-8 text.  A file
+    that cannot be read or decoded, or a document whose reader raises one
+    of `errors`, exits 2 with the path in the message; any other error
+    goes on to run."""
     try:
-        return pc.parse_circuit(_read(path))
-    except pc.ParseError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_USAGE) from exc
-    except pc.CircuitError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PRECONDITION) from exc
-
-
-def _load_market(path: str) -> mkt.FisherMarket:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
     try:
-        return mkt.market_from_json(_read(path))
-    except mkt.MarketError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_USAGE) from exc
+        return reader(text)
+    except errors as exc:
+        what = f"bad {kind} document: " if kind else ""
+        raise CliError(f"{path}: {what}{exc}", EXIT_USAGE) from exc
 
 
-def _load_json(path: str, loader, kind: str):
-    try:
-        return loader(_read(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"{path}: bad {kind} document: {exc}", EXIT_USAGE) from exc
+def _meta_from_json(text: str):
+    """The circuit, epsilon and override a metadata sidecar records."""
+    doc = json.loads(text)
+    params, circuit = doc["params"], doc["circuit"]
+    gates = tuple(pc.Gate(pc.GateType[g["type"]], *g["nodes"]) for g in circuit["gates"])
+    override = {"k": params["k"], "d": params["d"]} if params["guarantees_void"] else None
+    eps = parse_rational(params["epsilon"])
+    return pc.CircuitInstance(circuit["n"], gates), eps, override
+
+
+def _load_meta(path: str) -> reduction.ReducedMarket:
+    """The reduction a metadata sidecar describes, its parameters derived
+    and checked again from the circuit; its market is built on first use."""
+    circuit, eps, override = _load(path, _meta_from_json, "metadata")
+    params = reduction.validated_params(circuit, eps, override)
+    return reduction.ReducedMarket(params, circuit)
 
 
 def _cmd_compile(args) -> int:
-    circuit = _load_circuit(args.circuit)
-    eps = _parse_eps(args.eps)
-    try:
-        params = reduction.validated_params(circuit, eps, _override(args))
-    except reduction.ReductionError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    circuit = _load(args.circuit, pc.parse_circuit, errors=(pc.ParseError,))
+    params = reduction.validated_params(circuit, _parse_eps(args.eps), _override(args))
     reduced = reduction.ReducedMarket(params, circuit)
     out = Path(args.out)
     _write_atomic(out / "market.json", reduction._reduced_market_chunks(reduced))
@@ -151,30 +175,20 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    market = _load_market(args.market)
-    prices = _load_json(args.prices, mkt.prices_from_json, "price")
-    allocation = _load_json(args.allocation, mkt.allocation_from_json, "allocation")
-    eps = _parse_eps(args.eps)
-    try:
-        report = mkt.verify_fisher(market, prices, allocation, eps)
-    except mkt.MarketError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    market = _load(args.market, mkt.market_from_json)
+    prices = _load(args.prices, mkt.prices_from_json, "price")
+    allocation = _load(args.allocation, mkt.allocation_from_json, "allocation")
+    report = mkt.verify_fisher(market, prices, allocation, _parse_eps(args.eps))
     _emit(args, "report.json", [mkt.report_to_json(report)])
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_solve(args) -> int:
-    market = _load_market(args.market)
+    market = _load(args.market, mkt.market_from_json)
     eps = _parse_eps(args.eps)
-    try:
-        lam = parse_rational(args.lam)
-    except RationalFormatError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
-    try:
-        config = solver.SolverConfig(lam=lam, max_iters=args.max_iters, epsilon=eps)
-        result = solver.tatonnement(market, config)
-    except mkt.MarketError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    lam = _rational(args.lam)
+    config = solver.SolverConfig(lam=lam, max_iters=args.max_iters, epsilon=eps)
+    result = solver.tatonnement(market, config)
     out = Path(args.out)
     _write_atomic(out / "prices.json", [mkt.prices_to_json(result.prices)])
     _write_atomic(out / "trace.csv", [solver.trace_to_csv(result.trace)])
@@ -183,32 +197,9 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
-def _load_meta(path: str) -> reduction.ReducedMarket:
-    """The reduction a metadata sidecar describes, its parameters derived
-    and checked again from the circuit; its market is built on first use."""
-    doc = _load_json(path, json.loads, "metadata")
-    try:
-        params = doc["params"]
-        gates = tuple(
-            pc.Gate(pc.GateType[g["type"]], *g["nodes"])
-            for g in doc["circuit"]["gates"]
-        )
-        circuit = pc.CircuitInstance(doc["circuit"]["n"], gates)
-        eps = parse_rational(params["epsilon"])
-        override = None
-        if params["guarantees_void"]:
-            override = {"k": params["k"], "d": params["d"]}
-        params = reduction.validated_params(circuit, eps, override)
-        return reduction.ReducedMarket(params, circuit)
-    except (KeyError, TypeError, pc.CircuitError, RationalFormatError) as exc:
-        raise CliError(f"{path}: bad metadata: {exc}", EXIT_USAGE) from exc
-    except reduction.ReductionError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_PRECONDITION) from exc
-
-
 def _cmd_decode(args) -> int:
     reduced = _load_meta(args.meta)
-    prices = _load_json(args.prices, mkt.prices_from_json, "price")
+    prices = _load(args.prices, mkt.prices_from_json, "price")
     try:
         result = reduction.decode(reduced, prices)
     except (reduction.ReductionError, KeyError) as exc:
@@ -229,23 +220,16 @@ def _cmd_decode(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     reduced = _load_meta(args.meta)
-    prices = _load_json(args.prices, mkt.prices_from_json, "price")
-    allocation = _load_json(args.allocation, mkt.allocation_from_json, "allocation")
-    eps = _parse_eps(args.eps)
-    try:
-        report = solver.lemma_suite(reduced, prices, allocation, eps)
-    except (solver.SuitePreconditionError, mkt.MarketError, reduction.ReductionError) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    prices = _load(args.prices, mkt.prices_from_json, "price")
+    allocation = _load(args.allocation, mkt.allocation_from_json, "allocation")
+    report = solver.lemma_suite(reduced, prices, allocation, _parse_eps(args.eps))
     _emit(args, "lemmas.json", [_json_text(report.to_json_dict())])
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_to_exchange(args) -> int:
-    market = _load_market(args.market)
-    try:
-        exchange = mkt.to_exchange(market)
-    except mkt.MarketError as exc:  # no buyer, so no budget to share out
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    # a market with no buyer has no budget to share out: MarketError, exit 3
+    exchange = mkt.to_exchange(_load(args.market, mkt.market_from_json))
     _emit(args, "exchange.json", mkt._exchange_chunks(exchange))
     return EXIT_PASS
 
@@ -258,17 +242,14 @@ def _cmd_gadget_lab(args) -> int:
             f"mesh needs at least the two endpoints, got {args.mesh}",
             EXIT_PRECONDITION,
         )
-    try:
-        summary = solver.gadget_lab_report(eps, mesh=args.mesh, override=override)
-    except (solver.BracketError, reduction.ReductionError) as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    summary = solver.gadget_lab_report(eps, mesh=args.mesh, override=override)
     _emit(args, "gadget-lab.json", [_json_text(summary)])
     return EXIT_PASS if summary["pass"] else EXIT_FAIL
 
 
 def _cmd_circuit_check(args) -> int:
-    circuit = _load_circuit(args.circuit)
-    doc = _load_json(args.assignment, json.loads, "assignment")
+    circuit = _load(args.circuit, pc.parse_circuit, errors=(pc.ParseError,))
+    doc = _load(args.assignment, json.loads, "assignment")
     values = {"0": pc.Value.ZERO, "1": pc.Value.ONE, "bot": pc.Value.BOT}
     raw = doc.get("assignment", doc) if isinstance(doc, dict) else doc
     if not isinstance(raw, dict):
@@ -283,10 +264,7 @@ def _cmd_circuit_check(args) -> int:
         )
     except (KeyError, TypeError) as exc:
         raise CliError(f"bad assignment value: {exc}", EXIT_USAGE) from exc
-    try:
-        verdicts = pc.check_assignment(circuit, assignment)
-    except pc.CircuitError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    verdicts = pc.check_assignment(circuit, assignment)
     out = {
         "satisfied": all(v.satisfied for v in verdicts),
         "gates": [
@@ -379,12 +357,13 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(json.dumps({"error": str(exc), "code": exc.code}), file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
     except (OSError, MemoryError) as exc:
-        message = str(exc) or type(exc).__name__
-        print(json.dumps({"error": message, "code": EXIT_USAGE}), file=sys.stderr)
-        return EXIT_USAGE
+        message, code = str(exc) or type(exc).__name__, EXIT_USAGE
+    except _PRECONDITIONS as exc:
+        message, code = str(exc), EXIT_PRECONDITION
+    print(json.dumps({"error": message, "code": code}), file=sys.stderr)
+    return code
 
 
 def main() -> None:

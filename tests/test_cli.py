@@ -1,7 +1,10 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
+import random
 import re
 import stat
 import subprocess
@@ -15,6 +18,7 @@ import pytest
 from circuitmarket import cli, reduction, solver
 from circuitmarket.market import MarketError
 from test_purecircuit import NOT_ASCII_DECIMAL
+from test_rationals import NOT_ASCII_RATIONALS
 from test_reduction import (
     GOLDEN_DIGESTS,
     PAPER_SCALE_NAND_DIGESTS,
@@ -30,8 +34,10 @@ from circuitmarket import (
     compile_circuit,
     compute_params,
     format_rational,
+    market_from_json,
     market_to_json,
     parse_circuit,
+    prices_from_json,
     prices_to_json,
 )
 
@@ -134,6 +140,26 @@ def test_compile_rejects_eps_at_limit(circuit_file, tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["code"] == 3
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_RATIONALS)
+def test_rational_digits_that_are_not_ascii_are_usage_errors(
+    text, circuit_file, equilibrium, tmp_path, capsys
+):
+    """As --eps, compile exits 2 and writes nothing; as a price, verify
+    exits 2."""
+    out = tmp_path / "build"
+    argv = ["compile", str(circuit_file), "--eps", text, "--out", str(out)] + OVERRIDE_ARGS
+    assert cli.run(argv) == 2
+    assert "not an exact rational" in _assert_json_error(capsys, 2)
+    assert not out.exists()
+    market_path, _, alloc_path = equilibrium
+    prices = tmp_path / "prices.json"
+    prices.write_text(json.dumps({"ref": text, "c0/v0": "1/200", "c0/v1": "1/200"}))
+    argv = ["verify", "--market", str(market_path), "--prices", str(prices),
+            "--allocation", str(alloc_path), "--eps", "0"]
+    assert cli.run(argv) == 2
+    assert "not an exact rational" in _assert_json_error(capsys, 2)
 
 
 def test_missing_input_file(tmp_path):
@@ -1078,7 +1104,7 @@ def test_to_exchange_holds_one_trader_at_a_time(tmp_path, capsys, monkeypatch):
     assert cli.run(["compile", str(circuit), "--out", str(build)] + args) == 0
     capsys.readouterr()
     market = str(build / "market.json")
-    _, read_peak = _traced_peak(lambda: cli._load_market(market))
+    _, read_peak = _traced_peak(lambda: cli._load(market, cli.mkt.market_from_json))
     sink = _DigestSink()
     monkeypatch.setattr(sys, "stdout", sink)
     argv = ["to-exchange", "--market", market, "--out", str(build)]
@@ -1327,3 +1353,151 @@ def test_every_single_field_change_of_the_other_documents_keeps_the_exit_codes(
     assert _sweep(allocation, [verify, lemmas]) == []
     assert _sweep(meta, [decode, lemmas]) == []
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def round_trip(tmp_path_factory):
+    """The NOT cycle at epsilon 1/12 (k = 1, d = 2) through the pipeline: its
+    circuit, market.json, meta.json, solved prices.json, canonical allocation
+    and decoded assignment.json, keyed by the argument that names each."""
+    out = tmp_path_factory.mktemp("round-trip")
+    circuit = out / "cycle.pc"
+    circuit.write_text(NOT_CYCLE)
+    files = {"circuit": circuit, **{
+        f"--{name}": out / f"{name}.json"
+        for name in ("market", "meta", "prices", "allocation", "assignment")
+    }}
+    eps = ["--eps", "1/12"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["compile", str(circuit), *eps, "--out", str(out)] + OVERRIDE_ARGS) == 0
+        assert cli.run(["solve", "--market", str(files["--market"]), *eps,
+                        "--out", str(out)]) == 0
+        assert cli.run(["decode", "--meta", str(files["--meta"]),
+                        "--prices", str(files["--prices"]), "--out", str(out)]) == 0
+    market = market_from_json(files["--market"].read_text())
+    prices = prices_from_json(files["--prices"].read_text())
+    files["--allocation"].write_text(
+        allocation_to_json(canonical_demand(market, prices).bundles)
+    )
+    return files
+
+
+def _argv(command: str, files: dict, out: Path) -> list:
+    """`command`'s argv reading `files` (keyed as round_trip keys them) and
+    writing to `out`, where it writes at all."""
+    f = {arg: str(path) for arg, path in files.items()}
+    eps, to = ["--eps", "1/12"], ["--out", str(out)]
+    return {
+        "compile": ["compile", f["circuit"], *eps, *to, *OVERRIDE_ARGS],
+        "circuit-check": ["circuit-check", f["circuit"], "--assignment", f["--assignment"]],
+        "verify": ["verify", "--market", f["--market"], "--prices", f["--prices"],
+                   "--allocation", f["--allocation"], *eps, *to],
+        "solve": ["solve", "--market", f["--market"], *eps, "--max-iters", "2", *to],
+        "to-exchange": ["to-exchange", "--market", f["--market"], *to],
+        "decode": ["decode", "--meta", f["--meta"], "--prices", f["--prices"], *to],
+        "lemmas": ["lemmas", "--meta", f["--meta"], "--prices", f["--prices"],
+                   "--allocation", f["--allocation"], *eps, *to],
+    }[command]
+
+
+# every input file of every subcommand: the subcommands that read each
+READERS = {
+    "circuit": ["compile", "circuit-check"],
+    "--assignment": ["circuit-check"],
+    "--market": ["verify", "solve", "to-exchange"],
+    "--prices": ["verify", "decode", "lemmas"],
+    "--allocation": ["verify", "lemmas"],
+    "--meta": ["decode", "lemmas"],
+}
+
+
+def _not_utf8(text: bytes) -> bytes:
+    return text[:-1] + b" \xff\n"
+
+
+def _deep(text: bytes) -> bytes:
+    return b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, arg, content",
+    [
+        (command, arg, content)
+        for arg, commands in READERS.items()
+        for command in commands
+        for content in (_not_utf8, _deep)
+        if not (arg == "circuit" and content is _deep)
+    ],
+)
+def test_a_file_that_cannot_be_read_or_parsed_exits_2_naming_it(
+    command, arg, content, round_trip, tmp_path, capsys
+):
+    """A byte that is not UTF-8, and JSON nested deeper than the parser
+    recurses, in any input file: exit 2 with one JSON error line naming the
+    file, and nothing printed or written."""
+    bad = tmp_path / ("bad" + round_trip[arg].suffix)
+    bad.write_bytes(content(round_trip[arg].read_bytes()))
+    out = tmp_path / "out"
+    assert cli.run(_argv(command, {**round_trip, arg: bad}, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["code"] == 2 and str(bad) in error["error"]
+    assert not out.exists()
+
+
+# bytes a mutation inserts: every byte, and the documents' own characters
+# once more
+_FUZZ_BYTES = b'0123456789/-."{}[]:, \n' + bytes(range(256))
+
+
+def _mutant(text: bytes, rng: random.Random) -> bytes:
+    """`text` after one to three seeded bit flips, byte insertions, byte
+    deletions or truncations."""
+    data = bytearray(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.choice(("flip", "insert", "delete", "truncate"))
+        if op == "insert":
+            data.insert(i, rng.choice(_FUZZ_BYTES))
+        elif op == "truncate":
+            del data[i:]
+        elif i < len(data):
+            if op == "flip":
+                data[i] ^= 1 << rng.randrange(8)
+            else:
+                del data[i]
+    return bytes(data)
+
+
+def test_seeded_mutants_of_every_input_keep_the_exit_codes(round_trip, tmp_path, capsys):
+    """No exception escapes run and every exit code is in {0, 1, 2, 3}; on 2
+    and 3, stderr ends in the JSON error line.  lemmas never reads a mutated
+    meta.json: a mutated k can make it build an arbitrarily large market."""
+    rng = random.Random(24)
+    out = tmp_path / "out"
+    faults, codes = [], set()
+    for arg, commands in READERS.items():
+        original = round_trip[arg].read_bytes()
+        mutant = tmp_path / ("mutant" + round_trip[arg].suffix)
+        for _ in range(80):
+            mutant.write_bytes(_mutant(original, rng))
+            for command in commands:
+                if (command, arg) == ("lemmas", "--meta"):
+                    continue
+                try:
+                    code = cli.run(_argv(command, {**round_trip, arg: mutant}, out))
+                except Exception as exc:  # noqa: BLE001 - the fuzzer reports it
+                    faults.append((command, mutant.read_bytes(), repr(exc)))
+                    continue
+                codes.add(code)
+                err = capsys.readouterr().err.splitlines()
+                if code in (2, 3):
+                    last = json.loads(err[-1])
+                    if set(last) != {"error", "code"} or last["code"] != code:
+                        faults.append((command, mutant.read_bytes(), err[-1]))
+                elif code not in (0, 1):
+                    faults.append((command, mutant.read_bytes(), code))
+    assert faults == []
+    assert codes >= {0, 2}

@@ -11,6 +11,7 @@ import pytest
 from circuitmarket import (
     BracketError,
     Buyer,
+    EquilibriumReport,
     FisherMarket,
     SolverConfig,
     SplcSegment,
@@ -33,10 +34,12 @@ from circuitmarket import (
     pinned_bisection,
     purify_sweep,
     tatonnement,
+    thresholds,
     trace_to_csv,
     verify_fisher,
 )
 from circuitmarket import optimal_bundle, prices_to_json, solver
+from circuitmarket.purecircuit import GateType
 from circuitmarket.market import (
     MarketError,
     _exact_key,
@@ -1420,3 +1423,90 @@ def test_lemma_suite_decodes_bot_bot(hand_equilibrium):
     values = set(result.assignment.values.values())
     assert len(values) == 1  # both nodes read bot
     assert result.l < F(1, 200) < result.h
+
+
+# --- lemma suite: the gate-truth checks -------------------------------------
+# No code finds a NAND or PURIFY equilibrium yet, so these price one copy's
+# goods by hand and let verify_fisher pass: the gate-truth checks read
+# prices only.
+
+# a price at H, at L, or in the band strictly between them
+LEVELS = ("hi", "lo", "band")
+
+
+def _truth_records(reduced, levels, monkeypatch):
+    """lemma_suite's records, with decode's copy and the level of each good
+    it priced: the reference price at 1, decode's copy priced at `levels` (one level per
+    good of the template, in its order) and a passing verify_fisher."""
+    h, low = thresholds(reduced.params, F(1))
+    copy = reduced.params.copy_for(h)
+    price = {"hi": h, "lo": low, "band": (h + low) / 2}
+    level = {
+        f"c{copy}/{local}": lv for (local, _), lv in zip(reduced.template.goods, levels)
+    }
+    prices = {"ref": F(1), **{good: price[lv] for good, lv in level.items()}}
+
+    def passing(market, prices, allocation, epsilon):
+        return EquilibriumReport({g: F(0) for g in market.goods}, {}, epsilon, True)
+
+    monkeypatch.setattr(solver, "verify_fisher", passing)
+    return copy, level, lemma_suite(reduced, prices, {}, F(1, 12)).records
+
+
+def _gate_tables(reduced, copy, level):
+    """What each gate-truth check must report, keyed by (check, scope): an
+    input at H or L fixes its output's level and an input in the band fixes
+    nothing, except that PURIFY must not leave both outputs in the band."""
+    expected = {}
+    for gadget in reduced.gadgets(copy):
+        out = level[gadget.output]
+        if len(gadget.inputs) == 1:
+            x = level[gadget.inputs[0]]
+            fixed = {"hi": out == "lo", "lo": out == "hi"}
+            expected["not-truth", gadget.gadget_id] = fixed.get(x, True)
+        else:
+            u, v = (level[good] for good in gadget.inputs)
+            expected["nand-one", gadget.gadget_id] = (u, v) != ("hi", "hi") or out == "lo"
+            expected["nand-two", gadget.gadget_id] = "lo" not in (u, v) or out == "hi"
+    for gi, gate in enumerate(reduced.circuit.gates):
+        if gate.gate_type is GateType.PURIFY:
+            x, *outs = (level[reduced.variable_good(copy, node)] for node in gate.nodes)
+            fixed = {"hi": outs == ["hi", "hi"], "lo": outs == ["lo", "lo"]}
+            expected["purify-trichotomy", f"g{gi}"] = fixed.get(x, outs != ["band", "band"])
+    return expected
+
+
+@pytest.mark.parametrize(
+    "fixture, checks",
+    [
+        (NOT_FIXTURE, {"not-truth"}),
+        (NAND_FIXTURE, {"not-truth", "nand-one", "nand-two"}),
+        (PURIFY_FIXTURE, {"not-truth", "purify-trichotomy"}),
+    ],
+    ids=["NOT", "NAND", "PURIFY"],
+)
+def test_lemma_suite_gate_truth_follows_the_gate_tables(fixture, checks, monkeypatch):
+    """Over every level of every good of one copy, each gate-truth record
+    passes exactly when its gate's table allows the levels, and each check
+    both passes and fails somewhere."""
+    reduced = compile_circuit(parse_circuit(fixture), F(1, 12), {"k": 2, "d": 2})
+    outcomes = {}
+    for levels in itertools.product(LEVELS, repeat=len(reduced.template.goods)):
+        copy, level, records = _truth_records(reduced, levels, monkeypatch)
+        got = {(r.check_id, r.scope): r.passed for r in records if r.check_id in checks}
+        assert got == _gate_tables(reduced, copy, level), levels
+        for (check, _), passed in got.items():
+            outcomes.setdefault(check, set()).add(passed)
+    assert outcomes == {check: {True, False} for check in checks}
+
+
+@pytest.mark.parametrize("override, ordered", [(None, True), ({"k": 2, "d": 2}, False)])
+def test_lemma_suite_chain_threshold_order(override, ordered, monkeypatch):
+    """R_U(1) <= R_L(2) holds at the paper's parameters for epsilon 0
+    (k = 440, d = 8) and fails at a desk-scale override."""
+    reduced = compile_circuit(parse_circuit(PURIFY_FIXTURE), F(0), override)
+    levels = ["band"] * len(reduced.template.goods)
+    *_, records = _truth_records(reduced, levels, monkeypatch)
+    [record] = [r for r in records if r.check_id == "chain-threshold-order"]
+    assert record.passed is ordered
+    assert (record.witness["r_u_chain1"] <= record.witness["r_l_chain2"]) is ordered

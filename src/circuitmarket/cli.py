@@ -145,20 +145,81 @@ def _load(path: str, reader, kind: str = "", errors=_MALFORMED):
         raise CliError(f"{path}: {what}{exc}", EXIT_USAGE) from exc
 
 
-def _meta_from_json(text: str):
-    """The circuit, epsilon and override a metadata sidecar records."""
-    doc = json.loads(text)
-    params, circuit = doc["params"], doc["circuit"]
+def _meta_members(params, circuit):
+    """The circuit, epsilon and override that a metadata sidecar's params
+    and circuit members record."""
     gates = tuple(pc.Gate(pc.GateType[g["type"]], *g["nodes"]) for g in circuit["gates"])
     override = {"k": params["k"], "d": params["d"]} if params["guarantees_void"] else None
     eps = parse_rational(params["epsilon"])
     return pc.CircuitInstance(circuit["n"], gates), eps, override
 
 
+def _meta_from_json(text: str):
+    """The circuit, epsilon and override a metadata sidecar records."""
+    doc = json.loads(text)
+    return _meta_members(doc["params"], doc["circuit"])
+
+
+_PARAMS, _CIRCUIT = '\n  "params": ', '\n  "circuit": '
+_DECODER = json.JSONDecoder()
+
+
+def _canonical_meta(text: str) -> reduction.ReducedMarket | None:
+    """The reduction of a metadata sidecar that is, byte for byte, the
+    document compile writes for its own params and circuit; else None.
+
+    The candidate is read off the text without parsing the role maps: the
+    last top-level "params" member and the first "circuit" member, each
+    decoded on its own, give the circuit, epsilon and override as
+    _meta_from_json would, and their parameters are checked again.  The
+    text must then equal _metadata_chunks of that reduction, compared chunk
+    by chunk up to the first difference and to the end of the text.
+
+    This is sound whatever the candidate: a text equal to compile's
+    document for (params, circuit) is json.dumps of that document, so
+    json.loads gives back those params and that circuit, and the parse
+    path would return the same ReducedMarket.  Any other text, and any
+    error while the candidate is taken or rendered, returns None, and the
+    parse path decides the outcome.  Compile's document holds one good
+    entry per expanded node and copy, so a candidate whose node count, or
+    whose k * n_expanded, exceeds the text's length is rejected before its
+    circuit is built or its document rendered: the check costs
+    O(len(text)) whatever n, k or d the text names.
+    """
+    try:
+        params = _DECODER.raw_decode(text, text.rindex(_PARAMS) + len(_PARAMS))[0]
+        circuit = _DECODER.raw_decode(text, text.index(_CIRCUIT) + len(_CIRCUIT))[0]
+        if circuit["n"] > len(text):
+            return None
+        circuit, eps, override = _meta_members(params, circuit)
+        reduced = reduction.ReducedMarket(
+            reduction.validated_params(circuit, eps, override), circuit
+        )
+        if reduced.params.k * reduced.params.n_expanded > len(text):
+            return None
+        pos = 0
+        for chunk in reduction._metadata_chunks(reduced):
+            if not text.startswith(chunk, pos):
+                return None
+            pos += len(chunk)
+    except Exception:  # noqa: BLE001 - the parse path reports it
+        return None
+    return reduced if pos == len(text) else None
+
+
+def _meta_from_text(text: str):
+    """The reduction of a sidecar compile wrote, else the circuit, epsilon
+    and override the parsed sidecar records."""
+    return _canonical_meta(text) or _meta_from_json(text)
+
+
 def _load_meta(path: str) -> reduction.ReducedMarket:
     """The reduction a metadata sidecar describes, its parameters derived
     and checked again from the circuit; its market is built on first use."""
-    circuit, eps, override = _load(path, _meta_from_json, "metadata")
+    meta = _load(path, _meta_from_text, "metadata")
+    if isinstance(meta, reduction.ReducedMarket):
+        return meta
+    circuit, eps, override = meta
     params = reduction.validated_params(circuit, eps, override)
     return reduction.ReducedMarket(params, circuit)
 

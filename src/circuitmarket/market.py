@@ -559,6 +559,15 @@ class _Fold:
         return const, money
 
 
+def _not_total(first: list[str], count: int, total: int) -> MarketError:
+    """The error of a price map that misses `count` of a market's `total`
+    goods, `first` the first five of them in market order."""
+    shown = ", ".join(map(repr, first)) + (", ..." if count > len(first) else "")
+    return MarketError(
+        f"price map is not total; missing [{shown}] ({count} of {total} goods)"
+    )
+
+
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
     for good, price in prices.items():
         if price < 0:
@@ -657,7 +666,7 @@ def _verify(
     goods = fold.goods
     missing = [g for g in goods if g not in prices]
     if missing:
-        raise MarketError(f"price map is not total; missing {missing}")
+        raise _not_total(missing[:5], len(missing), len(goods))
     _check_prices_non_negative(prices)
     known_buyers = {agent.id for agent in agents}
     totals = dict.fromkeys(goods, (-1, 1))

@@ -17,6 +17,7 @@ metadata_to_json are the joins of the same chunks.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .market import (
     _encode_str,
     _fraction_sum,
     _goods_chunk,
+    _not_total,
     _utilities_block,
 )
 from .purecircuit import CircuitInstance, GateType
@@ -279,6 +281,36 @@ class ReducedMarket:
 
     def variable_good(self, copy: int, node: int) -> str:
         return f"c{copy}/v{node}"
+
+    def check_prices_total(self, prices: dict[str, Fraction]) -> None:
+        """Raise verify_fisher's MarketError if `prices` misses a good of the
+        market, counted off the template without building the market: its
+        1 + k * len(template.goods) goods are ref and "c{c}/{local}" for
+        every copy c < k and template good `local`."""
+        k, goods = self.params.k, self.template.goods
+        local_goods = {local for local, _ in goods}
+        digits = len(str(k))
+
+        def in_market(good: str) -> bool:
+            prefix, _, local = good.partition("/")
+            c = prefix[1:]
+            return good == REF_GOOD or (
+                prefix[:1] == "c" and local in local_goods
+                and c.isascii() and c.isdigit() and (c == "0" or c[0] != "0")
+                and len(c) <= digits and int(c) < k
+            )
+
+        total = 1 + k * len(goods)
+        count = total - sum(map(in_market, prices))
+        if count:
+            market_order = itertools.chain(
+                [REF_GOOD],
+                (f"c{c}/{local}" for c in range(k) for local, _ in goods),
+            )
+            first = list(itertools.islice(
+                (good for good in market_order if good not in prices), 5
+            ))
+            raise _not_total(first, count, total)
 
 
 def _copy_template(circuit: CircuitInstance, params: ReductionParams) -> CopyTemplate:

@@ -874,6 +874,7 @@ def lemma_suite(
     Checks run on the copy selected by decode; the other copies are
     structurally identical.
     """
+    reduced.check_prices_total(prices)  # before the market is built
     report = verify_fisher(reduced.market, prices, allocation, epsilon)
     if not report.passed:
         raise SuitePreconditionError(

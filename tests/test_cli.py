@@ -1471,33 +1471,242 @@ def _mutant(text: bytes, rng: random.Random) -> bytes:
     return bytes(data)
 
 
+def _seeded_mutants(round_trip):
+    """The fuzzer's mutants: 80 of each input file, as (its argument, the
+    mutated bytes), from one seeded stream."""
+    rng = random.Random(24)
+    for arg in READERS:
+        original = round_trip[arg].read_bytes()
+        for _ in range(80):
+            yield arg, _mutant(original, rng)
+
+
 def test_seeded_mutants_of_every_input_keep_the_exit_codes(round_trip, tmp_path, capsys):
     """No exception escapes run and every exit code is in {0, 1, 2, 3}; on 2
-    and 3, stderr ends in the JSON error line.  lemmas never reads a mutated
-    meta.json: a mutated k can make it build an arbitrarily large market."""
-    rng = random.Random(24)
+    and 3, stderr ends in the JSON error line."""
     out = tmp_path / "out"
     faults, codes = [], set()
-    for arg, commands in READERS.items():
-        original = round_trip[arg].read_bytes()
+    for arg, data in _seeded_mutants(round_trip):
         mutant = tmp_path / ("mutant" + round_trip[arg].suffix)
-        for _ in range(80):
-            mutant.write_bytes(_mutant(original, rng))
-            for command in commands:
-                if (command, arg) == ("lemmas", "--meta"):
-                    continue
-                try:
-                    code = cli.run(_argv(command, {**round_trip, arg: mutant}, out))
-                except Exception as exc:  # noqa: BLE001 - the fuzzer reports it
-                    faults.append((command, mutant.read_bytes(), repr(exc)))
-                    continue
-                codes.add(code)
-                err = capsys.readouterr().err.splitlines()
-                if code in (2, 3):
-                    last = json.loads(err[-1])
-                    if set(last) != {"error", "code"} or last["code"] != code:
-                        faults.append((command, mutant.read_bytes(), err[-1]))
-                elif code not in (0, 1):
-                    faults.append((command, mutant.read_bytes(), code))
+        mutant.write_bytes(data)
+        for command in READERS[arg]:
+            try:
+                code = cli.run(_argv(command, {**round_trip, arg: mutant}, out))
+            except Exception as exc:  # noqa: BLE001 - the fuzzer reports it
+                faults.append((command, data, repr(exc)))
+                continue
+            codes.add(code)
+            err = capsys.readouterr().err.splitlines()
+            if code in (2, 3):
+                last = json.loads(err[-1])
+                if set(last) != {"error", "code"} or last["code"] != code:
+                    faults.append((command, data, err[-1]))
+            elif code not in (0, 1):
+                faults.append((command, data, code))
     assert faults == []
     assert codes >= {0, 2}
+
+
+# --- meta.json: the canonical check and the parse path ------------------------
+
+
+def _parse_path_only(monkeypatch):
+    monkeypatch.setattr(cli, "_canonical_meta", lambda text: None)
+
+
+def _outcome(argv, capsys):
+    """run's exit code, stdout and stderr."""
+    capsys.readouterr()
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_meta_mutants_read_as_the_parse_path_reads_them(round_trip, tmp_path, capsys):
+    """On meta.json as compile wrote it and on every meta.json mutant of the
+    seeded fuzzer, decode and lemmas give the exit code, stdout and stderr
+    of the parse path alone."""
+    mutant = tmp_path / "mutant.json"
+    files = {**round_trip, "--meta": mutant}
+    documents = [round_trip["--meta"].read_bytes()] + [
+        data for arg, data in _seeded_mutants(round_trip) if arg == "--meta"
+    ]
+    differ, codes = [], set()
+    for data in documents:
+        mutant.write_bytes(data)
+        for command in ("decode", "lemmas"):
+            argv = _argv(command, files, tmp_path / "out")
+            got = _outcome(argv, capsys)
+            with pytest.MonkeyPatch.context() as patch:
+                _parse_path_only(patch)
+                want = _outcome(argv, capsys)
+            codes.add(got[0])
+            if got != want:
+                differ.append((command, data, got, want))
+    assert differ == []
+    assert codes >= {0, 2}
+
+
+@pytest.mark.parametrize(
+    "text, eps, override",
+    [
+        (solver.NOT_CYCLE, "1/12", (1, 2)),
+        (solver.NOT_FIXTURE, "1/12", (3, 2)),
+        (solver.NAND_FIXTURE, "1/12", (12, 4)),
+        (solver.PURIFY_FIXTURE, "1/12", (5, 6)),
+        (solver.PURIFY_FIXTURE, "0", (11, 2)),
+        (solver.NOT_CYCLE, "1/12", None),  # the paper's scale: k = 5280
+    ],
+)
+def test_documents_compile_writes_never_reach_the_parse_path(
+    text, eps, override, tmp_path, capsys, monkeypatch
+):
+    circuit_path = tmp_path / "circuit.pc"
+    circuit_path.write_text(text)
+    args = ["--override-k", str(override[0]), "--override-d", str(override[1])] if override else []
+    assert cli.run(["compile", str(circuit_path), "--eps", eps, "--out", str(tmp_path)] + args) == 0
+
+    def no_parse(text):
+        raise AssertionError("meta.json went to the parse path")
+
+    monkeypatch.setattr(cli, "_meta_from_json", no_parse)
+    circuit = parse_circuit(text)
+    over = {"k": override[0], "d": override[1]} if override else None
+    params = reduction.validated_params(circuit, cli.parse_rational(eps), over)
+    reduced = cli._load_meta(str(tmp_path / "meta.json"))
+    assert reduced == reduction.ReducedMarket(params, circuit)
+
+
+def test_the_not_cycle_round_trip_reads_meta_without_parsing_it(
+    round_trip, tmp_path, capsys, monkeypatch
+):
+    def no_parse(text):
+        raise AssertionError("meta.json went to the parse path")
+
+    monkeypatch.setattr(cli, "_meta_from_json", no_parse)
+    assert _outcome(_argv("decode", round_trip, tmp_path), capsys)[0] == 0
+    assert (tmp_path / "assignment.json").read_bytes() == round_trip["--assignment"].read_bytes()
+    assert _outcome(_argv("lemmas", round_trip, tmp_path), capsys)[0] in (0, 1)
+
+
+def _edited_meta(round_trip, tmp_path, edit) -> dict:
+    """round_trip's files with meta.json replaced by `edit` of its text."""
+    meta = tmp_path / "edited-meta.json"
+    meta.write_text(edit(round_trip["--meta"].read_text()))
+    return {**round_trip, "--meta": meta}
+
+
+def _first_reference_kind(text: str, value: str) -> str:
+    old = '"kind": "reference"'
+    assert old in text
+    return text.replace(old, f'"kind": {value}', 1)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: json.dumps(json.loads(text), indent=4, sort_keys=True) + "\n",
+        lambda text: json.dumps(json.loads(text)),
+        lambda text: _first_reference_kind(text, '[7, {"x": null}]'),
+        lambda text: text.replace('"copy": 0', '"copy": 1.5', 1),
+    ],
+    ids=["indent-4", "one-line", "role-kind-array", "role-copy-float"],
+)
+def test_a_meta_json_compile_did_not_write_decodes_as_before(
+    edit, round_trip, tmp_path, capsys
+):
+    """A re-indented meta.json, or one whose role maps hold other valid
+    JSON, takes the parse path and decodes to the same assignment.json."""
+    files = _edited_meta(round_trip, tmp_path, edit)
+    assert files["--meta"].read_text() != round_trip["--meta"].read_text()
+    assert cli._canonical_meta(files["--meta"].read_text()) is None
+    code, out, _ = _outcome(_argv("decode", files, tmp_path), capsys)
+    assert code == 0
+    assert out.encode() == round_trip["--assignment"].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["decode", "lemmas"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda text: _first_reference_kind(text, "reference"), lambda text: text + "}"],
+    ids=["role-map", "after-the-document"],
+)
+def test_a_syntax_error_in_meta_json_still_exits_2(
+    command, edit, round_trip, tmp_path, capsys
+):
+    files = _edited_meta(round_trip, tmp_path, edit)
+    code, out, err = _outcome(_argv(command, files, tmp_path / "out"), capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["code"] == 2 and "bad metadata document" in error["error"]
+
+
+def test_an_edited_huge_k_renders_nothing(round_trip, tmp_path, capsys, monkeypatch):
+    """At "k": 10**9 the check stops before _metadata_chunks sorts the
+    copies, and decode reads meta.json as the parse path reads it."""
+    k = 10**9
+    files = _edited_meta(round_trip, tmp_path, lambda text: text.replace('"k": 1,', f'"k": {k},', 1))
+    copy = k // 3  # p_ref = 1, as in test_decode_cost_does_not_grow_with_k
+    prices = tmp_path / "huge-k-prices.json"
+    prices.write_text(prices_to_json({"ref": F(1), f"c{copy}/v0": F(1), f"c{copy}/v1": F(0)}))
+    files["--prices"] = prices
+    rendered = []
+
+    def no_render(reduced):
+        rendered.append(reduced.params.k)
+        raise AssertionError("rendered a document")
+
+    monkeypatch.setattr(reduction, "_metadata_chunks", no_render)
+    argv = _argv("decode", files, tmp_path / "out")
+    got = _outcome(argv, capsys)
+    _parse_path_only(monkeypatch)
+    assert got == _outcome(argv, capsys)
+    assert rendered == []
+    assert got[0] == 0 and json.loads(got[1])["copy"] == copy
+
+
+def test_lemmas_checks_price_coverage_before_building_the_market(
+    round_trip, tmp_path, capsys, monkeypatch
+):
+    """At an edited "k": 16000 the k = 1 prices miss 31,998 goods: lemmas
+    exits 3 naming the count and the first five, in market order, and
+    builds no market."""
+
+    def no_market(*args, **kwargs):
+        raise AssertionError("lemmas built the market")
+
+    monkeypatch.setattr(reduction, "_stamp_market", no_market)
+    files = _edited_meta(round_trip, tmp_path, lambda text: text.replace('"k": 1,', '"k": 16000,', 1))
+    code, out, err = _outcome(_argv("lemmas", files, tmp_path / "out"), capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == (
+        "price map is not total; missing "
+        "['c1/v0', 'c1/v1', 'c2/v0', 'c2/v1', 'c3/v0', ...] (31998 of 32001 goods)"
+    )
+
+
+@pytest.mark.parametrize("k", [1, 12])
+def test_price_coverage_counts_only_the_markets_goods(k):
+    """check_prices_total reads a key as a market good iff it is ref or
+    "c{c}/{local}", c a decimal copy number below k and `local` a
+    template good, and reports missing goods as verify_fisher does."""
+    circuit = parse_circuit(NOT_CYCLE)
+    reduced = reduction.ReducedMarket(
+        reduction.validated_params(circuit, F(1, 12), {"k": k, "d": 2}), circuit
+    )
+    goods = reduced.market.goods
+    prices = dict.fromkeys(goods, F(1))
+    reduced.check_prices_total(prices)
+    near_misses = ["c00/v0", "c01/v0", "c+0/v0", "c 0/v0", "c\uff10/v0", f"c{k}/v0",
+                   "c0/v2", "d0/v0", "c0/v0/", "c/v0", "ref/", "c0_0/v1",
+                   "c" + "1" * 5000 + "/v0"]  # past int()'s digit limit
+    for good in ("ref", "c0/v0", goods[-1]):
+        short = {g: p for g, p in prices.items() if g != good}
+        for extra in ([], near_misses):
+            padded = {**short, **dict.fromkeys(extra, F(1))}
+            with pytest.raises(MarketError) as raised:
+                reduced.check_prices_total(padded)
+            with pytest.raises(MarketError) as verified:
+                cli.mkt.verify_fisher(reduced.market, padded, {}, F(0))
+            assert str(raised.value) == str(verified.value)
+            assert f"missing [{good!r}] (1 of {len(goods)} goods)" in str(raised.value)

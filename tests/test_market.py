@@ -166,6 +166,17 @@ def test_verify_requires_total_prices_and_known_names():
         verify_fisher(market, {"x": F(1), "y": F(1)}, {"zz": {}}, F(0))
 
 
+def test_a_price_map_missing_many_goods_names_the_count_and_the_first_five():
+    goods = tuple(f"g{i}" for i in range(8))
+    market = FisherMarket(goods, (Buyer("a", F(1), {g: linear(1) for g in goods}),))
+    with pytest.raises(MarketError) as raised:
+        verify_fisher(market, {"g2": F(1)}, {}, F(0))
+    assert str(raised.value) == (
+        "price map is not total; missing "
+        "['g0', 'g1', 'g3', 'g4', 'g5', ...] (7 of 8 goods)"
+    )
+
+
 def test_verify_rejects_negative_prices():
     market = FisherMarket(("x",), (Buyer("a", F(1), {"x": linear(1)}),))
     with pytest.raises(MarketError, match="negative price"):

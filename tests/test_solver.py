@@ -1437,7 +1437,8 @@ LEVELS = ("hi", "lo", "band")
 def _truth_records(reduced, levels, monkeypatch):
     """lemma_suite's records, with decode's copy and the level of each good
     it priced: the reference price at 1, decode's copy priced at `levels` (one level per
-    good of the template, in its order) and a passing verify_fisher."""
+    good of the template, in its order) and a passing verify_fisher, whose
+    price-coverage precondition passes too."""
     h, low = thresholds(reduced.params, F(1))
     copy = reduced.params.copy_for(h)
     price = {"hi": h, "lo": low, "band": (h + low) / 2}
@@ -1450,6 +1451,7 @@ def _truth_records(reduced, levels, monkeypatch):
         return EquilibriumReport({g: F(0) for g in market.goods}, {}, epsilon, True)
 
     monkeypatch.setattr(solver, "verify_fisher", passing)
+    monkeypatch.setattr(type(reduced), "check_prices_total", lambda self, prices: None)
     return copy, level, lemma_suite(reduced, prices, {}, F(1, 12)).records
 
 

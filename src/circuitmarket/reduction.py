@@ -55,13 +55,11 @@ class ReductionError(ValueError):
 
 
 def _ceil_log2(x: Fraction) -> int:
-    """Smallest integer m with 2**m >= x, for x > 0."""
+    """Smallest integer m >= 0 with 2**m >= x, for x > 0: the bit length of
+    ceil(x) - 1, since 2**m >= x iff 2**m >= ceil(x)."""
     if x <= 0:
         raise ReductionError("ceil_log2 requires a positive argument")
-    m = 0
-    while F(2) ** m < x:
-        m += 1
-    return m
+    return (-(-x.numerator // x.denominator) - 1).bit_length()
 
 
 @dataclass(frozen=True)

@@ -871,10 +871,11 @@ def lemma_suite(
 
     Aborts (SuitePreconditionError) unless (prices, allocation) passes
     verify_fisher at epsilon — every check presumes an ε-equilibrium.
-    Checks run on the copy selected by decode; the other copies are
-    structurally identical.
+    Prices that miss a good of the market raise verify_fisher's MarketError
+    before the market is built.  Checks run on the copy selected by
+    decode; the other copies are structurally identical.
     """
-    reduced.check_prices_total(prices)  # before the market is built
+    reduced.check_prices_total(prices)
     report = verify_fisher(reduced.market, prices, allocation, epsilon)
     if not report.passed:
         raise SuitePreconditionError(

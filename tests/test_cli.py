@@ -1514,6 +1514,13 @@ def _parse_path_only(monkeypatch):
     monkeypatch.setattr(cli, "_canonical_meta", lambda text: None)
 
 
+def _no_parse_path(monkeypatch):
+    def no_parse(text):
+        raise AssertionError("meta.json went to the parse path")
+
+    monkeypatch.setattr(cli, "_meta_from_json", no_parse)
+
+
 def _outcome(argv, capsys):
     """run's exit code, stdout and stderr."""
     capsys.readouterr()
@@ -1563,15 +1570,12 @@ def test_documents_compile_writes_never_reach_the_parse_path(
 ):
     circuit_path = tmp_path / "circuit.pc"
     circuit_path.write_text(text)
-    args = ["--override-k", str(override[0]), "--override-d", str(override[1])] if override else []
-    assert cli.run(["compile", str(circuit_path), "--eps", eps, "--out", str(tmp_path)] + args) == 0
-
-    def no_parse(text):
-        raise AssertionError("meta.json went to the parse path")
-
-    monkeypatch.setattr(cli, "_meta_from_json", no_parse)
-    circuit = parse_circuit(text)
     over = {"k": override[0], "d": override[1]} if override else None
+    args = ["--override-k", str(over["k"]), "--override-d", str(over["d"])] if over else []
+    argv = ["compile", str(circuit_path), "--eps", eps, "--out", str(tmp_path)]
+    assert cli.run(argv + args) == 0
+    _no_parse_path(monkeypatch)
+    circuit = parse_circuit(text)
     params = reduction.validated_params(circuit, cli.parse_rational(eps), over)
     reduced = cli._load_meta(str(tmp_path / "meta.json"))
     assert reduced == reduction.ReducedMarket(params, circuit)
@@ -1580,10 +1584,7 @@ def test_documents_compile_writes_never_reach_the_parse_path(
 def test_the_not_cycle_round_trip_reads_meta_without_parsing_it(
     round_trip, tmp_path, capsys, monkeypatch
 ):
-    def no_parse(text):
-        raise AssertionError("meta.json went to the parse path")
-
-    monkeypatch.setattr(cli, "_meta_from_json", no_parse)
+    _no_parse_path(monkeypatch)
     assert _outcome(_argv("decode", round_trip, tmp_path), capsys)[0] == 0
     assert (tmp_path / "assignment.json").read_bytes() == round_trip["--assignment"].read_bytes()
     assert _outcome(_argv("lemmas", round_trip, tmp_path), capsys)[0] in (0, 1)
@@ -1645,7 +1646,9 @@ def test_an_edited_huge_k_renders_nothing(round_trip, tmp_path, capsys, monkeypa
     """At "k": 10**9 the check stops before _metadata_chunks sorts the
     copies, and decode reads meta.json as the parse path reads it."""
     k = 10**9
-    files = _edited_meta(round_trip, tmp_path, lambda text: text.replace('"k": 1,', f'"k": {k},', 1))
+    files = _edited_meta(
+        round_trip, tmp_path, lambda text: text.replace('"k": 1,', f'"k": {k},', 1)
+    )
     copy = k // 3  # p_ref = 1, as in test_decode_cost_does_not_grow_with_k
     prices = tmp_path / "huge-k-prices.json"
     prices.write_text(prices_to_json({"ref": F(1), f"c{copy}/v0": F(1), f"c{copy}/v1": F(0)}))
@@ -1676,7 +1679,9 @@ def test_lemmas_checks_price_coverage_before_building_the_market(
         raise AssertionError("lemmas built the market")
 
     monkeypatch.setattr(reduction, "_stamp_market", no_market)
-    files = _edited_meta(round_trip, tmp_path, lambda text: text.replace('"k": 1,', '"k": 16000,', 1))
+    files = _edited_meta(
+        round_trip, tmp_path, lambda text: text.replace('"k": 1,', '"k": 16000,', 1)
+    )
     code, out, err = _outcome(_argv("lemmas", files, tmp_path / "out"), capsys)
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == (

@@ -69,6 +69,26 @@ def test_param_k_uses_ceiling():
     assert compute_params(F(1, 1000), 1).k == 445
 
 
+def test_chain_length_is_twice_the_ceiling_log2_of_three_over_delta():
+    """d = 2m for the least m >= 0 with 2**m >= 3/delta, checked against
+    powers of two over epsilons whose 3/delta lands on, just above and
+    just below a power of two, and at the ends of [0, 1/11)."""
+    limit = F(1, 11)
+    targets = [
+        F(2) ** j * (1 + bump)
+        for j in range(-3, 40)
+        for bump in (0, F(1, 10**6), -F(1, 10**6))
+    ]
+    epsilons = [limit - 4 * 3 / (11 * t) for t in targets]
+    epsilons += [F(0), limit - F(1, 10**40)]
+    for eps in epsilons:
+        if not 0 <= eps < limit:
+            continue
+        x = 3 / (F(11, 4) * (limit - eps))
+        m = compute_params(eps, 1).d // 2
+        assert m >= 0 and 2**m >= x and (m == 0 or 2 ** (m - 1) < x), eps
+
+
 @pytest.mark.parametrize(
     "eps", [F(1, 11), F(1, 2), F(-1, 12), F(1)]
 )

@@ -337,6 +337,18 @@ def _exact_key(item) -> tuple:
     return Fraction(sn * d, sd * n), pref, -position
 
 
+def _exact_pair(a, b) -> tuple:
+    """Walk items a and b in decreasing order of their exact key (_exact_key),
+    compared as _exact_key's tuples compare but with one cross-multiplication
+    of the bang-per-buck and no Fraction; the prices are positive."""
+    _, pa, fa, _, (na, da, _), _, (sna, sda) = a
+    _, pb, fb, _, (nb, db, _), _, (snb, sdb) = b
+    left, right = sna * da * sdb * nb, snb * db * sda * na
+    if left > right or left == right and (fa > fb or fa == fb and pa < pb):
+        return a, b
+    return b, a
+
+
 def _float_order(walk, keys: list[float]):
     """`walk`, a sequence of at most three entries, in decreasing order of
     their float keys `keys` (the segment's float slope over its good's
@@ -385,8 +397,10 @@ def _exact_order(
     Each segment becomes an item (float key, position, preference, good
     index, quote, length pair, slope pair).  The items are sorted on the
     float key and every run of keys within a relative 2**-30 of each other
-    is settled on the exact key; if a key is not a positive normal float,
-    the whole walk is sorted on the exact key.
+    is settled on the exact key: a run of two (most runs) by one
+    cross-multiplication (_exact_pair), a longer one sorted on _exact_key.
+    If a key is not a positive normal float, the whole walk is sorted on the
+    exact key.
     """
     lead = 1 if first else -1
     items = [
@@ -402,7 +416,9 @@ def _exact_order(
         for i in range(1, len(items) + 1):
             if i < len(items) and items[i][0] >= items[i - 1][0] * _NEAR:
                 continue
-            if i - start > 1:
+            if i - start == 2:
+                items[start:i] = _exact_pair(items[start], items[start + 1])
+            elif i - start > 2:
                 items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
             start = i
     return [segments[item[1]] for item in items]

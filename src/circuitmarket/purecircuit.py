@@ -113,9 +113,20 @@ class CircuitInstance:
                         f"node {out} is the output of gates {producers[out]} and {idx}"
                     )
                 producers[out] = idx
-        missing = [v for v in range(self.n) if v not in producers]
-        if missing:
-            raise CircuitError(f"nodes without a producing gate: {missing}")
+        # every output is below n, so the count needs no walk over range(n),
+        # and the walk for the first five stops after len(producers) + 5
+        count = self.n - len(producers)
+        if count:
+            first = []
+            for v in range(self.n):
+                if v not in producers:
+                    first.append(v)
+                    if len(first) == 5:
+                        break
+            shown = ", ".join(map(str, first)) + (", ..." if count > 5 else "")
+            raise CircuitError(
+                f"nodes without a producing gate: [{shown}] ({count} of {self.n} nodes)"
+            )
 
     def interaction_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
         """(in-degree, out-degree) per node in the interaction graph.

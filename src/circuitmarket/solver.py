@@ -17,7 +17,8 @@ Two complementary oracles:
   solves K + A/p = 1 exactly on each gap; results are exact rationals
   whenever an exact clearing exists in the bracket.  The sweep only moves
   up, and every buyer's part of K and A comes from market._Fold's one
-  budget walk.
+  budget walk.  It runs on unreduced integer (numerator, denominator)
+  pairs and builds Fractions only for its result.
 
 On top of these sit the gadget fixtures (NOT / NAND / PURIFY truth-table
 sweeps on compiled markets) and ``lemma_suite``, which re-checks every
@@ -31,6 +32,7 @@ import io
 from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd
 from typing import Mapping, Optional
@@ -355,10 +357,10 @@ class _IncrementalFold:
         # upper ends as (float, buyer, numerator, denominator)
         self.above: list[tuple] = []
 
-    def __call__(self, p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        """(demand, K, A) of the good at price p, positive and not below
-        the last call's price."""
-        pn, pd = p.numerator, p.denominator
+    def __call__(self, pn: int, pd: int) -> tuple[tuple[int, int], ...]:
+        """(demand, K, A) of the good at price pn/pd, as unreduced
+        (numerator, denominator) pairs with positive denominators; the price
+        positive, pd > 0, and not below the last call's price."""
         self.quotes[0] = _quote(pn, pd)
         fp = _float(pn, pd)
         stale, self.stale = self.stale, []
@@ -381,22 +383,27 @@ class _IncrementalFold:
                 if old[j] != new[j]:
                     sums[j] = _add_pair(_add_pair(sums[j], -old[j][0], old[j][1]), *new[j])
         const, spare = sums
-        return F(*_demand_pair(const, spare, pn, pd)), F(*const), F(*spare)
+        return _demand_pair(const, spare, pn, pd), const, spare
 
-    def next_end(self) -> Optional[Fraction]:
-        """The lowest upper end of the buyers' intervals, or None if none
-        has one: the next price above the last call's at which some buyer's
-        part of K + A/p may change.  Floats keep order but can tie, so every
-        entry of the lowest float is compared exactly."""
+    def next_end(self) -> Optional[tuple[int, int]]:
+        """The lowest upper end of the buyers' intervals as an unreduced
+        pair, or None if none has one: the next price above the last call's
+        at which some buyer's part of K + A/p may change.  Floats keep order
+        but can tie, so the entries of the lowest float are compared exactly,
+        by cross-multiplication."""
         heap = self.above
         if not heap:
             return None
         key, tied = heap[0][0], []
         while heap and heap[0][0] == key:
             tied.append(heappop(heap))
+        _, _, en, ed = tied[0]
         for entry in tied:
             heappush(heap, entry)
-        return min(F(n, d) for _, _, n, d in tied)
+            _, _, n, d = entry
+            if n * ed < en * d:
+                en, ed = n, d
+        return en, ed
 
     def _walk(self, i: int):
         """Buyer i's part at the prices of the fold's quote list, from its
@@ -505,7 +512,11 @@ def pinned_bisection(
     sweep reads comes from one _IncrementalFold on that compile and those
     ties, so a buyer is walked at lo (twice if tied exactly at lo) and then
     only where the sweep passes the upper end of its interval: one of its
-    own ties or budget breakpoints.  Nothing is kept per point.
+    own ties or budget breakpoints.  Nothing is kept per point.  From the
+    bracket to the result, every price, demand, K, A and epsilon itself is
+    an unreduced integer (numerator, denominator) pair, compared by
+    cross-multiplication; Fractions are built only for the BisectionResult
+    returned and for BracketError messages.
     """
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
@@ -518,51 +529,64 @@ def pinned_bisection(
     if missing:
         raise BracketError(f"pinned prices missing goods {missing}")
     prices = {g: pinned[g] for g in read}
-    not_positive = sorted(g for g, p in prices.items() if p <= 0)
+    not_positive = sorted(g for g, p in prices.items() if p.numerator <= 0)
     if not_positive:
         raise BracketError(f"pinned prices not positive for goods {not_positive}")
     # the free good is the compiled fold's good 0, quoted at each price
     compiled = _Fold((free_good, *prices), ((buyer, buyer.budget) for buyer in buyers))
     quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
     fold = _IncrementalFold(compiled, quotes)
-    x, near = lo, None
-    d_min, const, spare = fold(lo)
+    # from here on, every price and demand is an unreduced (numerator,
+    # denominator) pair with a positive denominator, compared by
+    # cross-multiplication; 1 - epsilon is (ed - en)/ed, 1 + epsilon up/ed
+    ln, ld = lo.numerator, lo.denominator
+    hn, hd = hi.numerator, hi.denominator
+    en, ed = epsilon.numerator, epsilon.denominator
+    up = ed + en
+    xn, xd, near = ln, ld, None
+    (dn, dd), const, spare = fold(ln, ld)
     # max demand at lo: the buyers tied exactly at lo walked towards the good
-    (ln, ld), d_max = lo.as_integer_ratio(), d_min
+    mn, md = dn, dd
     for i, ties in enumerate(fold.ties):
         if any(tn * ld == ln * td for tn, td in ties):
             towards, money = compiled.agent_demand(i, fold.quotes, 0, True)
             part = _demand_pair(towards.get(0, _NO_PAIR), money.get(0, _NO_PAIR), ln, ld)
-            d_max += F(*part) - F(*_demand_pair(*fold.parts[i], ln, ld))
-    if d_max < 1 - epsilon:
-        raise BracketError(f"demand at the low end is {d_max}, below 1 - epsilon")
+            away = _demand_pair(*fold.parts[i], ln, ld)
+            mn, md = _add_pair(_add_pair((mn, md), *part), -away[0], away[1])
+    if mn * ed < (ed - en) * md:
+        raise BracketError(f"demand at the low end is {F(mn, md)}, below 1 - epsilon")
     while True:
-        # [d_min, d_max] at x, and K + A/p on the gap above it
-        if d_min <= 1 <= d_max:
-            return BisectionResult(x, d_min, d_max, True)
-        if near is None and d_min <= 1 + epsilon and d_max >= 1 - epsilon:
-            near = BisectionResult(x, d_min, d_max, False)
-        if d_max < 1 or x == hi:
+        # [d_min, d_max] = [dn/dd, mn/md] at x, and K + A/p on the gap above it
+        if dn <= dd and mn >= md:
+            return BisectionResult(F(xn, xd), F(dn, dd), F(mn, md), True)
+        if near is None and dn * ed <= up * dd and mn * ed >= (ed - en) * md:
+            near = (xn, xd), (dn, dd), (mn, md)
+        if mn < md or xn * hd == hn * xd:
             break
         end = fold.next_end()
-        y = hi if end is None or end > hi else end
-        # here d_min > 1, so the roots below lie above x
-        if spare and const < 1 and spare / (1 - const) < y:
-            return BisectionResult(spare / (1 - const), ONE, ONE, True)
-        if near is None and spare and const < 1 + epsilon:
-            p = spare / (1 + epsilon - const)
-            if p < y:
-                near = BisectionResult(p, 1 + epsilon, 1 + epsilon, False)
-        x, d_max = y, const + spare / y
-        d_min, const, spare = fold(x)
+        yn, yd = hn, hd
+        if end is not None and end[0] * hd <= hn * end[1]:
+            yn, yd = end
+        # here d_min > 1, so the roots below lie above x: A/(1 - K) and
+        # A/(1 + epsilon - K) for K = kn/kd and A = an/ad
+        (kn, kd), (an, ad) = const, spare
+        if an and kn < kd and an * kd * yd < yn * ad * (kd - kn):
+            return BisectionResult(F(an * kd, ad * (kd - kn)), ONE, ONE, True)
+        if near is None and an and kn * ed < up * kd:
+            pn, pd = an * kd * ed, ad * (up * kd - kn * ed)
+            if pn * yd < yn * pd:
+                near = (pn, pd), (up, ed), (up, ed)
+        xn, xd, (mn, md) = yn, yd, _demand_pair(const, spare, yn, yd)
+        (dn, dd), const, spare = fold(yn, yd)
     if near is None:
         # above 1 + epsilon, d_min is hi's: demand does not increase with price
-        if d_min > 1 + epsilon:
-            raise BracketError(f"demand at the high end is {d_min}, above 1 + epsilon")
+        if dn * ed > up * dd:
+            raise BracketError(f"demand at the high end is {F(dn, dd)}, above 1 + epsilon")
         raise BracketError(
             f"no clearing price for {free_good!r} in [{lo}, {hi}] at epsilon={epsilon}"
         )
-    return near
+    (xn, xd), (dn, dd), (mn, md) = near
+    return BisectionResult(F(xn, xd), F(dn, dd), F(mn, md), False)
 
 
 # ---------------------------------------------------------------------------
@@ -640,12 +664,14 @@ class GadgetFixture:
     l: Fraction
 
     def gadget(self, gadget_id: str) -> NotGadget:
-        for g in self.reduced.gadgets(self.copy):
-            if g.gadget_id == gadget_id:
-                return g
-        raise KeyError(gadget_id)
+        return self._gadgets[gadget_id]
 
-    @property
+    @cached_property
+    def _gadgets(self) -> dict[str, NotGadget]:
+        """gadget id -> gadget of this copy, built on the first lookup."""
+        return {g.gadget_id: g for g in self.reduced.gadgets(self.copy)}
+
+    @cached_property
     def bracket(self) -> tuple[Fraction, Fraction]:
         """The price bracket every gadget output of this copy clears in."""
         params = self.reduced.params
@@ -689,11 +715,7 @@ def clear_chain(
     """Clear a PURIFY chain link by link; returns the cleared prices in
     chain order, which is template order (the last is the chain output)."""
     prefix = f"g{gate_index}.{chain}."
-    links = [
-        g
-        for g in fixture.reduced.gadgets(fixture.copy)
-        if g.gadget_id.startswith(prefix)
-    ]
+    links = [g for g in fixture._gadgets.values() if g.gadget_id.startswith(prefix)]
     if not links:
         raise KeyError(f"no chain {chain} for gate {gate_index}")
     # the cleared links and the chain input, over the fixture's prices

@@ -1715,3 +1715,19 @@ def test_price_coverage_counts_only_the_markets_goods(k):
                 cli.mkt.verify_fisher(reduced.market, padded, {}, F(0))
             assert str(raised.value) == str(verified.value)
             assert f"missing [{good!r}] (1 of {len(goods)} goods)" in str(raised.value)
+
+
+def test_an_edited_huge_node_count_names_five_unproduced_nodes(round_trip, tmp_path, capsys):
+    """At an edited "n": 300000 the NOT cycle produces only nodes 0 and 1:
+    decode exits 2 naming the count and the first five unproduced nodes,
+    on one short stderr line, not a list of all 299,998."""
+    files = _edited_meta(
+        round_trip, tmp_path, lambda text: text.replace('"n": 2', '"n": 300000', 1)
+    )
+    code, out, err = _outcome(_argv("decode", files, tmp_path / "out"), capsys)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 1024
+    assert json.loads(err)["error"].endswith(
+        "bad metadata document: nodes without a producing gate: "
+        "[2, 3, 4, 5, 6, ...] (299998 of 300000 nodes)"
+    )

@@ -35,7 +35,7 @@ from circuitmarket import (
     verify_fisher,
 )
 from circuitmarket import market as market_module, solver
-from oracle import FreeGood, greedy_bundle, greedy_walk, oracle_max_utility
+from oracle import FreeGood, greedy_bundle, greedy_walk, oracle_max_utility, walk_order
 
 F = Fraction
 
@@ -696,6 +696,63 @@ def test_greedy_walk_settles_float_near_ties_exactly():
     for favor in (None, "a", "b"):
         for first in (True, False):
             assert _walked_goods(buyer, near, favor, first) == ["b", "a"]
+
+
+def _near_tied_walk(rng):
+    """A seeded buyer of two to four segments over goods a-d and their
+    prices, each segment's bang-per-buck a common rational times 1, or
+    1 +- 10**-10 to 10**-30: every float key within a relative 2**-30 of
+    the others, and some exactly equal."""
+    base = F(rng.randint(1, 9), rng.randint(1, 9))
+    prices = {g: F(rng.randint(1, 50), rng.randint(1, 50)) for g in "abcd"}
+    slopes: dict[str, list] = {}
+    for _ in range(rng.randint(2, 4)):
+        good = rng.choice("abcd")
+        nudge = rng.choice((0, 0, 1, -1)) * F(1, 10 ** rng.randint(10, 30))
+        slopes.setdefault(good, []).append(base * prices[good] * (1 + nudge))
+    utilities = {
+        g: util(*((F(rng.randint(1, 3)), s) for s in sorted(ss, reverse=True)))
+        for g, ss in slopes.items()
+    }
+    return Buyer("b", F(1), utilities), prices
+
+
+def test_exact_order_settles_near_tied_walks_as_the_oracle_orders_them(monkeypatch):
+    """_exact_order on seeded walks whose float keys all lie within 2**-30,
+    ties exactly equal or 10**-10 to 10**-30 apart, with no favored good
+    and a favored one first or last: the order of the oracle's exact
+    Fraction sort.  Most runs are two items, which _exact_pair settles by
+    one cross-multiplication, in either order of position."""
+    pairs = {"kept": 0, "swapped": 0}
+    real = market_module._exact_pair
+
+    def counted(a, b):
+        got = real(a, b)
+        pairs["kept" if got[0] is a else "swapped"] += 1
+        return got
+
+    monkeypatch.setattr(market_module, "_exact_pair", counted)
+    rng = random.Random(2614)
+    for _ in range(3000):
+        buyer, prices = _near_tied_walk(rng)
+        quotes = list(market_module.quote_table(prices).values())
+        fold = market_module._Fold(prices, [(buyer, buyer.budget)])
+        segments = fold.plans[0][3]
+        keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
+        assert max(keys) * (1 - 2.0**-30) <= min(keys)
+        flat = [
+            (g, s) for g, u in sorted(buyer.utilities.items()) for s in u.segments
+        ]
+        for favor in (None, *buyer.utilities):
+            for first in (True, False):
+                favored = None if favor is None else fold.goods.index(favor)
+                walk = market_module._exact_order(segments, keys, quotes, favored, first)
+                expected = walk_order(buyer.utilities, prices, favor, first)
+                assert [position for _, position, _, _, _ in walk] == [
+                    next(k for k, (g, s) in enumerate(flat) if g == good and s is seg)
+                    for good, seg in expected
+                ]
+    assert min(pairs.values()) > 1000
 
 
 @pytest.mark.parametrize(

@@ -106,6 +106,22 @@ def test_node_counts_and_ids_are_ascii_decimals(text):
 def test_every_node_needs_exactly_one_producer():
     with pytest.raises(CircuitError, match="without a producing gate"):
         CircuitInstance(3, (Gate(GateType.NOT, 0, 1), Gate(GateType.NOT, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "n, gates, shown",
+    [
+        (3, [(0, 1), (1, 0)], "[2] (1 of 3 nodes)"),
+        (9, [(5, 8), (8, 5)], "[0, 1, 2, 3, 4, ...] (7 of 9 nodes)"),
+        (9, [(0, 1), (1, 0), (2, 3)], "[2, 4, 5, 6, 7, ...] (6 of 9 nodes)"),
+        (8, [(0, 1), (1, 0), (2, 3)], "[2, 4, 5, 6, 7] (5 of 8 nodes)"),
+        (7, [(0, 1), (1, 0), (2, 3)], "[2, 4, 5, 6] (4 of 7 nodes)"),
+    ],
+)
+def test_unproduced_nodes_are_counted_and_the_first_five_named(n, gates, shown):
+    with pytest.raises(CircuitError) as info:
+        CircuitInstance(n, tuple(Gate(GateType.NOT, u, v) for u, v in gates))
+    assert str(info.value) == f"nodes without a producing gate: {shown}"
     with pytest.raises(CircuitError, match="output of gates"):
         CircuitInstance(
             2, (Gate(GateType.NOT, 0, 1), Gate(GateType.NOT, 0, 1))

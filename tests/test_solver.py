@@ -816,6 +816,22 @@ def test_pinned_bisection_outcomes_are_pinned():
     assert digest == CLEARING_DIGEST
 
 
+def test_pinned_bisection_results_hold_fractions():
+    """Every BisectionResult of the CLEARING_DIGEST queries holds Fractions
+    and a bool: the sweep runs on integer pairs, and format_rational prints
+    an int as it prints a Fraction, so the digest cannot tell them apart."""
+    results = 0
+    for market, prices, bracket, eps in _random_clearing_queries(3000, 4):
+        try:
+            result = pinned_bisection(market, prices, "x", bracket, eps)
+        except BracketError:
+            continue
+        fields = (result.price, result.demand_low, result.demand_high)
+        assert all(type(f) is Fraction for f in fields) and type(result.exact) is bool
+        results += 1
+    assert results > 2000
+
+
 def _clearing_checks(kind):
     """(epsilon, demand interval, oracle's demand interval at the price,
     oracle's min demand just below the price or None at lo) of every `kind`
@@ -902,6 +918,18 @@ def _incremental_fold(buyers, prices):
     return _IncrementalFold(*_clearing_fold(buyers, prices))
 
 
+def _fold_at(fold, p):
+    """The fold's (demand, K, A) pairs at the Fraction price p, read back
+    as Fractions."""
+    return tuple(F(*pair) for pair in fold(p.numerator, p.denominator))
+
+
+def _next_end(fold):
+    """The fold's next_end pair as a Fraction, or None."""
+    end = fold.next_end()
+    return None if end is None else F(*end)
+
+
 def test_tie_candidates_are_every_tie_in_the_bracket():
     """The pairs of _tie_pairs in the open bracket, as Fractions, which read
     the compiled plans and quotes, against the brute-force Fraction
@@ -949,7 +977,7 @@ def test_incremental_fold_matches_the_one_shot_fold():
         queries += [(p, "breakpoint") for p in breaks]
         fold = _incremental_fold(buyers, prices)
         for p, kind in sorted(queries):
-            triple = fold(p)
+            triple = _fold_at(fold, p)
             assert triple == free_good_fold(buyers, "x", {**prices, "x": p}, False)
             if kind == "tie":
                 assert triple[0] == demand_interval(buyers, "x", prices, p)[0]
@@ -979,7 +1007,7 @@ def test_incremental_fold_keeps_interval_ends_whose_float_is_the_price():
     prices = {"y": F(1), "z": F(1)}
     fold = _incremental_fold(buyers, prices)
     for p in (1 - 10 * tiny, F(1), F(1), 1 + 10 * tiny):
-        assert fold(p) == free_good_fold(buyers, "x", {**prices, "x": p}, False)
+        assert _fold_at(fold, p) == free_good_fold(buyers, "x", {**prices, "x": p}, False)
 
 
 def test_next_end_takes_the_exact_least_of_ends_with_equal_floats():
@@ -999,12 +1027,12 @@ def test_next_end_takes_the_exact_least_of_ends_with_equal_floats():
     buyers = market.interested_buyers.get("x", ())
     prices = {"y": 1 + tiny, "z": 1 + 2 * tiny}
     fold = _incremental_fold(buyers, prices)
-    fold(F(1))
-    assert fold.next_end() == 1 + tiny
-    fold(1 + tiny)
-    assert fold.next_end() == 1 + 2 * tiny
-    fold(1 + 2 * tiny)
-    assert fold.next_end() is None
+    _fold_at(fold, F(1))
+    assert _next_end(fold) == 1 + tiny
+    _fold_at(fold, 1 + tiny)
+    assert _next_end(fold) == 1 + 2 * tiny
+    _fold_at(fold, 1 + 2 * tiny)
+    assert _next_end(fold) is None
     result = pinned_bisection(market, prices, "x", (F(1, 2), F(2)), F(0))
     assert result == BisectionResult(1 + 3 * tiny / 2, F(1), F(1), True)
     assert demand_interval(buyers, "x", prices, result.price) == (1, 1)

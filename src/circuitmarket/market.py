@@ -40,10 +40,10 @@ same walk.
 Verification's best utility is the value of the canonical bundle: the
 walk buys each good's segments in segment order, so its amount of a good
 is a prefix of the good's segments.  Single-good clearing compiles the
-buyers interested in the good into a fold too, and reads every demand it
-needs one agent's C and M at a time (_Fold.agent_demand, in
-solver._IncrementalFold), so _Fold._walks is the one loop of the package
-that spends a budget.
+buyers interested in the good into a fold too, once per market and good
+(ClearingSource.good_fold), and reads every demand it needs one agent's C
+and M at a time (_Fold.agent_demand, in solver._IncrementalFold), so
+_Fold._walks is the one loop of the package that spends a budget.
 
 The documents are written directly, not through json.dumps, with the
 bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
@@ -228,8 +228,36 @@ class Buyer:
             raise MarketError(f"buyer {self.id!r} budget must be positive")
 
 
+class ClearingSource:
+    """What single-good clearing reads of a market: `buyers_of(good)`, the
+    buyers with some positive-slope segment of the good in market order, as
+    FisherMarket.interested_buyers.get(good, ()) gives them, and the one
+    compile of them per good (good_fold).  FisherMarket and
+    reduction.ReducedMarket are the two sources."""
+
+    def buyers_of(self, good: str) -> tuple[Buyer, ...]:
+        raise NotImplementedError
+
+    @cached_property
+    def _good_folds(self) -> dict[str, tuple[_Fold, tuple[str, ...]]]:
+        return {}
+
+    def good_fold(self, good: str) -> tuple[_Fold, tuple[str, ...]]:
+        """(fold, others): the buyers of `good` at their budgets, compiled
+        into a _Fold over the good, as goods[0], and `others`, the other
+        goods they value in first-seen order.  Compiled on the first lookup
+        of the good and kept, since it depends on nothing but the market."""
+        entry = self._good_folds.get(good)
+        if entry is None:
+            buyers = self.buyers_of(good)
+            others = tuple(dict.fromkeys(g for b in buyers for g in b.utilities if g != good))
+            fold = _Fold((good, *others), ((b, b.budget) for b in buyers))
+            entry = self._good_folds[good] = fold, others
+        return entry
+
+
 @dataclass(frozen=True)
-class FisherMarket:
+class FisherMarket(ClearingSource):
     goods: tuple[str, ...]
     buyers: tuple[Buyer, ...]
 
@@ -257,6 +285,9 @@ class FisherMarket:
                 if util.walk_segments:
                     index.setdefault(good, []).append(buyer)
         return {good: tuple(buyers) for good, buyers in index.items()}
+
+    def buyers_of(self, good: str) -> tuple[Buyer, ...]:
+        return self.interested_buyers.get(good, ())
 
     @cached_property
     def fold(self) -> "_Fold":

@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Optional
 
 from .market import (
     Buyer,
+    ClearingSource,
     FisherMarket,
     MarketError,
     SplcSegment,
@@ -247,14 +248,17 @@ class CopyTemplate:
 
 
 @dataclass(frozen=True)
-class ReducedMarket:
+class ReducedMarket(ClearingSource):
     """A compiled circuit: its parameters and the circuit, from which the
     copy template and the market are built on first use.  Nothing is held
-    per copy but the market, which compile_circuit builds before returning.
-    The documents need no market: reduced_market_to_json and
-    metadata_to_json stamp market.json and meta.json per copy from the
-    template, and census counts from it.  Both documents and the market
-    make their buyers from the template's buyer roles (see _recipes)."""
+    per copy but the market, once something reads it, and the copies that
+    buyers_of stamped.  The documents need no market: reduced_market_to_json
+    and metadata_to_json stamp market.json and meta.json per copy from the
+    template, and census counts from it.  Nor does single-good clearing of
+    a copy's good: buyers_of reads the good's buyers off its copy alone, so
+    gadget fixtures (solver.build_fixture) clear on the template.  Both
+    documents, the market and buyers_of make their buyers from the
+    template's buyer roles (see _recipes)."""
 
     params: ReductionParams
     circuit: CircuitInstance
@@ -264,8 +268,64 @@ class ReducedMarket:
         return _copy_template(self.circuit, self.params)
 
     @cached_property
+    def recipes(self) -> tuple:
+        """The template's _recipes, derived once."""
+        return _recipes(self.params, self.template)
+
+    @cached_property
     def market(self) -> FisherMarket:
-        return _stamp_market(self.params, self.template)
+        return _stamp_market(self.params.k, self.template, self.recipes)
+
+    @cached_property
+    def _stamped(self) -> dict[int, list[Buyer]]:
+        """copy -> its buyers, for each copy that buyers_of has stamped."""
+        return {}
+
+    def buyers_of(self, good: str) -> tuple[Buyer, ...]:
+        """The buyers interested in `good`, as
+        ``market.interested_buyers.get(good, ())`` gives them: those with a
+        positive-slope segment of it, in market order.  A good of copy c is
+        wanted only by copy c's buyers, so it is read off that copy alone,
+        stamped once through _stamp_copy and kept, and the market is not
+        built.  ref, which every buyer wants, and every good once the market
+        is built are read off the market."""
+        if good == REF_GOOD or "market" in vars(self):
+            return self.market.interested_buyers.get(good, ())
+        copy = self.copy_of(good)
+        if copy is None:
+            return ()
+        buyers = self._stamped.get(copy)
+        if buyers is None:
+            buyers = self._stamped[copy] = _stamp_copy(self.template, self.recipes, copy)[1]
+        return tuple(
+            b for b in buyers if good in b.utilities and b.utilities[good].walk_segments
+        )
+
+    def market_goods(self) -> Iterator[str]:
+        """The market's goods in market order, named off the template: ref,
+        then "c{c}/{local}" for every copy c < k and template good `local`."""
+        yield REF_GOOD
+        for c in range(self.params.k):
+            for local, _ in self.template.goods:
+                yield f"c{c}/{local}"
+
+    @cached_property
+    def _local_goods(self) -> frozenset[str]:
+        return frozenset(local for local, _ in self.template.goods)
+
+    def copy_of(self, good: str) -> Optional[int]:
+        """c if `good` is a good "c{c}/{local}" of the market, else None
+        (ref included): c in canonical decimal below k, `local` a template
+        good."""
+        prefix, _, local = good.partition("/")
+        c = prefix[1:]
+        if (
+            prefix[:1] == "c" and local in self._local_goods
+            and c.isascii() and c.isdigit() and (c == "0" or c[0] != "0")
+            and len(c) <= len(str(self.params.k)) and int(c) < self.params.k
+        ):
+            return int(c)
+        return None
 
     def gadgets(self, copy: int) -> tuple[NotGadget, ...]:
         """The gadgets of one copy, stamped from the template."""
@@ -283,30 +343,15 @@ class ReducedMarket:
     def check_prices_total(self, prices: dict[str, Fraction]) -> None:
         """Raise verify_fisher's MarketError if `prices` misses a good of the
         market, counted off the template without building the market: its
-        1 + k * len(template.goods) goods are ref and "c{c}/{local}" for
-        every copy c < k and template good `local`."""
-        k, goods = self.params.k, self.template.goods
-        local_goods = {local for local, _ in goods}
-        digits = len(str(k))
-
-        def in_market(good: str) -> bool:
-            prefix, _, local = good.partition("/")
-            c = prefix[1:]
-            return good == REF_GOOD or (
-                prefix[:1] == "c" and local in local_goods
-                and c.isascii() and c.isdigit() and (c == "0" or c[0] != "0")
-                and len(c) <= digits and int(c) < k
-            )
-
-        total = 1 + k * len(goods)
-        count = total - sum(map(in_market, prices))
+        1 + k * len(template.goods) goods are ref and each good that copy_of
+        places in a copy."""
+        total = 1 + self.params.k * len(self.template.goods)
+        count = total - sum(
+            good == REF_GOOD or self.copy_of(good) is not None for good in prices
+        )
         if count:
-            market_order = itertools.chain(
-                [REF_GOOD],
-                (f"c{c}/{local}" for c in range(k) for local, _ in goods),
-            )
             first = list(itertools.islice(
-                (good for good in market_order if good not in prices), 5
+                (good for good in self.market_goods() if good not in prices), 5
             ))
             raise _not_total(first, count, total)
 
@@ -389,13 +434,15 @@ def compile_circuit(
     epsilon: Fraction,
     override: Optional[dict] = None,
 ) -> ReducedMarket:
-    """Compile a Pure-Circuit instance into its Fisher market, which is
-    built before this returns.  To write the documents alone, build
-    ``ReducedMarket(validated_params(...), circuit)`` instead, as CLI
-    compile does: reduced_market_to_json writes the same market.json
-    without the market."""
+    """Compile a Pure-Circuit instance into its Fisher market, after the
+    checks that building the market makes (_checked_copy_0), which raise
+    what building would.  The market itself is built on first use of
+    ``reduced.market``; gadget fixtures never use it.  To write the
+    documents alone, build ``ReducedMarket(validated_params(...), circuit)``
+    instead, as CLI compile does: reduced_market_to_json makes the same
+    checks and writes the same market.json without the market."""
     reduced = ReducedMarket(validated_params(circuit, epsilon, override), circuit)
-    reduced.market  # built now, not on first use
+    _checked_copy_0(reduced)
     return reduced
 
 
@@ -403,7 +450,8 @@ def _recipes(
     params: ReductionParams, template: CopyTemplate
 ) -> tuple[Buyer, list[tuple], Callable[[int], dict[str, tuple[int, int]]]]:
     """How the market's buyers are built from the template's buyer roles,
-    shared by _stamp_market, reduced_market_to_json and structural_violations.
+    shared by _stamp_market, ReducedMarket.buyers_of, reduced_market_to_json
+    and structural_violations (through ReducedMarket.recipes).
 
     Returns the reference buyer; each template buyer, in template order, as
     (local id, budget key, its wanted local goods with their shapes), every
@@ -472,16 +520,35 @@ def _stamp_copy(
     return [prefix + local for local, _ in template.goods], buyers
 
 
-def _stamp_market(params: ReductionParams, template: CopyTemplate) -> FisherMarket:
+def _stamp_market(k: int, template: CopyTemplate, recipes: tuple) -> FisherMarket:
     """The reference good and buyer, then the template once per copy."""
-    recipes = _recipes(params, template)
     goods: list[str] = [REF_GOOD]
     buyers: list[Buyer] = [recipes[0]]  # the reference buyer
-    for c in range(params.k):
+    for c in range(k):
         copy_goods, copy_buyers = _stamp_copy(template, recipes, c)
         goods += copy_goods
         buyers += copy_buyers
     return FisherMarket(tuple(goods), tuple(buyers))
+
+
+def _checked_copy_0(reduced: ReducedMarket) -> list[Buyer]:
+    """Copy 0's buyers, after checking what building the market checks,
+    without building it: the reference buyer and copy 0 are built as a
+    market (distinct ids, utilities only on its goods, positive budgets),
+    the other copies differ from copy 0 only by their prefix, and every
+    copy's budgets must be positive.  Each budget is m*(A + (c + o)*B)/q,
+    linear in the copy c (_recipes), so it is positive at every copy if it
+    is at copies 0 and k - 1; only then is a copy's budget read, to name the
+    first copy with one that is not.  The one check that compile_circuit
+    and reduced_market_to_json share."""
+    recipes, k = reduced.recipes, reduced.params.k
+    ref_buyer, _, budget_of = recipes
+    copy_goods, copy_buyers = _stamp_copy(reduced.template, recipes, 0)
+    FisherMarket((REF_GOOD, *copy_goods), (ref_buyer, *copy_buyers))
+    if any(n <= 0 for n, _ in budget_of(k - 1).values()):
+        c = next(c for c in range(1, k) if any(n <= 0 for n, _ in budget_of(c).values()))
+        raise MarketError(f"copy {c} has a budget that is not positive")
+    return copy_buyers
 
 
 def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
@@ -495,17 +562,12 @@ def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
     by local name with ref last in every copy, since "c..." < "ref".  Each
     budget's text is its integer pair from _recipes, reduced by one gcd.
 
-    What building the market checks is still checked: the reference buyer
-    and copy 0 are built as a market (distinct ids, utilities only on its
-    goods, positive budgets), the other copies differ from copy 0 only by
-    their prefix, and every copy's budgets must be positive, one sign test
-    each, made before the copy's chunk is yielded.
+    What building the market checks is checked first (_checked_copy_0),
+    when the first chunk is asked for.
     """
+    copy_buyers = _checked_copy_0(reduced)
     k, template = reduced.params.k, reduced.template
-    recipes = _recipes(reduced.params, template)
-    ref_buyer, recipe_buyers, budget_of = recipes
-    copy_goods, copy_buyers = _stamp_copy(template, recipes, 0)
-    FisherMarket((REF_GOOD, *copy_goods), (ref_buyer, *copy_buyers))
+    ref_buyer, recipe_buyers, budget_of = reduced.recipes
 
     blocks: dict[int, str] = {}
 
@@ -529,11 +591,8 @@ def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
     def buyers() -> Iterator[str]:
         yield ref_text
         for c in range(k):
-            fill = {"p": f"c{c}/"}
-            for key, (n, q) in budget_of(c).items():
-                if n <= 0:
-                    raise MarketError(f"copy {c} has a budget that is not positive")
-                fill[key] = format_pair(n, q)
+            fill = {key: format_pair(n, q) for key, (n, q) in budget_of(c).items()}
+            fill["p"] = f"c{c}/"
             yield copy_text % fill
 
     def goods() -> Iterator[str]:
@@ -541,7 +600,7 @@ def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
         for c in range(k):
             yield _goods_chunk(f"c{c}/{local}" for local, _ in template.goods)
 
-    return _document(buyers(), goods())
+    yield from _document(buyers(), goods())
 
 
 def reduced_market_to_json(reduced: ReducedMarket) -> str:
@@ -662,7 +721,7 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
 
     # non-reference budgets bounded by h_max, and each the budget of its
     # recipe at its copy's interval, compared as integer pairs
-    _, recipe_buyers, budget_of = _recipes(params, template)
+    _, recipe_buyers, budget_of = reduced.recipes
     expected = {}
     for c in range(params.k):
         budget = budget_of(c)

@@ -38,6 +38,7 @@ from math import gcd
 from typing import Mapping, Optional
 
 from .market import (
+    ClearingSource,
     FisherMarket,
     MarketError,
     SplcUtility,
@@ -466,7 +467,7 @@ class BisectionResult:
 
 
 def pinned_bisection(
-    market: FisherMarket,
+    market: ClearingSource,
     pinned: Mapping[str, Fraction],
     free_good: str,
     bracket: tuple[Fraction, Fraction],
@@ -497,16 +498,19 @@ def pinned_bisection(
     fixtures and the benchmark's spans), though no step bisects: every gap
     is solved exactly, with no step cap.
 
-    The clearing reads only the prices of the goods that the buyers
-    interested in `free_good` value, so only those must be pinned, each at
+    `market` is a FisherMarket or a ReducedMarket, whose buyers_of reads a
+    copy's good off the copy template without building the market.  The
+    clearing reads only the prices of the goods that the buyers interested
+    in `free_good` value, so only those must be pinned, each at
     a positive price; a missing one raises BracketError("pinned prices
     missing goods ..."), one at zero or below BracketError("pinned prices
     not positive ...").  `pinned` is read one good at a time, never
     iterated or copied whole, so it may be a large shared map.
 
     Cost: one compile of the interested buyers into a market._Fold (their
-    segments flattened once, over only the goods they value) and one
-    derivation of their tie prices from it (_tie_pairs), then
+    segments flattened once, over only the goods they value), made on the
+    first clearing of the good and kept on `market` (good_fold), and one
+    derivation of their tie prices per call (_tie_pairs), then
     O((interested buyers + interval ends passed) log) for the clearing,
     with nothing proportional to the market's goods.  Every demand the
     sweep reads comes from one _IncrementalFold on that compile and those
@@ -521,20 +525,18 @@ def pinned_bisection(
     lo, hi = F(bracket[0]), F(bracket[1])
     if not 0 < lo < hi:
         raise BracketError(f"bad bracket [{lo}, {hi}]")
-    buyers = market.interested_buyers.get(free_good, ())
-    if not buyers:
+    compiled, others = market.good_fold(free_good)
+    if not compiled.plans:
         raise BracketError(f"no buyer is interested in {free_good!r}")
-    read = {g for buyer in buyers for g in buyer.utilities if g != free_good}
-    missing = sorted(g for g in read if g not in pinned)
+    missing = sorted(g for g in others if g not in pinned)
     if missing:
         raise BracketError(f"pinned prices missing goods {missing}")
-    prices = {g: pinned[g] for g in read}
-    not_positive = sorted(g for g, p in prices.items() if p.numerator <= 0)
+    prices = [pinned[g] for g in others]
+    not_positive = sorted(g for g, p in zip(others, prices) if p.numerator <= 0)
     if not_positive:
         raise BracketError(f"pinned prices not positive for goods {not_positive}")
     # the free good is the compiled fold's good 0, quoted at each price
-    compiled = _Fold((free_good, *prices), ((buyer, buyer.budget) for buyer in buyers))
-    quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices.values()]
+    quotes = [None] + [_quote(p.numerator, p.denominator) for p in prices]
     fold = _IncrementalFold(compiled, quotes)
     # from here on, every price and demand is an unreduced (numerator,
     # denominator) pair with a positive denominator, compared by
@@ -679,12 +681,16 @@ class GadgetFixture:
 
 
 def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetFixture:
+    """The fixture of one copy, the last by default: ref at the price that
+    puts H at the copy's h_high and every other good at h_high, in market
+    order, named off the copy template (ReducedMarket.market_goods).  The
+    market is not built, and the fixture's clearings read the template."""
     params = reduced.params
     if copy is None:
         copy = params.k - 1
     h_high = params.copy_interval(copy)[1]
     p_ref = h_high / params.s
-    prices = {g: h_high for g in reduced.market.goods}
+    prices = dict.fromkeys(reduced.market_goods(), h_high)
     prices[REF_GOOD] = p_ref
     h, low = thresholds(params, p_ref)
     return GadgetFixture(reduced, copy, prices, h, low)
@@ -700,7 +706,7 @@ def clear_gate_output(
     gadget = fixture.gadget(gadget_id)
     prices = ChainMap(input_prices, fixture.prices)
     result = pinned_bisection(
-        fixture.reduced.market, prices, gadget.output, fixture.bracket, epsilon
+        fixture.reduced, prices, gadget.output, fixture.bracket, epsilon
     )
     return result.price
 
@@ -724,7 +730,7 @@ def clear_chain(
     bracket = fixture.bracket
     for link in links:
         cleared[link.output] = pinned_bisection(
-            fixture.reduced.market, prices, link.output, bracket, epsilon
+            fixture.reduced, prices, link.output, bracket, epsilon
         ).price
     return cleared
 

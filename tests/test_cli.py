@@ -1185,9 +1185,9 @@ def test_to_exchange_that_fails_mid_document_leaves_a_printed_prefix(
 
 
 def test_budget_check_fires_with_nothing_written(tmp_path):
-    """A copy whose budget is not positive stops the market writer after
-    earlier copies are streamed: the temporary file goes, and no target is
-    made."""
+    """A copy whose budget is not positive stops the market writer when its
+    first chunk is asked for, inside the atomic write: the temporary file
+    goes, and no target is made."""
     circuit = parse_circuit(NOT_CYCLE)
     params = reduction.validated_params(circuit, F(1, 12), {"k": 3, "d": 2})
     tampered = reduction.ReducedMarket(

@@ -27,7 +27,7 @@ from circuitmarket import (
     thresholds,
     Value,
 )
-from circuitmarket import solver
+from circuitmarket import reduction, solver
 from circuitmarket.reduction import NotGadget, validated_params
 from test_acceptance import CORPUS
 
@@ -462,6 +462,26 @@ def test_template_writer_checks_what_building_the_market_checks(tamper, message)
     vars(tampered).update(fields)  # a tampered template, planted as built
     with pytest.raises(MarketError, match=message):
         reduced_market_to_json(tampered)
+
+
+def test_compile_and_market_writer_share_the_build_check(monkeypatch):
+    """compile_circuit does not build the market, but raises what building
+    it would: with h_max = -2 h_min / 3 at k = 5 the intervals run downwards
+    by w = -h_min / 3, so copies 0 and 1 have positive budgets and copy 2,
+    on [h_min / 3, 0], pins its aux buyers at r * 0.  compile_circuit and
+    the market.json writer fail with the same MarketError, naming copy 2."""
+    override = {"k": 5, "d": 2}
+    assert "market" not in vars(compile_circuit(NOT_CYCLE, F(1, 12), override))
+    params = validated_params(NOT_CYCLE, F(1, 12), override)
+    tampered = dataclasses.replace(params, h_max=-2 * params.h_min / 3)
+    assert tampered.copy_interval(2) == (params.h_min / 3, 0)
+    monkeypatch.setattr(reduction, "validated_params", lambda *args: tampered)
+    with pytest.raises(MarketError) as compiled:
+        compile_circuit(NOT_CYCLE, F(1, 12), override)
+    with pytest.raises(MarketError) as written:
+        reduced_market_to_json(ReducedMarket(tampered, NOT_CYCLE))
+    assert str(compiled.value) == str(written.value)
+    assert str(written.value) == "copy 2 has a budget that is not positive"
 
 
 def test_buyers_come_only_from_the_template_buyer_roles():

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import ChainMap
 from fractions import Fraction
 from math import gcd
 
@@ -38,7 +39,7 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
-from circuitmarket import optimal_bundle, prices_to_json, solver
+from circuitmarket import optimal_bundle, prices_to_json, reduction, solver
 from circuitmarket.purecircuit import GateType
 from circuitmarket.market import (
     MarketError,
@@ -1131,6 +1132,114 @@ def test_clearings_never_read_the_whole_price_map():
         assert clear_chain(guarded_pure, 0, chain, p_in, eps) == clear_chain(
             pure, 0, chain, p_in, eps
         )
+
+
+def _buyer_fields(buyers):
+    return [(b.id, b.budget, list(b.utilities.items())) for b in buyers]
+
+
+def test_template_lookup_gives_the_markets_interested_buyers():
+    """ReducedMarket.buyers_of reads each copy's good off the copy template
+    without building the market, and gives what
+    market.interested_buyers.get(good, ()) gives: the same ids, budgets and
+    utilities, in order, for every good, ref included, on the three fixtures
+    and four seeded desk circuits at k in {1, 3} and d in {2, 4}.  A name
+    that is no good of the market has no buyers."""
+    rng = random.Random(2727)
+    circuits = [parse_circuit(t) for t in (NOT_FIXTURE, NAND_FIXTURE, PURIFY_FIXTURE)]
+    circuits += [_desk_circuit(rng) for _ in range(4)]
+    for circuit, (k, d) in itertools.product(circuits, itertools.product((1, 3), (2, 4))):
+        reduced = compile_circuit(circuit, F(1, 12), {"k": k, "d": d})
+        goods = list(reduced.market_goods())
+        looked = {g: reduced.buyers_of(g) for g in goods[1:]}
+        for name in ("c00/v0", f"c{k}/v0", "c0/nowhere", "v0", "ref/v0", "c0"):
+            assert reduced.buyers_of(name) == ()
+        assert "market" not in vars(reduced)
+        looked["ref"] = reduced.buyers_of("ref")
+        market = reduced.market
+        assert goods == list(market.goods)
+        for good in goods:
+            want = market.interested_buyers.get(good, ())
+            assert _buyer_fields(looked[good]) == _buyer_fields(want), good
+
+
+def _fixture_clearings(override, built):
+    """NAND g0 cleared at three input pairs and both PURIFY chains at three
+    inputs, on fixtures compiled at `override`, with the market built first
+    if `built` (the fixtures' clearings then read it), else never built."""
+    eps = F(1, 12)
+    nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), F(0), override))
+    pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), F(0), override))
+    if built:
+        nand.reduced.market, pure.reduced.market
+    u, v = nand.gadget("g0").inputs
+    gates = [
+        clear_gate_output(nand, "g0", {u: p_u, v: nand.h}, eps)
+        for p_u in (nand.h, nand.l / 2, (nand.l + nand.h) / 2)
+    ]
+    chains = [
+        clear_chain(pure, 0, chain, p_in, eps)
+        for chain in (1, 2)
+        for p_in in (pure.l, (pure.l + pure.h) / 2, pure.h)
+    ]
+    assert ("market" in vars(nand.reduced), "market" in vars(pure.reduced)) == (built, built)
+    return nand, gates, chains
+
+
+def test_fixture_clearings_read_the_template_as_the_market():
+    """At k = 48 and d = 16, a NAND gate and the PURIFY chains clear to the
+    same prices off the copy template as off the built market, and a
+    clearing given the market itself agrees."""
+    override = {"k": 48, "d": 16}
+    nand, gates, chains = _fixture_clearings(override, built=False)
+    _, built_gates, built_chains = _fixture_clearings(override, built=True)
+    assert gates == built_gates and chains == built_chains
+    assert gates[0] <= nand.l and gates[1] >= nand.h
+    prices = ChainMap(dict(zip(nand.gadget("g0").inputs, (nand.h, nand.h))), nand.prices)
+    out = nand.gadget("g0").output
+    market = compile_circuit(parse_circuit(NAND_FIXTURE), F(0), override).market
+    result = pinned_bisection(market, prices, out, nand.bracket, F(1, 12))
+    assert result.price == gates[0]
+
+
+def test_paper_scale_fixture_clearings_never_build_the_market():
+    """At the paper's own k = 5280 and d = 16 (epsilon 1/12), the NAND gate
+    and a PURIFY chain clear to their sides of [L, H] off the template, and
+    neither compiled circuit builds its market."""
+    eps = F(1, 12)
+    nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), eps))
+    pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), eps))
+    assert (nand.reduced.params.k, nand.reduced.params.d) == (5280, 16)
+    u, v = nand.gadget("g0").inputs
+    assert clear_gate_output(nand, "g0", {u: nand.h, v: nand.h}, eps) <= nand.l
+    assert clear_gate_output(nand, "g0", {u: nand.l / 2, v: nand.h}, eps) >= nand.h
+    cleared = clear_chain(pure, 0, 1, pure.l, eps)
+    assert len(cleared) == 16 and list(cleared.values())[-1] <= pure.l
+    assert "market" not in vars(nand.reduced) and "market" not in vars(pure.reduced)
+
+
+def test_gadget_lab_never_builds_a_market(monkeypatch):
+    """gadget_lab_report clears every gate and chain off the copy template."""
+    def no_market(*args):
+        raise AssertionError("a market was built")
+
+    monkeypatch.setattr(reduction, "_stamp_market", no_market)
+    assert gadget_lab_report(F(1, 12), mesh=4)["pass"]
+
+
+def test_good_fold_is_compiled_once_per_source_and_good():
+    """pinned_bisection compiles a good's buyers once per source and keeps
+    the compile; only quotes, ties and the price checks are per call."""
+    fixture = build_fixture(compile_circuit(parse_circuit(NOT_FIXTURE), F(0), LAB_OVERRIDE))
+    g = fixture.gadget("g0")
+    first = clear_gate_output(fixture, "g0", {g.inputs[0]: fixture.h}, F(1, 12))
+    compiled = fixture.reduced.good_fold(g.output)
+    assert clear_gate_output(fixture, "g0", {g.inputs[0]: fixture.h}, F(1, 12)) == first
+    assert fixture.reduced.good_fold(g.output) is compiled
+    fold, others = compiled
+    assert fold.goods == (g.output, *others) and g.inputs[0] in others
+    with pytest.raises(BracketError, match="pinned prices missing goods"):
+        pinned_bisection(fixture.reduced, {}, g.output, fixture.bracket, F(1, 12))
 
 
 # --- tatonnement ------------------------------------------------------------

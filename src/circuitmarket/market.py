@@ -6,15 +6,15 @@ segment may be unbounded.  Supply of every good is one unit.  The optimal
 bundle at given prices is computed by the classic bang-per-buck greedy,
 which is exact for SPLC utilities.
 
-The walk orders segments by bang-per-buck slope/price without dividing
-Fractions: it sorts on the float quotient of the two correctly rounded
-floats, which is within a relative 2**-51 of the exact quotient, and
-settles every run of consecutive float keys within a relative 2**-30 of
-each other on the exact key.  Two keys that differ by more than that
-cannot have exact values in the other order, so the walk order is the exact
-one, ties included.  A price or slope whose float is not a normal number
-(such as a price of 10**-400), or a quotient that is not, sends the whole
-walk to the exact keys.  No float reaches a result.
+A walk orders segments by their exact key (slope/price, preference,
+-position), highest first, and one comparison of two segments states that
+rule (_first): if both float keys, the float slope over the screened float
+price, are positive normal floats more than a relative 2**-30 apart, they
+decide, since each is within a relative 2**-51 of the exact quotient; any
+other pair (a tie, a near tie, or a key such as that of a price of
+10**-400) is settled by one cross-multiplication of slope/price, then
+preference, then -position.  So every pair is in exact key order, and no
+float reaches a result.  _order, the one ordering of a walk, sorts on it.
 
 The walks read each price as a quote (_quote), built once per set of
 prices: (numerator, denominator, screened float), where the float is that
@@ -22,17 +22,15 @@ of a positive normal price, 0.0 marks a zero price and inf any other, so
 no walk reads a Fraction's numerator or rounds a price again.  A walk
 reads a quote list in the order of its fold's goods.
 
-_float_order and _exact_order are that one ordering rule: the first
-decides a walk of up to three segments whose float keys are well apart,
-the second settles every other walk.  _Fold is the one walk of this
-module that spends a budget along it, in integers, folding the purchases
-of many (agent, budget) entries: a good's aggregate demand is C + M/p at
-its price p, where C sums the segment lengths bought in full and M the
-money of the purchases the budget limits.  A fold is compiled once per agent list: it
-indexes the goods and flattens each agent's segments, so a call at new
-prices reads a quote list, orders a walk of up to three segments by a
-float comparison or three (_float_order; the rest through _exact_order),
-and sums C and M per good by integer-pair adds.  A Fisher market keeps
+_Fold is the one walk of this module that spends a budget along it, in
+integers, folding the purchases of many (agent, budget) entries: a good's
+aggregate demand is C + M/p at its price p, where C sums the segment
+lengths bought in full and M the money of the purchases the budget limits.
+A fold is compiled once per agent list: it indexes the goods and flattens
+each agent's segments, so a call at new prices reads a quote list, orders
+each walk and sums C and M per good by integer-pair adds; the preference
+of the segments of its good of index 0 is the call's `lead` (1, 0 or -1),
+that of every other 0.  A Fisher market keeps
 the fold of its buyers (FisherMarket.fold), which tâtonnement calls once
 per iteration; a canonical bundle (_Fold.bundle) is the fold of one agent
 alone, so optimal_bundle, canonical demand and verification all read the
@@ -63,7 +61,6 @@ from functools import cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .rationals import RationalFormatError, format_rational, parse_rational
@@ -161,8 +158,8 @@ class SplcUtility:
         """(slope pair, length pair or None, float slope) of each
         positive-slope segment, in segment order, as _Fold compiles them;
         buyers that share a utility object share this tuple.  A slope whose
-        float is not a normal number gets the float 0.0, which sends every
-        walk that reads it to the exact keys."""
+        float is not a normal number gets the float 0.0, so every comparison
+        of its segment is settled on the exact key (_first)."""
         return tuple(
             (slope, length, _normal_float(*slope, 0.0))
             for length, slope in self.segment_pairs if slope[0] > 0
@@ -341,8 +338,6 @@ class BundleResult:
     spend: Fraction
 
 
-_FKEY = itemgetter(0)
-
 # a price as the walks read it: (numerator, denominator, screened float)
 Quote = tuple[int, int, float]
 
@@ -350,8 +345,9 @@ Quote = tuple[int, int, float]
 def _quote(n: int, d: int) -> Quote:
     """The price n/d, d > 0, as the walks read it: (n, d, f), where f is its
     correctly rounded float if that is a positive normal number, 0.0 if the
-    price is zero, and inf otherwise (a price of 10**-400, say), which sends
-    every walk that reads it to the exact keys."""
+    price is zero, and inf otherwise (a price of 10**-400, say), so every
+    comparison of a segment of its good is settled on the exact key
+    (_first)."""
     return n, d, _normal_float(n, d, _INF if n else 0.0)
 
 
@@ -362,97 +358,63 @@ def quote_table(prices: Mapping[str, Fraction]) -> dict[str, Quote]:
     return {good: _quote(p.numerator, p.denominator) for good, p in prices.items()}
 
 
-def _exact_key(item) -> tuple:
-    """(bang-per-buck, preference, -position) of a walk item."""
-    _, position, pref, _, (n, d, _), _, (sn, sd) = item
-    return Fraction(sn * d, sd * n), pref, -position
-
-
-def _exact_pair(a, b) -> tuple:
-    """Walk items a and b in decreasing order of their exact key (_exact_key),
-    compared as _exact_key's tuples compare but with one cross-multiplication
-    of the bang-per-buck and no Fraction; the prices are positive."""
-    _, pa, fa, _, (na, da, _), _, (sna, sda) = a
-    _, pb, fb, _, (nb, db, _), _, (snb, sdb) = b
+def _first(a: tuple, ka: float, b: tuple, kb: float, quotes: list[Quote], lead: int) -> bool:
+    """Whether compiled segment `a` (_Fold.plans) of float key `ka` is
+    walked before segment `b` of float key `kb`, at the prices of `quotes`,
+    the segments of the good of index 0 of preference `lead`: the one
+    comparison of two segments, by the rule of the module docstring."""
+    # the lower key bounded below and the higher above: both are normal
+    if kb < ka * _NEAR:
+        if _FLOAT_MIN <= kb and ka <= _FLOAT_MAX:
+            return True
+    elif ka < kb * _NEAR:
+        if _FLOAT_MIN <= ka and kb <= _FLOAT_MAX:
+            return False
+    _, pa, ia, (sna, sda), _ = a
+    _, pb, ib, (snb, sdb), _ = b
+    na, da, _ = quotes[ia]
+    nb, db, _ = quotes[ib]
     left, right = sna * da * sdb * nb, snb * db * sda * na
-    if left > right or left == right and (fa > fb or fa == fb and pa < pb):
-        return a, b
-    return b, a
+    if left != right:
+        return left > right
+    fa = lead if ia == 0 else 0
+    fb = lead if ib == 0 else 0
+    if fa != fb:
+        return fa > fb
+    return pa < pb
 
 
-def _float_order(walk, keys: list[float]):
-    """`walk`, a sequence of at most three entries, in decreasing order of
-    their float keys `keys` (the segment's float slope over its good's
-    screened float price), or None if the floats do not decide the exact
-    order: a longer walk, two keys within a relative 2**-30 of each other,
-    or a key that is not a positive normal float.  As the module docstring
-    says, floats that decide it give the exact order; a walk of one entry
-    is its own order, and one of two takes one float comparison.  The one
-    float screen of every walk."""
-    n = len(keys)
+def _order(segments: tuple, keys, quotes: list[Quote], lead: int):
+    """A compiled walk's segments in walk order, given their float keys, by
+    _first: a compare-and-swap network for up to three segments, an
+    insertion sort beyond.  The network allocates nothing: tâtonnement's
+    folds, mostly walks of two and three segments, took 12-23% longer with
+    three-segment walks insertion-sorted (in-process, 2-core machine)."""
+    n = len(segments)
     if n < 2:
-        return walk
+        return segments
     if n == 2:
+        a, b = segments
         ka, kb = keys
-        if _FLOAT_MIN <= ka <= _FLOAT_MAX and _FLOAT_MIN <= kb <= _FLOAT_MAX:
-            if kb < ka * _NEAR:
-                return walk
-            if ka < kb * _NEAR:
-                return walk[1], walk[0]
-        return None
+        return segments if _first(a, ka, b, kb, quotes, lead) else (b, a)
     if n == 3:
-        a, b, c = walk
+        a, b, c = segments
         ka, kb, kc = keys
-        # three compare-and-swaps sort the keys in decreasing order
-        if ka < kb:
+        if not _first(a, ka, b, kb, quotes, lead):
             a, b, ka, kb = b, a, kb, ka
-        if kb < kc:
-            b, c, kb, kc = c, b, kc, kb
-            if ka < kb:
-                a, b, ka, kb = b, a, kb, ka
-        if _FLOAT_MIN <= kc and ka <= _FLOAT_MAX and kb < ka * _NEAR and kc < kb * _NEAR:
-            return a, b, c
-    return None
-
-
-def _exact_order(
-    segments: tuple, keys, quotes: list[Quote], favor: Optional[int], first: bool
-) -> list[tuple]:
-    """A compiled walk's segments (_Fold.plans) in the order of their exact
-    key (slope/price, preference, -position), highest first, given their
-    float keys `keys` at the prices of the quote list `quotes`: the one
-    ordering rule of every walk that _float_order leaves undecided.  The
-    segments of the good of index `favor` have preference 1 (first) or -1,
-    every other 0.
-
-    Each segment becomes an item (float key, position, preference, good
-    index, quote, length pair, slope pair).  The items are sorted on the
-    float key and every run of keys within a relative 2**-30 of each other
-    is settled on the exact key: a run of two (most runs) by one
-    cross-multiplication (_exact_pair), a longer one sorted on _exact_key.
-    If a key is not a positive normal float, the whole walk is sorted on the
-    exact key.
-    """
-    lead = 1 if first else -1
-    items = [
-        (key, position, lead if i == favor else 0, i, quotes[i], length, slope)
-        for key, (_, position, i, slope, length) in zip(keys, segments)
-    ]
-    # keys are sorted in decreasing order, so the first and last bound them
-    items.sort(key=_FKEY, reverse=True)
-    if not (_FLOAT_MIN <= items[-1][0] and items[0][0] <= _FLOAT_MAX):
-        items.sort(key=_exact_key, reverse=True)
-    else:
-        start = 0
-        for i in range(1, len(items) + 1):
-            if i < len(items) and items[i][0] >= items[i - 1][0] * _NEAR:
-                continue
-            if i - start == 2:
-                items[start:i] = _exact_pair(items[start], items[start + 1])
-            elif i - start > 2:
-                items[start:i] = sorted(items[start:i], key=_exact_key, reverse=True)
-            start = i
-    return [segments[item[1]] for item in items]
+        if not _first(b, kb, c, kc, quotes, lead):
+            b, c, kb = c, b, kc
+            if not _first(a, ka, b, kb, quotes, lead):
+                a, b = b, a
+        return a, b, c
+    walk, walked = [], []
+    for segment, key in zip(segments, keys):
+        j = len(walk)
+        while j and not _first(walk[j - 1], walked[j - 1], segment, key, quotes, lead):
+            j -= 1
+        walk.insert(j, segment)
+        walked.insert(j, key)
+    return walk
 
 
 def _add_pair(pair: Optional[tuple[int, int]], n: int, d: int) -> tuple[int, int]:
@@ -513,41 +475,41 @@ class _Fold:
             )
 
     def agent_demand(
-        self, j: int, quotes: list[Quote], favor: Optional[int], first: bool
+        self, j: int, quotes: list[Quote], lead: int
     ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-        """The C and M maps of the j-th agent alone, as demand gives them:
+        """The C and M maps of the j-th agent alone, as _walks gives them:
         the one budget walk, for a caller that reads one agent at a time."""
-        return self._walks((self.plans[j],), quotes, favor, first)
+        return self._walks((self.plans[j],), quotes, lead)
 
     def demand(
         self, quotes: list[Quote]
     ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
         """The C and M maps of every agent at the prices of `quotes`, the
-        walks with no favored good: good index -> unreduced (numerator,
+        walks with no preferred good: good index -> unreduced (numerator,
         denominator) with a positive denominator.  A good with no such
         purchase is absent, and the goods of C come in the order of their
         first capped purchase."""
-        return self._walks(self.plans, quotes, None, True)
+        return self._walks(self.plans, quotes, 0)
 
     def bundle(self, j: int, quotes: list[Quote]) -> dict[int, tuple[int, int]]:
         """The canonical optimal bundle of the j-th agent at the prices of
-        `quotes`, the walk with no favored good: good index -> amount, its
+        `quotes`, the walk with no preferred good: good index -> amount, its
         own C + M/p, as an unreduced pair.  Goods come in walk order, since
         the one budget-limited purchase ends the walk."""
-        bundle, money = self.agent_demand(j, quotes, None, True)
+        bundle, money = self.agent_demand(j, quotes, 0)
         for i, (mn, md) in money.items():
             pn, pd, _ = quotes[i]
             bundle[i] = _add_pair(bundle.get(i), mn * pd, md * pn)
         return bundle
 
     def _walks(
-        self, plans: Iterable[tuple], quotes: list[Quote], favor: Optional[int], first: bool
+        self, plans: Iterable[tuple], quotes: list[Quote], lead: int
     ) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
         """The C and M maps over the agents of `plans`, a part of
-        self.plans, as demand gives them but with ties broken towards the
-        good of index `favor` (first) or away from it.  The walks run inline
-        in one loop, since a method call per agent made tâtonnement's folds
-        about 15% slower."""
+        self.plans, as demand gives them but with exact ties broken towards
+        the good of index 0 (`lead` 1) or away from it (-1).  The walks run
+        inline in one loop, since a method call per agent made tâtonnement's
+        folds about 15% slower."""
         const: dict[int, tuple[int, int]] = {}
         money: dict[int, tuple[int, int]] = {}
         for agent_id, rn, rd, segments in plans:
@@ -568,12 +530,9 @@ class _Fold:
             except ZeroDivisionError:
                 i = next(i for _, _, i, _, _ in segments if not quotes[i][2])
                 raise UnboundedDemand(agent_id, self.goods[i]) from None
-            walk = _float_order(segments, keys)
-            if walk is None:
-                walk = _exact_order(segments, keys, quotes, favor, first)
             if not rn:
                 continue
-            for _, _, i, _, length in walk:
+            for _, _, i, _, length in _order(segments, keys, quotes, lead):
                 pn, pd, _ = quotes[i]
                 if length is not None:
                     ln, ld = length
@@ -615,6 +574,13 @@ def _not_total(first: list[str], count: int, total: int) -> MarketError:
     )
 
 
+def _check_total(goods: tuple[str, ...], prices: Mapping[str, Fraction]) -> None:
+    """Raise _not_total's error if `prices` misses some of `goods`."""
+    missing = [g for g in goods if g not in prices]
+    if missing:
+        raise _not_total(missing[:5], len(missing), len(goods))
+
+
 def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
     for good, price in prices.items():
         if price < 0:
@@ -628,8 +594,10 @@ def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     and verification read it; its utility is the bundle's value and its
     spend its cost, both summed as integer pairs.  Raises UnboundedDemand if
     a good with positive remaining marginal utility has price zero (the
-    optimal-bundle set is empty or degenerate).
+    optimal-bundle set is empty or degenerate), and MarketError if `prices`
+    misses a good the buyer has a utility for.
     """
+    _check_total(tuple(buyer.utilities), prices)
     _check_prices_non_negative(prices)
     quotes = list(quote_table(prices).values())
     fold = _Fold(prices, [(buyer, buyer.budget)])
@@ -711,9 +679,7 @@ def _verify(
     if epsilon < 0:
         raise MarketError("epsilon must be non-negative")
     goods = fold.goods
-    missing = [g for g in goods if g not in prices]
-    if missing:
-        raise _not_total(missing[:5], len(missing), len(goods))
+    _check_total(goods, prices)
     _check_prices_non_negative(prices)
     known_buyers = {agent.id for agent in agents}
     totals = dict.fromkeys(goods, (-1, 1))

@@ -43,6 +43,7 @@ from .market import (
     MarketError,
     SplcUtility,
     _add_pair,
+    _check_total,
     _Fold,
     _quote,
     verify_fisher,
@@ -91,9 +92,11 @@ def canonical_demand(market: FisherMarket, prices: dict[str, Fraction]) -> Deman
     read it.
     The aggregate sums the bundles' amounts as integer pairs, one Fraction
     per good, and evaluates no utility.  Propagates UnboundedDemand if any
-    buyer faces a free desired good.
+    buyer faces a free desired good; a price map that misses a market good
+    raises MarketError, as verify_fisher's does.
     """
     goods = market.goods
+    _check_total(goods, prices)
     quotes = []
     for good in goods:
         price = prices[good]
@@ -231,12 +234,12 @@ def tatonnement(market: FisherMarket, config: SolverConfig) -> TatonnementResult
     segments.  Prices pass between
     iterations as reduced (numerator, denominator) int pairs, and an
     iteration costs one quote list, one call of the fold (integer work per
-    segment walked; a walk of up to three segments is ordered by float
-    comparisons, a longer or near-tied one sorted), and one C + M/p and one
-    _step_price per good.  The demand is exact, so the prices and the trace
-    are those of a Fraction sum over the walks.  Fraction prices are built
-    only on iterations with no good outside epsilon, which are the ones
-    verified, and for the prices returned.
+    segment walked; each walk is ordered by comparisons of two segments,
+    market._first, which read floats unless the keys nearly tie), and one
+    C + M/p and one _step_price per good.  The demand is exact, so the
+    prices and the trace are those of a Fraction sum over the walks.
+    Fraction prices are built only on iterations with no good outside
+    epsilon, which are the ones verified, and for the prices returned.
     """
     if not market.satisfies_sufficient_condition():
         raise MarketError("tatonnement requires every buyer to be unsatiated")
@@ -410,7 +413,7 @@ class _IncrementalFold:
         """Buyer i's part at the prices of the fold's quote list, from its
         C and M maps, with its upper end pushed onto the heap."""
         quotes = self.quotes
-        const, money = self.fold.agent_demand(i, quotes, 0, False)
+        const, money = self.fold.agent_demand(i, quotes, -1)
         # (sn, sd) the spare, the budget less the capped purchases of other goods
         _, sn, sd, _ = self.fold.plans[i]
         for g, (cn, cd) in const.items():
@@ -551,7 +554,7 @@ def pinned_bisection(
     mn, md = dn, dd
     for i, ties in enumerate(fold.ties):
         if any(tn * ld == ln * td for tn, td in ties):
-            towards, money = compiled.agent_demand(i, fold.quotes, 0, True)
+            towards, money = compiled.agent_demand(i, fold.quotes, 1)
             part = _demand_pair(towards.get(0, _NO_PAIR), money.get(0, _NO_PAIR), ln, ld)
             away = _demand_pair(*fold.parts[i], ln, ld)
             mn, md = _add_pair(_add_pair((mn, md), *part), -away[0], away[1])

@@ -177,6 +177,20 @@ def test_a_price_map_missing_many_goods_names_the_count_and_the_first_five():
     )
 
 
+def test_a_price_map_missing_a_valued_good_is_not_total_for_every_reader():
+    """optimal_bundle and canonical_demand name the missing goods in
+    verify_fisher's MarketError, not a bare KeyError of the good's id."""
+    market = _two_buyer_market()
+    message = r"^price map is not total; missing \['y'\] \(1 of 2 goods\)$"
+    for read in (
+        lambda prices: verify_fisher(market, prices, {}, F(0)),
+        lambda prices: solver.canonical_demand(market, prices),
+        lambda prices: optimal_bundle(Buyer("c", F(1), {"x": linear(1), "y": linear(2)}), prices),
+    ):
+        with pytest.raises(MarketError, match=message):
+            read({"x": F(1)})
+
+
 def test_verify_rejects_negative_prices():
     market = FisherMarket(("x",), (Buyer("a", F(1), {"x": linear(1)}),))
     with pytest.raises(MarketError, match="negative price"):
@@ -651,30 +665,51 @@ def test_market_reader_checks_segments_after_a_shape_it_has_read(bad, message):
 # --- float-screened walk order ----------------------------------------------
 
 
-def compiled_walk(fold, j, quotes, favor=None, first=True):
+def led_fold(entries, prices, favor=None, first=True):
+    """(fold, quotes, lead): the compiled fold (market._Fold) of the
+    (agent, budget) `entries` over the goods of `prices`, with `favor`, if
+    given, as its good of index 0; the quote list of its goods; and the
+    preference of that good's segments, 1 (first) or -1, or 0 with no
+    favored good."""
+    goods = sorted(prices, key=lambda good: good != favor)
+    fold = market_module._Fold(goods, entries)
+    table = market_module.quote_table(prices)
+    lead = 0 if favor is None else 1 if first else -1
+    return fold, [table[good] for good in fold.goods], lead
+
+
+def compiled_walk(fold, j, quotes, lead=0):
     """The j-th agent's segments of a compiled fold (_Fold.plans) in walk
-    order at the prices of the quote list `quotes`, ties broken towards the
-    good of index `favor` (first) or away from it: _float_order, else
-    _exact_order, as _Fold._walks composes them."""
+    order at the prices of the quote list `quotes`, the segments of the good
+    of index 0 of preference `lead`: _order, as _Fold._walks calls it."""
     segments = fold.plans[j][3]
     keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
-    walk = market_module._float_order(segments, keys)
-    if walk is None:
-        walk = market_module._exact_order(segments, keys, quotes, favor, first)
-    return walk
+    return market_module._order(segments, keys, quotes, lead)
+
+
+def oracle_positions(utilities, prices, favor=None, first=True):
+    """The oracle's walk order (walk_order) as the positions a compiled walk
+    gives the same segments: their places among the positive-slope
+    segments in (good id, segment) order."""
+    flat = [(g, s) for g, u in sorted(utilities.items()) for s in u.segments if s.slope > 0]
+    positions = []
+    for good, seg in walk_order(utilities, prices, favor, first):
+        positions.append(next(
+            k for k, (g, s) in enumerate(flat)
+            if g == good and s is seg and k not in positions
+        ))
+    return positions
 
 
 def _walked_goods(buyer, prices, favor=None, first=True):
     """The goods of the compiled walk's order (compiled_walk), which must be
     those of the reference greedy's purchases and of the compiled fold's
     capped ones: the buyers below can afford every segment."""
-    quotes = list(market_module.quote_table(prices).values())
-    fold = market_module._Fold(prices, [(buyer, buyer.budget)])
-    favored = None if favor is None else fold.goods.index(favor)
-    goods = [fold.goods[i] for _, _, i, _, _ in compiled_walk(fold, 0, quotes, favored, first)]
+    fold, quotes, lead = led_fold([(buyer, buyer.budget)], prices, favor, first)
+    goods = [fold.goods[i] for _, _, i, _, _ in compiled_walk(fold, 0, quotes, lead)]
     walk = greedy_walk(buyer.utilities, buyer.budget, prices, favor, first)
     assert goods == [g for g, *_ in walk]
-    const, _ = fold._walks(fold.plans, quotes, favored, first)
+    const, _ = fold._walks(fold.plans, quotes, lead)
     assert [fold.goods[i] for i in const] == goods
     return goods
 
@@ -698,15 +733,15 @@ def test_greedy_walk_settles_float_near_ties_exactly():
             assert _walked_goods(buyer, near, favor, first) == ["b", "a"]
 
 
-def _near_tied_walk(rng):
-    """A seeded buyer of two to four segments over goods a-d and their
-    prices, each segment's bang-per-buck a common rational times 1, or
-    1 +- 10**-10 to 10**-30: every float key within a relative 2**-30 of
+def _near_tied_walk(rng, sizes=(2, 4)):
+    """A seeded buyer of `sizes` (two to four) segments over goods a-d and
+    their prices, each segment's bang-per-buck a common rational times 1,
+    or 1 +- 10**-10 to 10**-30: every float key within a relative 2**-30 of
     the others, and some exactly equal."""
     base = F(rng.randint(1, 9), rng.randint(1, 9))
     prices = {g: F(rng.randint(1, 50), rng.randint(1, 50)) for g in "abcd"}
     slopes: dict[str, list] = {}
-    for _ in range(rng.randint(2, 4)):
+    for _ in range(rng.randint(*sizes)):
         good = rng.choice("abcd")
         nudge = rng.choice((0, 0, 1, -1)) * F(1, 10 ** rng.randint(10, 30))
         slopes.setdefault(good, []).append(base * prices[good] * (1 + nudge))
@@ -717,42 +752,123 @@ def _near_tied_walk(rng):
     return Buyer("b", F(1), utilities), prices
 
 
-def test_exact_order_settles_near_tied_walks_as_the_oracle_orders_them(monkeypatch):
-    """_exact_order on seeded walks whose float keys all lie within 2**-30,
-    ties exactly equal or 10**-10 to 10**-30 apart, with no favored good
-    and a favored one first or last: the order of the oracle's exact
-    Fraction sort.  Most runs are two items, which _exact_pair settles by
-    one cross-multiplication, in either order of position."""
-    pairs = {"kept": 0, "swapped": 0}
-    real = market_module._exact_pair
+def _floats_decide(ka, kb):
+    """Whether two float keys decide their segments' order: both positive
+    normal floats, more than a relative 2**-30 apart."""
+    normal = all(2.2250738585072014e-308 <= k <= 1.7976931348623157e308 for k in (ka, kb))
+    return normal and (kb < ka * (1 - 2.0**-30) or ka < kb * (1 - 2.0**-30))
 
-    def counted(a, b):
-        got = real(a, b)
-        pairs["kept" if got[0] is a else "swapped"] += 1
+
+def test_exact_order_settles_near_tied_walks_as_the_oracle_orders_them(monkeypatch):
+    """The walk order (_order) of seeded walks whose float keys all lie
+    within 2**-30, ties exactly equal or 10**-10 to 10**-30 apart, with no
+    favored good and a favored one first or last: the order of the oracle's
+    exact Fraction sort.  Every comparison is one that _first settles on
+    the exact key, by one cross-multiplication, and over a thousand of them
+    keep and swap their pair each."""
+    pairs = {"kept": 0, "swapped": 0}
+    real = market_module._first
+
+    def counted(a, ka, b, kb, quotes, lead):
+        got = real(a, ka, b, kb, quotes, lead)
+        if not _floats_decide(ka, kb):
+            pairs["kept" if got else "swapped"] += 1
         return got
 
-    monkeypatch.setattr(market_module, "_exact_pair", counted)
+    monkeypatch.setattr(market_module, "_first", counted)
     rng = random.Random(2614)
     for _ in range(3000):
-        buyer, prices = _near_tied_walk(rng)
-        quotes = list(market_module.quote_table(prices).values())
-        fold = market_module._Fold(prices, [(buyer, buyer.budget)])
-        segments = fold.plans[0][3]
-        keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
-        assert max(keys) * (1 - 2.0**-30) <= min(keys)
-        flat = [
-            (g, s) for g, u in sorted(buyer.utilities.items()) for s in u.segments
-        ]
-        for favor in (None, *buyer.utilities):
-            for first in (True, False):
-                favored = None if favor is None else fold.goods.index(favor)
-                walk = market_module._exact_order(segments, keys, quotes, favored, first)
-                expected = walk_order(buyer.utilities, prices, favor, first)
-                assert [position for _, position, _, _, _ in walk] == [
-                    next(k for k, (g, s) in enumerate(flat) if g == good and s is seg)
-                    for good, seg in expected
-                ]
+        _assert_near_tied_walk_is_the_oracles(*_near_tied_walk(rng))
     assert min(pairs.values()) > 1000
+
+
+def test_insertion_sort_orders_near_tied_walks_of_four_and_five_segments():
+    """Seeded walks of four and five segments, which _order insertion-sorts
+    on _first, every float key within 2**-30 of the others: the order of the
+    oracle's exact Fraction sort, for every favored good and tie break."""
+    rng = random.Random(2615)
+    sizes = {4: 0, 5: 0}
+    for _ in range(600):
+        sizes[_assert_near_tied_walk_is_the_oracles(*_near_tied_walk(rng, (4, 5)))] += 1
+    assert min(sizes.values()) > 250
+
+
+def _assert_near_tied_walk_is_the_oracles(buyer, prices):
+    """A near-tied walk (_near_tied_walk) in the oracle's order with no
+    favored good and each good favored first and last; its length."""
+    for favor in (None, *buyer.utilities):
+        for first in (True, False):
+            fold, quotes, lead = led_fold([(buyer, buyer.budget)], prices, favor, first)
+            segments = fold.plans[0][3]
+            keys = [fslope / quotes[i][2] for fslope, _, i, _, _ in segments]
+            assert max(keys) * (1 - 2.0**-30) <= min(keys)
+            walk = compiled_walk(fold, 0, quotes, lead)
+            assert [position for _, position, _, _, _ in walk] == oracle_positions(
+                buyer.utilities, prices, favor, first
+            )
+    return len(segments)
+
+
+# (slope scale, price scale) of a segment: a normal float key, a price whose
+# float underflows, a slope whose float is 0.0, a quotient that overflows
+_KEY_SCALES = {
+    "normal": (F(1), F(1)),
+    "tiny price": (F(1), F(1, 10**400)),
+    "zero-float slope": (F(1, 10**400), F(1)),
+    "overflowing quotient": (F(10**300), F(1, 10**300)),
+}
+
+
+def _segment_pair(rng):
+    """A seeded buyer of two positive-slope segments, on goods a and b or
+    both on a, and the prices of goods a-c (c unvalued): the segments'
+    bang-per-buck exactly tied, 10**-10 to 10**-30 apart or more than
+    2**-30 apart, each good's scale (_KEY_SCALES) normal or one that makes
+    float keys fail to be positive normal floats."""
+    ratio = rng.choice((
+        F(1), 1 - F(1, 10 ** rng.randint(10, 30)), F(rng.randint(1, 9), 10)
+    ))
+    kinds = ["normal"] * 3 + list(_KEY_SCALES)
+    slope_scale, price_scale = _KEY_SCALES[rng.choice(kinds)]
+    bang = F(rng.randint(1, 9), rng.randint(1, 9)) * slope_scale / price_scale
+    prices = {g: F(rng.randint(1, 50), rng.randint(1, 50)) * price_scale for g in "abc"}
+    if rng.random() < 0.3:
+        slope = bang * prices["a"]
+        return Buyer("b", F(1), {"a": util((1, slope), (1, slope * ratio))}), prices
+    bangs = [bang, bang * ratio]
+    rng.shuffle(bangs)
+    for good in "ab":
+        prices[good] = F(rng.randint(1, 50), rng.randint(1, 50)) * _KEY_SCALES[rng.choice(kinds)][1]
+    return Buyer("b", F(1), {g: util((1, b * prices[g])) for g, b in zip("ab", bangs)}), prices
+
+
+def test_first_is_the_oracles_exact_key_comparison_on_every_pair():
+    """_first on seeded segment pairs, with no favored good and goods a, b
+    and c favored first and last: whether a is walked before b is what the
+    oracle's exact key sort says, and exactly one of _first(a, b) and
+    _first(b, a) holds.  `seen` counts the pairs the floats decide, and
+    those settled on the exact key by their kind."""
+    rng = random.Random(2616)
+    seen = dict.fromkeys(("floats", "exact tie", "near tie", "not normal"), 0)
+    for _ in range(1500):
+        buyer, prices = _segment_pair(rng)
+        for favor in (None, "a", "b", "c"):
+            for first in (True, False):
+                fold, quotes, lead = led_fold([(buyer, buyer.budget)], prices, favor, first)
+                a, b = fold.plans[0][3]
+                ka, kb = (s[0] / quotes[s[2]][2] for s in (a, b))
+                got = market_module._first(a, ka, b, kb, quotes, lead)
+                assert got != market_module._first(b, kb, a, ka, quotes, lead)
+                assert got == (oracle_positions(buyer.utilities, prices, favor, first) == [0, 1])
+                bangs = [s.slope / prices[g] for g, u in sorted(buyer.utilities.items()) for s in u.segments]
+                normal = all(2.2250738585072014e-308 <= k <= 1.7976931348623157e308 for k in (ka, kb))
+                kind = (
+                    "floats" if _floats_decide(ka, kb)
+                    else "not normal" if not normal
+                    else "exact tie" if bangs[0] == bangs[1] else "near tie"
+                )
+                seen[kind] += 1
+    assert min(seen.values()) > 1000
 
 
 @pytest.mark.parametrize(

@@ -43,8 +43,6 @@ from circuitmarket import optimal_bundle, prices_to_json, reduction, solver
 from circuitmarket.purecircuit import GateType
 from circuitmarket.market import (
     MarketError,
-    _exact_key,
-    _float_order,
     _Fold,
     quote_table,
 )
@@ -65,7 +63,7 @@ from oracle import (
     tie_candidates,
     walk_order,
 )
-from test_market import compiled_walk
+from test_market import compiled_walk, led_fold, oracle_positions
 
 F = Fraction
 
@@ -114,11 +112,10 @@ def _random_splc_market(rng):
 
 def _fold_split(agents, prices, favor=None, first=True):
     """The C and M maps of the compiled fold (market._Fold) of the agents
-    at their own budgets, at `prices`, keyed by good id."""
-    fold = _Fold(prices, [(agent, agent.budget) for agent in agents])
-    quotes = list(quote_table(prices).values())
-    favored = None if favor is None else fold.goods.index(favor)
-    const, money = fold._walks(fold.plans, quotes, favored, first)
+    at their own budgets, at `prices`, keyed by good id, ties broken towards
+    `favor` (first) or away from it (led_fold)."""
+    fold, quotes, lead = led_fold([(agent, agent.budget) for agent in agents], prices, favor, first)
+    const, money = fold._walks(fold.plans, quotes, lead)
     goods = fold.goods
     return {goods[i]: c for i, c in const.items()}, {goods[i]: m for i, m in money.items()}
 
@@ -134,9 +131,8 @@ def _assert_walk_is_the_reference(buyer, prices, favor, first):
     the compiled walk (compiled_walk) lists the segments in the reference's
     order, and the budget walk of the compiled fold buys what the reference
     buys."""
-    fold = _Fold(prices, [(buyer, buyer.budget)])
-    favored = None if favor is None else fold.goods.index(favor)
-    walk = compiled_walk(fold, 0, list(quote_table(prices).values()), favored, first)
+    fold, quotes, lead = led_fold([(buyer, buyer.budget)], prices, favor, first)
+    walk = compiled_walk(fold, 0, quotes, lead)
     assert [(fold.goods[i], length, slope) for _, _, i, slope, length in walk] == [
         (g, *_pairs(s)) for g, s in walk_order(buyer.utilities, prices, favor, first)
     ]
@@ -733,9 +729,9 @@ def test_compiled_fold_is_the_fraction_greedy_on_clearing_markets():
     first and last.  x is priced on a grid, exactly at a tie with another
     good, 10**-30 off one (a near tie of the float keys), or at 10**-400
     or 10**400 times a digit (keys that are not normal floats); `seen`
-    counts the walks of at most three segments that _float_order leaves to
-    the exact rule, by price kind, those of three it decides on floats, and
-    the longer walks."""
+    counts the walks of two or three segments whose float keys do not decide
+    their order (_decided_on_floats), by price kind, those of three they
+    decide, and the longer walks."""
     rng = random.Random(2029)
     seen = dict.fromkeys(("exact tie", "near tie", "not normal", "three on floats", "longer"), 0)
     for _ in range(300):
@@ -758,7 +754,7 @@ def test_compiled_fold_is_the_fraction_greedy_on_clearing_markets():
                 segments = _Fold(pr, [(buyer, buyer.budget)]).plans[0][3]
                 if len(segments) > 3:
                     seen["longer"] += 1
-                elif _fold_float_order(segments, quotes) is None:
+                elif not _decided_on_floats(segments, quotes):
                     seen[kind] += 1
                 elif len(segments) == 3:
                     seen["three on floats"] += 1
@@ -1269,10 +1265,16 @@ def test_tatonnement_two_goods():
     assert abs(result.prices["y"] - F(1, 2)) < F(1, 10)
 
 
-def _fold_float_order(segments, quotes):
-    """_float_order of a compiled fold's segments (_Fold.plans) at the
-    prices of the quote list `quotes`, as the fold's walk reads them."""
-    return _float_order(segments, [f / quotes[i][2] for f, _, i, _, _ in segments])
+def _decided_on_floats(segments, quotes):
+    """Whether the float keys of a compiled fold's segments (_Fold.plans) at
+    the prices of the quote list `quotes` decide their walk order alone:
+    fewer than two segments, or every key a positive normal float and the
+    keys, sorted, each more than a relative 2**-30 from the next."""
+    keys = sorted(f / quotes[i][2] for f, _, i, _, _ in segments)
+    return len(keys) < 2 or (
+        2.2250738585072014e-308 <= keys[0] and keys[-1] <= 1.7976931348623157e308
+        and all(low < high * (1 - 2.0**-30) for low, high in zip(keys, keys[1:]))
+    )
 
 
 def _fold_agrees_with_canonical_demand(market, quotes):
@@ -1288,23 +1290,25 @@ def _fold_agrees_with_canonical_demand(market, quotes):
 
 
 def _walks_in_exact_key_order(buyer, quotes, goods, seen):
-    """The compiled walk (compiled_walk) against a sort of the same segments on
-    the exact key, with no favored good and every good favored first and
-    last; `seen` counts the walks of one and two segments by how their order
-    was decided, and the walks of three that _float_order decides on float
-    keys alone."""
+    """The compiled walk (compiled_walk) against the oracle's sort of the
+    same segments on the exact key (oracle_positions), with no favored good
+    and every good favored first and last, each favored good compiled as
+    the fold's good 0; `seen` counts the walks of one and two segments by
+    how their order was decided, and the walks of three that float keys
+    alone decide."""
     fold = _Fold(goods, [(buyer, buyer.budget)])
     segments = fold.plans[0][3]
     listed = [quotes[g] for g in goods]
     keys = [f / listed[i][2] for f, _, i, _, _ in segments]
-    seen["three, float"] += len(segments) == 3 and _fold_float_order(segments, listed) is not None
-    for favor in (None, *range(len(goods))):
+    seen["three, float"] += len(segments) == 3 and _decided_on_floats(segments, listed)
+    prices = {g: F(quotes[g][0], quotes[g][1]) for g in goods}
+    for favor in (None, *goods):
         for first in (True, False):
-            lead = 1 if first else -1
-            items = [(key, p, lead if i == favor else 0, i, listed[i], length, slope)
-                     for key, (_, p, i, slope, length) in zip(keys, segments)]
-            walk = compiled_walk(fold, 0, listed, favor, first)
-            assert list(walk) == [segments[it[1]] for it in sorted(items, key=_exact_key, reverse=True)]
+            led, led_quotes, lead = led_fold([(buyer, buyer.budget)], prices, favor, first)
+            walk = compiled_walk(led, 0, led_quotes, lead)
+            assert [p for _, p, _, _, _ in walk] == oracle_positions(
+                buyer.utilities, prices, favor, first
+            )
             if len(segments) == 1:
                 seen["one"] += 1
             elif len(segments) == 2:

@@ -30,6 +30,7 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -37,7 +38,7 @@ from typing import Iterable, Iterator
 from . import market as mkt
 from . import purecircuit as pc
 from . import reduction, solver
-from .rationals import RationalFormatError, format_rational, parse_rational
+from .rationals import RationalFormatError, format_rational, parse_pair, parse_rational
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -63,6 +64,12 @@ def _umask() -> int:
     return mask
 
 
+# bytes a written file buffers between system calls: big documents come in
+# many small chunks, and below glibc's 128 KB mmap threshold a small file
+# does not pay an mmap for its buffer
+_WRITE_BUFFER = 1 << 16
+
+
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     """Write the chunks to `path` one at a time, through a temporary file
     in the same directory that replaces `path` only once the last chunk is
@@ -70,7 +77,7 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", _WRITE_BUFFER) as handle:
             handle.writelines(chunks)
         os.chmod(tmp, 0o666 & ~_umask())  # mkstemp made it 0o600
         os.replace(tmp, path)
@@ -258,9 +265,29 @@ def _cmd_solve(args) -> int:
     return EXIT_PASS
 
 
+class _LazyPrices(Mapping):
+    """A price document read as mkt.prices_from_json reads it, every price
+    checked, but each made a Fraction only when it is looked up: decode
+    reads ref and one copy's variable prices of a document that may price
+    every good of the market."""
+
+    def __init__(self, text: str):
+        self._pairs = {g: parse_pair(p) for g, p in mkt._price_texts(text).items()}
+
+    def __getitem__(self, good: str) -> Fraction:
+        num, den = self._pairs[good]
+        return Fraction(num, den)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+
 def _cmd_decode(args) -> int:
     reduced = _load_meta(args.meta)
-    prices = _load(args.prices, mkt.prices_from_json, "price")
+    prices = _load(args.prices, _LazyPrices, "price")
     try:
         result = reduction.decode(reduced, prices)
     except (reduction.ReductionError, KeyError) as exc:

@@ -1101,9 +1101,13 @@ def _json_object(value, what: str) -> dict:
     return value
 
 
+def _price_texts(text: str) -> dict:
+    """A price document's JSON object, good -> price text, unchecked."""
+    return _json_object(json.loads(text), "price document")
+
+
 def prices_from_json(text: str) -> dict[str, Fraction]:
-    doc = _json_object(json.loads(text), "price document")
-    return {g: parse_rational(p) for g, p in doc.items()}
+    return {g: parse_rational(p) for g, p in _price_texts(text).items()}
 
 
 def allocation_to_json(allocation: dict[str, dict[str, Fraction]]) -> str:

@@ -22,8 +22,9 @@ class RationalFormatError(ValueError):
     """Raised when a string is not an exact `p/q` or integer rational."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or ``"n"`` into a Fraction. Rejects decimals."""
+def parse_pair(text: str) -> tuple[int, int]:
+    """The integers (p, q), q > 0, of ``"p/q"`` or ``"n"`` (q = 1), as
+    written and not reduced.  Rejects decimals."""
     if not isinstance(text, str):
         raise RationalFormatError(f"expected rational string, got {text!r}")
     m = _RATIONAL_RE.match(text.strip())
@@ -32,12 +33,16 @@ def parse_rational(text: str) -> Fraction:
             f"not an exact rational (use 'p/q' or an integer): {text!r}"
         )
     try:
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        return int(m.group(1)), int(m.group(2)) if m.group(2) else 1
     except ValueError as exc:  # beyond int()'s digit limit
         raise RationalFormatError(
             f"rational too long to parse ({len(text)} characters)"
         ) from exc
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"p/q"`` or ``"n"`` into a Fraction. Rejects decimals."""
+    num, den = parse_pair(text)
     return Fraction(num, den)
 
 

@@ -11,7 +11,9 @@ top-up buyers pad every input good to exactly two consuming gadgets.
 market.json and meta.json are stamped from the one-copy template, never
 from a built market.  _reduced_market_chunks and _metadata_chunks yield
 one chunk per copy for the buyers and one per copy for the goods, so a
-writer holds one copy's text at a time; reduced_market_to_json and
+writer holds one copy's text at a time; each renders one copy's text once,
+with named holes for what changes per copy, and fills it per copy by one
+split and one join per copy (_stamps).  reduced_market_to_json and
 metadata_to_json are the joins of the same chunks.
 """
 
@@ -20,10 +22,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .market import (
     Buyer,
@@ -551,16 +554,46 @@ def _checked_copy_0(reduced: ReducedMarket) -> list[Buyer]:
     return copy_buyers
 
 
+_HOLE = "\x00"
+
+
+def _hole(name: str) -> str:
+    """A named hole in a rendered template, for _stamps to fill.  JSON
+    escapes every control character inside an encoded string, so a NUL in
+    a rendered document can only delimit a hole."""
+    return f"{_HOLE}{name}{_HOLE}"
+
+
+def _stamps(text: str, fills: Iterable[dict[str, str]]) -> Iterator[str]:
+    """`text` once per fill, each hole filled with the text its name has in
+    the fill: the text is split once, and a fill costs one join."""
+    parts = text.split(_HOLE)
+    names = set(parts[1::2])
+    if len(names) == 1:  # one name, in one hole or many
+        name, literal = names.pop(), parts[::2]
+        for fill in fills:
+            yield fill[name].join(literal)
+    elif names:
+        get = operator.itemgetter(*parts[1::2])
+        for fill in fills:
+            parts[1::2] = get(fill)
+            yield "".join(parts)
+    else:
+        for _ in fills:
+            yield text
+
+
 def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
     """reduced_market_to_json's document, one chunk per copy for its
     buyers and one per copy for its goods, so a writer holds one copy's
     text at a time.
 
-    One copy's buyer blocks are rendered once, with "%(p)s" for the
-    "c{c}/" prefix and a named slot per budget key, and filled in per copy
-    in numeric order, which is market order.  Within a buyer the goods sort
-    by local name with ref last in every copy, since "c..." < "ref".  Each
-    budget's text is its integer pair from _recipes, reduced by one gcd.
+    One copy's buyer blocks are rendered once, with a hole for the copy
+    number in each "c{c}/" prefix and one per budget, named by its budget
+    key, and stamped per copy in numeric order, which is market order
+    (_stamps).  Within a buyer the goods sort by local name with ref last
+    in every copy, since "c..." < "ref".  Each budget's text is its integer
+    pair from _recipes, reduced by one gcd.
 
     What building the market checks is checked first (_checked_copy_0),
     when the first chunk is asked for.
@@ -568,39 +601,38 @@ def _reduced_market_chunks(reduced: ReducedMarket) -> Iterator[str]:
     copy_buyers = _checked_copy_0(reduced)
     k, template = reduced.params.k, reduced.template
     ref_buyer, recipe_buyers, budget_of = reduced.recipes
+    prefix = f'"c{_hole("c")}/'  # for copy 0's '"c0/'
 
     blocks: dict[int, str] = {}
-
-    def escaped(text: str) -> str:
-        return text.replace("%", "%%")
-
-    copy_text = ",\n".join(
+    buyers_text = ",\n".join(
         _buyer_block(
-            f"%({key})s",
-            escaped(_encode_str(buyer.id)),
-            escaped(_utilities_block(buyer.utilities, blocks)),
+            _hole(key),
+            _encode_str(buyer.id),
+            _utilities_block(buyer.utilities, blocks),
         )
         for buyer, (_, key, _) in zip(copy_buyers, recipe_buyers)
-    ).replace('"c0/', '"%(p)s')
+    ).replace('"c0/', prefix)
     ref_text = _buyer_block(
         format_rational(ref_buyer.budget),
         _encode_str(ref_buyer.id),
         _utilities_block(ref_buyer.utilities, blocks),
     )
+    goods_text = _goods_chunk(f"c0/{local}" for local, _ in template.goods)
+    goods_text = goods_text.replace('"c0/', prefix)
 
-    def buyers() -> Iterator[str]:
-        yield ref_text
+    def fills() -> Iterator[dict[str, str]]:
         for c in range(k):
             fill = {key: format_pair(n, q) for key, (n, q) in budget_of(c).items()}
-            fill["p"] = f"c{c}/"
-            yield copy_text % fill
+            fill["c"] = str(c)
+            yield fill
 
-    def goods() -> Iterator[str]:
-        yield _goods_chunk([REF_GOOD])
-        for c in range(k):
-            yield _goods_chunk(f"c{c}/{local}" for local, _ in template.goods)
-
-    yield from _document(buyers(), goods())
+    yield from _document(
+        itertools.chain([ref_text], _stamps(buyers_text, fills())),
+        itertools.chain(
+            [_goods_chunk([REF_GOOD])],
+            _stamps(goods_text, ({"c": str(c)} for c in range(k))),
+        ),
+    )
 
 
 def reduced_market_to_json(reduced: ReducedMarket) -> str:
@@ -626,7 +658,7 @@ def thresholds(params: ReductionParams, p_ref: Fraction) -> tuple[Fraction, Frac
     return h, params.s * h / params.a
 
 
-def decode(reduced: ReducedMarket, prices: dict[str, Fraction]) -> DecodeResult:
+def decode(reduced: ReducedMarket, prices: Mapping[str, Fraction]) -> DecodeResult:
     """Read a circuit assignment off the variable-good prices.
 
     Uses the copy whose interval contains H = s * p_ref; prices >= H decode
@@ -766,12 +798,10 @@ def structural_violations(reduced: ReducedMarket) -> list[str]:
 
 # --- meta.json ----------------------------------------------------------------
 
-_COPY = "\x00"  # stands for the copy number in a rendered template entry
-
-
 def _copy_entries(roles) -> str:
     """One copy's role entries at their depth in meta.json, sorted by local
-    id, with _COPY in place of the copy number."""
+    id, with a hole named "c" in place of the copy number."""
+    copy = _hole("c")
     entries = []
     for local, role in sorted(roles, key=lambda item: item[0]):
         fields = {
@@ -779,11 +809,11 @@ def _copy_entries(roles) -> str:
             for name, v in vars(role).items()
             if v is not None
         }
-        fields["copy"] = _COPY
+        fields["copy"] = copy
         if "good" in fields:
-            fields["good"] = f'"c{_COPY}/{fields["good"][1:]}'
+            fields["good"] = f'"c{copy}/{fields["good"][1:]}'
         body = ",\n".join(f'      "{name}": {fields[name]}' for name in sorted(fields))
-        entries.append(f'    "c{_COPY}/{json.dumps(local)[1:]}: {{\n{body}\n    }}')
+        entries.append(f'    "c{copy}/{json.dumps(local)[1:]}: {{\n{body}\n    }}')
     return ",\n".join(entries)
 
 
@@ -800,13 +830,12 @@ def _metadata_chunks(reduced: ReducedMarket) -> Iterator[str]:
     """
     order = [str(c) for c in sorted(range(reduced.params.k), key=lambda c: f"c{c}/")]
 
-    def stamped(roles, before: str, after: str) -> Iterator[str]:
+    def stamped(roles, before: str, after: str) -> Iterable[str]:
         """Each copy's entries, each with `before` ahead of it and `after`
         behind it."""
-        if roles:
-            parts = (before + _copy_entries(roles) + after).split(_COPY)
-            for c in order:
-                yield c.join(parts)
+        if not roles:
+            return ()
+        return _stamps(before + _copy_entries(roles) + after, ({"c": c} for c in order))
 
     def nested(obj) -> str:
         return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  ")

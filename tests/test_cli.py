@@ -772,6 +772,46 @@ def test_decode_builds_no_market(tmp_path, capsys, monkeypatch):
     assert len(json.loads(capsys.readouterr().out)["gates"]) == 5
 
 
+def test_decode_checks_every_price_but_reads_only_its_copy(tmp_path, capsys, monkeypatch):
+    """Every price text is checked, so a malformed price of a good decode
+    never reads still exits 2; of the rest, decode looks up ref and its
+    copy's variable prices only, and writes what it writes from a map of
+    every price."""
+    circuit = tmp_path / "nand.pc"
+    circuit.write_text(solver.NAND_FIXTURE)
+    build = tmp_path / "build"
+    args = ["--eps", "1/12", "--override-k", "12", "--override-d", "4"]
+    assert cli.run(["compile", str(circuit), "--out", str(build)] + args) == 0
+    params = compute_params(F(1, 12), 5, {"k": 12, "d": 4})
+    text = prices_to_json(_decode_prices(params, 5))
+    prices = tmp_path / "prices.json"
+    prices.write_text(text)
+    capsys.readouterr()
+    decode = ["decode", "--meta", str(build / "meta.json"), "--prices", str(prices)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_LazyPrices", cli.mkt.prices_from_json)
+        assert cli.run(decode) == 0
+    every_price = capsys.readouterr().out
+    looked_up = []
+    lookup = cli._LazyPrices.__getitem__
+    monkeypatch.setattr(
+        cli._LazyPrices, "__getitem__",
+        lambda self, good: looked_up.append(good) or lookup(self, good),
+    )
+    assert cli.run(decode) == 0
+    assert capsys.readouterr().out == every_price
+    assert json.loads(every_price)["copy"] == 10
+    assert looked_up == ["ref"] + [f"c10/v{node}" for node in range(5)]
+
+    for bad in ("0.5", "1/0", "x", 2):
+        doc = json.loads(text)
+        doc["c3/v0"] = bad
+        prices.write_text(json.dumps(doc))
+        assert cli.run(decode) == 2
+        assert _assert_json_error(capsys, 2).startswith(f"{prices}: bad price document: ")
+
+
 def _perturbed(allocation):
     """Every third buyer (by id) buys half its row, and every fifth of the
     others twice its row, so that some buyers are suboptimal."""
@@ -1198,6 +1238,55 @@ def test_budget_check_fires_with_nothing_written(tmp_path):
     with pytest.raises(MarketError, match="copy 1 has a budget that is not positive"):
         cli._write_atomic(out / "market.json", reduction._reduced_market_chunks(tampered))
     assert list(out.iterdir()) == []
+
+
+# three write buffers and a bit of ASCII text, in lines of varying length
+_BUFFERED_TEXT = "".join(
+    f"{i}: {'x' * (i % 97)}\n" for i in range(6 * cli._WRITE_BUFFER // 50)
+)
+
+
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        [_BUFFERED_TEXT],
+        list(_BUFFERED_TEXT),
+        ["", _BUFFERED_TEXT[:7], "", "", _BUFFERED_TEXT[7:], ""],
+        [
+            _BUFFERED_TEXT[:5],
+            _BUFFERED_TEXT[5:5 + 2 * cli._WRITE_BUFFER + 1],
+            _BUFFERED_TEXT[5 + 2 * cli._WRITE_BUFFER + 1:],
+        ],
+    ],
+    ids=["one-chunk", "one-character-chunks", "empty-chunks", "chunk-over-the-buffer"],
+)
+def test_write_atomic_writes_the_same_bytes_however_the_text_is_chunked(chunks, tmp_path):
+    assert len(_BUFFERED_TEXT) > 3 * cli._WRITE_BUFFER
+    path = tmp_path / "out" / "doc.json"
+    cli._write_atomic(path, iter(chunks))
+    assert path.read_bytes() == _BUFFERED_TEXT.encode()
+    assert os.listdir(path.parent) == ["doc.json"]
+
+
+def test_a_chunk_that_fails_after_a_buffer_was_flushed_changes_nothing(tmp_path):
+    """The temporary file already holds more than one buffer of the text
+    when a chunk raises: it is removed, and the target keeps its bytes."""
+    path = tmp_path / "doc.json"
+    path.write_text("before\n")
+    flushed = []
+
+    def chunks():
+        yield _BUFFERED_TEXT[: 2 * cli._WRITE_BUFFER]
+        yield "more"
+        (tmp,) = [p for p in tmp_path.iterdir() if p != path]
+        flushed.append(tmp.stat().st_size)
+        raise RuntimeError("a chunk that cannot be made")
+
+    with pytest.raises(RuntimeError, match="a chunk that cannot be made"):
+        cli._write_atomic(path, chunks())
+    assert flushed and flushed[0] > cli._WRITE_BUFFER
+    assert os.listdir(tmp_path) == ["doc.json"]
+    assert path.read_text() == "before\n"
 
 
 NON_STRING_ID_MARKET = {

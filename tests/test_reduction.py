@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -404,12 +405,15 @@ def test_paper_scale_documents_match_golden_bytes():
 
 def _template_writer_cases():
     """The criterion-3 corpus, every golden case, NAND and PURIFY at d = 16
-    and k = 41, and a circuit with no nodes, whose copies are empty."""
+    and k = 41, PURIFY, whose copy text has the most holes, at k = 1, 2 and
+    11, and a circuit with no nodes, whose copies are empty and hold no
+    hole."""
     yield from CORPUS
     for text, k, _, _ in GOLDEN_DIGESTS.values():
         yield text, {"k": k, "d": 4}
     yield solver.NAND_FIXTURE, {"k": 41, "d": 16}
-    yield solver.PURIFY_FIXTURE, {"k": 41, "d": 16}
+    for k in (1, 2, 11, 41):
+        yield solver.PURIFY_FIXTURE, {"k": k, "d": 16}
     yield "nodes 0\n", {"k": 2, "d": 2}
 
 
@@ -422,6 +426,28 @@ def test_template_writer_matches_market_to_json():
         assert "market" not in vars(unbuilt)  # neither built the market
         assert info["goods_total"] == len(reduced.market.goods)
         assert info["buyers_total"] == len(reduced.market.buyers)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "no hole",
+        '"c\0c\0/v0"',
+        '"c\0c\0/v0", "c\0c\0/v1": \0c\0',
+        '"c\0c\0/inv": "\0inv1\0", "c\0c\0/aux": "\0r=2/11\0"',
+        "\0c\0\0inv1\0",
+    ],
+    ids=["no-hole", "one-hole", "one-name", "names", "adjacent-holes"],
+)
+def test_stamps_fills_every_hole_from_each_fill(text):
+    fills = [
+        {"c": str(c), "inv1": f"{c}/3", "r=2/11": f"{2 * c}/11", "unused": "?"}
+        for c in (0, 1, 10, 2)
+    ]
+    assert list(reduction._stamps(text, iter(fills))) == [
+        re.sub("\0([^\0]*)\0", lambda hole: fill[hole[1]], text) for fill in fills
+    ]
+    assert list(reduction._stamps(text, [])) == []
 
 
 def _duplicate_gadget(reduced):

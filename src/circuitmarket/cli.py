@@ -64,9 +64,9 @@ def _umask() -> int:
     return mask
 
 
-# bytes a written file buffers between system calls: big documents come in
-# many small chunks, and below glibc's 128 KB mmap threshold a small file
-# does not pay an mmap for its buffer
+# bytes a written file buffers between system calls: a big document comes
+# in thousands of chunks of a few KB, and below glibc's 128 KB mmap
+# threshold a small file does not pay an mmap for its buffer
 _WRITE_BUFFER = 1 << 16
 
 

@@ -11,10 +11,11 @@ top-up buyers pad every input good to exactly two consuming gadgets.
 market.json and meta.json are stamped from the one-copy template, never
 from a built market.  _reduced_market_chunks and _metadata_chunks yield
 one chunk per copy for the buyers and one per copy for the goods, so a
-writer holds one copy's text at a time; each renders one copy's text once,
-with named holes for what changes per copy, and fills it per copy by one
-split and one join per copy (_stamps).  reduced_market_to_json and
-metadata_to_json are the joins of the same chunks.
+writer holds one copy's text at a time.  Each renders one copy's text
+once, with a named hole wherever copies differ, splits it once and joins
+it once per copy with that copy's texts in the holes (_stamps).
+reduced_market_to_json and metadata_to_json are the joins of the same
+chunks.
 """
 
 from __future__ import annotations

@@ -581,13 +581,13 @@ def _check_total(goods: tuple[str, ...], prices: Mapping[str, Fraction]) -> None
         raise _not_total(missing[:5], len(missing), len(goods))
 
 
-def _check_prices_non_negative(prices: dict[str, Fraction]) -> None:
+def _check_prices_non_negative(prices: Mapping[str, Fraction]) -> None:
     for good, price in prices.items():
-        if price < 0:
+        if price.numerator < 0:
             raise MarketError(f"negative price for good {good!r}")
 
 
-def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
+def optimal_bundle(buyer: Buyer, prices: Mapping[str, Fraction]) -> BundleResult:
     """Canonical optimal bundle of `buyer` at `prices` (greedy by bang-per-buck).
 
     The bundle is the canonical one of _Fold.bundle, as canonical demand
@@ -595,12 +595,15 @@ def optimal_bundle(buyer: Buyer, prices: dict[str, Fraction]) -> BundleResult:
     spend its cost, both summed as integer pairs.  Raises UnboundedDemand if
     a good with positive remaining marginal utility has price zero (the
     optimal-bundle set is empty or degenerate), and MarketError if `prices`
-    misses a good the buyer has a utility for.
+    misses a good the buyer has a utility for or has a negative price for
+    any good.  Only the buyer's goods are quoted and compiled; the sign
+    test is the one pass over the whole map.
     """
     _check_total(tuple(buyer.utilities), prices)
     _check_prices_non_negative(prices)
-    quotes = list(quote_table(prices).values())
-    fold = _Fold(prices, [(buyer, buyer.budget)])
+    goods = sorted(buyer.utilities)
+    quotes = [_quote(prices[g].numerator, prices[g].denominator) for g in goods]
+    fold = _Fold(goods, [(buyer, buyer.budget)])
     bundle: dict[str, Fraction] = {}
     utility = spend = (0, 1)
     for i, (n, d) in fold.bundle(0, quotes).items():

@@ -344,7 +344,7 @@ class ReducedMarket(ClearingSource):
     def variable_good(self, copy: int, node: int) -> str:
         return f"c{copy}/v{node}"
 
-    def check_prices_total(self, prices: dict[str, Fraction]) -> None:
+    def check_prices_total(self, prices: Mapping[str, Fraction]) -> None:
         """Raise verify_fisher's MarketError if `prices` misses a good of the
         market, counted off the template without building the market: its
         1 + k * len(template.goods) goods are ref and each good that copy_of

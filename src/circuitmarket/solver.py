@@ -30,12 +30,13 @@ from __future__ import annotations
 import csv
 import io
 from collections import ChainMap
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd
-from typing import Mapping, Optional
+from typing import Optional
 
 from .market import (
     ClearingSource,
@@ -652,6 +653,38 @@ def chain_threshold_ordering(
 # gadget fixtures
 
 
+class _FixturePrices(Mapping):
+    """A fixture's prices in closed form: ref at `p_ref` and every other
+    good of the market at `h_high`, in market order, with nothing kept per
+    copy.  ref and the fixture copy's goods, all that its clearings read,
+    are looked up in a small dict; any other name is placed in the market
+    by ReducedMarket.copy_of."""
+
+    def __init__(self, reduced: ReducedMarket, copy: int, p_ref: Fraction, h_high: Fraction):
+        self._reduced, self._h_high = reduced, h_high
+        self._near = {REF_GOOD: p_ref}
+        self._near.update(
+            (f"c{copy}/{local}", h_high) for local, _ in reduced.template.goods
+        )
+
+    def __getitem__(self, good: str) -> Fraction:
+        try:
+            return self._near[good]
+        except KeyError:
+            if self._reduced.copy_of(good) is not None:
+                return self._h_high
+            raise
+
+    def __contains__(self, good: str) -> bool:
+        return good in self._near or self._reduced.copy_of(good) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return self._reduced.market_goods()
+
+    def __len__(self) -> int:
+        return 1 + self._reduced.params.k * len(self._reduced.template.goods)
+
+
 @dataclass(frozen=True)
 class GadgetFixture:
     """A compiled market with all prices pinned, ready for single-good
@@ -664,7 +697,7 @@ class GadgetFixture:
 
     reduced: ReducedMarket
     copy: int
-    prices: dict[str, Fraction] = field(repr=False)
+    prices: Mapping[str, Fraction] = field(repr=False)
     h: Fraction
     l: Fraction
 
@@ -686,17 +719,16 @@ class GadgetFixture:
 def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetFixture:
     """The fixture of one copy, the last by default: ref at the price that
     puts H at the copy's h_high and every other good at h_high, in market
-    order, named off the copy template (ReducedMarket.market_goods).  The
-    market is not built, and the fixture's clearings read the template."""
+    order, in closed form off the copy template (_FixturePrices): nothing
+    is held per copy.  The market is not built, and the fixture's clearings
+    read the template."""
     params = reduced.params
     if copy is None:
         copy = params.k - 1
     h_high = params.copy_interval(copy)[1]
     p_ref = h_high / params.s
-    prices = dict.fromkeys(reduced.market_goods(), h_high)
-    prices[REF_GOOD] = p_ref
     h, low = thresholds(params, p_ref)
-    return GadgetFixture(reduced, copy, prices, h, low)
+    return GadgetFixture(reduced, copy, _FixturePrices(reduced, copy, p_ref, h_high), h, low)
 
 
 def clear_gate_output(

@@ -191,6 +191,45 @@ def test_a_price_map_missing_a_valued_good_is_not_total_for_every_reader():
             read({"x": F(1)})
 
 
+def test_optimal_bundle_quotes_and_compiles_only_the_buyers_goods(monkeypatch):
+    """On 60 seeded buyers, optimal_bundle gives the reference greedy's
+    bundle against a map of the buyer's own goods and the same result
+    against a 20,000-good map holding them, and each fold it compiles
+    holds the buyer's goods alone.  The whole map is still checked for
+    signs: a negative price on a good the buyer does not value raises,
+    naming the first in map order, after the missing-good check."""
+    compiled = []
+
+    class RecordingFold(market_module._Fold):
+        def __init__(self, goods, entries):
+            super().__init__(goods, entries)
+            compiled.append(self.goods)
+
+    monkeypatch.setattr(market_module, "_Fold", RecordingFold)
+    rng = random.Random(20263001)
+    filler = {f"z{i}": F(rng.randint(1, 30), rng.randint(1, 9)) for i in range(20_000)}
+    for _ in range(60):
+        goods = rng.sample(NAMES, rng.randint(1, len(NAMES)))
+        buyer = Buyer("b", F(rng.randint(1, 50), rng.randint(1, 7)),
+                      {g: _random_utility(rng) for g in goods})
+        own = {g: F(rng.randint(1, 30), rng.randint(1, 9)) for g in goods}
+        compiled.clear()
+        best = optimal_bundle(buyer, own)
+        assert optimal_bundle(buyer, {**filler, **own}) == best
+        assert compiled == [tuple(sorted(goods))] * 2
+        bundle, utility = greedy_bundle(buyer.utilities, buyer.budget, own)
+        assert list(best.bundle.items()) == list(bundle.items())
+        assert best.max_utility == utility
+
+    buyer = Buyer("b", F(1), {"x": linear(1)})
+    signed = {**filler, "z13": F(-2), "z7": F(-1, 10**30), "x": F(1)}
+    with pytest.raises(MarketError, match=r"^negative price for good 'z7'$"):
+        optimal_bundle(buyer, signed)
+    del signed["x"]
+    with pytest.raises(MarketError, match=r"^price map is not total; missing \['x'\]"):
+        optimal_bundle(buyer, signed)
+
+
 def test_verify_rejects_negative_prices():
     market = FisherMarket(("x",), (Buyer("a", F(1), {"x": linear(1)}),))
     with pytest.raises(MarketError, match="negative price"):

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import random
+import re
+import tracemalloc
 from collections import ChainMap
 from fractions import Fraction
 from math import gcd
@@ -39,7 +41,7 @@ from circuitmarket import (
     trace_to_csv,
     verify_fisher,
 )
-from circuitmarket import optimal_bundle, prices_to_json, reduction, solver
+from circuitmarket import cli, optimal_bundle, prices_to_json, reduction, solver
 from circuitmarket.purecircuit import GateType
 from circuitmarket.market import (
     MarketError,
@@ -1238,6 +1240,68 @@ def test_good_fold_is_compiled_once_per_source_and_good():
         pinned_bisection(fixture.reduced, {}, g.output, fixture.bracket, F(1, 12))
 
 
+def test_fixture_prices_are_the_whole_map_in_closed_form():
+    """A fixture's prices read as the map of every market good at h_high
+    and ref at h_high / s, in market order, with the same length, for the
+    default copy and copy 0 of the three fixtures at k in {1, 2, 41}; a
+    name that is no good of the market is neither in it nor looked up."""
+    for text, k, copy in itertools.product(
+        (NOT_FIXTURE, NAND_FIXTURE, PURIFY_FIXTURE), (1, 2, 41), (None, 0)
+    ):
+        reduced = compile_circuit(parse_circuit(text), F(0), {"k": k, "d": 4})
+        fixture = build_fixture(reduced, copy)
+        params = reduced.params
+        h_high = params.copy_interval(fixture.copy)[1]
+        whole = dict.fromkeys(reduced.market_goods(), h_high)
+        whole["ref"] = h_high / params.s
+        prices = dict(fixture.prices)
+        assert prices == whole and list(prices) == list(whole)
+        assert len(fixture.prices) == len(whole)
+        for name in (f"c{k}/v0", "c01/v0", "c0/zz", "ref2", ""):
+            assert name not in fixture.prices
+            with pytest.raises(KeyError):
+                fixture.prices[name]
+        assert "market" not in vars(reduced)
+
+
+def test_clearing_a_good_outside_the_fixtures_market_misses_its_goods():
+    """Fixture prices of a k = 2 compile do not price copy 2 of the same
+    circuit at k = 3: clearing a good of that copy against them raises
+    pinned_bisection's missing-goods error, naming every good but ref."""
+    circuit = parse_circuit(NAND_FIXTURE)
+    fixture = build_fixture(compile_circuit(circuit, F(0), {"k": 2, "d": 4}))
+    wider = compile_circuit(circuit, F(0), {"k": 3, "d": 4})
+    out = wider.gadgets(2)[0].output
+    _, others = wider.good_fold(out)
+    missing = sorted(g for g in others if g != "ref")
+    assert missing and all(g.startswith("c2/") for g in missing)
+    prices = ChainMap({}, fixture.prices)
+    with pytest.raises(BracketError, match=re.escape(f"pinned prices missing goods {missing}")):
+        pinned_bisection(wider, prices, out, fixture.bracket, F(1, 12))
+
+
+def test_paper_scale_fixture_holds_nothing_per_copy(monkeypatch):
+    """build_fixture of PURIFY at the paper's k = 5280 (epsilon 1/12, no
+    override) names no good of the market and traces a peak under 64 KB;
+    its prices still answer for every copy."""
+    def whole_market(self):
+        raise AssertionError("the market's goods were listed")
+
+    reduced = compile_circuit(parse_circuit(PURIFY_FIXTURE), F(1, 12))
+    assert reduced.params.k == 5280
+    monkeypatch.setattr(type(reduced), "market_goods", whole_market)
+    tracemalloc.start()
+    try:
+        fixture = build_fixture(reduced)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    h_high = reduced.params.copy_interval(5279)[1]
+    assert fixture.prices["c0/v0"] == fixture.prices["c5279/v0"] == h_high
+    assert len(fixture.prices) == 1 + 5280 * len(reduced.template.goods)
+
+
 # --- tatonnement ------------------------------------------------------------
 
 
@@ -1491,6 +1555,18 @@ def test_gadget_lab_report_passes():
     assert summary["purify_sweep"]["violations"] == []
     text = json.dumps(summary, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GADGET_LAB_DIGEST
+
+
+# sha256 of `circuitmarket gadget-lab --override-k 5280 --override-d 16
+# --mesh 4`'s stdout; the CI entry-point step compares its output with it
+PAPER_SCALE_GADGET_LAB_DIGEST = "1c8c17a08f760d6ecec6eb56d02ef78ebb3a06582d86b5f3d0aa32d16f06181a"
+
+
+def test_paper_scale_gadget_lab_matches_golden_bytes(capsys):
+    argv = ["gadget-lab", "--override-k", "5280", "--override-d", "16", "--mesh", "4"]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SCALE_GADGET_LAB_DIGEST
 
 
 # --- lemma suite ------------------------------------------------------------

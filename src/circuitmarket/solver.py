@@ -508,8 +508,9 @@ def pinned_bisection(
     in `free_good` value, so only those must be pinned, each at
     a positive price; a missing one raises BracketError("pinned prices
     missing goods ..."), one at zero or below BracketError("pinned prices
-    not positive ...").  `pinned` is read one good at a time, never
-    iterated or copied whole, so it may be a large shared map.
+    not positive ...").  `pinned` is read once per good, by lookup alone
+    (a KeyError is a missing good), never iterated or copied whole, so it
+    may be a large shared map.
 
     Cost: one compile of the interested buyers into a market._Fold (their
     segments flattened once, over only the goods they value), made on the
@@ -532,10 +533,14 @@ def pinned_bisection(
     compiled, others = market.good_fold(free_good)
     if not compiled.plans:
         raise BracketError(f"no buyer is interested in {free_good!r}")
-    missing = sorted(g for g in others if g not in pinned)
+    prices, missing = [], []
+    for g in others:
+        try:
+            prices.append(pinned[g])
+        except KeyError:
+            missing.append(g)
     if missing:
-        raise BracketError(f"pinned prices missing goods {missing}")
-    prices = [pinned[g] for g in others]
+        raise BracketError(f"pinned prices missing goods {sorted(missing)}")
     not_positive = sorted(g for g, p in zip(others, prices) if p.numerator <= 0)
     if not_positive:
         raise BracketError(f"pinned prices not positive for goods {not_positive}")

@@ -5,7 +5,8 @@ import json
 import random
 import re
 import tracemalloc
-from collections import ChainMap
+from collections import ChainMap, Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd
 
@@ -1104,6 +1105,37 @@ class _WholeMapRead(dict):
         raise AssertionError("the whole price map was read")
 
     __iter__ = keys = items = values = __len__ = copy = _whole
+
+
+class _CountedReads(Mapping):
+    """A price map that counts its lookups and allows nothing else."""
+
+    def __init__(self, prices):
+        self.prices, self.reads = prices, Counter()
+
+    def __getitem__(self, good):
+        self.reads[good] += 1
+        return self.prices[good]
+
+    def _other(self, *args):
+        raise AssertionError("the price map was read other than by lookup")
+
+    __contains__ = __iter__ = __len__ = _other
+
+
+def test_a_clearing_looks_each_pinned_price_up_once():
+    """pinned_bisection reads each good its buyers value by one lookup, with
+    no membership test, and a lookup's KeyError names the missing good."""
+    nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), F(0), LAB_OVERRIDE))
+    out = nand.gadget("g0").output
+    _, others = nand.reduced.good_fold(out)
+    counted = _CountedReads(nand.prices)
+    result = pinned_bisection(nand.reduced, counted, out, nand.bracket, F(1, 12))
+    assert result == pinned_bisection(nand.reduced, nand.prices, out, nand.bracket, F(1, 12))
+    assert counted.reads == Counter(others)
+    partial = {g: nand.prices[g] for g in others if g != "ref"}
+    with pytest.raises(BracketError, match=r"^pinned prices missing goods \['ref'\]$"):
+        pinned_bisection(nand.reduced, _CountedReads(partial), out, nand.bracket, F(1, 12))
 
 
 def test_clearings_never_read_the_whole_price_map():

@@ -30,11 +30,12 @@ from __future__ import annotations
 import csv
 import io
 from collections import ChainMap
-from collections.abc import Iterator, Mapping
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
+from itertools import repeat
 from math import gcd
 from typing import Optional
 
@@ -663,7 +664,9 @@ class _FixturePrices(Mapping):
     good of the market at `h_high`, in market order, with nothing kept per
     copy.  ref and the fixture copy's goods, all that its clearings read,
     are looked up in a small dict; any other name is placed in the market
-    by ReducedMarket.copy_of."""
+    by ReducedMarket.copy_of.  items() and values() walk the market's goods
+    with no lookup (_FixtureItems), so a whole read, such as prices_to_json's,
+    places no name."""
 
     def __init__(self, reduced: ReducedMarket, copy: int, p_ref: Fraction, h_high: Fraction):
         self._reduced, self._h_high = reduced, h_high
@@ -688,6 +691,30 @@ class _FixturePrices(Mapping):
 
     def __len__(self) -> int:
         return 1 + self._reduced.params.k * len(self._reduced.template.goods)
+
+    def items(self) -> ItemsView:
+        return _FixtureItems(self)
+
+    def values(self) -> ValuesView:
+        return _FixtureValues(self)
+
+
+class _FixtureValues(ValuesView):
+    """A fixture's prices in market order, ref's and then h_high for every
+    other good, with no lookup per good: whole reads cost what naming the
+    goods costs."""
+
+    def __iter__(self) -> Iterator[Fraction]:
+        prices = self._mapping
+        yield prices[REF_GOOD]
+        yield from repeat(prices._h_high, len(prices) - 1)
+
+
+class _FixtureItems(ItemsView):
+    """(good, price) in market order, paired off _FixtureValues."""
+
+    def __iter__(self) -> Iterator[tuple[str, Fraction]]:
+        return zip(self._mapping, _FixtureValues(self._mapping))
 
 
 @dataclass(frozen=True)
@@ -759,7 +786,18 @@ def clear_chain(
     epsilon: Fraction,
 ) -> dict[str, Fraction]:
     """Clear a PURIFY chain link by link; returns the cleared prices in
-    chain order, which is template order (the last is the chain output)."""
+    chain order, which is template order (the last is the chain output).
+
+    A link's clearing depends only on its compiled buyers less their ids
+    (good_fold's plans, ids and good names appear only in errors) and the
+    pinned prices of their other goods, the bracket and epsilon being the
+    chain's.  Links repeat both: the auxiliary amounts alternate, and a
+    saturated chain alternates between two prices.  So a link whose buyers
+    and pinned prices an earlier link of this call had reuses its price,
+    and a call costs one pinned_bisection per distinct link and input, not
+    one per link (d).  Nothing is kept between calls, and a link whose
+    pinned prices miss a good is cleared, to raise pinned_bisection's
+    error."""
     prefix = f"g{gate_index}.{chain}."
     links = [g for g in fixture._gadgets.values() if g.gadget_id.startswith(prefix)]
     if not links:
@@ -768,10 +806,23 @@ def clear_chain(
     cleared: dict[str, Fraction] = {}
     prices = ChainMap(cleared, {links[0].inputs[0]: F(p_in)}, fixture.prices)
     bracket = fixture.bracket
+    seen: dict[tuple, Fraction] = {}
     for link in links:
-        cleared[link.output] = pinned_bisection(
-            fixture.reduced, prices, link.output, bracket, epsilon
-        ).price
+        compiled, others = fixture.reduced.good_fold(link.output)
+        try:
+            key = (
+                tuple(plan[1:] for plan in compiled.plans),
+                tuple((p.numerator, p.denominator) for p in map(prices.__getitem__, others)),
+            )
+        except KeyError:
+            # pinned_bisection reads the same goods, so it raises, naming them
+            key = None
+        price = seen.get(key)
+        if price is None:
+            price = seen[key] = pinned_bisection(
+                fixture.reduced, prices, link.output, bracket, epsilon
+            ).price
+        cleared[link.output] = price
     return cleared
 
 

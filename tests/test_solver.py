@@ -1334,6 +1334,120 @@ def test_paper_scale_fixture_holds_nothing_per_copy(monkeypatch):
     assert len(fixture.prices) == 1 + 5280 * len(reduced.template.goods)
 
 
+def test_fixture_price_views_are_the_mappings_without_a_lookup(monkeypatch):
+    """A fixture's items() and values() give what Mapping's generic views
+    give, in market order, for the three fixtures at k = 48 (and k = 1), and
+    prices_to_json writes the same bytes through them; they place no good
+    by ReducedMarket.copy_of."""
+    for text, k in itertools.product((NOT_FIXTURE, NAND_FIXTURE, PURIFY_FIXTURE), (1, 48)):
+        fixture = build_fixture(compile_circuit(parse_circuit(text), F(1, 12), {"k": k, "d": 16}))
+        prices = fixture.prices
+        items, values = list(Mapping.items(prices)), list(Mapping.values(prices))
+        text_before = prices_to_json(dict(items))
+        with monkeypatch.context() as patched:
+            def placed(self, good):
+                raise AssertionError(f"{good!r} was placed")
+
+            patched.setattr(reduction.ReducedMarket, "copy_of", placed)
+            assert list(prices.items()) == items and list(prices.values()) == values
+            assert prices_to_json(prices) == text_before
+            assert len(prices.items()) == len(prices.values()) == len(items)
+        assert items[0] == ("ref", fixture.h / fixture.reduced.params.s)
+        assert items[-1] in prices.items() and ("ref", F(-1)) not in prices.items()
+        assert values[-1] in prices.values()
+
+
+def _chain_links(fixture, chain):
+    prefix = f"g0.{chain}."
+    return [g for g in fixture.reduced.gadgets(fixture.copy) if g.gadget_id.startswith(prefix)]
+
+
+def _chain_link_by_link(fixture, chain, p_in, eps):
+    """Chain `chain` of PURIFY gate 0 cleared one pinned_bisection per link,
+    with nothing reused: what clear_chain must give."""
+    links = _chain_links(fixture, chain)
+    cleared = {}
+    prices = ChainMap(cleared, {links[0].inputs[0]: p_in}, fixture.prices)
+    for link in links:
+        cleared[link.output] = pinned_bisection(
+            fixture.reduced, prices, link.output, fixture.bracket, eps
+        ).price
+    return cleared
+
+
+def _chain_inputs(fixture, seed):
+    """L, H, their midpoint and 8 seeded inputs of the bot band (L, H)."""
+    rng = random.Random(seed)
+    low, h = fixture.l, fixture.h
+    bot = [low + (h - low) * F(rng.randrange(1, 10**6), 10**6) for _ in range(8)]
+    return [low, h, (low + h) / 2, *bot]
+
+
+@pytest.mark.parametrize("override", [{"k": 48, "d": 16}, None])
+def test_clear_chain_is_the_link_by_link_clearing(override):
+    """clear_chain, which clears each distinct link once, gives the prices
+    of a clearing of every link, in the same order, for both chains at L,
+    H, (L + H)/2 and 8 seeded bot-band inputs, at k = 48 and at the paper's
+    k = 5280 (epsilon 1/12, d = 16)."""
+    eps = F(1, 12)
+    pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), eps, override))
+    assert pure.reduced.params.d == 16
+    for chain, p_in in itertools.product((1, 2), _chain_inputs(pure, 3131)):
+        want = _chain_link_by_link(pure, chain, p_in, eps)
+        got = clear_chain(pure, 0, chain, p_in, eps)
+        assert list(got.items()) == list(want.items()), (chain, p_in)
+
+
+def test_clear_chain_clears_each_distinct_link_once(monkeypatch):
+    """A chain at L or H makes one pinned_bisection per distinct link, its
+    buyers less their ids and the pinned prices of their other goods, and
+    fewer than d; the same call again makes as many, so nothing is kept
+    between calls."""
+    eps = F(1, 12)
+    pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), eps, {"k": 48, "d": 16}))
+    calls = []
+    clearing = solver.pinned_bisection
+
+    def counted(*args):
+        calls.append(args[2])
+        return clearing(*args)
+
+    for chain, p_in in itertools.product((1, 2), (pure.l, pure.h)):
+        cleared = _chain_link_by_link(pure, chain, p_in, eps)
+        prices = ChainMap(cleared, {_chain_links(pure, chain)[0].inputs[0]: p_in}, pure.prices)
+        distinct = set()
+        for link in _chain_links(pure, chain):
+            fold, others = pure.reduced.good_fold(link.output)
+            plans = tuple(plan[1:] for plan in fold.plans)
+            distinct.add((plans, tuple(prices[g] for g in others)))
+        assert 1 < len(distinct) < pure.reduced.params.d
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "pinned_bisection", counted)
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                assert clear_chain(pure, 0, chain, p_in, eps) == cleared
+                counts.append(len(calls))
+        assert counts == [len(distinct)] * 2
+
+
+def test_clear_chain_raises_the_clearings_errors():
+    """A chain whose pinned prices miss a good, or price its input at zero
+    or below, raises pinned_bisection's BracketError, as a link-by-link
+    clearing does, and not a bare KeyError."""
+    eps = F(1, 12)
+    pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), eps, {"k": 48, "d": 16}))
+    no_ref = dataclasses.replace(pure, prices={g: p for g, p in pure.prices.items() if g != "ref"})
+    for fixture, p_in, message in (
+        (no_ref, pure.h, r"^pinned prices missing goods \['ref'\]$"),
+        (pure, F(0), r"^pinned prices not positive for goods \['c47/v0'\]$"),
+        (pure, F(-1), r"^pinned prices not positive for goods \['c47/v0'\]$"),
+    ):
+        for clearing in (clear_chain, lambda f, _, *args: _chain_link_by_link(f, *args)):
+            with pytest.raises(BracketError, match=message):
+                clearing(fixture, 0, 1, p_in, eps)
+
+
 # --- tatonnement ------------------------------------------------------------
 
 
@@ -1599,6 +1713,21 @@ def test_paper_scale_gadget_lab_matches_golden_bytes(capsys):
     assert cli.run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SCALE_GADGET_LAB_DIGEST
+
+
+# sha256 of `circuitmarket gadget-lab --override-k 5280 --override-d 16`'s
+# stdout at its default mesh of 64 points (128 chains cleared); the CI
+# entry-point step compares its output with it
+PAPER_SCALE_GADGET_LAB_MESH64_DIGEST = (
+    "b09436cf9240f873371b74959da4e727d836cb4999a0f21b1c3dba742ba9e6e9"
+)
+
+
+def test_paper_scale_gadget_lab_at_the_default_mesh_matches_golden_bytes(capsys):
+    argv = ["gadget-lab", "--override-k", "5280", "--override-d", "16"]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SCALE_GADGET_LAB_MESH64_DIGEST
 
 
 # --- lemma suite ------------------------------------------------------------

@@ -789,7 +789,7 @@ def clear_chain(
     chain order, which is template order (the last is the chain output).
 
     A link's clearing depends only on its compiled buyers less their ids
-    (good_fold's plans, ids and good names appear only in errors) and the
+    (good_fold's plans; ids and good names appear only in errors) and the
     pinned prices of their other goods, the bracket and epsilon being the
     chain's.  Links repeat both: the auxiliary amounts alternate, and a
     saturated chain alternates between two prices.  So a link whose buyers

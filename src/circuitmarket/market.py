@@ -38,10 +38,13 @@ same walk.
 Verification's best utility is the value of the canonical bundle: the
 walk buys each good's segments in segment order, so its amount of a good
 is a prefix of the good's segments.  Single-good clearing compiles the
-buyers interested in the good into a fold too, once per market and good
-(ClearingSource.good_fold), and reads every demand it needs one agent's C
-and M at a time (_Fold.agent_demand, in solver._IncrementalFold), so
-_Fold._walks is the one loop of the package that spends a budget.
+buyers interested in the good (FisherMarket.interested_buyers) into a
+fold too, once per market and good (FisherMarket.good_fold); a compiled
+circuit's copy is a FisherMarket of its own for this
+(reduction.ReducedMarket.copy_market).  A clearing reads every demand it
+needs one agent's C and M at a time (_Fold.agent_demand, in
+solver._IncrementalFold), so _Fold._walks is the one loop of the package
+that spends a budget.
 
 The documents are written directly, not through json.dumps, with the
 bytes json.dumps gives at indent 2 with sorted keys.  Each is a chunk
@@ -128,11 +131,12 @@ class SplcUtility:
 
     def value_pair(self, n: int, d: int) -> tuple[int, int]:
         """value(n/d) for n >= 0 < d, in integers: an unreduced (numerator,
-        denominator) pair with a positive denominator.  Each segment takes
-        what remains of the amount up to its length; past the last bounded
-        segment the value saturates."""
+        denominator) pair with a positive denominator.  Each segment of
+        walk_segments takes what remains of the amount up to its length;
+        past the last of them the value saturates, since a zero-slope tail
+        adds nothing."""
         total = (0, 1)
-        for length, slope in self.segment_pairs:
+        for slope, length, _ in self.walk_segments:
             if not n:
                 break
             sn, sd = slope
@@ -144,26 +148,19 @@ class SplcUtility:
         return total
 
     @cached_property
-    def segment_pairs(self) -> tuple:
-        """((length pair or None, slope pair), ...) per segment: the integer
-        form value_pair reads, built once per utility object."""
-        return tuple(
-            (None if s.unbounded else s.length.as_integer_ratio(),
-             s.slope.as_integer_ratio())
-            for s in self.segments
-        )
-
-    @cached_property
     def walk_segments(self) -> tuple:
         """(slope pair, length pair or None, float slope) of each
         positive-slope segment, in segment order, as _Fold compiles them;
         buyers that share a utility object share this tuple.  A slope whose
         float is not a normal number gets the float 0.0, so every comparison
         of its segment is settled on the exact key (_first)."""
-        return tuple(
-            (slope, length, _normal_float(*slope, 0.0))
-            for length, slope in self.segment_pairs if slope[0] > 0
-        )
+        walk = []
+        for segment in self.segments:
+            slope = segment.slope.as_integer_ratio()
+            if slope[0] > 0:
+                length = None if segment.unbounded else segment.length.as_integer_ratio()
+                walk.append((slope, length, _normal_float(*slope, 0.0)))
+        return tuple(walk)
 
     @property
     def strictly_increasing(self) -> bool:
@@ -225,36 +222,8 @@ class Buyer:
             raise MarketError(f"buyer {self.id!r} budget must be positive")
 
 
-class ClearingSource:
-    """What single-good clearing reads of a market: `buyers_of(good)`, the
-    buyers with some positive-slope segment of the good in market order, as
-    FisherMarket.interested_buyers.get(good, ()) gives them, and the one
-    compile of them per good (good_fold).  FisherMarket and
-    reduction.ReducedMarket are the two sources."""
-
-    def buyers_of(self, good: str) -> tuple[Buyer, ...]:
-        raise NotImplementedError
-
-    @cached_property
-    def _good_folds(self) -> dict[str, tuple[_Fold, tuple[str, ...]]]:
-        return {}
-
-    def good_fold(self, good: str) -> tuple[_Fold, tuple[str, ...]]:
-        """(fold, others): the buyers of `good` at their budgets, compiled
-        into a _Fold over the good, as goods[0], and `others`, the other
-        goods they value in first-seen order.  Compiled on the first lookup
-        of the good and kept, since it depends on nothing but the market."""
-        entry = self._good_folds.get(good)
-        if entry is None:
-            buyers = self.buyers_of(good)
-            others = tuple(dict.fromkeys(g for b in buyers for g in b.utilities if g != good))
-            fold = _Fold((good, *others), ((b, b.budget) for b in buyers))
-            entry = self._good_folds[good] = fold, others
-        return entry
-
-
 @dataclass(frozen=True)
-class FisherMarket(ClearingSource):
+class FisherMarket:
     goods: tuple[str, ...]
     buyers: tuple[Buyer, ...]
 
@@ -283,8 +252,23 @@ class FisherMarket(ClearingSource):
                     index.setdefault(good, []).append(buyer)
         return {good: tuple(buyers) for good, buyers in index.items()}
 
-    def buyers_of(self, good: str) -> tuple[Buyer, ...]:
-        return self.interested_buyers.get(good, ())
+    @cached_property
+    def _good_folds(self) -> dict[str, tuple[_Fold, tuple[str, ...]]]:
+        return {}
+
+    def good_fold(self, good: str) -> tuple[_Fold, tuple[str, ...]]:
+        """(fold, others): the buyers interested in `good` at their budgets,
+        compiled into a _Fold over the good, as goods[0], and `others`, the
+        other goods they value in first-seen order.  Compiled on the first
+        lookup of the good and kept, since it depends on nothing but the
+        market."""
+        entry = self._good_folds.get(good)
+        if entry is None:
+            buyers = self.interested_buyers.get(good, ())
+            others = tuple(dict.fromkeys(g for b in buyers for g in b.utilities if g != good))
+            fold = _Fold((good, *others), ((b, b.budget) for b in buyers))
+            entry = self._good_folds[good] = fold, others
+        return entry
 
     @cached_property
     def fold(self) -> "_Fold":

@@ -31,7 +31,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .market import (
     Buyer,
-    ClearingSource,
     FisherMarket,
     MarketError,
     SplcSegment,
@@ -252,16 +251,17 @@ class CopyTemplate:
 
 
 @dataclass(frozen=True)
-class ReducedMarket(ClearingSource):
+class ReducedMarket:
     """A compiled circuit: its parameters and the circuit, from which the
     copy template and the market are built on first use.  Nothing is held
-    per copy but the market, once something reads it, and the copies that
-    buyers_of stamped.  The documents need no market: reduced_market_to_json
-    and metadata_to_json stamp market.json and meta.json per copy from the
-    template, and census counts from it.  Nor does single-good clearing of
-    a copy's good: buyers_of reads the good's buyers off its copy alone, so
-    gadget fixtures (solver.build_fixture) clear on the template.  Both
-    documents, the market and buyers_of make their buyers from the
+    per copy but the market, once something reads it.  The documents need
+    no market: reduced_market_to_json and metadata_to_json stamp
+    market.json and meta.json per copy from the template, and census counts
+    from it.  Nor does single-good clearing of a copy's good: every copy
+    buyer values only its own copy's goods and ref, so a copy's good has
+    the same interested buyers in its copy's market (copy_market) as in the
+    whole market, and gadget fixtures (solver.build_fixture) clear on that.
+    The documents, the market and copy_market make their buyers from the
     template's buyer roles (see _recipes)."""
 
     params: ReductionParams
@@ -280,30 +280,15 @@ class ReducedMarket(ClearingSource):
     def market(self) -> FisherMarket:
         return _stamp_market(self.params.k, self.template, self.recipes)
 
-    @cached_property
-    def _stamped(self) -> dict[int, list[Buyer]]:
-        """copy -> its buyers, for each copy that buyers_of has stamped."""
-        return {}
-
-    def buyers_of(self, good: str) -> tuple[Buyer, ...]:
-        """The buyers interested in `good`, as
-        ``market.interested_buyers.get(good, ())`` gives them: those with a
-        positive-slope segment of it, in market order.  A good of copy c is
-        wanted only by copy c's buyers, so it is read off that copy alone,
-        stamped once through _stamp_copy and kept, and the market is not
-        built.  ref, which every buyer wants, and every good once the market
-        is built are read off the market."""
-        if good == REF_GOOD or "market" in vars(self):
-            return self.market.interested_buyers.get(good, ())
-        copy = self.copy_of(good)
-        if copy is None:
-            return ()
-        buyers = self._stamped.get(copy)
-        if buyers is None:
-            buyers = self._stamped[copy] = _stamp_copy(self.template, self.recipes, copy)[1]
-        return tuple(
-            b for b in buyers if good in b.utilities and b.utilities[good].walk_segments
-        )
+    def copy_market(self, copy: int) -> FisherMarket:
+        """Copy `copy` alone as a market: ref and the copy's goods, and the
+        reference buyer and the copy's buyers, stamped from the template
+        (_stamp_copy) as the whole market has them, in market order.  A
+        copy outside [0, k) raises IndexError, as in gadgets."""
+        if not 0 <= copy < self.params.k:
+            raise IndexError(f"copy {copy} outside [0, {self.params.k})")
+        goods, buyers = _stamp_copy(self.template, self.recipes, copy)
+        return FisherMarket((REF_GOOD, *goods), (self.recipes[0], *buyers))
 
     def market_goods(self) -> Iterator[str]:
         """The market's goods in market order, named off the template: ref,
@@ -454,7 +439,7 @@ def _recipes(
     params: ReductionParams, template: CopyTemplate
 ) -> tuple[Buyer, list[tuple], Callable[[int], dict[str, tuple[int, int]]]]:
     """How the market's buyers are built from the template's buyer roles,
-    shared by _stamp_market, ReducedMarket.buyers_of, reduced_market_to_json
+    shared by _stamp_market, ReducedMarket.copy_market, reduced_market_to_json
     and structural_violations (through ReducedMarket.recipes).
 
     Returns the reference buyer; each template buyer, in template order, as
@@ -535,20 +520,18 @@ def _stamp_market(k: int, template: CopyTemplate, recipes: tuple) -> FisherMarke
     return FisherMarket(tuple(goods), tuple(buyers))
 
 
-def _checked_copy_0(reduced: ReducedMarket) -> list[Buyer]:
+def _checked_copy_0(reduced: ReducedMarket) -> tuple[Buyer, ...]:
     """Copy 0's buyers, after checking what building the market checks,
-    without building it: the reference buyer and copy 0 are built as a
-    market (distinct ids, utilities only on its goods, positive budgets),
-    the other copies differ from copy 0 only by their prefix, and every
-    copy's budgets must be positive.  Each budget is m*(A + (c + o)*B)/q,
-    linear in the copy c (_recipes), so it is positive at every copy if it
-    is at copies 0 and k - 1; only then is a copy's budget read, to name the
-    first copy with one that is not.  The one check that compile_circuit
-    and reduced_market_to_json share."""
-    recipes, k = reduced.recipes, reduced.params.k
-    ref_buyer, _, budget_of = recipes
-    copy_goods, copy_buyers = _stamp_copy(reduced.template, recipes, 0)
-    FisherMarket((REF_GOOD, *copy_goods), (ref_buyer, *copy_buyers))
+    without building it: copy 0's market (ReducedMarket.copy_market, the
+    reference buyer and copy 0) is built (distinct ids, utilities only on
+    its goods, positive budgets), the other copies differ from copy 0 only
+    by their prefix, and every copy's budgets must be positive.  Each budget
+    is m*(A + (c + o)*B)/q, linear in the copy c (_recipes), so it is
+    positive at every copy if it is at copies 0 and k - 1; only then is a
+    copy's budget read, to name the first copy with one that is not.  The
+    one check that compile_circuit and reduced_market_to_json share."""
+    k, budget_of = reduced.params.k, reduced.recipes[2]
+    copy_buyers = reduced.copy_market(0).buyers[1:]
     if any(n <= 0 for n, _ in budget_of(k - 1).values()):
         c = next(c for c in range(1, k) if any(n <= 0 for n, _ in budget_of(c).values()))
         raise MarketError(f"copy {c} has a budget that is not positive")

@@ -40,7 +40,6 @@ from math import gcd
 from typing import Optional
 
 from .market import (
-    ClearingSource,
     FisherMarket,
     MarketError,
     SplcUtility,
@@ -472,7 +471,7 @@ class BisectionResult:
 
 
 def pinned_bisection(
-    market: ClearingSource,
+    market: FisherMarket,
     pinned: Mapping[str, Fraction],
     free_good: str,
     bracket: tuple[Fraction, Fraction],
@@ -503,10 +502,12 @@ def pinned_bisection(
     fixtures and the benchmark's spans), though no step bisects: every gap
     is solved exactly, with no step cap.
 
-    `market` is a FisherMarket or a ReducedMarket, whose buyers_of reads a
-    copy's good off the copy template without building the market.  The
-    clearing reads only the prices of the goods that the buyers interested
-    in `free_good` value, so only those must be pinned, each at
+    `market` is any FisherMarket that holds the good's interested buyers: a
+    compiled circuit's whole market (ReducedMarket.market) for ref, or a
+    copy's own market (ReducedMarket.copy_market) for a good of the copy,
+    which the gadget fixtures clear on without building the whole market.
+    The clearing reads only the prices of the goods that the buyers
+    interested in `free_good` value, so only those must be pinned, each at
     a positive price; a missing one raises BracketError("pinned prices
     missing goods ..."), one at zero or below BracketError("pinned prices
     not positive ...").  `pinned` is read once per good, by lookup alone
@@ -742,6 +743,13 @@ class GadgetFixture:
         return {g.gadget_id: g for g in self.reduced.gadgets(self.copy)}
 
     @cached_property
+    def market(self) -> FisherMarket:
+        """This copy's own market (ReducedMarket.copy_market), which every
+        clearing of the fixture reads: stamped on the first clearing, not by
+        build_fixture, and kept."""
+        return self.reduced.copy_market(self.copy)
+
+    @cached_property
     def bracket(self) -> tuple[Fraction, Fraction]:
         """The price bracket every gadget output of this copy clears in."""
         params = self.reduced.params
@@ -752,8 +760,8 @@ def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetF
     """The fixture of one copy, the last by default: ref at the price that
     puts H at the copy's h_high and every other good at h_high, in market
     order, in closed form off the copy template (_FixturePrices): nothing
-    is held per copy.  The market is not built, and the fixture's clearings
-    read the template."""
+    is held per copy.  The market is not built: the fixture's clearings
+    read its copy's own market (GadgetFixture.market)."""
     params = reduced.params
     if copy is None:
         copy = params.k - 1
@@ -773,7 +781,7 @@ def clear_gate_output(
     gadget = fixture.gadget(gadget_id)
     prices = ChainMap(input_prices, fixture.prices)
     result = pinned_bisection(
-        fixture.reduced, prices, gadget.output, fixture.bracket, epsilon
+        fixture.market, prices, gadget.output, fixture.bracket, epsilon
     )
     return result.price
 
@@ -808,7 +816,7 @@ def clear_chain(
     bracket = fixture.bracket
     seen: dict[tuple, Fraction] = {}
     for link in links:
-        compiled, others = fixture.reduced.good_fold(link.output)
+        compiled, others = fixture.market.good_fold(link.output)
         try:
             key = (
                 tuple(plan[1:] for plan in compiled.plans),
@@ -820,7 +828,7 @@ def clear_chain(
         price = seen.get(key)
         if price is None:
             price = seen[key] = pinned_bisection(
-                fixture.reduced, prices, link.output, bracket, epsilon
+                fixture.market, prices, link.output, bracket, epsilon
             ).price
         cleared[link.output] = price
     return cleared

@@ -1,9 +1,11 @@
-"""Every top-level private name of the package is read somewhere in src/.
+"""Every private name of the package is read somewhere in src/.
 
 A module-level function, class or constant whose name starts with an
 underscore is internal, so nothing outside the package should need it; one
-that src/ reads nowhere but at its definition is dead code.  Dunders, such
-as __all__, are read by Python itself and are exempt.
+that src/ reads nowhere but at its definition is dead code.  So is a
+private member of a class (a method, a cached property or a class
+attribute) that no attribute read in src/ names.  Dunders, such as __all__
+or __iter__, are read by Python itself and are exempt.
 """
 
 import ast
@@ -12,10 +14,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "circuitmarket"
 
 
-def _defined(tree: ast.Module) -> set[str]:
-    """The private names a module binds at its top level."""
+def _defined(body: list[ast.stmt]) -> set[str]:
+    """The private names that a module's or a class's body binds."""
     names = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -42,7 +44,7 @@ def test_every_private_top_level_name_is_read_in_src():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         read = _read(tree)
-        for name in _defined(tree):
+        for name in _defined(tree.body):
             defined.add((path.stem, name))
             if name in read:
                 live.add((path.stem, name))
@@ -55,3 +57,18 @@ def test_every_private_top_level_name_is_read_in_src():
                 )
     assert len(defined) > 20
     assert sorted(defined - live) == []
+
+
+def test_every_private_class_member_is_read_in_src():
+    """A private member of a class is live if some module of src/ reads an
+    attribute of its name."""
+    defined, attributes = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined.update((path.stem, node.name, name) for name in _defined(node.body))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    assert len(defined) > 3
+    assert sorted(m for m in defined if m[2] not in attributes) == []

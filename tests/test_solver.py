@@ -1128,14 +1128,14 @@ def test_a_clearing_looks_each_pinned_price_up_once():
     no membership test, and a lookup's KeyError names the missing good."""
     nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), F(0), LAB_OVERRIDE))
     out = nand.gadget("g0").output
-    _, others = nand.reduced.good_fold(out)
+    _, others = nand.market.good_fold(out)
     counted = _CountedReads(nand.prices)
-    result = pinned_bisection(nand.reduced, counted, out, nand.bracket, F(1, 12))
-    assert result == pinned_bisection(nand.reduced, nand.prices, out, nand.bracket, F(1, 12))
+    result = pinned_bisection(nand.market, counted, out, nand.bracket, F(1, 12))
+    assert result == pinned_bisection(nand.market, nand.prices, out, nand.bracket, F(1, 12))
     assert counted.reads == Counter(others)
     partial = {g: nand.prices[g] for g in others if g != "ref"}
     with pytest.raises(BracketError, match=r"^pinned prices missing goods \['ref'\]$"):
-        pinned_bisection(nand.reduced, _CountedReads(partial), out, nand.bracket, F(1, 12))
+        pinned_bisection(nand.market, _CountedReads(partial), out, nand.bracket, F(1, 12))
 
 
 def test_clearings_never_read_the_whole_price_map():
@@ -1169,34 +1169,42 @@ def _buyer_fields(buyers):
 
 
 def test_template_lookup_gives_the_markets_interested_buyers():
-    """ReducedMarket.buyers_of reads each copy's good off the copy template
-    without building the market, and gives what
-    market.interested_buyers.get(good, ()) gives: the same ids, budgets and
-    utilities, in order, for every good, ref included, on the three fixtures
-    and four seeded desk circuits at k in {1, 3} and d in {2, 4}.  A name
-    that is no good of the market has no buyers."""
+    """ReducedMarket.copy_market stamps copy c off the copy template without
+    building the market, and gives the whole market's slice for the copy:
+    ref and then the copy's goods, in order; the reference buyer and then
+    the copy's buyers, with the same ids, budgets and utilities, in order;
+    and, for each of the copy's goods, the interested buyers that
+    market.interested_buyers gives.  So on the three fixtures and four
+    seeded desk circuits at k in {1, 3} and d in {2, 4}; a copy outside
+    [0, k) raises IndexError."""
     rng = random.Random(2727)
     circuits = [parse_circuit(t) for t in (NOT_FIXTURE, NAND_FIXTURE, PURIFY_FIXTURE)]
     circuits += [_desk_circuit(rng) for _ in range(4)]
     for circuit, (k, d) in itertools.product(circuits, itertools.product((1, 3), (2, 4))):
         reduced = compile_circuit(circuit, F(1, 12), {"k": k, "d": d})
-        goods = list(reduced.market_goods())
-        looked = {g: reduced.buyers_of(g) for g in goods[1:]}
-        for name in ("c00/v0", f"c{k}/v0", "c0/nowhere", "v0", "ref/v0", "c0"):
-            assert reduced.buyers_of(name) == ()
+        copies = [reduced.copy_market(c) for c in range(k)]
+        for c in (-1, k):
+            with pytest.raises(IndexError):
+                reduced.copy_market(c)
         assert "market" not in vars(reduced)
-        looked["ref"] = reduced.buyers_of("ref")
         market = reduced.market
-        assert goods == list(market.goods)
-        for good in goods:
-            want = market.interested_buyers.get(good, ())
-            assert _buyer_fields(looked[good]) == _buyer_fields(want), good
+        n_goods, n_buyers = len(reduced.template.goods), len(reduced.template.buyers)
+        for c, copy in enumerate(copies):
+            goods = market.goods[1 + c * n_goods:1 + (c + 1) * n_goods]
+            buyers = market.buyers[1 + c * n_buyers:1 + (c + 1) * n_buyers]
+            assert copy.goods == ("ref", *goods)
+            assert _buyer_fields(copy.buyers) == _buyer_fields((market.buyers[0], *buyers))
+            for good in goods:
+                want = market.interested_buyers[good]
+                assert _buyer_fields(copy.interested_buyers[good]) == _buyer_fields(want), good
 
 
 def _fixture_clearings(override, built):
     """NAND g0 cleared at three input pairs and both PURIFY chains at three
     inputs, on fixtures compiled at `override`, with the market built first
-    if `built` (the fixtures' clearings then read it), else never built."""
+    if `built`, else never built.  Either way the clearings read the
+    fixture's copy market (GadgetFixture.market), so building the market
+    changes nothing that they read."""
     eps = F(1, 12)
     nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), F(0), override))
     pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), F(0), override))
@@ -1263,13 +1271,42 @@ def test_good_fold_is_compiled_once_per_source_and_good():
     fixture = build_fixture(compile_circuit(parse_circuit(NOT_FIXTURE), F(0), LAB_OVERRIDE))
     g = fixture.gadget("g0")
     first = clear_gate_output(fixture, "g0", {g.inputs[0]: fixture.h}, F(1, 12))
-    compiled = fixture.reduced.good_fold(g.output)
+    compiled = fixture.market.good_fold(g.output)
     assert clear_gate_output(fixture, "g0", {g.inputs[0]: fixture.h}, F(1, 12)) == first
-    assert fixture.reduced.good_fold(g.output) is compiled
+    assert fixture.market.good_fold(g.output) is compiled
     fold, others = compiled
     assert fold.goods == (g.output, *others) and g.inputs[0] in others
     with pytest.raises(BracketError, match="pinned prices missing goods"):
-        pinned_bisection(fixture.reduced, {}, g.output, fixture.bracket, F(1, 12))
+        pinned_bisection(fixture.market, {}, g.output, fixture.bracket, F(1, 12))
+
+
+def test_a_fixture_stamps_its_copy_once(monkeypatch):
+    """build_fixture stamps no copy; a fixture's first clearing stamps its
+    copy's market (GadgetFixture.market) through _stamp_copy and keeps it,
+    so repeated clear_gate_output and clear_chain calls stamp each copy
+    once."""
+    eps = F(1, 12)
+    stamped = Counter()
+    stamp = reduction._stamp_copy
+
+    def counted(template, recipes, copy):
+        stamped[copy] += 1
+        return stamp(template, recipes, copy)
+
+    nand_reduced = compile_circuit(parse_circuit(NAND_FIXTURE), F(0), LAB_OVERRIDE)
+    pure_reduced = compile_circuit(parse_circuit(PURIFY_FIXTURE), F(0), LAB_OVERRIDE)
+    monkeypatch.setattr(reduction, "_stamp_copy", counted)
+    nand, pure = build_fixture(nand_reduced), build_fixture(pure_reduced, 0)
+    assert "market" not in vars(nand) and "market" not in vars(pure)
+    assert not stamped
+    u, v = nand.gadget("g0").inputs
+    for _ in range(3):
+        for p_u in (nand.h, nand.l / 2):
+            clear_gate_output(nand, "g0", {u: p_u, v: nand.h}, eps)
+        for chain, p_in in itertools.product((1, 2), (pure.l, pure.h)):
+            clear_chain(pure, 0, chain, p_in, eps)
+    assert stamped == Counter({nand.copy: 1, 0: 1}) and nand.copy == 47
+    assert "market" not in vars(nand_reduced) and "market" not in vars(pure_reduced)
 
 
 def test_fixture_prices_are_the_whole_map_in_closed_form():
@@ -1303,13 +1340,13 @@ def test_clearing_a_good_outside_the_fixtures_market_misses_its_goods():
     circuit = parse_circuit(NAND_FIXTURE)
     fixture = build_fixture(compile_circuit(circuit, F(0), {"k": 2, "d": 4}))
     wider = compile_circuit(circuit, F(0), {"k": 3, "d": 4})
-    out = wider.gadgets(2)[0].output
-    _, others = wider.good_fold(out)
+    out, copy = wider.gadgets(2)[0].output, wider.copy_market(2)
+    _, others = copy.good_fold(out)
     missing = sorted(g for g in others if g != "ref")
     assert missing and all(g.startswith("c2/") for g in missing)
     prices = ChainMap({}, fixture.prices)
     with pytest.raises(BracketError, match=re.escape(f"pinned prices missing goods {missing}")):
-        pinned_bisection(wider, prices, out, fixture.bracket, F(1, 12))
+        pinned_bisection(copy, prices, out, fixture.bracket, F(1, 12))
 
 
 def test_paper_scale_fixture_holds_nothing_per_copy(monkeypatch):
@@ -1370,7 +1407,7 @@ def _chain_link_by_link(fixture, chain, p_in, eps):
     prices = ChainMap(cleared, {links[0].inputs[0]: p_in}, fixture.prices)
     for link in links:
         cleared[link.output] = pinned_bisection(
-            fixture.reduced, prices, link.output, fixture.bracket, eps
+            fixture.market, prices, link.output, fixture.bracket, eps
         ).price
     return cleared
 
@@ -1417,7 +1454,7 @@ def test_clear_chain_clears_each_distinct_link_once(monkeypatch):
         prices = ChainMap(cleared, {_chain_links(pure, chain)[0].inputs[0]: p_in}, pure.prices)
         distinct = set()
         for link in _chain_links(pure, chain):
-            fold, others = pure.reduced.good_fold(link.output)
+            fold, others = pure.market.good_fold(link.output)
             plans = tuple(plan[1:] for plan in fold.plans)
             distinct.add((plans, tuple(prices[g] for g in others)))
         assert 1 < len(distinct) < pure.reduced.params.d

@@ -1226,8 +1226,8 @@ def _fixture_clearings(override, built):
 
 def test_fixture_clearings_read_the_template_as_the_market():
     """At k = 48 and d = 16, a NAND gate and the PURIFY chains clear to the
-    same prices off the copy template as off the built market, and a
-    clearing given the market itself agrees."""
+    same prices on their copy's market whether or not the whole market was
+    built, and a clearing given the whole market itself agrees."""
     override = {"k": 48, "d": 16}
     nand, gates, chains = _fixture_clearings(override, built=False)
     _, built_gates, built_chains = _fixture_clearings(override, built=True)

@@ -305,7 +305,8 @@ class ReducedMarket:
     def copy_of(self, good: str) -> Optional[int]:
         """c if `good` is a good "c{c}/{local}" of the market, else None
         (ref included): c in canonical decimal below k, `local` a template
-        good."""
+        good.  check_prices_total counts a price map's goods by it without
+        building the market."""
         prefix, _, local = good.partition("/")
         c = prefix[1:]
         if (

@@ -30,19 +30,17 @@ from __future__ import annotations
 import csv
 import io
 from collections import ChainMap
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import repeat
 from math import gcd
 from typing import Optional
 
 from .market import (
     FisherMarket,
     MarketError,
-    SplcUtility,
     _add_pair,
     _check_total,
     _Fold,
@@ -660,64 +658,6 @@ def chain_threshold_ordering(
 # gadget fixtures
 
 
-class _FixturePrices(Mapping):
-    """A fixture's prices in closed form: ref at `p_ref` and every other
-    good of the market at `h_high`, in market order, with nothing kept per
-    copy.  ref and the fixture copy's goods, all that its clearings read,
-    are looked up in a small dict; any other name is placed in the market
-    by ReducedMarket.copy_of.  items() and values() walk the market's goods
-    with no lookup (_FixtureItems), so a whole read, such as prices_to_json's,
-    places no name."""
-
-    def __init__(self, reduced: ReducedMarket, copy: int, p_ref: Fraction, h_high: Fraction):
-        self._reduced, self._h_high = reduced, h_high
-        self._near = {REF_GOOD: p_ref}
-        self._near.update(
-            (f"c{copy}/{local}", h_high) for local, _ in reduced.template.goods
-        )
-
-    def __getitem__(self, good: str) -> Fraction:
-        try:
-            return self._near[good]
-        except KeyError:
-            if self._reduced.copy_of(good) is not None:
-                return self._h_high
-            raise
-
-    def __contains__(self, good: str) -> bool:
-        return good in self._near or self._reduced.copy_of(good) is not None
-
-    def __iter__(self) -> Iterator[str]:
-        return self._reduced.market_goods()
-
-    def __len__(self) -> int:
-        return 1 + self._reduced.params.k * len(self._reduced.template.goods)
-
-    def items(self) -> ItemsView:
-        return _FixtureItems(self)
-
-    def values(self) -> ValuesView:
-        return _FixtureValues(self)
-
-
-class _FixtureValues(ValuesView):
-    """A fixture's prices in market order, ref's and then h_high for every
-    other good, with no lookup per good: whole reads cost what naming the
-    goods costs."""
-
-    def __iter__(self) -> Iterator[Fraction]:
-        prices = self._mapping
-        yield prices[REF_GOOD]
-        yield from repeat(prices._h_high, len(prices) - 1)
-
-
-class _FixtureItems(ItemsView):
-    """(good, price) in market order, paired off _FixtureValues."""
-
-    def __iter__(self) -> Iterator[tuple[str, Fraction]]:
-        return zip(self._mapping, _FixtureValues(self._mapping))
-
-
 @dataclass(frozen=True)
 class GadgetFixture:
     """A compiled market with all prices pinned, ready for single-good
@@ -725,12 +665,14 @@ class GadgetFixture:
 
     The reference price is pinned so that H equals the copy's H_high, and
     every other good starts at H_high (so downstream inverters prefer their
-    input good, mimicking their in-equilibrium behavior).
+    input good, mimicking their in-equilibrium behavior).  `pinned` holds
+    ref and the copy's own goods, all that the copy's buyers value and so
+    all that its clearings read; `prices` is the whole market's map.
     """
 
     reduced: ReducedMarket
     copy: int
-    prices: Mapping[str, Fraction] = field(repr=False)
+    pinned: dict[str, Fraction] = field(repr=False)
     h: Fraction
     l: Fraction
 
@@ -750,6 +692,17 @@ class GadgetFixture:
         return self.reduced.copy_market(self.copy)
 
     @cached_property
+    def prices(self) -> dict[str, Fraction]:
+        """The whole market's prices in market order: `pinned`, and every
+        good of the other copies at this copy's h_high.  Built on the first
+        read, which no clearing makes, and kept."""
+        prices = dict.fromkeys(
+            self.reduced.market_goods(), self.reduced.params.copy_interval(self.copy)[1]
+        )
+        prices.update(self.pinned)
+        return prices
+
+    @cached_property
     def bracket(self) -> tuple[Fraction, Fraction]:
         """The price bracket every gadget output of this copy clears in."""
         params = self.reduced.params
@@ -757,18 +710,21 @@ class GadgetFixture:
 
 
 def build_fixture(reduced: ReducedMarket, copy: Optional[int] = None) -> GadgetFixture:
-    """The fixture of one copy, the last by default: ref at the price that
-    puts H at the copy's h_high and every other good at h_high, in market
-    order, in closed form off the copy template (_FixturePrices): nothing
-    is held per copy.  The market is not built: the fixture's clearings
-    read its copy's own market (GadgetFixture.market)."""
+    """The fixture of one copy, the last by default: ref pinned at the
+    price that puts H at the copy's h_high and the copy's goods at h_high,
+    named off the copy template, so nothing is held for the other copies.
+    Neither the market nor its whole price map is built: the fixture's
+    clearings read its copy's own market (GadgetFixture.market) at those
+    pinned prices."""
     params = reduced.params
     if copy is None:
         copy = params.k - 1
     h_high = params.copy_interval(copy)[1]
     p_ref = h_high / params.s
     h, low = thresholds(params, p_ref)
-    return GadgetFixture(reduced, copy, _FixturePrices(reduced, copy, p_ref, h_high), h, low)
+    pinned = {REF_GOOD: p_ref}
+    pinned.update((f"c{copy}/{local}", h_high) for local, _ in reduced.template.goods)
+    return GadgetFixture(reduced, copy, pinned, h, low)
 
 
 def clear_gate_output(
@@ -777,9 +733,10 @@ def clear_gate_output(
     input_prices: dict[str, Fraction],
     epsilon: Fraction,
 ) -> Fraction:
-    """Clearing price of a gadget's output good with its inputs pinned."""
+    """Clearing price of a gadget's output good with its inputs pinned over
+    the fixture's pinned prices."""
     gadget = fixture.gadget(gadget_id)
-    prices = ChainMap(input_prices, fixture.prices)
+    prices = ChainMap(input_prices, fixture.pinned)
     result = pinned_bisection(
         fixture.market, prices, gadget.output, fixture.bracket, epsilon
     )
@@ -793,8 +750,9 @@ def clear_chain(
     p_in: Fraction,
     epsilon: Fraction,
 ) -> dict[str, Fraction]:
-    """Clear a PURIFY chain link by link; returns the cleared prices in
-    chain order, which is template order (the last is the chain output).
+    """Clear a PURIFY chain link by link over the fixture's pinned prices;
+    returns the cleared prices in chain order, which is template order (the
+    last is the chain output).
 
     A link's clearing depends only on its compiled buyers less their ids
     (good_fold's plans; ids and good names appear only in errors) and the
@@ -810,9 +768,9 @@ def clear_chain(
     links = [g for g in fixture._gadgets.values() if g.gadget_id.startswith(prefix)]
     if not links:
         raise KeyError(f"no chain {chain} for gate {gate_index}")
-    # the cleared links and the chain input, over the fixture's prices
+    # the cleared links and the chain input, over the fixture's pinned prices
     cleared: dict[str, Fraction] = {}
-    prices = ChainMap(cleared, {links[0].inputs[0]: F(p_in)}, fixture.prices)
+    prices = ChainMap(cleared, {links[0].inputs[0]: F(p_in)}, fixture.pinned)
     bracket = fixture.bracket
     seen: dict[tuple, Fraction] = {}
     for link in links:

@@ -5,7 +5,10 @@ underscore is internal, so nothing outside the package should need it; one
 that src/ reads nowhere but at its definition is dead code.  So is a
 private member of a class (a method, a cached property or a class
 attribute) that no attribute read in src/ names.  Dunders, such as __all__
-or __iter__, are read by Python itself and are exempt.
+or __iter__, are read by Python itself and are exempt.  So is an import
+that its module never reads: every name a module of src/ imports is read
+in that module, but for the package's __init__.py, which re-exports, and
+`from __future__` imports.
 """
 
 import ast
@@ -72,3 +75,29 @@ def test_every_private_class_member_is_read_in_src():
                 attributes.add(node.attr)
     assert len(defined) > 3
     assert sorted(m for m in defined if m[2] not in attributes) == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    """A name that a module binds by import is live if that module loads
+    it; __init__.py re-exports what it imports, and `from __future__`
+    binds no name that code reads."""
+    imported, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            imported += len(names)
+            unread += [(path.stem, name) for name in names if name not in loaded]
+    assert imported > 20
+    assert unread == []

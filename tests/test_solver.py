@@ -1140,14 +1140,15 @@ def test_a_clearing_looks_each_pinned_price_up_once():
 
 def test_clearings_never_read_the_whole_price_map():
     """pinned_bisection, clear_gate_output and clear_chain neither iterate,
-    size nor copy the fixture's prices, and give what the plain map gives."""
+    size nor copy the fixture's pinned prices, nor build its whole map, and
+    give what the plain map gives."""
     eps = F(1, 12)
     nand = build_fixture(compile_circuit(parse_circuit(NAND_FIXTURE), F(0), LAB_OVERRIDE))
     pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), F(0), LAB_OVERRIDE))
-    guarded_nand = dataclasses.replace(nand, prices=_WholeMapRead(nand.prices))
-    guarded_pure = dataclasses.replace(pure, prices=_WholeMapRead(pure.prices))
+    guarded_nand = dataclasses.replace(nand, pinned=_WholeMapRead(nand.pinned))
+    guarded_pure = dataclasses.replace(pure, pinned=_WholeMapRead(pure.pinned))
     with pytest.raises(AssertionError):
-        dict(guarded_nand.prices)
+        dict(guarded_nand.pinned)
     u, v = nand.gadget("g0").inputs
     for inputs in ({u: nand.h, v: nand.h}, {u: nand.l / 2, v: nand.h}):
         assert clear_gate_output(guarded_nand, "g0", inputs, eps) == clear_gate_output(
@@ -1155,13 +1156,14 @@ def test_clearings_never_read_the_whole_price_map():
         )
     out = nand.gadget("g0").output
     market = nand.reduced.market
-    assert pinned_bisection(market, guarded_nand.prices, out, nand.bracket, eps) == pinned_bisection(
+    assert pinned_bisection(market, guarded_nand.pinned, out, nand.bracket, eps) == pinned_bisection(
         market, nand.prices, out, nand.bracket, eps
     )
     for chain, p_in in ((1, pure.l), (2, (pure.l + pure.h) / 2)):
         assert clear_chain(guarded_pure, 0, chain, p_in, eps) == clear_chain(
             pure, 0, chain, p_in, eps
         )
+    assert "prices" not in vars(guarded_nand) and "prices" not in vars(guarded_pure)
 
 
 def _buyer_fields(buyers):
@@ -1306,14 +1308,16 @@ def test_a_fixture_stamps_its_copy_once(monkeypatch):
         for chain, p_in in itertools.product((1, 2), (pure.l, pure.h)):
             clear_chain(pure, 0, chain, p_in, eps)
     assert stamped == Counter({nand.copy: 1, 0: 1}) and nand.copy == 47
+    assert "prices" not in vars(nand) and "prices" not in vars(pure)
     assert "market" not in vars(nand_reduced) and "market" not in vars(pure_reduced)
 
 
 def test_fixture_prices_are_the_whole_map_in_closed_form():
-    """A fixture's prices read as the map of every market good at h_high
-    and ref at h_high / s, in market order, with the same length, for the
-    default copy and copy 0 of the three fixtures at k in {1, 2, 41}; a
-    name that is no good of the market is neither in it nor looked up."""
+    """A fixture's whole price map (GadgetFixture.prices, built off its
+    pinned prices) is every market good at h_high and ref at h_high / s, in
+    market order, with the same length, for the default copy and copy 0 of
+    the three fixtures at k in {1, 2, 41}; a name that is no good of the
+    market is neither in it nor looked up."""
     for text, k, copy in itertools.product(
         (NOT_FIXTURE, NAND_FIXTURE, PURIFY_FIXTURE), (1, 2, 41), (None, 0)
     ):
@@ -1351,8 +1355,8 @@ def test_clearing_a_good_outside_the_fixtures_market_misses_its_goods():
 
 def test_paper_scale_fixture_holds_nothing_per_copy(monkeypatch):
     """build_fixture of PURIFY at the paper's k = 5280 (epsilon 1/12, no
-    override) names no good of the market and traces a peak under 64 KB;
-    its prices still answer for every copy."""
+    override) lists no good of the market and traces a peak under 64 KB;
+    its whole price map, built when first read, prices every copy."""
     def whole_market(self):
         raise AssertionError("the market's goods were listed")
 
@@ -1366,16 +1370,18 @@ def test_paper_scale_fixture_holds_nothing_per_copy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+    monkeypatch.undo()
     h_high = reduced.params.copy_interval(5279)[1]
     assert fixture.prices["c0/v0"] == fixture.prices["c5279/v0"] == h_high
     assert len(fixture.prices) == 1 + 5280 * len(reduced.template.goods)
 
 
 def test_fixture_price_views_are_the_mappings_without_a_lookup(monkeypatch):
-    """A fixture's items() and values() give what Mapping's generic views
-    give, in market order, for the three fixtures at k = 48 (and k = 1), and
-    prices_to_json writes the same bytes through them; they place no good
-    by ReducedMarket.copy_of."""
+    """A fixture's whole price map, a plain dict, gives in items() and
+    values() what Mapping's generic views give, in market order, for the
+    three fixtures at k = 48 (and k = 1), and prices_to_json writes the
+    same bytes through them; reading them places no good by
+    ReducedMarket.copy_of."""
     for text, k in itertools.product((NOT_FIXTURE, NAND_FIXTURE, PURIFY_FIXTURE), (1, 48)):
         fixture = build_fixture(compile_circuit(parse_circuit(text), F(1, 12), {"k": k, "d": 16}))
         prices = fixture.prices
@@ -1404,7 +1410,7 @@ def _chain_link_by_link(fixture, chain, p_in, eps):
     with nothing reused: what clear_chain must give."""
     links = _chain_links(fixture, chain)
     cleared = {}
-    prices = ChainMap(cleared, {links[0].inputs[0]: p_in}, fixture.prices)
+    prices = ChainMap(cleared, {links[0].inputs[0]: p_in}, fixture.pinned)
     for link in links:
         cleared[link.output] = pinned_bisection(
             fixture.market, prices, link.output, fixture.bracket, eps
@@ -1474,7 +1480,7 @@ def test_clear_chain_raises_the_clearings_errors():
     clearing does, and not a bare KeyError."""
     eps = F(1, 12)
     pure = build_fixture(compile_circuit(parse_circuit(PURIFY_FIXTURE), eps, {"k": 48, "d": 16}))
-    no_ref = dataclasses.replace(pure, prices={g: p for g, p in pure.prices.items() if g != "ref"})
+    no_ref = dataclasses.replace(pure, pinned={g: p for g, p in pure.pinned.items() if g != "ref"})
     for fixture, p_in, message in (
         (no_ref, pure.h, r"^pinned prices missing goods \['ref'\]$"),
         (pure, F(0), r"^pinned prices not positive for goods \['c47/v0'\]$"),
